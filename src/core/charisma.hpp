@@ -13,6 +13,7 @@
 #include <optional>
 #include <string>
 #include <unordered_map>
+#include <vector>
 
 #include "core/fairness.hpp"
 #include "core/priority.hpp"
@@ -82,6 +83,21 @@ class CharismaProtocol : public mac::ProtocolEngine {
   double throughput_estimate(const mac::PendingRequest& request) const;
   double priority_of(const mac::PendingRequest& request) const;
 
+  /// One pool request's place in a ranking: its Eq. (2) priority, computed
+  /// once per ranking, and its pool position — the tie-break that keeps
+  /// equal priorities in FIFO order.
+  struct Ranked {
+    double priority;
+    std::size_t position;
+    double granted;  ///< throughput granted this frame (fairness ledger)
+  };
+  /// Highest priority first, ties in pool order: the order a stable sort
+  /// by priority alone gives, as a strict total order.
+  static bool ranks_before(const Ranked& a, const Ranked& b) {
+    return a.priority != b.priority ? a.priority > b.priority
+                                    : a.position < b.position;
+  }
+
   CharismaOptions options_;
   int poll_budget_;
   mac::RequestQueue pool_;  ///< pending requests awaiting allocation
@@ -89,6 +105,12 @@ class CharismaProtocol : public mac::ProtocolEngine {
   /// Base station's per-user CSI cache (last pilot observation).
   std::unordered_map<common::UserId, channel::CsiEstimate> csi_cache_;
   FairnessTracker fairness_;
+  // Per-frame scratch, reused so the steady-state frame allocates nothing.
+  std::vector<common::UserId> candidates_;
+  std::vector<Ranked> stale_;
+  std::vector<common::UserId> polled_;
+  std::vector<Ranked> ranked_;
+  std::vector<common::UserId> completed_;
 };
 
 }  // namespace charisma::core

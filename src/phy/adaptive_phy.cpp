@@ -3,10 +3,14 @@
 #include <cmath>
 #include <stdexcept>
 
+#include "common/math.hpp"
+
 namespace charisma::phy {
 
 AdaptivePhy::AdaptivePhy(ModeTable table, PhyConfig config)
-    : table_(std::move(table)), config_(config) {
+    : table_(std::move(table)),
+      config_(config),
+      margin_linear_(common::from_db(config.selection_margin_db)) {
   if (config.slot_symbols <= 0 || config.packet_bits <= 0) {
     throw std::invalid_argument("AdaptivePhy: invalid slot geometry");
   }
@@ -17,7 +21,7 @@ AdaptivePhy AdaptivePhy::abicm6(PhyConfig config) {
 }
 
 std::optional<int> AdaptivePhy::select_mode(double snr_estimate_linear) const {
-  return table_.select(snr_estimate_linear, config_.selection_margin_db);
+  return table_.select_linear(snr_estimate_linear, margin_linear_);
 }
 
 int AdaptivePhy::packets_per_slot(int mode) const {

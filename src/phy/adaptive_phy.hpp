@@ -60,6 +60,8 @@ class AdaptivePhy {
  private:
   ModeTable table_;
   PhyConfig config_;
+  /// from_db(config_.selection_margin_db), converted once at construction.
+  double margin_linear_;
 };
 
 }  // namespace charisma::phy

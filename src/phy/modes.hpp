@@ -51,6 +51,12 @@ class ModeTable {
   std::optional<int> select(double snr_estimate_linear,
                             double margin_db = 0.0) const;
 
+  /// select() with the backoff already converted to a linear factor
+  /// (common::from_db(margin_db)), for callers that fix the margin once and
+  /// select per request.
+  std::optional<int> select_linear(double snr_estimate_linear,
+                                   double margin_linear) const;
+
   const TransmissionMode& mode(int index) const;
   int size() const { return static_cast<int>(modes_.size()); }
   double target_ber() const { return target_ber_; }

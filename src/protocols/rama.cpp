@@ -78,23 +78,15 @@ common::Time RamaProtocol::process_frame() {
   }
   int free_slots = geom_.num_info_slots - static_cast<int>(due.size());
 
-  // Queued requests go first (FCFS).
-  std::vector<mac::PendingRequest> to_serve(queue_.entries().begin(),
-                                            queue_.entries().end());
-  queue_.clear();
-
-  // The auction: every active device participates (no permission
-  // probability — the bidding process is the arbitration). Each auction
-  // slot resolves one winner; voice IDs dominate data IDs.
+  // The auction: every active device without a queued request
+  // participates (no permission probability — the bidding process is the
+  // arbitration). Each auction slot resolves one winner; voice IDs
+  // dominate data IDs.
   std::vector<common::UserId> voice_contenders;
   std::vector<common::UserId> data_contenders;
   for (auto& u : users()) {
     if (!u.present()) continue;
     if (queue_.contains(u.id())) continue;
-    const bool queued = std::any_of(
-        to_serve.begin(), to_serve.end(),
-        [&u](const mac::PendingRequest& r) { return r.user == u.id(); });
-    if (queued) continue;
     if (u.is_voice()) {
       // RAMA has no permission probability, so the barring gate is the
       // only admission control in front of the auction.
@@ -106,6 +98,11 @@ common::Time RamaProtocol::process_frame() {
       data_contenders.push_back(u.id());
     }
   }
+
+  // Queued requests go first (FCFS).
+  std::vector<mac::PendingRequest> to_serve(queue_.entries().begin(),
+                                            queue_.entries().end());
+  queue_.clear();
 
   mac::ContentionTally tally;
   tally.minislots = options_.auction_slots;

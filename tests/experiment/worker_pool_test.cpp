@@ -45,7 +45,7 @@ TEST(WorkerPool, ReusableAcrossManyEpochs) {
   for (int e = 0; e < kEpochs; ++e) {
     pool.for_each(kCells, [&](std::size_t) { total.fetch_add(1); });
   }
-  EXPECT_EQ(total.load(), static_cast<std::int64_t>(kEpochs) * kCells);
+  EXPECT_EQ(total.load(), static_cast<std::int64_t>(kEpochs * kCells));
 }
 
 TEST(WorkerPool, ExceptionPropagatesToCaller) {
