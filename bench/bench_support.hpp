@@ -175,9 +175,9 @@ inline experiment::RunSpec standard_spec(int default_reps = 2) {
   return spec;
 }
 
-inline experiment::ParallelRunner standard_runner() {
-  return experiment::ParallelRunner(
-      static_cast<unsigned>(env_count_int("CHARISMA_BENCH_THREADS", 0)));
+/// Sweep worker threads (CHARISMA_BENCH_THREADS; 0 = hardware threads).
+inline unsigned standard_threads() {
+  return static_cast<unsigned>(env_count_int("CHARISMA_BENCH_THREADS", 0));
 }
 
 inline void print_banner(const std::string& what, const std::string& paper) {
@@ -191,7 +191,8 @@ inline void print_banner(const std::string& what, const std::string& paper) {
 /// CHARISMA_BENCH_JSON_DIR, else the working directory). The file is a
 /// schema_version-2 *trajectory*: `{"benchmark": ..., "schema_version": 2,
 /// "trajectory": [ <point>, ... ]}` — each bench run appends a point
-/// (stamped with UTC time and the short git revision) instead of
+/// (stamped with UTC time and the short git revision, suffixed "-dirty"
+/// when tracked files differ from that commit) instead of
 /// overwriting, so the committed file records how the numbers moved across
 /// revisions. `fields` is the caller's preformatted `"key": value` list,
 /// comma-joined, without braces (multi-line entries should indent
@@ -216,7 +217,8 @@ inline void append_trajectory_point(const std::string& benchmark,
   }
 
   std::string git_rev = "unknown";
-  if (std::FILE* pipe = popen("git rev-parse --short HEAD 2>/dev/null", "r")) {
+  if (std::FILE* pipe = popen(
+          "git describe --always --dirty --exclude='*' 2>/dev/null", "r")) {
     char buf[64];
     if (std::fgets(buf, sizeof buf, pipe) != nullptr) {
       git_rev.assign(buf);

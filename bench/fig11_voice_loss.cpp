@@ -12,7 +12,7 @@ int main() {
       "Fig. 11: voice packet loss rate versus traffic load",
       "Kwok & Lau, Fig. 11a-f (six panels, six protocols)");
 
-  const auto runner = bench::standard_runner();
+  experiment::WorkerPool pool(bench::standard_threads());
   const auto metric = [](const experiment::ReplicatedResult& r) {
     return r.voice_loss.mean();
   };
@@ -36,7 +36,7 @@ int main() {
     config.x_values = {10, 40, 70, 90, 110, 130, 150, 170};
     config.protocols_to_run = protocols::all_protocols();
 
-    const auto cells = experiment::run_sweep(config, runner);
+    const auto cells = experiment::run_sweep(config, pool);
     const std::string title =
         std::string("Fig. 11") + panel.label + ": voice packet loss rate, " +
         (panel.queue ? "with" : "without") + " request queue, N_d = " +

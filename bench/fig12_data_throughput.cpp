@@ -10,7 +10,7 @@ int main() {
   bench::print_banner("Fig. 12: data throughput against traffic load",
                       "Kwok & Lau, Fig. 12a-f (six panels, six protocols)");
 
-  const auto runner = bench::standard_runner();
+  experiment::WorkerPool pool(bench::standard_threads());
   const auto metric = [](const experiment::ReplicatedResult& r) {
     return r.data_throughput.mean();
   };
@@ -34,7 +34,7 @@ int main() {
     config.x_values = {10, 25, 40, 60, 80, 110, 140};
     config.protocols_to_run = protocols::all_protocols();
 
-    const auto cells = experiment::run_sweep(config, runner);
+    const auto cells = experiment::run_sweep(config, pool);
     const std::string title =
         std::string("Fig. 12") + panel.label +
         ": data packets delivered per frame, " +

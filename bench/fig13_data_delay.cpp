@@ -11,7 +11,7 @@ int main() {
   bench::print_banner("Fig. 13: data delay against traffic load",
                       "Kwok & Lau, Fig. 13a-f (six panels, six protocols)");
 
-  const auto runner = bench::standard_runner();
+  experiment::WorkerPool pool(bench::standard_threads());
   const auto delay_metric = [](const experiment::ReplicatedResult& r) {
     return r.data_delay_s.mean();
   };
@@ -35,7 +35,7 @@ int main() {
     config.x_values = {10, 25, 40, 60, 80, 110, 140};
     config.protocols_to_run = protocols::all_protocols();
 
-    const auto cells = experiment::run_sweep(config, runner);
+    const auto cells = experiment::run_sweep(config, pool);
     const std::string title =
         std::string("Fig. 13") + panel.label + ": mean data delay (s), " +
         (panel.queue ? "with" : "without") + " request queue, N_v = " +

@@ -147,9 +147,9 @@ void BM_ChannelBankLazyAdvance(benchmark::State& state) {
   auto bank = make_bank(n);
   bank.set_lazy(true);
   // Doubled id array so every rotating window is one contiguous span.
-  std::vector<common::UserId> ids(static_cast<std::size_t>(n) * 2);
+  std::vector<std::uint32_t> ids(static_cast<std::size_t>(n) * 2);
   for (std::size_t i = 0; i < ids.size(); ++i) {
-    ids[i] = static_cast<common::UserId>(i % static_cast<std::size_t>(n));
+    ids[i] = static_cast<std::uint32_t>(i % static_cast<std::size_t>(n));
   }
   const double dt = channel::ChannelConfig{}.sample_interval;
   double t = 0.0;

@@ -6,12 +6,12 @@
 //
 // Before the paper sweep, a hot-path ablation times the channel-evolution
 // inner loop — legacy per-user scalar walk vs the batched SoA ChannelBank
-// (eager scalar), the lazy touch-set bank at ~10% active users per frame
-// (scalar and SIMD strips), and jump strides k=1 vs k=64 — and appends the
-// result as a trajectory point to BENCH_channel_bank.json (set
-// CHARISMA_BENCH_JSON_DIR to redirect).
+// (eager), the lazy touch-set bank at ~10% active users per frame, and
+// jump strides k=1 vs k=64 — and appends the result as a trajectory point
+// to BENCH_channel_bank.json (set CHARISMA_BENCH_JSON_DIR to redirect).
 #include <algorithm>
 #include <chrono>
+#include <cstdint>
 #include <iostream>
 #include <memory>
 #include <sstream>
@@ -44,7 +44,6 @@ double benchmark_bank(int users, int frames, int stride) {
   for (int i = 0; i < users; ++i) {
     bank.add_user(cfg, common::RngStream(static_cast<std::uint64_t>(i) + 1));
   }
-  bank.set_strip_width(1);
   double sink = 0.0;
   const auto start = std::chrono::steady_clock::now();
   double t = 0.0;
@@ -64,8 +63,7 @@ double benchmark_bank(int users, int frames, int stride) {
 /// under ProtocolEngine's touch hooks), so an untouched user accrues
 /// deferred frames until its window comes around and one O(1) jump covers
 /// them all.
-double benchmark_bank_lazy(int users, int frames, double touch_ratio,
-                           int width) {
+double benchmark_bank_lazy(int users, int frames, double touch_ratio) {
   channel::ChannelBank bank;
   bank.reserve(static_cast<std::size_t>(users));
   const channel::ChannelConfig cfg{};
@@ -73,13 +71,12 @@ double benchmark_bank_lazy(int users, int frames, double touch_ratio,
     bank.add_user(cfg, common::RngStream(static_cast<std::uint64_t>(i) + 1));
   }
   bank.set_lazy(true);
-  bank.set_strip_width(width);
   const int window = std::max(
       1, static_cast<int>(static_cast<double>(users) * touch_ratio));
   // Doubled id array so every rotating window is one contiguous span.
-  std::vector<common::UserId> ids(static_cast<std::size_t>(users) * 2);
+  std::vector<std::uint32_t> ids(static_cast<std::size_t>(users) * 2);
   for (std::size_t i = 0; i < ids.size(); ++i) {
-    ids[i] = static_cast<common::UserId>(i % static_cast<std::size_t>(users));
+    ids[i] = static_cast<std::uint32_t>(i % static_cast<std::size_t>(users));
   }
   double sink = 0.0;
   const auto start = std::chrono::steady_clock::now();
@@ -102,7 +99,6 @@ void run_hot_path_ablation() {
   const int users = bench::env_count_int("CHARISMA_BENCH_BANK_USERS", 10000);
   const int frames = bench::env_count_int("CHARISMA_BENCH_BANK_FRAMES", 400);
   const double touch_ratio = 0.10;
-  const int simd_width = 8;
 
   const double legacy_s = benchmark_legacy_walk(users, frames);
   // One stride-1 measurement serves as the common baseline for the legacy
@@ -110,14 +106,10 @@ void run_hot_path_ablation() {
   const double eager_s = benchmark_bank(users, frames, 1);
   const double jump1_s = eager_s;
   const double jump64_s = benchmark_bank(users, frames, 64);
-  const double lazy_scalar_s =
-      benchmark_bank_lazy(users, frames, touch_ratio, 1);
-  const double lazy_simd_s =
-      benchmark_bank_lazy(users, frames, touch_ratio, simd_width);
+  const double lazy_s = benchmark_bank_lazy(users, frames, touch_ratio);
   const double speedup = legacy_s / eager_s;
   const double jump_ratio = jump64_s / jump1_s;
-  const double lazy_speedup = eager_s / lazy_scalar_s;
-  const double simd_speedup = lazy_scalar_s / lazy_simd_s;
+  const double lazy_speedup = eager_s / lazy_s;
 
   common::TextTable table("Channel-evolution hot path (10k-user class)");
   table.set_header({"path", "users", "frames", "wall (s)",
@@ -129,42 +121,33 @@ void run_hot_path_ablation() {
   table.add_row({"legacy per-user walk", common::TextTable::num(users, 0),
                  common::TextTable::num(frames, 0),
                  common::TextTable::num(legacy_s, 4), rate(legacy_s)});
-  table.add_row({"eager scalar bank", common::TextTable::num(users, 0),
+  table.add_row({"eager bank", common::TextTable::num(users, 0),
                  common::TextTable::num(frames, 0),
                  common::TextTable::num(eager_s, 4), rate(eager_s)});
   table.add_row({"bank, k=64 jumps", common::TextTable::num(users, 0),
                  common::TextTable::num(frames, 0),
                  common::TextTable::num(jump64_s, 4), rate(jump64_s)});
-  table.add_row({"lazy scalar, 10% touched", common::TextTable::num(users, 0),
+  table.add_row({"lazy bank, 10% touched", common::TextTable::num(users, 0),
                  common::TextTable::num(frames, 0),
-                 common::TextTable::num(lazy_scalar_s, 4),
-                 rate(lazy_scalar_s)});
-  table.add_row({"lazy SIMD w=8, 10% touched",
-                 common::TextTable::num(users, 0),
-                 common::TextTable::num(frames, 0),
-                 common::TextTable::num(lazy_simd_s, 4), rate(lazy_simd_s)});
+                 common::TextTable::num(lazy_s, 4), rate(lazy_s)});
   table.print(std::cout);
   std::cout << "speedup (eager bank vs legacy): "
             << common::TextTable::num(speedup, 2)
             << "x; k=64 vs k=1 cost ratio: "
             << common::TextTable::num(jump_ratio, 2)
             << " (O(1) target: ~1)\n"
-            << "lazy scalar vs eager (10% active/frame): "
+            << "lazy vs eager (10% active/frame): "
             << common::TextTable::num(lazy_speedup, 2)
-            << "x (acceptance floor: 3x); SIMD w=8 vs scalar strip: "
-            << common::TextTable::num(simd_speedup, 2) << "x\n\n";
+            << "x (acceptance floor: 3x)\n\n";
 
   std::ostringstream fields;
   fields << "\"users\": " << users << ",\n      \"frames\": " << frames
          << ",\n      \"touch_ratio\": " << touch_ratio
-         << ",\n      \"simd_width\": " << simd_width
          << ",\n      \"legacy_per_user_wall_s\": " << legacy_s
          << ",\n      \"eager_scalar_wall_s\": " << eager_s
-         << ",\n      \"lazy_scalar_wall_s\": " << lazy_scalar_s
-         << ",\n      \"lazy_simd_wall_s\": " << lazy_simd_s
+         << ",\n      \"lazy_scalar_wall_s\": " << lazy_s
          << ",\n      \"speedup_eager_vs_legacy\": " << speedup
          << ",\n      \"speedup_lazy_vs_eager\": " << lazy_speedup
-         << ",\n      \"speedup_simd_vs_scalar_strip\": " << simd_speedup
          << ",\n      \"jump_k1_wall_s\": " << jump1_s
          << ",\n      \"jump_k64_wall_s\": " << jump64_s
          << ",\n      \"jump_k64_vs_k1_ratio\": " << jump_ratio;

@@ -46,8 +46,8 @@ int main(int argc, char** argv) {
   std::cout << "Sweeping voice load for " << protocols::protocol_name(protocol)
             << " (loss threshold " << threshold << ")...\n\n";
 
-  experiment::ParallelRunner runner;
-  const auto cells = experiment::run_sweep(sweep, runner);
+  experiment::WorkerPool pool;  // hardware threads
+  const auto cells = experiment::run_sweep(sweep, pool);
 
   const auto metric = [](const experiment::ReplicatedResult& r) {
     return r.voice_loss.mean();

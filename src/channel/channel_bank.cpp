@@ -17,28 +17,6 @@ constexpr double kHalfPower = 0.7071067811865476;  // sqrt(1/2)
 // lengths, so the per-group table stays tiny. The cap only guards against a
 // pathological caller advancing by a never-repeating stride sequence.
 constexpr std::size_t kMaxCachedStrides = 64;
-
-// Lane view over one slot of the strip kernel's flat state array, with the
-// exact draw semantics of SplitMix64 (same gamma, same mix, same 53-bit
-// uniform), so the ziggurat rejection continuation of any lane consumes
-// that lane's private stream just as the scalar path would.
-struct LaneEngine {
-  std::uint64_t& state;
-  std::uint64_t next() {
-    return common::detail::splitmix64_mix(state +=
-                                          common::detail::kSplitMixGamma);
-  }
-  double uniform() {
-    return static_cast<double>(next() >> 11) * 0x1.0p-53;
-  }
-};
-
-double lane_normal(std::uint64_t& state,
-                   const common::detail::ZigguratTables& zig,
-                   std::uint64_t bits) {
-  LaneEngine eng{state};
-  return common::detail::ziggurat_normal_from(eng, zig, bits);
-}
 }  // namespace
 
 common::Hertz ChannelConfig::doppler_for_speed(common::Speed speed,
@@ -393,153 +371,30 @@ void ChannelBank::materialize_user(std::size_t user) {
   jump_frames_ += k;
 }
 
-template <int W>
-void ChannelBank::strip_kernel(const std::uint32_t* lane_users,
-                               const JumpCoeffs& c, int branches,
-                               std::int64_t k, std::int64_t target) {
-  // Phase-separated twin of jump_user over W users sharing one stride: the
-  // per-lane expressions (and per-lane draw order) are exactly the scalar
-  // ones, so any W — and any partition of users into strips — yields
-  // bit-identical state. The u64 state rounds and the AR(1)/power update
-  // loops are flat W-wide arrays, which is what the autovectorizer needs;
-  // the rarely-taken ziggurat rejection continues scalar per lane on that
-  // lane's private stream.
-  std::uint64_t s[W];
-  std::size_t base[W];
-  double pow_acc[W];
-  for (int l = 0; l < W; ++l) {
-    const std::size_t u = lane_users[l];
-    s[l] = rng_[u].raw_state();
-    base[l] = branch_begin_[u];
-    pow_acc[l] = 0.0;
-  }
-  const auto& zig = common::detail::ziggurat_tables();
-  constexpr std::uint64_t gamma = common::detail::kSplitMixGamma;
-  double* const re = fade_re_.data();
-  double* const im = fade_im_.data();
-  for (int b = 0; b < branches; ++b) {
-    std::uint64_t bits_a[W];
-    std::uint64_t bits_b[W];
-    for (int l = 0; l < W; ++l) {
-      bits_a[l] = common::detail::splitmix64_mix(s[l] + gamma);
-      bits_b[l] = common::detail::splitmix64_mix(s[l] + 2 * gamma);
-      s[l] += 2 * gamma;
+void ChannelBank::materialize_batch(std::span<const std::uint32_t> slots) {
+  // Bit-identical to the historical advance_all_to body when slots is the
+  // full population.
+  std::size_t last_group = static_cast<std::size_t>(-1);
+  std::int64_t last_k = -1;
+  const JumpCoeffs* c = nullptr;
+  for (const std::uint32_t slot : slots) {
+    const std::size_t user = slot;
+    const std::int64_t target = dt_targets_[dt_index_[user]];
+    if (target < step_[user]) {
+      throw std::logic_error(
+          "ChannelBank::advance_all_to: time went backwards");
     }
-    double wr[W];
-    double wi[W];
-    for (int l = 0; l < W; ++l) {
-      wr[l] = lane_normal(s[l], zig, bits_a[l]);
-      wi[l] = lane_normal(s[l], zig, bits_b[l]);
+    const std::int64_t k = target - step_[user];
+    if (k == 0) continue;
+    if (c == nullptr || group_[user] != last_group || k != last_k) {
+      last_group = group_[user];
+      last_k = k;
+      c = &coeffs(last_group, k);
     }
-    for (int l = 0; l < W; ++l) {
-      const std::size_t idx = base[l] + static_cast<std::size_t>(b);
-      const double r = c.fade_rho_k * re[idx] + c.fade_component_scale * wr[l];
-      const double i = c.fade_rho_k * im[idx] + c.fade_component_scale * wi[l];
-      re[idx] = r;
-      im[idx] = i;
-      pow_acc[l] += r * r + i * i;
-    }
-  }
-  std::uint64_t shadow_bits[W];
-  for (int l = 0; l < W; ++l) {
-    shadow_bits[l] = common::detail::splitmix64_mix(s[l] += gamma);
-  }
-  double shadow_w[W];
-  for (int l = 0; l < W; ++l) {
-    shadow_w[l] = lane_normal(s[l], zig, shadow_bits[l]);
-  }
-  for (int l = 0; l < W; ++l) {
-    const std::size_t u = lane_users[l];
-    fading_power_[u] = pow_acc[l] * inv_branch_count_[u];
-    shadow_db_[u] = c.shadow_rho_k * shadow_db_[u] +
-                    shadow_sigma_db_[u] * c.shadow_unit_scale * shadow_w[l];
-    shadow_linear_[u] = -1.0;
-    rng_[u].set_raw_state(s[l]);
-    step_[u] = target;
-  }
-  jump_events_ += W;
-  jump_frames_ += W * k;
-}
-
-template <int W, typename Index>
-void ChannelBank::materialize_batch(const Index* ids, std::size_t n) {
-  if constexpr (W == 1) {
-    // Scalar path: the classic memoized jump loop (bit-identical to the
-    // historical advance_all_to body when ids is the full population). In
-    // the common case every user shares one sample interval and one
-    // parameter group, so the coefficient lookup is hoisted out of the
-    // loop by the memo of the previous iteration.
-    std::size_t last_group = static_cast<std::size_t>(-1);
-    std::int64_t last_k = -1;
-    const JumpCoeffs* c = nullptr;
-    for (std::size_t i = 0; i < n; ++i) {
-      const auto user = static_cast<std::size_t>(ids[i]);
-      const std::int64_t target = dt_targets_[dt_index_[user]];
-      if (target < step_[user]) {
-        throw std::logic_error(
-            "ChannelBank::advance_all_to: time went backwards");
-      }
-      const std::int64_t k = target - step_[user];
-      if (k == 0) continue;
-      if (c == nullptr || group_[user] != last_group || k != last_k) {
-        last_group = group_[user];
-        last_k = k;
-        c = &coeffs(last_group, k);
-      }
-      jump_user(user, *c);
-      step_[user] = target;
-      ++jump_events_;
-      jump_frames_ += k;
-    }
-  } else {
-    // Strip-mined path: runs of users sharing (stride, group, branches)
-    // fill W-wide lanes; key changes and remainders fall back to the
-    // scalar jump. Both paths produce the same bits, so mixed batches are
-    // purely a throughput matter.
-    std::uint32_t lanes[W];
-    int filled = 0;
-    std::size_t lane_group = 0;
-    std::int64_t lane_k = 0;
-    std::int64_t lane_target = 0;
-    int lane_branches = 0;
-    const JumpCoeffs* lane_c = nullptr;
-    auto flush_scalar = [&]() {
-      for (int l = 0; l < filled; ++l) {
-        const std::size_t u = lanes[l];
-        jump_user(u, *lane_c);
-        step_[u] = lane_target;
-        ++jump_events_;
-        jump_frames_ += lane_k;
-      }
-      filled = 0;
-    };
-    for (std::size_t i = 0; i < n; ++i) {
-      const auto user = static_cast<std::size_t>(ids[i]);
-      const std::int64_t target = dt_targets_[dt_index_[user]];
-      if (target < step_[user]) {
-        throw std::logic_error(
-            "ChannelBank::advance_all_to: time went backwards");
-      }
-      const std::int64_t k = target - step_[user];
-      if (k == 0) continue;
-      if (filled > 0 && (group_[user] != lane_group || k != lane_k ||
-                         branch_count_[user] != lane_branches)) {
-        flush_scalar();
-      }
-      if (filled == 0) {
-        lane_group = group_[user];
-        lane_k = k;
-        lane_target = target;
-        lane_branches = branch_count_[user];
-        lane_c = &coeffs(lane_group, lane_k);
-      }
-      lanes[filled++] = static_cast<std::uint32_t>(user);
-      if (filled == W) {
-        strip_kernel<W>(lanes, *lane_c, lane_branches, lane_k, lane_target);
-        filled = 0;
-      }
-    }
-    if (filled > 0) flush_scalar();
+    jump_user(user, *c);
+    step_[user] = target;
+    ++jump_events_;
+    jump_frames_ += k;
   }
 }
 
@@ -548,56 +403,27 @@ void ChannelBank::materialize_all() {
   // next acquire re-seeds them) nor count toward the jump accounting. With
   // no vacancies the batch is the historical full iota, bit for bit.
   refresh_active();
-  const std::size_t n = scratch_ids_.size();
-  switch (strip_width_) {
-    case 4:
-      materialize_batch<4>(scratch_ids_.data(), n);
-      break;
-    case 8:
-      materialize_batch<8>(scratch_ids_.data(), n);
-      break;
-    default:
-      materialize_batch<1>(scratch_ids_.data(), n);
-      break;
-  }
+  materialize_batch(scratch_ids_);
 }
 
-void ChannelBank::materialize_users(std::span<const common::UserId> users) {
-  for (const common::UserId id : users) {
-    if (id < 0 || static_cast<std::size_t>(id) >= configs_.size()) {
-      throw std::out_of_range("ChannelBank::materialize_users: bad user");
+void ChannelBank::materialize_users(std::span<const std::uint32_t> slots) {
+  for (const std::uint32_t slot : slots) {
+    if (slot >= configs_.size()) {
+      throw std::out_of_range("ChannelBank::materialize_users: bad slot");
     }
   }
-  switch (strip_width_) {
-    case 4:
-      materialize_batch<4>(users.data(), users.size());
-      break;
-    case 8:
-      materialize_batch<8>(users.data(), users.size());
-      break;
-    default:
-      materialize_batch<1>(users.data(), users.size());
-      break;
-  }
+  materialize_batch(slots);
 }
 
-void ChannelBank::advance_users_to(std::span<const common::UserId> users,
+void ChannelBank::advance_users_to(std::span<const std::uint32_t> slots,
                                    common::Time t) {
   set_time(t);
-  materialize_users(users);
+  materialize_users(slots);
 }
 
 void ChannelBank::advance_all_to(common::Time t) {
   set_time(t);
   materialize_all();
-}
-
-void ChannelBank::set_strip_width(int width) {
-  if (width != 1 && width != 4 && width != 8) {
-    throw std::invalid_argument(
-        "ChannelBank::set_strip_width: width must be 1, 4 or 8");
-  }
-  strip_width_ = width;
 }
 
 void ChannelBank::set_mean_snr_db(std::size_t user, double db) {
@@ -661,62 +487,6 @@ void ChannelBank::set_interference_db_all(std::span<const double> db) {
   double* dst = interference_linear_.data();
   for (std::size_t u = 0; u < n; ++u) {
     dst[u] = common::from_db(-src[u]);
-  }
-}
-
-void ChannelBank::set_mean_snr_db_range(std::size_t first,
-                                        std::span<const double> db) {
-  if (first + db.size() > configs_.size()) {
-    throw std::out_of_range("ChannelBank::set_mean_snr_db_range: bad range");
-  }
-  const bool sparse = vacant_count_ != 0;
-  for (std::size_t i = 0; i < db.size(); ++i) {
-    const std::size_t u = first + i;
-    if (sparse && vacant_[u]) continue;  // free-list row: never read
-    configs_[u].mean_snr_db = db[i];
-    mean_snr_db_[u] = db[i];
-    mean_snr_linear_[u] = common::from_db(db[i]);
-  }
-}
-
-void ChannelBank::set_interference_db_range(std::size_t first,
-                                            std::span<const double> db) {
-  if (first + db.size() > configs_.size()) {
-    throw std::out_of_range(
-        "ChannelBank::set_interference_db_range: bad range");
-  }
-  const bool sparse = vacant_count_ != 0;
-  for (std::size_t i = 0; i < db.size(); ++i) {
-    const std::size_t u = first + i;
-    if (sparse && vacant_[u]) continue;
-    interference_db_[u] = db[i];
-    interference_linear_[u] = common::from_db(-db[i]);
-  }
-}
-
-void ChannelBank::snr_db_range(std::size_t first, std::span<double> out) const {
-  if (first + out.size() > configs_.size()) {
-    throw std::out_of_range("ChannelBank::snr_db_range: bad range");
-  }
-  if (lazy_) {
-    // Materialization walks bank-wide stride/jump bookkeeping — not a
-    // per-row operation; lazy banks must snapshot through snr_db_all.
-    throw std::logic_error("ChannelBank::snr_db_range: bank is lazy");
-  }
-  constexpr double kTenOverLn10 = 4.342944819032518;  // 10 / ln(10)
-  const double* mean_db = mean_snr_db_.data();
-  const double* shadow = shadow_db_.data();
-  const double* fade = fading_power_.data();
-  const double* interf = interference_db_.data();
-  double* dst = out.data();
-  const bool sparse = vacant_count_ != 0;
-  for (std::size_t i = 0; i < out.size(); ++i) {
-    const std::size_t u = first + i;
-    if (sparse && vacant_[u]) continue;  // caller owns out's stale entries
-    // Subtracting the interference penalty last keeps the interference-free
-    // value (penalty 0.0) bit-identical to the pre-SINR pilot plane.
-    dst[i] = mean_db[u] + shadow[u] + kTenOverLn10 * std::log(fade[u]) -
-             interf[u];
   }
 }
 

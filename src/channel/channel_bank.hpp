@@ -26,22 +26,12 @@
 // of an untouched user — via the same closed-form jump, so a user idle for
 // k frames pays one jump (two table lookups) instead of k. Because every
 // user owns a private innovation stream, a lazy bank's realization is
-// independent of *who* triggers materialization, of the order users
-// materialize in, and of the kernel strip width; it is NOT samplewise
-// identical to the eager schedule (a k-jump consumes one innovation set
-// where k unit steps consume k — the two are equal in distribution, not in
-// realization), which is why eager remains the default and reproduces the
-// historical sequences bit for bit.
+// independent of *who* triggers materialization and of the order users
+// materialize in; it is NOT samplewise identical to the eager schedule (a
+// k-jump consumes one innovation set where k unit steps consume k — the
+// two are equal in distribution, not in realization), which is why eager
+// remains the default and reproduces the historical sequences bit for bit.
 #pragma once
-
-/// Compile-time default strip width of the batched materialization kernel
-/// (the CHARISMA_SIMD CMake knob). All widths {1, 4, 8} are always
-/// compiled and runtime-selectable via set_strip_width — the knob only
-/// picks the default — so scalar-vs-SIMD bit-equality is testable in every
-/// build config. Width 1 routes through the classic scalar jump loop.
-#ifndef CHARISMA_SIMD_WIDTH
-#define CHARISMA_SIMD_WIDTH 1
-#endif
 
 #include <cmath>
 #include <cstdint>
@@ -134,27 +124,20 @@ class ChannelBank {
   /// every subsequent read/touch materializes to. No per-user work.
   void set_time(common::Time t);
 
-  /// Materializes the given users up to the bank clock in one strip-mined
-  /// batch (the frame's declared touch set: transmitters, contenders,
-  /// polled rows). Ids out of [0, size()) throw; duplicates are fine
-  /// (a second materialization at the same clock is a no-op).
-  void materialize_users(std::span<const common::UserId> users);
+  /// Materializes the given rows up to the bank clock in one batch (the
+  /// frame's declared touch set: transmitters, contenders, polled rows).
+  /// Entries are bank slots, not world user ids — ProtocolEngine
+  /// translates. Slots out of [0, size()) throw; duplicates are fine (a
+  /// second materialization at the same clock is a no-op).
+  void materialize_users(std::span<const std::uint32_t> slots);
 
   /// Materializes every user up to the bank clock (epoch pilot planes).
   void materialize_all();
 
-  /// set_time(t) + materialize_users(users): the lazy frame-loop entry
-  /// point replacing advance_all_to(t) when only `users` will be read.
-  void advance_users_to(std::span<const common::UserId> users,
+  /// set_time(t) + materialize_users(slots): the lazy frame-loop entry
+  /// point replacing advance_all_to(t) when only `slots` will be read.
+  void advance_users_to(std::span<const std::uint32_t> slots,
                         common::Time t);
-
-  /// Selects the strip width of the batched materialization kernel at
-  /// runtime (1, 4 or 8; default CHARISMA_SIMD_WIDTH). Any width yields
-  /// bit-identical state — pinned by tests — so this is purely a
-  /// performance knob (and the lever the equivalence tests use to compare
-  /// scalar and SIMD paths inside one binary).
-  void set_strip_width(int width);
-  int strip_width() const { return strip_width_; }
 
   /// Materialization accounting since construction: `jump_events` counts
   /// executed jumps (user-frames where work was done), `jump_frames` the
@@ -187,27 +170,6 @@ class ChannelBank {
   /// every read bit-identical to a bank that never saw interference —
   /// both guarantees are pinned by tests/channel/channel_bank_test.cpp.
   void set_interference_db_all(std::span<const double> db);
-
-  // ---- Shard-safe contiguous-row spans (sharded world plane) ----
-  // Each call touches exactly rows [first, first + span.size()): per-row
-  // flat-array stores/loads with no shared mutable state (the _all
-  // variants' active-list refresh is replaced by a per-row vacancy test),
-  // so concurrent calls on DISJOINT row ranges of one bank are data-race
-  // free — the property the sharded epoch plane relies on. Vacant rows in
-  // range are skipped (writes) / left untouched (reads), matching the _all
-  // semantics row for row. snr_db_range additionally requires an eager
-  // bank: the lazy path's materialization mutates bank-wide state and must
-  // go through snr_db_all on one thread.
-
-  /// set_mean_snr_db_all restricted to rows [first, first + db.size());
-  /// db[i] addresses row first + i.
-  void set_mean_snr_db_range(std::size_t first, std::span<const double> db);
-  /// set_interference_db_all restricted to rows [first, first + db.size()).
-  void set_interference_db_range(std::size_t first,
-                                 std::span<const double> db);
-  /// snr_db_all restricted to rows [first, first + out.size()); out[i] is
-  /// row first + i. Eager banks only (throws logic_error on a lazy bank).
-  void snr_db_range(std::size_t first, std::span<double> out) const;
 
   /// Current SINR penalty (dB) applied to `user`'s reads; 0 by default.
   double interference_db(std::size_t user) const {
@@ -315,18 +277,10 @@ class ChannelBank {
     }
   }
 
-  /// Walks `ids`, groups users sharing (stride, param group, branch count)
-  /// into width-W strips for strip_kernel, and falls back to the scalar
-  /// jump for remainders and mixed-key runs. Any W yields bit-identical
-  /// state (the kernel evaluates the same per-lane expressions).
-  template <int W, typename Index>
-  void materialize_batch(const Index* ids, std::size_t n);
-  /// Advances exactly W users by the same stride: phase-separated flat
-  /// loops (splitmix64 state rounds, ziggurat accepts, AR(1) updates) over
-  /// lane arrays, matching jump_user's arithmetic lane for lane.
-  template <int W>
-  void strip_kernel(const std::uint32_t* lane_users, const JumpCoeffs& c,
-                    int branches, std::int64_t k, std::int64_t target);
+  /// The memoized scalar jump loop over `slots`: consecutive rows sharing
+  /// (param group, stride) reuse the previous iteration's coefficients, so
+  /// the common single-dt population pays one table lookup per batch.
+  void materialize_batch(std::span<const std::uint32_t> slots);
 
   double shadow_linear(std::size_t user) const {
     double linear = shadow_linear_[user];
@@ -378,13 +332,12 @@ class ChannelBank {
   // floor() per distinct sample interval (normally exactly one) and
   // ensure_user is two array loads + a compare.
   bool lazy_ = false;
-  int strip_width_ = CHARISMA_SIMD_WIDTH;
   common::Time bank_time_ = 0.0;
   std::vector<common::Time> distinct_dts_;
   std::vector<std::int64_t> dt_targets_;
   std::vector<std::uint32_t> dt_index_;
-  // Ascending active-slot list fed to the batch kernels and the bulk
-  // loops. With no vacancies it is the iota over all slots (the historical
+  // Ascending active-slot list fed to the batch loop and the bulk loops.
+  // With no vacancies it is the iota over all slots (the historical
   // materialize_all batch, bit for bit); rebuilt lazily after any
   // add/acquire/release. Mutable: refreshing it from a const read path is
   // the same logical-constness escape as ensure_user.

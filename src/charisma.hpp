@@ -17,7 +17,6 @@
 #include "channel/channel_bank.hpp"
 #include "channel/csi.hpp"
 #include "channel/fading.hpp"
-#include "channel/gilbert_elliott.hpp"
 #include "channel/shadowing.hpp"
 #include "channel/user_channel.hpp"
 #include "common/config.hpp"
@@ -29,11 +28,10 @@
 #include "core/charisma.hpp"
 #include "core/fairness.hpp"
 #include "core/priority.hpp"
-#include "experiment/handoff_study.hpp"
-#include "experiment/parallel.hpp"
 #include "experiment/report.hpp"
 #include "experiment/runner.hpp"
 #include "experiment/sweep.hpp"
+#include "experiment/worker_pool.hpp"
 #include "mac/attachment.hpp"
 #include "mac/cellular_world.hpp"
 #include "mac/contention.hpp"
@@ -56,7 +54,6 @@
 #include "protocols/rama.hpp"
 #include "protocols/rmav.hpp"
 #include "sim/event_queue.hpp"
-#include "sim/frame_clock.hpp"
 #include "sim/simulator.hpp"
 #include "traffic/data_source.hpp"
 #include "traffic/voice_source.hpp"

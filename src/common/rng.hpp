@@ -39,10 +39,9 @@ struct ZigguratTables {
 };
 const ZigguratTables& ziggurat_tables();
 
-/// The splitmix64 increment and output mix, exposed as free functions so
-/// the strip-mined ChannelBank kernel can advance W lane states in flat
-/// arrays (auto-vectorizable integer ops) and still produce bit-identical
-/// sequences to SplitMix64 instances.
+/// The splitmix64 increment and output mix, shared as free functions by
+/// SplitMix64 and CompactRngStream so both produce the same sequence from
+/// the same counter.
 inline constexpr std::uint64_t kSplitMixGamma = 0x9E3779B97F4A7C15ULL;
 
 inline constexpr std::uint64_t splitmix64_mix(std::uint64_t z) {
@@ -54,9 +53,9 @@ inline constexpr std::uint64_t splitmix64_mix(std::uint64_t z) {
 /// Rejection continuation of the ziggurat sampler: handles the candidate
 /// `bits` that failed (or may fail) the fast accept test — wedge and tail
 /// rejection, drawing further candidates from `eng` as needed. Split out
-/// of ziggurat_normal_from so the ~97.9% accept path stays branch-light
-/// enough for strip-mined SIMD loops; the sequence of engine draws is
-/// exactly that of the original fused loop.
+/// of ziggurat_normal_from so the ~97.9% accept path stays small enough to
+/// inline into the SoA jump loop; the sequence of engine draws is exactly
+/// that of the original fused loop.
 template <typename Engine>
 double ziggurat_normal_slow(Engine& eng, const ZigguratTables& zig,
                             std::uint64_t bits) {
@@ -147,11 +146,9 @@ class SplitMix64 {
     b = detail::ziggurat_normal_from(*this, zig, bits_b);
   }
 
-  /// Raw counter state, exposed for the strip-mined ChannelBank kernel
-  /// (which advances lane states in flat arrays and writes them back) and
-  /// for the RNG-cursor assertions of the jump-vs-step equivalence tests.
+  /// Raw counter state, exposed for the RNG-cursor assertions of the
+  /// jump-vs-step equivalence tests.
   std::uint64_t raw_state() const { return state_; }
-  void set_raw_state(std::uint64_t state) { state_ = state; }
 
  private:
   static constexpr std::uint64_t kGamma = detail::kSplitMixGamma;

@@ -61,8 +61,8 @@ struct ReplicatedResult {
 std::uint64_t replication_seed(std::uint64_t base_seed,
                                std::uint64_t point_key, int rep);
 
-/// Runs all replications of `protocol` under `spec` serially (callers
-/// parallelize across cells with ParallelRunner).
+/// Runs all replications of `protocol` under `spec` serially (run_sweep
+/// parallelizes across cells on a WorkerPool).
 ReplicatedResult run_replications(protocols::ProtocolId protocol,
                                   const RunSpec& spec,
                                   std::uint64_t point_key = 0);

@@ -5,8 +5,8 @@
 
 #include <vector>
 
-#include "experiment/parallel.hpp"
 #include "experiment/runner.hpp"
+#include "experiment/worker_pool.hpp"
 
 namespace charisma::experiment {
 
@@ -25,9 +25,9 @@ struct SweepCell {
   ReplicatedResult result;
 };
 
-/// Runs the full grid; cells come back ordered by (x, protocol).
-std::vector<SweepCell> run_sweep(const SweepConfig& config,
-                                 const ParallelRunner& runner);
+/// Runs the full grid, one pool task per (x, protocol) cell; cells come
+/// back ordered by (x, protocol) and are identical at any pool size.
+std::vector<SweepCell> run_sweep(const SweepConfig& config, WorkerPool& pool);
 
 /// Extracts the series (x, metric(result)) for one protocol from sweep
 /// cells, in x order.

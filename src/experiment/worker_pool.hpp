@@ -1,8 +1,9 @@
-// A persistent barrier-style worker pool for work that recurs at a high
-// rate on small index ranges — the multi-cell world dispatches one task per
-// cell 50 times per simulated second, which ParallelRunner's
-// spawn-threads-per-call design cannot serve (a thread spawn costs more
-// than a whole 20 ms epoch of a small cell).
+// The library's one thread pool: a persistent barrier-style worker pool.
+// It is built for work that recurs at a high rate on small index ranges —
+// the multi-cell world dispatches one task per cell 50 times per simulated
+// second, where spawning threads per call would cost more than a whole
+// 20 ms epoch of a small cell — and serves one-shot grids (run_sweep's
+// independent (point, protocol) cells) just as well.
 //
 // Workers are spawned once and parked on a condition variable between
 // jobs. for_each(n, fn) wakes them, the calling thread joins in, indices
@@ -38,9 +39,12 @@ class WorkerPool {
 
   /// Runs fn(i) for every i in [0, n) across the workers plus the calling
   /// thread; returns after all n calls complete. The first exception thrown
-  /// by any call is rethrown here (remaining indices are abandoned once a
-  /// failure is seen), and the pool remains usable afterwards. Reentrant
-  /// calls (fn itself calling for_each on the same pool) are not supported.
+  /// by any call is rethrown here. A thread stops claiming indices once it
+  /// sees a failure — its own at once, another thread's as soon as the
+  /// flag reaches it — so a round runs at most thread_count() failing
+  /// calls and abandons the rest. The pool remains usable afterwards.
+  /// Reentrant calls (fn itself calling for_each on the same pool) are not
+  /// supported.
   void for_each(std::size_t n, const std::function<void(std::size_t)>& fn);
 
   /// Scatter/gather over a contiguous index space: splits [0, total) into

@@ -1,5 +1,4 @@
-// The cell-attachment decision rule shared by CellularWorld and the
-// experiment-layer handoff study.
+// The cell-attachment decision rule CellularWorld applies each epoch.
 #pragma once
 
 #include <span>
@@ -14,8 +13,8 @@ namespace charisma::mac {
 /// block the strongest one, so the handoff target was scan-order dependent
 /// and not the strongest eligible pilot.
 ///
-/// Takes a span so CellularWorld's flat users×cells pilot plane can pass
-/// one user's row without copying it into a vector per decision.
+/// Takes a span so CellularWorld can pass one user's band pilots from its
+/// reused shard scratch without building a vector per decision.
 int strongest_with_hysteresis(std::span<const double> pilot_db, int attached,
                               double hysteresis_db);
 

@@ -112,14 +112,6 @@ CellularWorld::CellularWorld(const CellularConfig& config,
   if (threads > 1) {
     pool_ = std::make_unique<experiment::WorkerPool>(threads);
   }
-  // With spare workers (threads > cells) and an eager bank, each cell's
-  // plane task splits into contiguous row strips. A lazy bank keeps one
-  // task per cell: reading it back materializes deferred rows, which
-  // mutates shared bank state.
-  if (pool_ && !cells_[0]->channel_bank().lazy()) {
-    plane_strips_ = std::max(
-        1, static_cast<int>(pool_->thread_count()) / config_.num_cells);
-  }
 
   const auto users = static_cast<std::size_t>(config_.params.total_users());
   site_index_.rebuild(layout_, config_.pilot_band_radius_m);
@@ -327,14 +319,15 @@ void CellularWorld::for_each_cell(const std::function<void(std::size_t)>& fn) {
 }
 
 void CellularWorld::update_cell_snr_plane(int c) {
-  // Share-nothing per-cell task: touches only this cell's bank and plane
-  // rows, reading the (quiescent) mobility positions, band memberships
-  // and the coordinator-frozen load vector. Work is O(band), never
-  // users × cells. With the interference plane on, each member's SINR
-  // penalty is computed directly here — each (user, interferer) term
+  // Share-nothing per-cell task: touches only this cell's bank, plane
+  // rows and metrics, reading the (quiescent) mobility positions, band
+  // memberships and the coordinator-frozen load vector. Work is O(band),
+  // never users × cells. With the interference plane on, each member's
+  // SINR penalty is computed directly here — each (user, interferer) term
   // recomputed in place with the dense world's exact expressions in the
   // same ascending order, so collapsing its stage-then-sum two-phase
-  // split changes no bits.
+  // split changes no bits — and summed in band (== id) order into the
+  // epoch's penalty mean, the historical accumulation order.
   auto& cell = *cells_[static_cast<std::size_t>(c)];
   const auto& band = cell.band();
   auto& bank = cell.channel_bank();
@@ -346,6 +339,7 @@ void CellularWorld::update_cell_snr_plane(int c) {
              : nullptr;
   const std::vector<int>& interferers =
       cochannel_[static_cast<std::size_t>(c)];
+  double penalty_sum = 0.0;
   for (const BandMember& m : band) {
     const Vec2 pos = mobility_.position(static_cast<int>(m.id));
     const double d_sq =
@@ -362,6 +356,7 @@ void CellularWorld::update_cell_snr_plane(int c) {
         inr += load * common::from_db(db);
       }
       irow[m.slot] = common::to_db(1.0 + inr);
+      penalty_sum += irow[m.slot];
     }
   }
   // Same per-cell bank-op order as the dense world: mean plane,
@@ -371,97 +366,21 @@ void CellularWorld::update_cell_snr_plane(int c) {
   // dark cell's bank is still fed the true plane (fading state and draw
   // order must not depend on the outage schedule); only the *broadcast*
   // pilot vanishes, which the blend imposes from the dark flags without
-  // ever reading the snapshot. The per-epoch penalty-mean metric is
-  // replayed by the coordinator (note_interference_epochs) after the
-  // barrier.
+  // ever reading the snapshot.
   bank.set_mean_snr_db_all({row, rows});
   if (interf) {
     bank.set_interference_db_all({irow, rows});
-  }
-  bank.snr_db_all({row, rows});
-}
-
-void CellularWorld::update_plane_strip(int c, int strip) {
-  // Rows [strip, strip+1) of the cell's plane_strips_-way contiguous row
-  // partition: the same per-row arithmetic as update_cell_snr_plane,
-  // iterated by bank row instead of band member. The occupied rows biject
-  // with the band, every write is per-row, and the bank's range APIs skip
-  // vacant rows — so the strip count never changes a bit anywhere.
-  auto& cell = *cells_[static_cast<std::size_t>(c)];
-  auto& bank = cell.channel_bank();
-  const std::size_t rows = bank.size();
-  const auto strips = static_cast<std::size_t>(plane_strips_);
-  const std::size_t r0 = static_cast<std::size_t>(strip) * rows / strips;
-  const std::size_t r1 = (static_cast<std::size_t>(strip) + 1) * rows / strips;
-  if (r0 == r1) return;
-  const bool interf = interference_enabled();
-  double* row = plane_rows_[static_cast<std::size_t>(c)].data();
-  double* irow =
-      interf ? interference_rows_[static_cast<std::size_t>(c)].data()
-             : nullptr;
-  const std::vector<int>& interferers =
-      cochannel_[static_cast<std::size_t>(c)];
-  for (std::size_t r = r0; r < r1; ++r) {
-    const MobileUser* mu = cell.user_at_slot(r);
-    if (mu == nullptr) continue;  // vacant row
-    const Vec2 pos = mobility_.position(static_cast<int>(mu->id()));
-    const double d_sq =
-        std::max(layout_.distance_sq(pos, c), min_distance_sq_m2_);
-    row[r] = path_loss_c_db_ - path_loss_half_k_ * std::log(d_sq);
-    if (interf) {
-      double inr = 0.0;
-      for (const int s : interferers) {
-        const double load = cell_load_[static_cast<std::size_t>(s)];
-        if (load <= 0.0) continue;
-        const double ds =
-            std::max(layout_.distance_sq(pos, s), min_distance_sq_m2_);
-        const double db = path_loss_c_db_ - path_loss_half_k_ * std::log(ds);
-        inr += load * common::from_db(db);
-      }
-      irow[r] = common::to_db(1.0 + inr);
-    }
-  }
-  bank.set_mean_snr_db_range(r0, {row + r0, r1 - r0});
-  if (interf) {
-    bank.set_interference_db_range(r0, {irow + r0, r1 - r0});
-  }
-  bank.snr_db_range(r0, {row + r0, r1 - r0});
-}
-
-void CellularWorld::note_interference_epochs() {
-  if (!interference_enabled()) return;
-  // Coordinator replay of each cell's penalty mean: band order is id
-  // order, exactly the order the historical inline loop accumulated in,
-  // so the sum — and the metric — is bitwise unchanged.
-  for (std::size_t c = 0; c < cells_.size(); ++c) {
-    auto& cell = *cells_[c];
-    const auto& band = cell.band();
-    const double* irow = interference_rows_[c].data();
-    double penalty_sum = 0.0;
-    for (const BandMember& m : band) {
-      penalty_sum += irow[m.slot];
-    }
     cell.note_interference_epoch(
         band.empty() ? 0.0
                      : penalty_sum / static_cast<double>(band.size()));
   }
+  bank.snr_db_all({row, rows});
 }
 
 void CellularWorld::update_snr_planes() {
-  if (pool_ && plane_strips_ > 1) {
-    pool_->for_each(
-        cells_.size() * static_cast<std::size_t>(plane_strips_),
-        [this](std::size_t i) {
-          const auto strips = static_cast<std::size_t>(plane_strips_);
-          update_plane_strip(static_cast<int>(i / strips),
-                             static_cast<int>(i % strips));
-        });
-  } else {
-    for_each_cell([this](std::size_t c) {
-      update_cell_snr_plane(static_cast<int>(c));
-    });
-  }
-  note_interference_epochs();
+  for_each_cell([this](std::size_t c) {
+    update_cell_snr_plane(static_cast<int>(c));
+  });
 }
 
 void CellularWorld::update_cell_loads() {
@@ -685,10 +604,9 @@ void CellularWorld::run_window(common::Time duration) {
     // merges every proposal in ascending user-id order between the
     // barriers (those steps consume RNG and mutate pairs of engines);
     // each cell re-anchors its SNR/SINR plane and burns an epoch of MAC
-    // frames in share-nothing parallel cell (or row-strip) tasks. Every
-    // RNG-consuming or engine-mutating step runs on the coordinator in
-    // the serial order, so metrics are bit-identical at any shard and
-    // thread count.
+    // frames in share-nothing parallel cell tasks. Every RNG-consuming
+    // or engine-mutating step runs on the coordinator in the serial
+    // order, so metrics are bit-identical at any shard and thread count.
     {
       PhaseTimer timer(timings_.shard_plane_s);
       advance_mobility(now_ + dt);

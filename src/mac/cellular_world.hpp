@@ -245,9 +245,6 @@ class CellularWorld {
   /// Resolved coordinator shard count (num_shards after the 0 = auto and
   /// population clamps).
   unsigned shard_count() const { return num_shards_; }
-  /// Row strips each cell's SNR-plane task is split into (> 1 only when
-  /// the pool has more workers than cells and the bank is eager).
-  int plane_strips() const { return plane_strips_; }
 
   /// Cumulative wall-clock split of the epoch loop since the last run()
   /// measurement window began (reset together with the metrics):
@@ -358,23 +355,12 @@ class CellularWorld {
   /// from the coordinator-frozen load vector (one pass; the dense world's
   /// stage-contributions-then-sum split collapses because each (user,
   /// interferer) term is recomputed in place, same expressions in the
-  /// same order), feed the bank, and take the pilot snapshot into this
-  /// cell's slot-indexed plane row.
+  /// same order), feed the bank and the cell's penalty-mean metric, and
+  /// take the pilot snapshot into this cell's slot-indexed plane row.
   void update_cell_snr_plane(int c);
-  /// One contiguous row strip of update_cell_snr_plane — the same per-row
-  /// math over rows [strip, strip+1) of the cell's plane_strips_-way row
-  /// partition, fed to the bank through the contiguous-span range APIs.
-  /// Pure per-row writes, so the strip count never changes a bit.
-  void update_plane_strip(int c, int strip);
-  /// The per-epoch plane update: one share-nothing barrier (cells, or
-  /// cells × strips when the pool has spare workers), interference
-  /// included, followed by the coordinator's penalty-mean replay.
+  /// The per-epoch plane update: one share-nothing barrier of cell tasks,
+  /// interference included.
   void update_snr_planes();
-  /// Coordinator replay of each cell's per-member interference penalties
-  /// (band order == id order) into the engines' penalty-mean metric —
-  /// hoisted out of the cell tasks so strips need no accumulator, summing
-  /// the same values in the same order as the historical inline loop.
-  void note_interference_epochs();
   /// Coordinator step after attachment: refreshes cell_load_ (activity ×
   /// attached users per cell) for the next epoch's interference plane.
   void update_cell_loads();
@@ -457,7 +443,6 @@ class CellularWorld {
   double path_loss_half_k_ = 0.0;
   double min_distance_sq_m2_ = 0.0;
   unsigned num_shards_ = 1;
-  int plane_strips_ = 1;
   EpochTimings timings_;
   std::int64_t handoffs_ = 0;
   common::Time now_ = 0.0;

@@ -71,6 +71,16 @@ MobileUser& ProtocolEngine::user(common::UserId id) {
   return *users_[it->slot];
 }
 
+void ProtocolEngine::materialize_touched(
+    std::span<const common::UserId> users) {
+  touch_slots_.clear();
+  for (const common::UserId id : users) {
+    touch_slots_.push_back(
+        static_cast<std::uint32_t>(user(id).channel().index()));
+  }
+  bank_.materialize_users(touch_slots_);
+}
+
 bool ProtocolEngine::band_resident(common::UserId id) const {
   const auto it = std::lower_bound(
       band_.begin(), band_.end(), id,

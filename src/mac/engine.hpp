@@ -141,14 +141,6 @@ class ProtocolEngine {
   /// counted one either).
   void attach_user_initial(common::UserId id);
 
-  /// Slot-indexed view of the band storage: the user occupying bank row
-  /// `slot`, or nullptr when the row is vacant (or past the storage). A
-  /// pure read of quiescent state — the sharded plane tasks walk disjoint
-  /// row ranges through here between the band-maintenance phases.
-  const MobileUser* user_at_slot(std::size_t slot) const {
-    return slot < users_.size() ? users_[slot].get() : nullptr;
-  }
-
   /// Band membership, ascending by user id. slot is the user's storage /
   /// ChannelBank row index.
   const std::vector<BandMember>& band() const { return band_; }
@@ -248,13 +240,15 @@ class ProtocolEngine {
 
   /// Declares the users this frame is about to read (slot owners, due
   /// lists, contention candidates, grant queues): a lazy bank
-  /// materializes them as one dense strip-mined batch instead of paying
-  /// scattered on-read jumps; an eager bank (the default) needs nothing.
-  /// The touch set is an optimization, not an obligation — any user read
-  /// without being declared still materializes transparently, so protocol
-  /// hooks only need to cover their hot sets.
+  /// materializes them as one batch instead of paying scattered on-read
+  /// jumps; an eager bank (the default) needs nothing. Protocols pass user
+  /// ids; the engine translates them to bank slots (a sparse band's rows
+  /// are recycled, so ids != slots). The touch set is an optimization, not
+  /// an obligation — any user read without being declared still
+  /// materializes transparently, so protocol hooks only need to cover
+  /// their hot sets.
   void touch_channels(std::span<const common::UserId> users) {
-    if (bank_.lazy()) bank_.materialize_users(users);
+    if (bank_.lazy()) materialize_touched(users);
   }
 
   /// This user's permission probability (paper §2, p_v / p_d).
@@ -348,6 +342,9 @@ class ProtocolEngine {
   /// the protocol frame, and return the consumed duration as the delay to
   /// the next tick.
   common::Time frame_tick();
+  /// touch_channels' lazy path: translates each id through user(id)'s
+  /// lookup into touch_slots_ and materializes those bank slots.
+  void materialize_touched(std::span<const common::UserId> users);
   /// Closes one barring control window: freeze the raw load signals, fold
   /// them into the estimator, step the controller, sample the factors.
   void barring_control_step();
@@ -362,6 +359,8 @@ class ProtocolEngine {
   /// user has been released from this cell's band. Seeds the rebirth
   /// stream on re-admission. Empty for the dense population.
   std::unordered_map<common::UserId, std::uint32_t> rebirths_;
+  /// Slot scratch for materialize_touched, reused across frames.
+  std::vector<std::uint32_t> touch_slots_;
 
   // Closed-loop barring state (engaged only when params.barring.enabled;
   // the estimator/controller live inside this cell's engine, so the

@@ -55,8 +55,8 @@ struct ScenarioParams {
   /// advancement preserves every legacy result bit for bit). When on, the
   /// per-frame bank pass becomes an O(1) clock move and only touched/read
   /// users pay jumps: statistically exact (the closed-form jump is the
-  /// k-step AR(1)/OU composition) and invariant to thread count, strip
-  /// width and touch batching, but a different realization than eager —
+  /// k-step AR(1)/OU composition) and invariant to thread count and
+  /// touch batching, but a different realization than eager —
   /// a k-jump consumes one innovation set where k unit steps consume k.
   bool lazy_channel = false;
 

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "channel/user_channel.hpp"
@@ -323,90 +324,52 @@ TEST(ChannelBank, InvalidConfigsThrow) {
                std::invalid_argument);
 }
 
-TEST(ChannelBank, RangeWritesMatchAllWritesWithVacancies) {
-  // The shard-safe strip APIs: feeding a bank through uneven contiguous
-  // row ranges must land exactly where the _all batch write lands, with
-  // vacant (free-list) rows skipped by both paths.
-  ChannelBank a, b;
+TEST(ChannelBank, AllApisOnReleasedRowsMatchTwinWithoutReleases) {
+  // A bank with free-list rows takes the sparse branch of every _all API
+  // (writes and reads go through the active-slot list). Its active rows
+  // must land exactly where a twin that released nothing lands, bitwise,
+  // and its vacant out[] entries must keep whatever the caller put there.
+  ChannelBank sparse, twin;
   constexpr std::size_t kUsers = 8;
   for (std::uint64_t s = 1; s <= kUsers; ++s) {
-    a.add_user(test_config(), common::RngStream(s));
-    b.add_user(test_config(), common::RngStream(s));
+    sparse.add_user(test_config(), common::RngStream(s));
+    twin.add_user(test_config(), common::RngStream(s));
   }
-  a.release_user(2);
-  b.release_user(2);
-  a.release_user(5);
-  b.release_user(5);
+  sparse.release_user(2);
+  sparse.release_user(5);
   for (int i = 1; i <= 50; ++i) {
     const double t = static_cast<double>(i) * 2.5e-3;
-    a.advance_all_to(t);
-    b.advance_all_to(t);
+    sparse.advance_all_to(t);
+    twin.advance_all_to(t);
   }
   std::vector<double> mean(kUsers), interf(kUsers);
   for (std::size_t u = 0; u < kUsers; ++u) {
     mean[u] = 10.0 + static_cast<double>(u);
     interf[u] = 0.25 * static_cast<double>(u);
   }
-  a.set_mean_snr_db_all({mean.data(), mean.size()});
-  a.set_interference_db_all({interf.data(), interf.size()});
-  // Three uneven strips covering [0, 8), vacant rows inside the strips.
-  b.set_mean_snr_db_range(0, {mean.data(), 3});
-  b.set_mean_snr_db_range(3, {mean.data() + 3, 2});
-  b.set_mean_snr_db_range(5, {mean.data() + 5, 3});
-  b.set_interference_db_range(0, {interf.data(), 4});
-  b.set_interference_db_range(4, {interf.data() + 4, 4});
+  for (ChannelBank* bank : {&sparse, &twin}) {
+    bank->set_mean_snr_db_all(mean);
+    bank->set_interference_db_all(interf);
+  }
+  constexpr double kSentinel = -777.0;
+  std::vector<double> sparse_out(kUsers, kSentinel);
+  std::vector<double> twin_out(kUsers, kSentinel);
+  sparse.snr_db_all(sparse_out);
+  twin.snr_db_all(twin_out);
   for (std::size_t u = 0; u < kUsers; ++u) {
-    if (u == 2 || u == 5) continue;  // vacant
-    EXPECT_EQ(a.snr_db(u), b.snr_db(u)) << "slot " << u;
-    EXPECT_EQ(a.mean_snr_db(u), b.mean_snr_db(u)) << "slot " << u;
-    EXPECT_EQ(a.interference_db(u), b.interference_db(u)) << "slot " << u;
-  }
-}
-
-TEST(ChannelBank, SnrDbRangeMatchesSnrDbAllAndSkipsVacantRows) {
-  ChannelBank bank;
-  constexpr std::size_t kUsers = 6;
-  for (std::uint64_t s = 1; s <= kUsers; ++s) {
-    bank.add_user(test_config(), common::RngStream(s));
-  }
-  bank.release_user(1);
-  for (int i = 1; i <= 20; ++i) {
-    bank.advance_all_to(static_cast<double>(i) * 2.5e-3);
-  }
-  std::vector<double> mean(kUsers, 14.0);
-  bank.set_mean_snr_db_all({mean.data(), mean.size()});
-  std::vector<double> all(kUsers, -777.0), ranged(kUsers, -777.0);
-  bank.snr_db_all({all.data(), all.size()});
-  bank.snr_db_range(0, {ranged.data(), 4});
-  bank.snr_db_range(4, {ranged.data() + 4, 2});
-  for (std::size_t u = 0; u < kUsers; ++u) {
-    if (u == 1) {
-      EXPECT_EQ(ranged[u], -777.0);  // vacant: the caller's entry survives
-    } else {
-      EXPECT_EQ(ranged[u], all[u]) << "slot " << u;
+    SCOPED_TRACE("slot " + std::to_string(u));
+    if (sparse.vacant(u)) {
+      EXPECT_EQ(sparse_out[u], kSentinel);
+      continue;
     }
+    EXPECT_EQ(sparse_out[u], twin_out[u]);  // exact, not NEAR
+    EXPECT_EQ(sparse.mean_snr_db(u), twin.mean_snr_db(u));
+    EXPECT_EQ(sparse.interference_db(u), twin.interference_db(u));
+    EXPECT_EQ(sparse.snr_linear(u), twin.snr_linear(u));
+    EXPECT_EQ(sparse.snr_db(u), twin.snr_db(u));
   }
-}
-
-TEST(ChannelBank, SnrDbRangeThrowsOnLazyBank) {
-  // Lazy materialization walks bank-wide bookkeeping — not safe from
-  // concurrent strip tasks, so the range read refuses outright.
-  ChannelBank bank;
-  bank.add_user(test_config(), common::RngStream(1));
-  bank.set_lazy(true);
-  std::vector<double> out(1, 0.0);
-  EXPECT_THROW(bank.snr_db_range(0, {out.data(), 1}), std::logic_error);
-}
-
-TEST(ChannelBank, RangeApisRejectOutOfRangeSpans) {
-  ChannelBank bank;
-  bank.add_user(test_config(), common::RngStream(1));
-  std::vector<double> v(2, 0.0);
-  EXPECT_THROW(bank.set_mean_snr_db_range(0, {v.data(), 2}),
-               std::out_of_range);
-  EXPECT_THROW(bank.set_interference_db_range(1, {v.data(), 1}),
-               std::out_of_range);
-  EXPECT_THROW(bank.snr_db_range(1, {v.data(), 1}), std::out_of_range);
+  EXPECT_TRUE(sparse.vacant(2));
+  EXPECT_TRUE(sparse.vacant(5));
 }
 
 }  // namespace

@@ -1,13 +1,11 @@
-// The lazy-materialization contract of ChannelBank (this PR's tentpole):
+// The lazy-materialization contract of ChannelBank:
 //
 //  * k deferred clock moves + one materialization IS one k-jump — bitwise,
 //    per diversity branch, RNG cursor included (the property that makes the
 //    closed-form jump an *implementation detail* of lazy mode);
-//  * the strip-mined kernel is width-invariant: scalar (W=1) and SIMD
-//    (W=4/8) strips produce bit-identical state, so CHARISMA_SIMD is purely
-//    a speed knob;
 //  * the touch set is an optimization, not an obligation: scattered
-//    on-read materialization equals one batched declaration, bitwise;
+//    on-read materialization equals one batched declaration, bitwise —
+//    also when a batch mixes parameter groups, branch counts and strides;
 //  * the materialization counters account for every user-frame exactly.
 #include "channel/channel_bank.hpp"
 
@@ -15,6 +13,7 @@
 
 #include <cstdint>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -39,8 +38,8 @@ ChannelBank make_bank(int users, std::uint64_t seed0,
   ChannelBank bank;
   bank.reserve(static_cast<std::size_t>(users));
   for (int u = 0; u < users; ++u) {
-    // Mixed population: two parameter groups and two branch counts, so the
-    // strip batcher must split runs at every key change.
+    // Mixed population: two parameter groups and two branch counts, so a
+    // batch must re-key its coefficient memo at every group/stride change.
     const auto cfg = mixed_population
                          ? test_config(u % 2 == 0 ? 100.0 : 220.0,
                                        u % 3 == 0 ? 2 : 4)
@@ -122,45 +121,43 @@ TEST(LazyBank, BulkAdvanceEqualsLazyMaterializeAll) {
   }
 }
 
-TEST(LazyBank, StripWidthsBitIdentical) {
-  // Scalar and SIMD strips over a mixed population with heterogeneous
-  // touch windows (so strides differ per user and strips are partial) must
-  // agree on every bit of state, every frame.
-  const int n = 23;  // not a multiple of any strip width
-  auto w1 = make_bank(n, 7, /*mixed_population=*/true);
-  auto w4 = make_bank(n, 7, /*mixed_population=*/true);
-  auto w8 = make_bank(n, 7, /*mixed_population=*/true);
-  for (ChannelBank* bank : {&w1, &w4, &w8}) bank->set_lazy(true);
-  w1.set_strip_width(1);
-  w4.set_strip_width(4);
-  w8.set_strip_width(8);
-
-  std::vector<common::UserId> ids;
-  for (int f = 1; f <= 60; ++f) {
+/// Drives two identical lazy banks over `frames` frames. Each frame,
+/// touch(f, ids) names the read set: `batched` declares it up front,
+/// `on_read` only moves its clock and reads those users one by one, in
+/// reverse order; the touched users are compared as they go. Every
+/// `settle_every`-th frame instead settles the whole population —
+/// `batched` in one bulk pass over the accumulated heterogeneous strides,
+/// `on_read` by reading each user — and compares everyone.
+template <typename TouchFn>
+void expect_on_read_matches_batched(ChannelBank& on_read,
+                                    ChannelBank& batched, int frames,
+                                    int settle_every, TouchFn touch) {
+  on_read.set_lazy(true);
+  batched.set_lazy(true);
+  std::vector<std::uint32_t> ids;
+  for (int f = 1; f <= frames; ++f) {
+    SCOPED_TRACE("frame " + std::to_string(f));
     const double t = static_cast<double>(f) * kDt;
-    if (f % 10 == 0) {
-      // Bulk checkpoint: the strips chew through the accumulated
-      // heterogeneous strides; afterwards everyone is comparable.
-      for (ChannelBank* bank : {&w1, &w4, &w8}) bank->advance_all_to(t);
-      expect_users_bitwise_equal(w1, w4);
-      expect_users_bitwise_equal(w1, w8);
-    } else {
-      // Rotating, variable-length window: users accrue different strides.
-      // Only the touched users are compared mid-stream — lazy reads
-      // materialize, so comparing an untouched user would itself advance
-      // the banks (see expect_user_bitwise_equal).
-      ids.clear();
-      const int len = 1 + (f % 7);
-      for (int i = 0; i < len; ++i) {
-        ids.push_back(static_cast<common::UserId>((f + i * 3) % n));
+    if (f % settle_every == 0) {
+      batched.advance_all_to(t);
+      on_read.set_time(t);
+      for (std::size_t u = 0; u < on_read.size(); ++u) {
+        ASSERT_GT(on_read.snr_linear(u), 0.0);
       }
-      for (ChannelBank* bank : {&w1, &w4, &w8}) {
-        bank->advance_users_to(ids, t);
-      }
-      for (common::UserId id : ids) {
-        expect_user_bitwise_equal(w1, w4, static_cast<std::size_t>(id));
-        expect_user_bitwise_equal(w1, w8, static_cast<std::size_t>(id));
-      }
+      expect_users_bitwise_equal(on_read, batched);
+      continue;
+    }
+    ids.clear();
+    touch(f, ids);
+    batched.advance_users_to(ids, t);
+    on_read.set_time(t);
+    for (auto it = ids.rbegin(); it != ids.rend(); ++it) {
+      ASSERT_GT(on_read.snr_linear(static_cast<std::size_t>(*it)), 0.0);
+    }
+    // Only touched users are compared mid-stream: lazy reads materialize,
+    // so comparing an untouched user would itself advance the banks.
+    for (const std::uint32_t slot : ids) {
+      expect_user_bitwise_equal(on_read, batched, slot);
     }
   }
 }
@@ -169,27 +166,37 @@ TEST(LazyBank, OnReadMatchesBatchedTouch) {
   // Declaring a frame's read set up front is an optimization only:
   // scattered per-read materialization (here in reverse order, mid-frame)
   // must land on exactly the same state and RNG cursors.
-  const int n = 12;
-  auto on_read = make_bank(n, 300);
-  auto batched = make_bank(n, 300);
-  on_read.set_lazy(true);
-  batched.set_lazy(true);
-  for (int f = 1; f <= 25; ++f) {
-    const double t = static_cast<double>(f) * kDt;
-    std::vector<common::UserId> touched;
-    for (int u = f % 3; u < n; u += 3) {
-      touched.push_back(static_cast<common::UserId>(u));
-    }
-    batched.advance_users_to(touched, t);
-    on_read.set_time(t);
-    for (auto it = touched.rbegin(); it != touched.rend(); ++it) {
-      ASSERT_GT(on_read.snr_linear(static_cast<std::size_t>(*it)), 0.0);
-    }
+  {
+    SCOPED_TRACE("uniform population, every third user per frame");
+    const int n = 12;
+    auto on_read = make_bank(n, 300);
+    auto batched = make_bank(n, 300);
+    expect_on_read_matches_batched(
+        on_read, batched, 25, 25,
+        [n](int f, std::vector<std::uint32_t>& ids) {
+          for (int u = f % 3; u < n; u += 3) {
+            ids.push_back(static_cast<std::uint32_t>(u));
+          }
+        });
   }
-  // Settle stragglers, then compare the whole population.
-  on_read.materialize_all();
-  batched.materialize_all();
-  expect_users_bitwise_equal(on_read, batched);
+  {
+    // Two parameter groups and two branch counts, touched through
+    // rotating windows of varying length: users accrue different strides,
+    // so the batch loop must re-key its coefficient memo at every group or
+    // stride change — which the per-user read path never memoizes.
+    SCOPED_TRACE("mixed population, rotating variable-length windows");
+    const int n = 23;
+    auto on_read = make_bank(n, 7, /*mixed_population=*/true);
+    auto batched = make_bank(n, 7, /*mixed_population=*/true);
+    expect_on_read_matches_batched(
+        on_read, batched, 60, 10,
+        [n](int f, std::vector<std::uint32_t>& ids) {
+          const int len = 1 + (f % 7);
+          for (int i = 0; i < len; ++i) {
+            ids.push_back(static_cast<std::uint32_t>((f + i * 3) % n));
+          }
+        });
+  }
 }
 
 TEST(LazyBank, CounterAccounting) {
@@ -198,7 +205,7 @@ TEST(LazyBank, CounterAccounting) {
   // 8 * 10 = 80; events = 10 (user 0) + 7 (one deferred jump each) = 17.
   auto bank = make_bank(8, 500);
   bank.set_lazy(true);
-  const common::UserId zero[] = {0};
+  const std::uint32_t zero[] = {0};
   for (int f = 1; f <= 9; ++f) {
     bank.advance_users_to(zero, static_cast<double>(f) * kDt);
   }
@@ -241,11 +248,10 @@ TEST(LazyBank, GuardsAndErrors) {
   bank.set_lazy(true);
   bank.set_time(5 * kDt);
   EXPECT_THROW(bank.set_time(4 * kDt), std::logic_error);
-  const common::UserId bogus[] = {99};
+  const std::uint32_t bogus[] = {99};
   EXPECT_THROW(bank.materialize_users(bogus), std::out_of_range);
-  EXPECT_THROW(bank.set_strip_width(3), std::invalid_argument);
   // Duplicates in a touch set are fine (second materialization no-ops).
-  const common::UserId dupes[] = {0, 0, 1};
+  const std::uint32_t dupes[] = {0, 0, 1};
   EXPECT_NO_THROW(bank.materialize_users(dupes));
 
   // Eager semantics preserved: a user advanced ahead of a later bulk

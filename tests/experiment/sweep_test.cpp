@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "../support/scenarios.hpp"
 
 namespace charisma::experiment {
@@ -21,8 +23,8 @@ SweepConfig small_sweep() {
 }
 
 TEST(Sweep, ProducesFullGrid) {
-  ParallelRunner runner(2);
-  const auto cells = run_sweep(small_sweep(), runner);
+  WorkerPool pool(2);
+  const auto cells = run_sweep(small_sweep(), pool);
   EXPECT_EQ(cells.size(), 4u);
   for (const auto& cell : cells) {
     EXPECT_EQ(cell.result.num_voice_users, cell.x);
@@ -34,8 +36,8 @@ TEST(Sweep, AxisSelectsUserClass) {
   auto config = small_sweep();
   config.axis = SweepAxis::kDataUsers;
   config.x_values = {3};
-  ParallelRunner runner(1);
-  const auto cells = run_sweep(config, runner);
+  WorkerPool pool(1);
+  const auto cells = run_sweep(config, pool);
   for (const auto& cell : cells) {
     EXPECT_EQ(cell.result.num_data_users, 3);
     EXPECT_EQ(cell.result.num_voice_users, 0);
@@ -43,18 +45,18 @@ TEST(Sweep, AxisSelectsUserClass) {
 }
 
 TEST(Sweep, EmptyGridRejected) {
-  ParallelRunner runner(1);
+  WorkerPool pool(1);
   auto config = small_sweep();
   config.x_values.clear();
-  EXPECT_THROW(run_sweep(config, runner), std::invalid_argument);
+  EXPECT_THROW(run_sweep(config, pool), std::invalid_argument);
   config = small_sweep();
   config.protocols_to_run.clear();
-  EXPECT_THROW(run_sweep(config, runner), std::invalid_argument);
+  EXPECT_THROW(run_sweep(config, pool), std::invalid_argument);
 }
 
 TEST(Sweep, SeriesExtraction) {
-  ParallelRunner runner(2);
-  const auto cells = run_sweep(small_sweep(), runner);
+  WorkerPool pool(2);
+  const auto cells = run_sweep(small_sweep(), pool);
   const auto series =
       series_of(cells, protocols::ProtocolId::kCharisma,
                 [](const ReplicatedResult& r) { return r.voice_loss.mean(); });
@@ -64,13 +66,27 @@ TEST(Sweep, SeriesExtraction) {
 }
 
 TEST(Sweep, DeterministicAcrossRuns) {
-  ParallelRunner runner(2);
-  const auto a = run_sweep(small_sweep(), runner);
-  const auto b = run_sweep(small_sweep(), runner);
+  // Each cell is a share-nothing run seeded only by its x index, so two
+  // runs must agree cell for cell — also when one runs on a single thread
+  // and the other on four.
+  WorkerPool serial(1);
+  WorkerPool parallel(4);
+  const auto a = run_sweep(small_sweep(), serial);
+  const auto b = run_sweep(small_sweep(), parallel);
   ASSERT_EQ(a.size(), b.size());
   for (std::size_t i = 0; i < a.size(); ++i) {
-    EXPECT_DOUBLE_EQ(a[i].result.voice_loss.mean(),
-                     b[i].result.voice_loss.mean());
+    SCOPED_TRACE("cell " + std::to_string(i));
+    EXPECT_EQ(a[i].x, b[i].x);
+    EXPECT_EQ(a[i].protocol, b[i].protocol);
+    const auto& ra = a[i].result;
+    const auto& rb = b[i].result;
+    EXPECT_EQ(ra.replications, rb.replications);
+    EXPECT_EQ(ra.voice_loss.mean(), rb.voice_loss.mean());
+    EXPECT_EQ(ra.voice_loss_pooled.successes(),
+              rb.voice_loss_pooled.successes());
+    EXPECT_EQ(ra.voice_loss_pooled.trials(), rb.voice_loss_pooled.trials());
+    EXPECT_EQ(ra.data_throughput.mean(), rb.data_throughput.mean());
+    EXPECT_EQ(ra.data_delay_s.mean(), rb.data_delay_s.mean());
   }
 }
 

@@ -4,6 +4,7 @@
 
 #include <atomic>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 namespace charisma::experiment {
@@ -58,14 +59,28 @@ TEST(WorkerPool, ExceptionPropagatesToCaller) {
 }
 
 TEST(WorkerPool, PoolSurvivesAnException) {
-  WorkerPool pool(3);
-  EXPECT_THROW(
-      pool.for_each(8, [](std::size_t) { throw std::runtime_error("boom"); }),
-      std::runtime_error);
-  // A failed round must not poison the next one.
-  std::atomic<int> count{0};
-  pool.for_each(8, [&](std::size_t) { count.fetch_add(1); });
-  EXPECT_EQ(count.load(), 8);
+  for (unsigned threads : {1u, 3u}) {
+    SCOPED_TRACE("threads " + std::to_string(threads));
+    WorkerPool pool(threads);
+    EXPECT_THROW(pool.for_each(
+                     8, [](std::size_t) { throw std::runtime_error("boom"); }),
+                 std::runtime_error);
+    // A failed round must not poison the next one.
+    std::atomic<int> count{0};
+    pool.for_each(8, [&](std::size_t) { count.fetch_add(1); });
+    EXPECT_EQ(count.load(), 8);
+    // After a task throws, its thread claims no further index: with every
+    // task throwing, each thread runs at most one, never the whole round.
+    std::atomic<int> attempted{0};
+    EXPECT_THROW(pool.for_each(100,
+                               [&](std::size_t) {
+                                 attempted.fetch_add(1);
+                                 throw std::runtime_error("boom");
+                               }),
+                 std::runtime_error);
+    EXPECT_GE(attempted.load(), 1);
+    EXPECT_LE(attempted.load(), static_cast<int>(pool.thread_count()));
+  }
 }
 
 TEST(WorkerPool, MoreThreadsThanItems) {

@@ -1,13 +1,15 @@
 // Engine/world-level contract of the opt-in lazy channel (suite name is
 // load-bearing: the lazy_equivalence_smoke ctest runs
 // --gtest_filter=LazyEquivalence* in every build config, TSan/ASan
-// included). The lazy realization is pinned invariant to the SIMD strip
-// width and to the worker thread count; the eager default keeps reporting
-// a materialization stride of exactly 1.
+// included). The lazy realization is pinned invariant to the worker thread
+// count — also under partial pilot bands, where every protocol's touch
+// sets must be translated from user ids to recycled bank slots; the eager
+// default keeps reporting a materialization stride of exactly 1.
 #include <gtest/gtest.h>
 
-#include <cctype>
+#include <algorithm>
 #include <string>
+#include <vector>
 
 #include "mac/cellular_world.hpp"
 #include "protocols/factory.hpp"
@@ -43,23 +45,58 @@ CellularConfig lazy_world_config(unsigned threads, std::uint64_t seed = 7) {
   return cfg;
 }
 
-TEST(LazyEquivalence, StripWidthInvariantPerProtocol) {
-  // Every protocol's lazy run must be independent of the materialization
-  // kernel's strip width — the full-engine restatement of the bank-level
-  // StripWidthsBitIdentical property, covering each protocol's touch-set
-  // hooks and on-read stragglers.
-  for (auto id : protocols::all_protocols()) {
+/// A 7-cell hex reuse-3 cluster (site spacing 600 m) whose 700 m pilot
+/// band is smaller than the layout: band membership churns with mobility,
+/// bank rows are released and recycled, and user ids stop matching bank
+/// slots.
+CellularConfig lazy_band_config(unsigned threads) {
+  CellularConfig cfg;
+  cfg.num_cells = 7;
+  cfg.num_threads = threads;
+  cfg.params = tiny_params(23);
+  cfg.params.channel.shadow_sigma_db = 6.0;
+  cfg.layout.kind = SiteLayoutConfig::Kind::kHex;
+  cfg.layout.site_spacing_m = 600.0;
+  cfg.layout.reuse_factor = 3;
+  cfg.pilot_band_radius_m = 700.0;
+  const auto [width, height] = SiteLayout::hex_field_extent(7, 600.0);
+  cfg.mobility.field_width_m = width;
+  cfg.mobility.field_height_m = height;
+  cfg.mobility.speed_mps = common::km_per_hour(100.0);
+  cfg.handoff_hysteresis_db = 2.0;
+  return cfg;
+}
+
+TEST(LazyEquivalence, PartialBandWorldThreadInvariantPerProtocol) {
+  // Lazy channels under sparse presence: every protocol's touch sets name
+  // user ids, which the engine translates into the band's bank slots.
+  // Each protocol must run, actually defer materialization, and produce
+  // bit-identical metrics at any thread count.
+  std::vector<protocols::ProtocolId> ids = protocols::all_protocols();
+  ids.push_back(protocols::ProtocolId::kPrma);
+  for (auto id : ids) {
     SCOPED_TRACE(protocols::protocol_name(id));
-    auto run = [&](int width) {
-      auto engine = protocols::make_protocol(id, tiny_params(31));
-      engine->channel_bank().set_strip_width(width);
-      return engine->run(0.3, 1.0);
-    };
-    const auto scalar = run(1);
-    ASSERT_GT(scalar.frames, 0);
-    ASSERT_GT(scalar.voice_generated, 0);
-    EXPECT_TRUE(scalar == run(8));
-    EXPECT_TRUE(scalar == run(4));
+    CellularWorld serial(lazy_band_config(1), factory_for(id));
+    serial.run(0.3, 1.0);
+    const auto reference = serial.aggregate_metrics();
+    ASSERT_GT(reference.frames, 0);
+    ASSERT_GT(reference.voice_generated, 0);
+    EXPECT_GT(reference.mean_materialization_stride(), 1.0);
+    // The band really is partial: some cell holds only part of the
+    // population, so its bank slots cannot all equal user ids.
+    std::size_t smallest_band = serial.cell(0).band_size();
+    for (int c = 1; c < serial.num_cells(); ++c) {
+      smallest_band = std::min(smallest_band, serial.cell(c).band_size());
+    }
+    EXPECT_LT(smallest_band, static_cast<std::size_t>(
+                                 lazy_band_config(1).params.total_users()));
+    for (unsigned threads : {2u, 4u}) {
+      SCOPED_TRACE("threads " + std::to_string(threads));
+      CellularWorld parallel(lazy_band_config(threads), factory_for(id));
+      parallel.run(0.3, 1.0);
+      EXPECT_EQ(serial.handoffs(), parallel.handoffs());
+      EXPECT_TRUE(reference == parallel.aggregate_metrics());
+    }
   }
 }
 

@@ -570,8 +570,8 @@ int main(int argc, char** argv) {
       sweep.x_values =
           parse_int_list(config.get_string_or("x", "20,60,100,140"));
       sweep.protocols_to_run = protocol_list;
-      experiment::ParallelRunner runner;
-      for (const auto& cell : experiment::run_sweep(sweep, runner)) {
+      experiment::WorkerPool pool;  // hardware threads
+      for (const auto& cell : experiment::run_sweep(sweep, pool)) {
         add_result_row(table, std::to_string(cell.x), cell.result);
       }
     } else {
