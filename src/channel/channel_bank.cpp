@@ -76,67 +76,7 @@ void validate_channel_config(const ChannelConfig& config) {
 
 std::size_t ChannelBank::add_user(const ChannelConfig& config,
                                   common::RngStream rng) {
-  validate_channel_config(config);
-  const double fade_rho =
-      ar_rho_for(config.doppler_hz, config.sample_interval);
-  const double shadow_rho =
-      std::exp(-config.sample_interval / config.shadow_tau);
-
-  const std::size_t user = configs_.size();
-  configs_.push_back(config);
-  branch_begin_.push_back(fade_re_.size());
-  branch_count_.push_back(config.diversity_branches);
-  mean_snr_linear_.push_back(common::from_db(config.mean_snr_db));
-  mean_snr_db_.push_back(config.mean_snr_db);
-  interference_db_.push_back(0.0);
-  interference_linear_.push_back(1.0);
-  inv_branch_count_.push_back(1.0 /
-                              static_cast<double>(config.diversity_branches));
-  shadow_sigma_db_.push_back(config.shadow_sigma_db);
-  dt_.push_back(config.sample_interval);
-  group_.push_back(group_for(fade_rho, shadow_rho));
-
-  // Register the sample interval with the lazy clock: one floor() per
-  // distinct dt per set_time, one table slot per user.
-  std::size_t di = 0;
-  while (di < distinct_dts_.size() && distinct_dts_[di] != config.sample_interval) {
-    ++di;
-  }
-  if (di == distinct_dts_.size()) {
-    distinct_dts_.push_back(config.sample_interval);
-    dt_targets_.push_back(static_cast<std::int64_t>(
-        std::floor(bank_time_ / config.sample_interval + 1e-9)));
-  }
-  dt_index_.push_back(static_cast<std::uint32_t>(di));
-  // A row added mid-run starts stationary *now* — at the clock's current
-  // step for its dt — not at step 0 (which would turn its first touch into
-  // one giant catch-up jump). At construction time both are step 0, so the
-  // historical sequences are unchanged.
-  step_.push_back(dt_targets_[di]);
-
-  // The user's RngStream seeds its compact per-user innovation engine.
-  common::SplitMix64 fast(rng.engine()());
-  const auto& zig = common::detail::ziggurat_tables();
-
-  // Stationary start, same draw order as the scalar classes: per branch an
-  // I then a Q component, then the shadowing value.
-  double power = 0.0;
-  for (int b = 0; b < config.diversity_branches; ++b) {
-    const double re = kHalfPower * fast.normal(zig);
-    const double im = kHalfPower * fast.normal(zig);
-    fade_re_.push_back(re);
-    fade_im_.push_back(im);
-    power += re * re + im * im;
-  }
-  fading_power_.push_back(power /
-                          static_cast<double>(config.diversity_branches));
-  const double shadow = config.shadow_sigma_db * fast.normal(zig);
-  shadow_db_.push_back(shadow);
-  shadow_linear_.push_back(common::from_db(shadow));
-  rng_.push_back(fast);
-  vacant_.push_back(0);
-  active_dirty_ = true;
-  return user;
+  return seed_row(configs_.size(), config, rng);
 }
 
 std::size_t ChannelBank::acquire_user(const ChannelConfig& config,
@@ -151,26 +91,59 @@ std::size_t ChannelBank::acquire_user(const ChannelConfig& config,
     }
   }
   if (pick == free_slots_.size()) return add_user(config, rng);
+  const std::size_t slot = seed_row(free_slots_[pick], config, rng);
+  free_slots_.erase(free_slots_.begin() + static_cast<std::ptrdiff_t>(pick));
+  vacant_[slot] = 0;
+  --vacant_count_;
+  return slot;
+}
 
+std::size_t ChannelBank::seed_row(std::size_t slot,
+                                  const ChannelConfig& config,
+                                  common::RngStream& rng) {
+  // Validate before touching anything, so a rejected config leaves the
+  // bank as it was.
   validate_channel_config(config);
   const double fade_rho =
       ar_rho_for(config.doppler_hz, config.sample_interval);
   const double shadow_rho =
       std::exp(-config.sample_interval / config.shadow_tau);
 
-  const std::size_t user = free_slots_[pick];
-  free_slots_.erase(free_slots_.begin() + static_cast<std::ptrdiff_t>(pick));
-  configs_[user] = config;
-  mean_snr_linear_[user] = common::from_db(config.mean_snr_db);
-  mean_snr_db_[user] = config.mean_snr_db;
-  interference_db_[user] = 0.0;
-  interference_linear_[user] = 1.0;
-  inv_branch_count_[user] =
-      1.0 / static_cast<double>(config.diversity_branches);
-  shadow_sigma_db_[user] = config.shadow_sigma_db;
-  dt_[user] = config.sample_interval;
-  group_[user] = group_for(fade_rho, shadow_rho);
+  if (slot == configs_.size()) {
+    // Append a placeholder row; every field is written below.
+    const std::size_t rows = slot + 1;
+    branch_begin_.push_back(fade_re_.size());
+    branch_count_.push_back(config.diversity_branches);
+    fade_re_.resize(fade_re_.size() +
+                    static_cast<std::size_t>(config.diversity_branches));
+    fade_im_.resize(fade_re_.size());
+    for (auto* column : {&mean_snr_linear_, &mean_snr_db_, &interference_db_,
+                         &interference_linear_, &shadow_sigma_db_,
+                         &inv_branch_count_, &dt_, &fading_power_,
+                         &shadow_db_, &shadow_linear_}) {
+      column->resize(rows);
+    }
+    configs_.resize(rows);
+    rng_.emplace_back(0);
+    step_.resize(rows);
+    group_.resize(rows);
+    dt_index_.resize(rows);
+    vacant_.resize(rows);
+  }
 
+  configs_[slot] = config;
+  mean_snr_linear_[slot] = common::from_db(config.mean_snr_db);
+  mean_snr_db_[slot] = config.mean_snr_db;
+  interference_db_[slot] = 0.0;
+  interference_linear_[slot] = 1.0;
+  inv_branch_count_[slot] =
+      1.0 / static_cast<double>(config.diversity_branches);
+  shadow_sigma_db_[slot] = config.shadow_sigma_db;
+  dt_[slot] = config.sample_interval;
+  group_[slot] = group_for(fade_rho, shadow_rho);
+
+  // Register the sample interval with the lazy clock: one floor() per
+  // distinct dt per set_time, one table slot per row.
   std::size_t di = 0;
   while (di < distinct_dts_.size() &&
          distinct_dts_[di] != config.sample_interval) {
@@ -181,13 +154,19 @@ std::size_t ChannelBank::acquire_user(const ChannelConfig& config,
     dt_targets_.push_back(static_cast<std::int64_t>(
         std::floor(bank_time_ / config.sample_interval + 1e-9)));
   }
-  dt_index_[user] = static_cast<std::uint32_t>(di);
-  step_[user] = dt_targets_[di];  // stationary at the acquisition instant
+  dt_index_[slot] = static_cast<std::uint32_t>(di);
+  // A row seeded mid-run starts stationary *now* — at the clock's current
+  // step for its dt — not at step 0 (which would turn its first touch into
+  // one giant catch-up jump). At construction time both are step 0, so the
+  // historical sequences are unchanged.
+  step_[slot] = dt_targets_[di];
 
-  // Identical re-seed + stationary-start draw order to add_user.
+  // The row's RngStream seeds its compact innovation engine. Stationary
+  // start, same draw order as the scalar classes: per branch an I then a
+  // Q component, then the shadowing value.
   common::SplitMix64 fast(rng.engine()());
   const auto& zig = common::detail::ziggurat_tables();
-  const std::size_t begin = branch_begin_[user];
+  const std::size_t begin = branch_begin_[slot];
   double power = 0.0;
   for (int b = 0; b < config.diversity_branches; ++b) {
     const double re = kHalfPower * fast.normal(zig);
@@ -196,16 +175,14 @@ std::size_t ChannelBank::acquire_user(const ChannelConfig& config,
     fade_im_[begin + static_cast<std::size_t>(b)] = im;
     power += re * re + im * im;
   }
-  fading_power_[user] =
+  fading_power_[slot] =
       power / static_cast<double>(config.diversity_branches);
   const double shadow = config.shadow_sigma_db * fast.normal(zig);
-  shadow_db_[user] = shadow;
-  shadow_linear_[user] = common::from_db(shadow);
-  rng_[user] = fast;
-  vacant_[user] = 0;
-  --vacant_count_;
+  shadow_db_[slot] = shadow;
+  shadow_linear_[slot] = common::from_db(shadow);
+  rng_[slot] = fast;
   active_dirty_ = true;
-  return user;
+  return slot;
 }
 
 void ChannelBank::release_user(std::size_t slot) {
@@ -381,8 +358,7 @@ void ChannelBank::materialize_batch(std::span<const std::uint32_t> slots) {
     const std::size_t user = slot;
     const std::int64_t target = dt_targets_[dt_index_[user]];
     if (target < step_[user]) {
-      throw std::logic_error(
-          "ChannelBank::advance_all_to: time went backwards");
+      throw std::logic_error("ChannelBank: row ahead of the bank clock");
     }
     const std::int64_t k = target - step_[user];
     if (k == 0) continue;
@@ -410,6 +386,9 @@ void ChannelBank::materialize_users(std::span<const std::uint32_t> slots) {
   for (const std::uint32_t slot : slots) {
     if (slot >= configs_.size()) {
       throw std::out_of_range("ChannelBank::materialize_users: bad slot");
+    }
+    if (vacant_[slot]) {
+      throw std::logic_error("ChannelBank::materialize_users: vacant slot");
     }
   }
   materialize_batch(slots);

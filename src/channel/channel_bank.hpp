@@ -127,8 +127,9 @@ class ChannelBank {
   /// Materializes the given rows up to the bank clock in one batch (the
   /// frame's declared touch set: transmitters, contenders, polled rows).
   /// Entries are bank slots, not world user ids — ProtocolEngine
-  /// translates. Slots out of [0, size()) throw; duplicates are fine (a
-  /// second materialization at the same clock is a no-op).
+  /// translates. Slots out of [0, size()) and vacant slots throw before any
+  /// row advances; duplicates are fine (a second materialization at the
+  /// same clock is a no-op).
   void materialize_users(std::span<const std::uint32_t> slots);
 
   /// Materializes every user up to the bank clock (epoch pilot planes).
@@ -264,6 +265,13 @@ class ChannelBank {
   static JumpCoeffs shared_coeffs(double fade_rho, double shadow_rho,
                                   std::int64_t k);
   void jump_user(std::size_t user, const JumpCoeffs& c);
+
+  /// The one row-seeding path: validates `config`, writes every per-row
+  /// field of `slot` (appending a row when slot == size()), registers its
+  /// sample interval with the lazy clock and draws its stationary start
+  /// from `rng`. Returns `slot`.
+  std::size_t seed_row(std::size_t slot, const ChannelConfig& config,
+                       common::RngStream& rng);
 
   /// Materializes one user up to the bank clock (lazy read path).
   void materialize_user(std::size_t user);

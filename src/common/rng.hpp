@@ -16,6 +16,7 @@
 // kept as the raw bit source.
 #pragma once
 
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <memory>
@@ -50,6 +51,16 @@ inline constexpr std::uint64_t splitmix64_mix(std::uint64_t z) {
   return z ^ (z >> 31);
 }
 
+/// Gives the magnitude `x` the sign in bit 7 of the candidate draw `bits`
+/// by flipping the IEEE sign bit. That is exactly what negation does, ±0
+/// included, so the value equals a conditional negation bit for bit; but a
+/// conditional on a fresh random bit compiles to a branch that mispredicts
+/// half the time.
+inline double with_sign_of(double x, std::uint64_t bits) {
+  return std::bit_cast<double>(std::bit_cast<std::uint64_t>(x) ^
+                               ((bits & 0x80) << 56));
+}
+
 /// Rejection continuation of the ziggurat sampler: handles the candidate
 /// `bits` that failed (or may fail) the fast accept test — wedge and tail
 /// rejection, drawing further candidates from `eng` as needed. Split out
@@ -61,10 +72,9 @@ double ziggurat_normal_slow(Engine& eng, const ZigguratTables& zig,
                             std::uint64_t bits) {
   for (;;) {
     const auto idx = static_cast<std::size_t>(bits & 127);
-    const bool negative = (bits >> 7) & 1;
     const std::uint64_t hz = bits >> 11;
     const double x = static_cast<double>(hz) * zig.w[idx];
-    if (hz < zig.k[idx]) return negative ? -x : x;
+    if (hz < zig.k[idx]) return with_sign_of(x, bits);
     if (idx == 0) {
       // Tail beyond r: Marsaglia's exponential-wrap rejection.
       constexpr double r = 3.442619855899;
@@ -77,12 +87,12 @@ double ziggurat_normal_slow(Engine& eng, const ZigguratTables& zig,
         xt = -std::log(u1) / r;
         yt = -std::log(u2);
       } while (yt + yt < xt * xt);
-      return negative ? -(r + xt) : (r + xt);
+      return with_sign_of(r + xt, bits);
     }
     // Wedge between layer idx and idx-1.
     if (zig.f[idx] + eng.uniform() * (zig.f[idx - 1] - zig.f[idx]) <
         std::exp(-0.5 * x * x)) {
-      return negative ? -x : x;
+      return with_sign_of(x, bits);
     }
     bits = eng.next();
   }
@@ -100,8 +110,7 @@ inline double ziggurat_normal_from(Engine& eng, const ZigguratTables& zig,
   const auto idx = static_cast<std::size_t>(bits & 127);
   const std::uint64_t hz = bits >> 11;
   if (hz < zig.k[idx]) {
-    const double x = static_cast<double>(hz) * zig.w[idx];
-    return ((bits >> 7) & 1) ? -x : x;
+    return with_sign_of(static_cast<double>(hz) * zig.w[idx], bits);
   }
   return ziggurat_normal_slow(eng, zig, bits);
 }

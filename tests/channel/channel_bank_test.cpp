@@ -3,6 +3,8 @@
 #include <cmath>
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -370,6 +372,64 @@ TEST(ChannelBank, AllApisOnReleasedRowsMatchTwinWithoutReleases) {
   }
   EXPECT_TRUE(sparse.vacant(2));
   EXPECT_TRUE(sparse.vacant(5));
+}
+
+TEST(ChannelBankPinned, EagerRealization) {
+  // The eager default's realization, pinned at unit level so an edit to the
+  // jump kernel or its ziggurat draws cannot hide until a world golden
+  // moves: a four-branch row at 50 km/h Doppler, a one-branch row, and a
+  // four-branch row in a second Doppler group, after 1000 eager frames.
+  struct PinnedRow {
+    double doppler_hz;
+    int branches;
+    double iq[4][2];
+    double shadow_db;
+    double fading_power;
+    std::uint64_t rng_cursor;
+  };
+  const PinnedRow rows[] = {
+      {100.0, 4,
+       {{0x1.fb79c89c181f8p-6, 0x1.1e5028c134905p+0},
+        {0x1.15d289eda5266p-1, -0x1.05b2d5d037708p+0},
+        {-0x1.2da4fe6e68c8p-5, -0x1.27ef5eebb9b28p-3},
+        {-0x1.ab70b9fbe9b17p-2, -0x1.1910d7069df3ap-1}},
+       0x1.5eba34c818e13p+0, 0x1.8b672fb5e55b1p-1, 0x457aca5331af0e95ULL},
+      {100.0, 1,
+       {{-0x1.360ddc5979288p+0, -0x1.b7a64e9545be8p+0}},
+       -0x1.eab308c5d56a8p+0, 0x1.1aa457fdb1c5ep+2, 0xe62dfacdefec8501ULL},
+      {240.0, 4,
+       {{-0x1.1fe9aaa41fe13p-1, 0x1.d3562b09d7858p-5},
+        {-0x1.4b1edd63218d6p+0, 0x1.2d4765d816ab8p-1},
+        {0x1.2d13ec2ef7f2fp+0, 0x1.7cebc2e97e28ap-1},
+        {-0x1.54d2e6fd47c5ep-1, -0x1.3ce1b5c0d212cp-2}},
+       -0x1.1296846c4338ep+2, 0x1.341d3c275ab76p+0, 0x10aab24a9b8aa3f9ULL},
+  };
+  ChannelBank bank;
+  std::uint64_t seed = 1;
+  for (const PinnedRow& row : rows) {
+    ChannelConfig cfg;
+    cfg.doppler_hz = row.doppler_hz;
+    cfg.diversity_branches = row.branches;
+    bank.add_user(cfg, common::RngStream(seed++));
+  }
+  for (int f = 1; f <= 1000; ++f) {
+    bank.advance_all_to(static_cast<double>(f) * 2.5e-3);
+  }
+  const auto bits = [](double x) { return std::bit_cast<std::uint64_t>(x); };
+  for (std::size_t u = 0; u < bank.size(); ++u) {
+    SCOPED_TRACE("row " + std::to_string(u));
+    const PinnedRow& row = rows[u];
+    EXPECT_EQ(bank.current_step(u), 1000);
+    for (int b = 0; b < row.branches; ++b) {
+      EXPECT_EQ(bits(bank.fade_re(u, b)), bits(row.iq[b][0])) << "branch " << b;
+      EXPECT_EQ(bits(bank.fade_im(u, b)), bits(row.iq[b][1])) << "branch " << b;
+    }
+    EXPECT_EQ(bits(bank.shadow_db(u)), bits(row.shadow_db));
+    EXPECT_EQ(bits(bank.fading_power(u)), bits(row.fading_power));
+    EXPECT_EQ(bank.rng_cursor(u), row.rng_cursor);
+  }
+  EXPECT_EQ(bank.lazy_stats().jump_events, 3000);
+  EXPECT_EQ(bank.lazy_stats().jump_frames, 3000);
 }
 
 }  // namespace

@@ -243,6 +243,17 @@ TEST(LazyBank, SharedCoeffCacheBitwiseStable) {
   expect_users_bitwise_equal(first, second);
 }
 
+// The message of the std::logic_error `fn` throws ("" if it throws none).
+template <typename Fn>
+std::string logic_error_text(Fn fn) {
+  try {
+    fn();
+  } catch (const std::logic_error& e) {
+    return e.what();
+  }
+  return "";
+}
+
 TEST(LazyBank, GuardsAndErrors) {
   auto bank = make_bank(4, 800);
   bank.set_lazy(true);
@@ -254,11 +265,32 @@ TEST(LazyBank, GuardsAndErrors) {
   const std::uint32_t dupes[] = {0, 0, 1};
   EXPECT_NO_THROW(bank.materialize_users(dupes));
 
+  // A released row is vacant: touching it throws before any row advances,
+  // draws or counts toward the accounting (release_user's contract).
+  auto sparse = make_bank(3, 1000);
+  sparse.set_lazy(true);
+  sparse.release_user(1);
+  sparse.set_time(10 * kDt);
+  const std::uint64_t cursor = sparse.rng_cursor(1);
+  const std::uint32_t released[] = {1};
+  const std::uint32_t mixed[] = {0, 1};
+  EXPECT_EQ(logic_error_text([&] { sparse.materialize_users(released); }),
+            "ChannelBank::materialize_users: vacant slot");
+  EXPECT_EQ(logic_error_text([&] { sparse.materialize_users(mixed); }),
+            "ChannelBank::materialize_users: vacant slot");
+  EXPECT_EQ(sparse.lazy_stats().jump_events, 0);
+  EXPECT_EQ(sparse.rng_cursor(1), cursor);
+  EXPECT_EQ(sparse.current_step(0), 0);
+
   // Eager semantics preserved: a user advanced ahead of a later bulk
-  // advance still trips the legacy backwards-time guard.
+  // advance still trips the guard, and every batch entry point names it.
   auto eager = make_bank(2, 900);
   eager.advance_user_to(0, 10 * kDt);
-  EXPECT_THROW(eager.advance_all_to(5 * kDt), std::logic_error);
+  const std::string ahead = "ChannelBank: row ahead of the bank clock";
+  EXPECT_EQ(logic_error_text([&] { eager.advance_all_to(5 * kDt); }), ahead);
+  const std::uint32_t first[] = {0};
+  EXPECT_EQ(logic_error_text([&] { eager.materialize_users(first); }), ahead);
+  EXPECT_EQ(logic_error_text([&] { eager.materialize_all(); }), ahead);
 }
 
 }  // namespace
