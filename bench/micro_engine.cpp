@@ -1,6 +1,6 @@
 // Engine micro-benchmarks (google-benchmark): the hot paths of the common
-// simulation platform — event queue churn, per-frame channel evolution,
-// contention resolution, and one full protocol frame for each protocol.
+// simulation platform — per-frame channel evolution, contention
+// resolution, and one full protocol frame for each protocol.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -15,21 +15,6 @@
 namespace {
 
 using namespace charisma;
-
-void BM_EventQueueScheduleDispatch(benchmark::State& state) {
-  const int batch = static_cast<int>(state.range(0));
-  for (auto _ : state) {
-    sim::EventQueue queue;
-    for (int i = 0; i < batch; ++i) {
-      queue.schedule(static_cast<double>((i * 7919) % batch), [] {});
-    }
-    while (!queue.empty()) {
-      benchmark::DoNotOptimize(queue.pop());
-    }
-  }
-  state.SetItemsProcessed(state.iterations() * batch);
-}
-BENCHMARK(BM_EventQueueScheduleDispatch)->Arg(64)->Arg(1024)->Arg(16384);
 
 void BM_UserChannelFrameStep(benchmark::State& state) {
   channel::UserChannel ch(channel::ChannelConfig{}, common::RngStream(1));

@@ -47,61 +47,11 @@ double JakesFadingGenerator::power_gain(common::Time t) const {
   return std::norm(gain(t));
 }
 
-ArFadingBranch::ArFadingBranch(double rho, common::RngStream& rng) : rho_(rho) {
-  if (rho < 0.0 || rho >= 1.0) {
-    throw std::invalid_argument("ArFadingBranch: rho must be in [0, 1)");
-  }
-  innovation_scale_ = std::sqrt(1.0 - rho * rho);
-  // Start in the stationary distribution so no burn-in is needed.
-  constexpr double kHalfPower = 0.7071067811865476;  // sqrt(1/2)
-  h_ = {kHalfPower * rng.normal(), kHalfPower * rng.normal()};
-}
-
-void ArFadingBranch::step(common::RngStream& rng) {
-  constexpr double kHalfPower = 0.7071067811865476;
-  const std::complex<double> w{kHalfPower * rng.normal(),
-                               kHalfPower * rng.normal()};
-  h_ = rho_ * h_ + innovation_scale_ * w;
-}
-
-void ArFadingBranch::jump(int k, common::RngStream& rng) {
-  if (k < 0) throw std::invalid_argument("ArFadingBranch::jump: k must be >= 0");
-  if (k == 0) return;
-  const double rho_k = std::pow(rho_, static_cast<double>(k));
-  const double component_scale = std::sqrt((1.0 - rho_k * rho_k) * 0.5);
-  const std::complex<double> w{component_scale * rng.normal(),
-                               component_scale * rng.normal()};
-  h_ = rho_k * h_ + w;
-}
-
 double ar_rho_for(common::Hertz doppler, common::Time dt) {
   if (doppler <= 0.0 || dt <= 0.0) {
     throw std::invalid_argument("ar_rho_for: doppler and dt must be > 0");
   }
   return std::exp(-dt * doppler);
-}
-
-DiversityFadingProcess::DiversityFadingProcess(int branches, double rho,
-                                               common::RngStream& rng) {
-  if (branches < 1) {
-    throw std::invalid_argument("DiversityFadingProcess: need >= 1 branch");
-  }
-  branches_.reserve(static_cast<std::size_t>(branches));
-  for (int i = 0; i < branches; ++i) branches_.emplace_back(rho, rng);
-}
-
-void DiversityFadingProcess::step(common::RngStream& rng) {
-  for (auto& b : branches_) b.step(rng);
-}
-
-void DiversityFadingProcess::jump(int k, common::RngStream& rng) {
-  for (auto& b : branches_) b.jump(k, rng);
-}
-
-double DiversityFadingProcess::power_gain() const {
-  double sum = 0.0;
-  for (const auto& b : branches_) sum += b.power();
-  return sum / static_cast<double>(branches_.size());
 }
 
 }  // namespace charisma::channel

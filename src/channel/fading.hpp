@@ -1,15 +1,15 @@
 // Short-term (multipath) fading models.
 //
-// Two generators are provided:
 //  * JakesFadingGenerator — Clarke/Jakes sum-of-sinusoids model. Produces a
 //    continuous-time complex gain; used for the Fig. 5 style fading traces
 //    and for validating the AR(1) model's autocorrelation against
 //    J0(2*pi*fd*tau).
-//  * ArFadingBranch / DiversityFadingProcess — first-order Gauss-Markov
-//    branches stepped on the frame grid; the per-slot *effective* SNR used
-//    by the protocol simulations is the average power of `branches`
-//    i.i.d. branches (Gamma(L) marginal, i.e. Nakagami-L), modelling
-//    interleaving + diversity combining as motivated in DESIGN.md.
+//  * ar_rho_for — the per-step correlation of the first-order Gauss-Markov
+//    branches ChannelBank steps on the frame grid; the per-slot *effective*
+//    SNR used by the protocol simulations is the average power of
+//    `branches` i.i.d. branches (Gamma(L) marginal, i.e. Nakagami-L),
+//    modelling interleaving + diversity combining as motivated in
+//    DESIGN.md.
 #pragma once
 
 #include <complex>
@@ -44,60 +44,10 @@ class JakesFadingGenerator {
   double amplitude_;                   // per-oscillator amplitude
 };
 
-/// One AR(1) complex-Gaussian fading branch stepped on a fixed grid:
-///   h[n+1] = rho * h[n] + sqrt(1 - rho^2) * w[n],  w ~ CN(0, 1).
-/// The stationary distribution is CN(0,1) (Rayleigh envelope, unit mean
-/// power).
-class ArFadingBranch {
- public:
-  ArFadingBranch(double rho, common::RngStream& rng);
-
-  /// Advances one grid step.
-  void step(common::RngStream& rng);
-
-  /// Advances k grid steps in O(1) via the closed-form AR(1) composition
-  ///   h[n+k] = rho^k h[n] + sqrt(1 - rho^(2k)) w,  w ~ CN(0, 1),
-  /// distributionally identical to k calls of step() (k >= 0).
-  void jump(int k, common::RngStream& rng);
-
-  /// |h|^2 of the current state.
-  double power() const { return std::norm(h_); }
-
-  /// Current complex state, exposed for autocorrelation tests.
-  std::complex<double> state() const { return h_; }
-
-  double rho() const { return rho_; }
-
- private:
-  double rho_;
-  double innovation_scale_;
-  std::complex<double> h_;
-};
-
 /// Per-step correlation coefficient for a grid interval dt under coherence
 /// time Tc = 1/doppler: rho = exp(-dt * doppler). (An exponential
 /// correlation model; see DESIGN.md for why this is preferred over the
 /// oscillatory J0 form for the MAC-level simulation.)
 double ar_rho_for(common::Hertz doppler, common::Time dt);
-
-/// L independent AR(1) branches whose average power is the effective
-/// short-term power gain: marginal Gamma(L, 1/L), unit mean (Nakagami-L).
-class DiversityFadingProcess {
- public:
-  DiversityFadingProcess(int branches, double rho, common::RngStream& rng);
-
-  void step(common::RngStream& rng);
-
-  /// Advances all branches k grid steps in O(1) (see ArFadingBranch::jump).
-  void jump(int k, common::RngStream& rng);
-
-  /// Effective power gain (unit mean).
-  double power_gain() const;
-
-  int branches() const { return static_cast<int>(branches_.size()); }
-
- private:
-  std::vector<ArFadingBranch> branches_;
-};
 
 }  // namespace charisma::channel

@@ -17,7 +17,6 @@
 #include "channel/channel_bank.hpp"
 #include "channel/csi.hpp"
 #include "channel/fading.hpp"
-#include "channel/shadowing.hpp"
 #include "channel/user_channel.hpp"
 #include "common/config.hpp"
 #include "common/math.hpp"
@@ -53,7 +52,5 @@
 #include "protocols/prma.hpp"
 #include "protocols/rama.hpp"
 #include "protocols/rmav.hpp"
-#include "sim/event_queue.hpp"
-#include "sim/simulator.hpp"
 #include "traffic/data_source.hpp"
 #include "traffic/voice_source.hpp"

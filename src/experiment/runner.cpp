@@ -1,5 +1,7 @@
 #include "experiment/runner.hpp"
 
+#include <stdexcept>
+
 #include "common/rng.hpp"
 
 namespace charisma::experiment {
@@ -35,6 +37,11 @@ std::uint64_t replication_seed(std::uint64_t base_seed,
 ReplicatedResult run_replications(protocols::ProtocolId protocol,
                                   const RunSpec& spec,
                                   std::uint64_t point_key) {
+  if (spec.replications < 1) {
+    // Zero replications would return an all-zero result that reads like
+    // a measured operating point.
+    throw std::invalid_argument("run_replications: replications must be >= 1");
+  }
   ReplicatedResult result;
   result.protocol = protocols::protocol_name(protocol);
   result.num_voice_users = spec.params.num_voice_users;

@@ -62,7 +62,8 @@ std::uint64_t replication_seed(std::uint64_t base_seed,
                                std::uint64_t point_key, int rep);
 
 /// Runs all replications of `protocol` under `spec` serially (run_sweep
-/// parallelizes across cells on a WorkerPool).
+/// parallelizes across cells on a WorkerPool). Throws invalid_argument when
+/// spec.replications < 1.
 ReplicatedResult run_replications(protocols::ProtocolId protocol,
                                   const RunSpec& spec,
                                   std::uint64_t point_key = 0);

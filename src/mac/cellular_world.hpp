@@ -42,7 +42,7 @@
 // rings with an optional frequency-reuse pattern (only co-channel cells
 // interfere) and wrap-around distances for edge-free full-ring clusters.
 //
-// Cells are share-nothing — each engine owns its simulator, ChannelBank
+// Cells are share-nothing — each engine owns its frame clock, ChannelBank
 // and RNG streams — so steps 2 and 4 dispatch one task per cell across a
 // persistent experiment::WorkerPool (num_threads in the config). The
 // cross-cell steps (pilot filtering, attachment, handoff, load

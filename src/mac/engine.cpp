@@ -161,15 +161,13 @@ const ProtocolMetrics& ProtocolEngine::run(common::Time warmup,
 
 void ProtocolEngine::advance_by(common::Time duration) {
   if (duration <= 0.0) return;
-  if (!started_) {
-    started_ = true;
-    // The frame loop rides the simulator's periodic slot: one closure
-    // installed here, rescheduled by returning the next frame's duration.
-    // Steady-state frame advancement therefore allocates nothing — no
-    // EventQueue node, no per-frame std::function.
-    sim_.set_periodic(sim_.now(), [this] { return frame_tick(); });
+  // A frame stamped exactly at the window end still runs in this window.
+  const common::Time end = now_ + duration;
+  while (next_frame_ <= end) {
+    now_ = next_frame_;
+    next_frame_ = now_ + frame_tick();
   }
-  sim_.run_until(sim_.now() + duration);
+  now_ = end;
 }
 
 void ProtocolEngine::detach_user(common::UserId id) {
@@ -263,7 +261,7 @@ void ProtocolEngine::barring_control_step() {
 }
 
 void ProtocolEngine::advance_world() {
-  const common::Time t = sim_.now();
+  const common::Time t = now_;
   // Eager (default): one batched SoA pass over every user's
   // fading/shadowing state instead of per-user pointer-chasing walks.
   // Detached users' channels keep evolving (their pilots are what the
@@ -377,7 +375,7 @@ void ProtocolEngine::note_pilot_energy() {
 }
 
 channel::CsiEstimate ProtocolEngine::estimate_csi(MobileUser& u) {
-  return csi_estimator_.estimate(u.channel().snr_linear(), sim_.now(),
+  return csi_estimator_.estimate(u.channel().snr_linear(), now_,
                                  u.rng());
 }
 
@@ -448,8 +446,8 @@ int ProtocolEngine::transmit_data_fixed(MobileUser& u) {
   metrics_.energy_info_j += energy;
   if (fixed_phy_.transmit_packet(u.channel().snr_linear(), u.rng())) {
     ++metrics_.data_delivered;
-    metrics_.data_delay_s.add(sim_.now() - arrival);
-    metrics_.data_delay_hist.add(sim_.now() - arrival);
+    metrics_.data_delay_s.add(now_ - arrival);
+    metrics_.data_delay_hist.add(now_ - arrival);
     note_user_delivery(u.id(), 1);
     return 1;
   }
@@ -469,7 +467,7 @@ int ProtocolEngine::transmit_data_adaptive(MobileUser& u, int mode,
     return 0;
   }
   const double snr = u.channel().snr_linear();
-  const common::Time t = sim_.now();
+  const common::Time t = now_;
   const int to_send = std::min(cap, src.backlog());
   int delivered = 0;
   // Reused across frames: a steady-state retransmission burst must not

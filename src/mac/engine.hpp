@@ -1,10 +1,10 @@
 // ProtocolEngine: the "common simulation platform" (paper §5) every
 // protocol runs on. It owns the world (users, channels, sources), the
-// discrete-event simulator, both physical layers, the CSI estimator and
-// the metrics, and drives a self-rescheduling frame event. Subclasses
+// frame clock, both physical layers, the CSI estimator and the metrics,
+// and advances the simulation one MAC frame at a time. Subclasses
 // implement process_frame() with their access-control rules and return the
 // frame duration they consumed — constant for the static-frame protocols,
-// data-dependent for RMAV/DRMA.
+// data-dependent for RMAV/DRMA — which sets when the next frame starts.
 #pragma once
 
 #include <cstdint>
@@ -27,7 +27,6 @@
 #include "mac/scenario.hpp"
 #include "phy/adaptive_phy.hpp"
 #include "phy/fixed_phy.hpp"
-#include "sim/simulator.hpp"
 
 namespace charisma::mac {
 
@@ -99,8 +98,11 @@ class ProtocolEngine {
 
   /// Advances the simulation `duration` seconds past now() without touching
   /// the accumulated metrics — the building block CellularWorld uses to
-  /// interleave frames with mobility/attachment epochs. No-op when
-  /// duration <= 0.
+  /// interleave frames with mobility/attachment epochs. Runs every frame
+  /// that starts at or before the window end (the first at t = 0), then
+  /// parks now() at the window end; a frame pending past it runs in a
+  /// later window at its own start time. No-op when duration <= 0. Throws
+  /// logic_error if process_frame returns a non-positive duration.
   void advance_by(common::Time duration);
 
   /// Discards everything measured so far (run() does this after warmup).
@@ -188,7 +190,7 @@ class ProtocolEngine {
 
   const ProtocolMetrics& metrics() const { return metrics_; }
   const ScenarioParams& params() const { return params_; }
-  common::Time now() const { return sim_.now(); }
+  common::Time now() const { return now_; }
   common::FrameIndex frame_index() const { return frame_index_; }
 
   /// The band-resident users in ascending user-id order (historically: the
@@ -200,11 +202,6 @@ class ProtocolEngine {
   /// for benchmarks and tests of the batched hot path.
   channel::ChannelBank& channel_bank() { return bank_; }
   const channel::ChannelBank& channel_bank() const { return bank_; }
-
-  /// Read-only view of the engine's simulator, exposed so tests can pin the
-  /// frame loop's allocation behavior (queue_events_scheduled stays zero
-  /// while frames advance through the periodic slot).
-  const sim::Simulator& simulator() const { return sim_; }
 
  protected:
   /// One frame of protocol operation at sim time now(); returns the frame
@@ -320,7 +317,6 @@ class ProtocolEngine {
 
   ScenarioParams params_;
   FrameGeometry geom_;
-  sim::Simulator sim_;
   channel::ChannelBank bank_;  // declared before users_: views into it
   // Slot-indexed storage mirroring the bank's rows one-for-one (null at
   // vacant slots), plus the ascending-id membership index over it. In the
@@ -338,9 +334,8 @@ class ProtocolEngine {
   std::vector<common::Time> retx_scratch_;
 
  private:
-  /// One firing of the simulator's periodic slot: advance the world, run
-  /// the protocol frame, and return the consumed duration as the delay to
-  /// the next tick.
+  /// One frame at now(): advance the world, run the protocol frame, and
+  /// return the consumed duration (the offset of the next frame's start).
   common::Time frame_tick();
   /// touch_channels' lazy path: translates each id through user(id)'s
   /// lookup into touch_slots_ and materializes those bank slots.
@@ -348,7 +343,11 @@ class ProtocolEngine {
   /// Closes one barring control window: freeze the raw load signals, fold
   /// them into the estimator, step the controller, sample the factors.
   void barring_control_step();
-  bool started_ = false;
+
+  /// The frame clock: the current simulation time and the start time of
+  /// the next frame (the first frame starts at t = 0).
+  common::Time now_ = 0.0;
+  common::Time next_frame_ = 0.0;
 
   /// True while slot == id for every band member with no vacancies — the
   /// dense population's invariant, letting user(id) skip the binary

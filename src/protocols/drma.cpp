@@ -2,10 +2,7 @@
 
 #include <cassert>
 #include <algorithm>
-#include <deque>
 #include <limits>
-#include <unordered_set>
-#include <vector>
 
 namespace charisma::protocols {
 
@@ -46,22 +43,21 @@ common::Time DrmaProtocol::process_frame() {
 
   // Requests awaiting service: yesterday's queue first (with-queue mode),
   // then winners of this frame's conversions as they happen.
-  std::deque<mac::PendingRequest> pending(queue_.entries().begin(),
-                                          queue_.entries().end());
+  pending_.assign(queue_.entries().begin(), queue_.entries().end());
   queue_.clear();
-  std::unordered_set<common::UserId> engaged;  // queued or won this frame
-  for (const auto& r : pending) engaged.insert(r.user);
+  engaged_.clear();
+  for (const auto& r : pending_) engaged_.insert(r.user);
 
   // Touch set: reservation holders of this phase plus the queued users a
   // free slot may serve; conversion contenders are covered by
   // run_contention's own touch.
-  std::vector<common::UserId> touched;
+  touched_.clear();
   for (int slot = 0; slot < options_.info_slots; ++slot) {
     const common::UserId owner = grid_.user_at(phase, slot);
-    if (owner != common::kNoUser) touched.push_back(owner);
+    if (owner != common::kNoUser) touched_.push_back(owner);
   }
-  for (const auto& r : pending) touched.push_back(r.user);
-  touch_channels(touched);
+  for (const auto& r : pending_) touched_.push_back(r.user);
+  touch_channels(touched_);
 
   for (int slot = 0; slot < options_.info_slots; ++slot) {
     const common::UserId owner = grid_.user_at(phase, slot);
@@ -72,33 +68,33 @@ common::Time DrmaProtocol::process_frame() {
     }
 
     // Drop dead pending entries (expired voice packet, drained burst).
-    std::erase_if(pending, [this, &engaged](const mac::PendingRequest& r) {
+    std::erase_if(pending_, [this](const mac::PendingRequest& r) {
       auto& u = user(r.user);
       const bool dead = r.type == mac::RequestType::kVoice
                             ? !u.voice().has_packet()
                             : u.data().backlog() == 0;
-      if (dead) engaged.erase(r.user);
+      if (dead) engaged_.erase(r.user);
       return dead;
     });
 
-    if (!pending.empty()) {
+    if (!pending_.empty()) {
       // Serve the oldest pending request in this free slot, voice first
       // (voice outranks data in every protocol of the study).
-      auto pick = pending.begin();
-      for (auto it = pending.begin(); it != pending.end(); ++it) {
+      auto pick = pending_.begin();
+      for (auto it = pending_.begin(); it != pending_.end(); ++it) {
         if (it->type == mac::RequestType::kVoice) {
           pick = it;
           break;
         }
       }
       auto request = *pick;
-      pending.erase(pick);
+      pending_.erase(pick);
       auto& u = user(request.user);
       if (request.type == mac::RequestType::kVoice) {
         // The served slot position becomes the talkspurt's reservation.
         grid_.reserve_at(phase, slot, request.user);
         transmit_voice_fixed(u);
-        engaged.erase(request.user);
+        engaged_.erase(request.user);
       } else {
         // One information slot per successful data request (§3.3): the
         // device contends again for the rest of its burst. (Persisting data
@@ -107,29 +103,30 @@ common::Time DrmaProtocol::process_frame() {
         // voice talkspurts need — the queue stores only requests that got
         // *no* slot, per §4.5.)
         transmit_data_fixed(u);
-        engaged.erase(request.user);
+        engaged_.erase(request.user);
       }
       continue;
     }
 
     // Free slot with nothing to serve: convert it into N_x request
     // minislots.
-    std::vector<common::UserId> candidates;
+    candidates_.clear();
     for (auto& u : users()) {
       if (!u.present()) continue;
-      if (engaged.count(u.id())) continue;
+      if (engaged_.count(u.id())) continue;
       if (u.is_voice()) {
         if (!grid_.has_reservation(u.id()) && u.voice().in_talkspurt() &&
             u.voice().has_packet() && !barring_blocks(u)) {
-          candidates.push_back(u.id());
+          candidates_.push_back(u.id());
         }
       } else if (u.data().backlog() > 0 && !barring_blocks(u)) {
-        candidates.push_back(u.id());
+        candidates_.push_back(u.id());
       }
     }
-    if (candidates.empty()) continue;  // slot stays idle
+    if (candidates_.empty()) continue;  // slot stays idle
 
-    auto outcome = run_contention(candidates, options_.minislots_per_conversion);
+    auto outcome =
+        run_contention(candidates_, options_.minislots_per_conversion);
     for (common::UserId uid : outcome.winners) {
       mac::PendingRequest request;
       request.user = uid;
@@ -144,14 +141,14 @@ common::Time DrmaProtocol::process_frame() {
         request.packets_requested = u.data().backlog();
       }
       request.acked_at = now();
-      pending.push_back(request);
-      engaged.insert(uid);
+      pending_.push_back(request);
+      engaged_.insert(uid);
     }
   }
 
   // Winners/queue entries that found no slot this frame.
   if (params_.request_queue) {
-    for (auto& request : pending) {
+    for (auto& request : pending_) {
       ++request.frames_waited;
       queue_.push(request);
     }

@@ -10,6 +10,8 @@
 #pragma once
 
 #include <string>
+#include <unordered_set>
+#include <vector>
 
 #include "mac/engine.hpp"
 #include "mac/request_queue.hpp"
@@ -47,6 +49,12 @@ class DrmaProtocol : public mac::ProtocolEngine {
   DrmaOptions options_;
   mac::ReservationGrid grid_;
   mac::RequestQueue queue_;
+  // Per-frame scratch, cleared and refilled every frame but kept across
+  // frames so a quiet frame allocates nothing.
+  std::vector<mac::PendingRequest> pending_;  ///< requests awaiting a slot
+  std::unordered_set<common::UserId> engaged_;  ///< queued or won this frame
+  std::vector<common::UserId> touched_;
+  std::vector<common::UserId> candidates_;
 };
 
 }  // namespace charisma::protocols

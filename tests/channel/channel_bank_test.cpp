@@ -66,19 +66,73 @@ TEST(ChannelBank, BatchedAdvanceEqualsPerUserAdvance) {
 
 TEST(ChannelBank, StationaryMomentsUnderStridedAdvance) {
   // Advancing frame-by-frame and in large strides must both preserve the
-  // stationary unit-mean fading power (the k-step jump is exact, not an
-  // approximation).
+  // stationary fading marginal (the k-step jump is exact, not an
+  // approximation): the average of L unit-mean branch powers is
+  // Gamma(L, 1/L) — mean 1, variance 1/L, tail P(X > x) = Q(L, L x).
+  const int branches = test_config().diversity_branches;
   for (int stride : {1, 7, 64}) {
     ChannelBank bank;
     bank.add_user(test_config(),
                   common::RngStream(100 + static_cast<std::uint64_t>(stride)));
-    double sum = 0.0;
+    double sum = 0.0, sum2 = 0.0;
+    int above_two = 0;
     const int n = 60000;
     for (int i = 1; i <= n; ++i) {
       bank.advance_user_to(0, static_cast<double>(i) * stride * 2.5e-3);
-      sum += bank.fading_power(0);
+      const double p = bank.fading_power(0);
+      sum += p;
+      sum2 += p * p;
+      if (p > 2.0) ++above_two;
     }
-    EXPECT_NEAR(sum / n, 1.0, 0.05) << "stride " << stride;
+    const double mean = sum / n;
+    EXPECT_NEAR(mean, 1.0, 0.05) << "stride " << stride;
+    EXPECT_NEAR(sum2 / n - mean * mean, 1.0 / branches, 0.02)
+        << "stride " << stride;
+    EXPECT_NEAR(static_cast<double>(above_two) / n,
+                common::gamma_upper_regularized(branches, 2.0 * branches),
+                0.006)
+        << "stride " << stride;
+  }
+}
+
+TEST(ChannelBank, LagCorrelationUnderStridedAdvance) {
+  // One branch, so fading_power is |h|^2 of a single AR(1) branch: its
+  // lag-k autocorrelation is rho^(2k); shadow_db's is exp(-k dt / tau).
+  // Doppler and tau put both at exp(-1) for k = 8 grid steps, sampled
+  // every step (lag 8) and every 8 steps (lag 1, one jump per sample).
+  auto cfg = test_config();
+  cfg.diversity_branches = 1;
+  const int k = 8;
+  cfg.doppler_hz = 1.0 / (2.0 * k * cfg.sample_interval);  // rho^(2k) = 1/e
+  cfg.shadow_tau = k * cfg.sample_interval;
+  const auto lag_correlation = [](const std::vector<double>& x,
+                                  std::size_t lag) {
+    double mean = 0.0;
+    for (double v : x) mean += v;
+    mean /= static_cast<double>(x.size());
+    double c0 = 0.0, ck = 0.0;
+    for (std::size_t i = 0; i + lag < x.size(); ++i) {
+      c0 += (x[i] - mean) * (x[i] - mean);
+      ck += (x[i] - mean) * (x[i + lag] - mean);
+    }
+    return ck / c0;
+  };
+  for (int stride : {1, k}) {
+    ChannelBank bank;
+    bank.add_user(cfg, common::RngStream(41));
+    const std::size_t n = 200000;
+    std::vector<double> power(n), shadow(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      bank.advance_user_to(
+          0, static_cast<double>(i + 1) * stride * cfg.sample_interval);
+      power[i] = bank.fading_power(0);
+      shadow[i] = bank.shadow_db(0);
+    }
+    const auto lag = static_cast<std::size_t>(k / stride);
+    EXPECT_NEAR(lag_correlation(power, lag), std::exp(-1.0), 0.03)
+        << "stride " << stride;
+    EXPECT_NEAR(lag_correlation(shadow, lag), std::exp(-1.0), 0.03)
+        << "stride " << stride;
   }
 }
 
@@ -94,6 +148,10 @@ TEST(ChannelBank, ShadowingStationarySigmaUnderStridedAdvance) {
     const double s = bank.shadow_db(0);
     sum += s;
     sum2 += s * s;
+    // The shadow dB value enters the SNR as the linear factor 10^(s/10).
+    ASSERT_NEAR(bank.snr_linear(0),
+                common::from_db(16.0 + s) * bank.fading_power(0),
+                1e-12 * bank.snr_linear(0));
   }
   const double mean = sum / n;
   EXPECT_NEAR(mean, 0.0, 0.15);
@@ -122,6 +180,7 @@ TEST(ChannelBank, MixedConfigsKeepPerUserBudgets) {
     sum1 += bank.snr_linear(1);
   }
   EXPECT_NEAR(sum1 / sum0, common::from_db(10.0), 0.5);
+  EXPECT_EQ(bank.shadow_db(0), 0.0);  // sigma 0: no shadowing, ever
 }
 
 TEST(ChannelBank, TimeMustNotGoBackwards) {
@@ -315,6 +374,10 @@ TEST(ChannelBank, InvalidConfigsThrow) {
   auto bad_sigma = test_config();
   bad_sigma.shadow_sigma_db = -1.0;
   EXPECT_THROW(bank.add_user(bad_sigma, common::RngStream(1)),
+               std::invalid_argument);
+  auto bad_tau = test_config();
+  bad_tau.shadow_tau = 0.0;
+  EXPECT_THROW(bank.add_user(bad_tau, common::RngStream(1)),
                std::invalid_argument);
   auto bad_dt = test_config();
   bad_dt.sample_interval = 0.0;

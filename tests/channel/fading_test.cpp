@@ -69,179 +69,11 @@ TEST(Jakes, InvalidArguments) {
   EXPECT_THROW(JakesFadingGenerator(100.0, 4, rng), std::invalid_argument);
 }
 
-TEST(ArBranch, StationaryUnitPower) {
-  common::RngStream rng(5);
-  ArFadingBranch branch(0.8, rng);
-  double sum = 0.0;
-  const int n = 100000;
-  for (int i = 0; i < n; ++i) {
-    branch.step(rng);
-    sum += branch.power();
-  }
-  EXPECT_NEAR(sum / n, 1.0, 0.05);
-}
-
-TEST(ArBranch, RhoValidation) {
-  common::RngStream rng(6);
-  EXPECT_THROW(ArFadingBranch(-0.1, rng), std::invalid_argument);
-  EXPECT_THROW(ArFadingBranch(1.0, rng), std::invalid_argument);
-  EXPECT_NO_THROW(ArFadingBranch(0.0, rng));
-}
-
-TEST(ArBranch, HighRhoMeansSlowChange) {
-  common::RngStream rng_a(7), rng_b(7);
-  ArFadingBranch slow(0.99, rng_a), fast(0.10, rng_b);
-  double slow_diff = 0.0, fast_diff = 0.0;
-  double prev_slow = slow.power(), prev_fast = fast.power();
-  for (int i = 0; i < 5000; ++i) {
-    slow.step(rng_a);
-    fast.step(rng_b);
-    slow_diff += std::fabs(slow.power() - prev_slow);
-    fast_diff += std::fabs(fast.power() - prev_fast);
-    prev_slow = slow.power();
-    prev_fast = fast.power();
-  }
-  EXPECT_LT(slow_diff, fast_diff * 0.5);
-}
-
-// ---- Closed-form k-step jump: statistical equivalence with k single steps ----
-
-TEST(ArJump, StationaryUnitPower) {
-  common::RngStream rng(30);
-  ArFadingBranch branch(0.9, rng);
-  double sum = 0.0;
-  const int n = 100000;
-  for (int i = 0; i < n; ++i) {
-    branch.jump(5, rng);
-    sum += branch.power();
-  }
-  EXPECT_NEAR(sum / n, 1.0, 0.05);
-}
-
-TEST(ArJump, LagKAutocorrelationIsRhoToTheK) {
-  // E[h[n] conj(h[n+k])] = rho^k E[|h|^2] = rho^k for the stationary AR(1).
-  common::RngStream rng(31);
-  const double rho = 0.95;
-  const int k = 8;
-  ArFadingBranch branch(rho, rng);
-  double corr = 0.0;
-  const int n = 200000;
-  for (int i = 0; i < n; ++i) {
-    const auto before = branch.state();
-    branch.jump(k, rng);
-    const auto after = branch.state();
-    corr += before.real() * after.real() + before.imag() * after.imag();
-  }
-  EXPECT_NEAR(corr / n, std::pow(rho, k), 0.01);
-}
-
-TEST(ArJump, DistributionMatchesKSingleSteps) {
-  // Same rho, one branch jumped by k, one stepped k times: the sampled
-  // power distributions must agree (mean, variance, and two CDF points).
-  common::RngStream rng_jump(32), rng_step(33);
-  const double rho = 0.8;
-  const int k = 6;
-  ArFadingBranch jumped(rho, rng_jump), stepped(rho, rng_step);
-  const int n = 60000;
-  double mean_j = 0.0, mean_s = 0.0, var_j = 0.0, var_s = 0.0;
-  int below_half_j = 0, below_half_s = 0, below_two_j = 0, below_two_s = 0;
-  for (int i = 0; i < n; ++i) {
-    jumped.jump(k, rng_jump);
-    for (int s = 0; s < k; ++s) stepped.step(rng_step);
-    const double pj = jumped.power();
-    const double ps = stepped.power();
-    mean_j += pj;
-    mean_s += ps;
-    var_j += pj * pj;
-    var_s += ps * ps;
-    if (pj < 0.5) ++below_half_j;
-    if (ps < 0.5) ++below_half_s;
-    if (pj < 2.0) ++below_two_j;
-    if (ps < 2.0) ++below_two_s;
-  }
-  mean_j /= n;
-  mean_s /= n;
-  EXPECT_NEAR(mean_j, mean_s, 0.03);
-  EXPECT_NEAR(var_j / n - mean_j * mean_j, var_s / n - mean_s * mean_s, 0.08);
-  EXPECT_NEAR(static_cast<double>(below_half_j) / n,
-              static_cast<double>(below_half_s) / n, 0.015);
-  EXPECT_NEAR(static_cast<double>(below_two_j) / n,
-              static_cast<double>(below_two_s) / n, 0.015);
-}
-
-TEST(ArJump, ZeroStepIsIdentityAndNegativeThrows) {
-  common::RngStream rng(34);
-  ArFadingBranch branch(0.7, rng);
-  const auto before = branch.state();
-  branch.jump(0, rng);
-  EXPECT_EQ(branch.state(), before);
-  EXPECT_THROW(branch.jump(-1, rng), std::invalid_argument);
-}
-
-TEST(DiversityJump, GammaMarginalMoments) {
-  // The jump must preserve the Gamma(L) effective-power marginal.
-  common::RngStream rng(35);
-  const int branches = 4;
-  DiversityFadingProcess proc(branches, 0.5, rng);
-  double sum = 0.0, sum2 = 0.0;
-  const int n = 100000;
-  for (int i = 0; i < n; ++i) {
-    proc.jump(3, rng);
-    const double p = proc.power_gain();
-    sum += p;
-    sum2 += p * p;
-  }
-  const double mean = sum / n;
-  EXPECT_NEAR(mean, 1.0, 0.03);
-  EXPECT_NEAR(sum2 / n - mean * mean, 1.0 / branches, 0.03);
-}
-
 TEST(ArRho, ExponentialForm) {
   EXPECT_NEAR(ar_rho_for(100.0, 2.5e-3), std::exp(-0.25), 1e-12);
   EXPECT_NEAR(ar_rho_for(20.0, 2.5e-3), std::exp(-0.05), 1e-12);
   EXPECT_THROW(ar_rho_for(0.0, 1e-3), std::invalid_argument);
   EXPECT_THROW(ar_rho_for(100.0, 0.0), std::invalid_argument);
-}
-
-TEST(Diversity, GammaMarginalMoments) {
-  // Mean 1, variance 1/L for L averaged unit-exponential branch powers.
-  common::RngStream rng(8);
-  const int branches = 4;
-  DiversityFadingProcess proc(branches, 0.5, rng);
-  double sum = 0.0, sum2 = 0.0;
-  const int n = 100000;
-  for (int i = 0; i < n; ++i) {
-    proc.step(rng);
-    const double p = proc.power_gain();
-    sum += p;
-    sum2 += p * p;
-  }
-  const double mean = sum / n;
-  const double var = sum2 / n - mean * mean;
-  EXPECT_NEAR(mean, 1.0, 0.03);
-  EXPECT_NEAR(var, 1.0 / branches, 0.03);
-}
-
-TEST(Diversity, TailMatchesGammaQ) {
-  // P(X > x) for Gamma(shape 4, scale 1/4) = Q(4, 4x).
-  common::RngStream rng(9);
-  DiversityFadingProcess proc(4, 0.3, rng);
-  int above = 0;
-  const int n = 200000;
-  const double x = 2.0;
-  for (int i = 0; i < n; ++i) {
-    proc.step(rng);
-    if (proc.power_gain() > x) ++above;
-  }
-  const double expected = common::gamma_upper_regularized(4, 4.0 * x);
-  EXPECT_NEAR(static_cast<double>(above) / n, expected, 0.002);
-}
-
-TEST(Diversity, BranchCountValidation) {
-  common::RngStream rng(10);
-  EXPECT_THROW(DiversityFadingProcess(0, 0.5, rng), std::invalid_argument);
-  DiversityFadingProcess single(1, 0.5, rng);
-  EXPECT_EQ(single.branches(), 1);
 }
 
 }  // namespace

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 #include "../support/scenarios.hpp"
 
 namespace charisma::experiment {
@@ -56,6 +58,15 @@ TEST(Runner, AggregatesAcrossReplications) {
   EXPECT_EQ(result.num_voice_users, 10);
   EXPECT_EQ(result.num_data_users, 2);
   EXPECT_GT(result.voice_loss_pooled.trials(), 0);
+}
+
+TEST(Runner, RejectsFewerThanOneReplication) {
+  auto spec = small_spec(4, 0);
+  for (int replications : {0, -1}) {
+    spec.replications = replications;
+    EXPECT_THROW(run_replications(protocols::ProtocolId::kCharisma, spec),
+                 std::invalid_argument);
+  }
 }
 
 TEST(Runner, CommonRandomNumbersAcrossProtocols) {

@@ -137,12 +137,21 @@ Output:
 )";
 }
 
-std::vector<int> parse_int_list(const std::string& csv) {
+// Splits "a,b,c" into ints; throws naming the knob on malformed input.
+std::vector<int> parse_int_list(const std::string& key,
+                                const std::string& value) {
   std::vector<int> values;
-  std::stringstream stream(csv);
+  std::stringstream stream(value);
   std::string token;
   while (std::getline(stream, token, ',')) {
-    values.push_back(std::stoi(token));
+    try {
+      std::size_t pos = 0;
+      values.push_back(std::stoi(token, &pos));
+      if (pos != token.size()) throw std::invalid_argument("trailing");
+    } catch (const std::exception&) {
+      throw std::invalid_argument(key + "=: bad value '" + token + "' in '" +
+                                  value + "'");
+    }
   }
   return values;
 }
@@ -327,10 +336,13 @@ mac::CellularConfig cellular_from(const common::KeyValueConfig& config,
         std::max(1.0, channel::ChannelConfig::doppler_for_speed(
                           world.mobility.speed_mps, 2.0e9));
   }
-  world.mobility.model =
-      config.get_string_or("mobility", "waypoint") == "vector"
-          ? mac::MobilityConfig::Model::kConstantVelocity
-          : mac::MobilityConfig::Model::kRandomWaypoint;
+  const std::string mobility = config.get_string_or("mobility", "waypoint");
+  if (mobility != "waypoint" && mobility != "vector") {
+    throw std::invalid_argument("mobility= must be waypoint or vector");
+  }
+  world.mobility.model = mobility == "vector"
+                             ? mac::MobilityConfig::Model::kConstantVelocity
+                             : mac::MobilityConfig::Model::kRandomWaypoint;
 
   const std::string layout = config.get_string_or("layout", "line");
   if (layout != "line" && layout != "hex") {
@@ -519,10 +531,15 @@ int main(int argc, char** argv) {
     spec.warmup_s = config.get_double_or("warmup", 4.0);
     spec.measure_s = config.get_double_or("measure", 12.0);
     spec.replications = config.get_int_or("replications", 1);
+    if (spec.replications < 1) {
+      throw std::invalid_argument("replications= must be >= 1");
+    }
     spec.charisma = charisma_options_from(config);
     const auto protocol_list = protocols_from(config);
+    const int cells = config.get_int_or("cells", 1);
+    if (cells < 1) throw std::invalid_argument("cells= must be >= 1");
 
-    if (config.get_int_or("cells", 1) < 2) {
+    if (cells < 2) {
       for (const char* knob : {"outage", "flash", "diurnal"}) {
         if (config.contains(knob)) {
           std::cerr << "error: " << knob
@@ -532,7 +549,7 @@ int main(int argc, char** argv) {
       }
     }
 
-    if (config.get_int_or("cells", 1) >= 2) {
+    if (cells >= 2) {
       if (config.contains("sweep")) {
         std::cerr << "error: sweep= is not supported with cells >= 2 yet; "
                      "run one operating point per invocation\n";
@@ -565,10 +582,13 @@ int main(int argc, char** argv) {
       experiment::SweepConfig sweep;
       sweep.spec = spec;
       const std::string axis = config.get_string_or("sweep", "voice");
+      if (axis != "voice" && axis != "data") {
+        throw std::invalid_argument("sweep= must be voice or data");
+      }
       sweep.axis = axis == "data" ? experiment::SweepAxis::kDataUsers
                                   : experiment::SweepAxis::kVoiceUsers;
       sweep.x_values =
-          parse_int_list(config.get_string_or("x", "20,60,100,140"));
+          parse_int_list("x", config.get_string_or("x", "20,60,100,140"));
       sweep.protocols_to_run = protocol_list;
       experiment::WorkerPool pool;  // hardware threads
       for (const auto& cell : experiment::run_sweep(sweep, pool)) {
