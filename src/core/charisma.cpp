@@ -43,9 +43,14 @@ common::Time CharismaProtocol::process_frame() {
   return geom_.frame_duration;
 }
 
+channel::CsiEstimate& CharismaProtocol::cached_csi(std::uint32_t slot) {
+  if (slot >= csi_cache_.size()) csi_cache_.resize(users_.size());
+  return csi_cache_[slot];
+}
+
 void CharismaProtocol::release_finished_talkspurts() {
   for (auto it = reservations_.begin(); it != reservations_.end();) {
-    auto& u = user(it->first);
+    auto& u = at_slot(it->second.slot);
     if (!u.voice().in_talkspurt() && !u.voice().has_packet()) {
       pool_.remove(it->first);
       it = reservations_.erase(it);
@@ -59,10 +64,12 @@ void CharismaProtocol::generate_voice_auto_requests() {
   // "Additional requests will be automatically generated by the base
   // station periodically at 20 msec time intervals" (§4.3) — one request
   // per voice packet, so the reserved device never re-enters contention
-  // during the talkspurt.
+  // during the talkspurt. The walk follows reservations_' own iteration
+  // order, which fixes these requests' pool positions and so the Eq. (2)
+  // tie-break (DeepBacklogGolden pins it).
   for (auto& [uid, reservation] : reservations_) {
     if (now() + kTimeEps < reservation.next_request_at) continue;
-    auto& u = user(uid);
+    auto& u = at_slot(reservation.slot);
     if (!u.voice().has_packet()) continue;  // packet already expired
     if (pool_.contains(uid)) continue;      // previous request still queued
     mac::PendingRequest request;
@@ -74,9 +81,7 @@ void CharismaProtocol::generate_voice_auto_requests() {
     // The auto request carries no fresh pilots; it inherits the base
     // station's cached estimate and is a natural candidate for the §4.4
     // CSI poll.
-    auto cached = csi_cache_.find(uid);
-    request.csi = cached != csi_cache_.end() ? cached->second
-                                             : channel::CsiEstimate{};
+    request.csi = cached_csi(reservation.slot);
     pool_.push(request);
     reservation.next_request_at = u.voice().next_packet_at();
     reservation.requested_packet_at = u.voice().packet().generated_at;
@@ -88,7 +93,7 @@ void CharismaProtocol::on_user_detached(common::UserId id) {
   // this base station; the target cell learns the channel afresh.
   pool_.remove(id);
   reservations_.erase(id);
-  csi_cache_.erase(id);
+  cached_csi(slot_of(user(id))) = channel::CsiEstimate{};
 }
 
 void CharismaProtocol::on_user_attached([[maybe_unused]] common::UserId id) {
@@ -96,16 +101,17 @@ void CharismaProtocol::on_user_attached([[maybe_unused]] common::UserId id) {
   // CSI history from an earlier stay was dropped on detach/band-release.
   assert(!pool_.contains(id));
   assert(reservations_.find(id) == reservations_.end());
-  assert(csi_cache_.find(id) == csi_cache_.end());
+  assert([&] {
+    const std::uint32_t slot = slot_of(user(id));
+    return slot >= csi_cache_.size() || !csi_cache_[slot].valid();
+  }());
 }
 
 void CharismaProtocol::run_contention_phase() {
   candidates_.clear();
-  for (auto& u : users()) {
-    if (!u.present()) continue;
-    if (pool_.contains(u.id())) continue;
+  for_each_attached(pool_.members(), [this](mac::MobileUser& u) {
     if (u.is_voice()) {
-      if (!u.voice().has_packet()) continue;
+      if (!u.voice().has_packet()) return;
       const auto reservation = reservations_.find(u.id());
       if (reservation == reservations_.end()) {
         // New talkspurt: the first packet always goes through contention,
@@ -124,7 +130,7 @@ void CharismaProtocol::run_contention_phase() {
     } else if (u.data().backlog() > 0 && !barring_blocks(u)) {
       candidates_.push_back(u.id());
     }
-  }
+  });
 
   auto outcome = run_contention(candidates_, geom_.num_request_slots);
 
@@ -133,7 +139,7 @@ void CharismaProtocol::run_contention_phase() {
     // Request packets embed pilot symbols (Fig. 9a): the base station gets
     // a fresh CSI estimate with every successful request.
     const auto estimate = estimate_csi(u);
-    csi_cache_[uid] = estimate;
+    cached_csi(slot_of(u)) = estimate;
 
     mac::PendingRequest request;
     request.user = uid;
@@ -146,6 +152,7 @@ void CharismaProtocol::run_contention_phase() {
       // The successful request establishes (or refreshes) the talkspurt's
       // reservation: follow-up requests are generated by the base station.
       auto& reservation = reservations_[uid];
+      reservation.slot = slot_of(u);
       reservation.next_request_at = u.voice().next_packet_at();
       reservation.requested_packet_at = u.voice().packet().generated_at;
     } else {
@@ -181,9 +188,10 @@ void CharismaProtocol::refresh_backlog_csi() {
   touch_channels(polled_);
   for (std::size_t i = 0; i < polls; ++i) {
     auto& request = pool[stale_[i].position];
-    const auto estimate = estimate_csi(user(request.user));
+    auto& u = user(request.user);
+    const auto estimate = estimate_csi(u);
     request.csi = estimate;
-    csi_cache_[request.user] = estimate;
+    cached_csi(slot_of(u)) = estimate;
     ++metrics_.csi_polls;
     note_pilot_energy();  // the polled device transmits pilot symbols
   }

@@ -61,6 +61,9 @@ class CharismaProtocol : public mac::ProtocolEngine {
 
  private:
   struct Reservation {
+    /// The reserved user's storage slot (MobileUser at at_slot(slot)): the
+    /// per-frame reservation loops reach the user without a band search.
+    std::uint32_t slot = 0;
     /// When the base station auto-generates the next request (one voice
     /// period after the previous packet's request).
     common::Time next_request_at = 0.0;
@@ -73,6 +76,8 @@ class CharismaProtocol : public mac::ProtocolEngine {
   };
 
   void release_finished_talkspurts();
+  /// Pools one auto request per due reservation, in reservations_'
+  /// iteration order — see reservations_ for why that order is pinned.
   void generate_voice_auto_requests();
   void run_contention_phase();
   void refresh_backlog_csi();
@@ -101,9 +106,21 @@ class CharismaProtocol : public mac::ProtocolEngine {
   CharismaOptions options_;
   int poll_budget_;
   mac::RequestQueue pool_;  ///< pending requests awaiting allocation
+  /// Voice reservations by user id. The map's iteration order is the pool
+  /// order of the auto-generated requests (generate_voice_auto_requests
+  /// appends them as it walks the map), and pool position breaks ties
+  /// between the quantized Eq. (2) priorities (integer T_d, six modes). So
+  /// the container, its insert/erase sequence and its iteration order are
+  /// part of the results: DeepBacklogGolden pins them, and visiting the
+  /// reservations in id order instead changes the digests.
   std::unordered_map<common::UserId, Reservation> reservations_;
-  /// Base station's per-user CSI cache (last pilot observation).
-  std::unordered_map<common::UserId, channel::CsiEstimate> csi_cache_;
+  /// Base station's CSI cache (last pilot observation), indexed by the
+  /// user's storage slot; an entry that was never written, or was cleared
+  /// when its user detached, is the invalid default estimate.
+  std::vector<channel::CsiEstimate> csi_cache_;
+  /// The cache entry of the user at `slot`, growing the cache to the
+  /// engine's slot count on first use of a new slot.
+  channel::CsiEstimate& cached_csi(std::uint32_t slot);
   FairnessTracker fairness_;
   // Per-frame scratch, reused so the steady-state frame allocates nothing.
   std::vector<common::UserId> candidates_;

@@ -1,6 +1,8 @@
 #include "mac/engine.hpp"
 
 #include <algorithm>
+#include <cassert>
+#include <limits>
 #include <span>
 #include <stdexcept>
 
@@ -8,7 +10,17 @@ namespace charisma::mac {
 
 namespace {
 constexpr std::uint64_t kBaseStationStream = 0x4000'0000ULL;
+// The sources' own "event due" tolerance (VoiceSource/DataSource on_frame).
+constexpr double kTimeEps = 1e-9;
+
+bool id_before(const RosterEntry& e, common::UserId id) { return e.id < id; }
+
+/// The next instant the user's traffic source has anything to do.
+[[maybe_unused]] common::Time next_event_of(const MobileUser& u) {
+  return u.is_voice() ? u.voice().next_event_time()
+                      : u.data().next_event_time();
 }
+}  // namespace
 
 ProtocolEngine::ProtocolEngine(const ScenarioParams& params)
     : params_(params),
@@ -121,9 +133,37 @@ MobileUser& ProtocolEngine::band_admit(common::UserId id,
   MobileUser& ref = *users_[slot];
   if (materialize_traffic) {
     ref.ensure_traffic(params_);
-    ref.set_present(true);
+    mark_attached(ref);
   }
   return ref;
+}
+
+void ProtocolEngine::mark_attached(MobileUser& u) {
+  u.set_present(true);
+  const auto pos =
+      std::lower_bound(roster_.begin(), roster_.end(), u.id(), id_before);
+  roster_.insert(pos, RosterEntry{u.id(), slot_of(u),
+                                  -std::numeric_limits<double>::infinity()});
+}
+
+void ProtocolEngine::mark_detached(MobileUser& u) {
+  u.set_present(false);
+  roster_.erase(
+      std::lower_bound(roster_.begin(), roster_.end(), u.id(), id_before));
+}
+
+bool ProtocolEngine::roster_matches_band() const {
+  auto entry = roster_.begin();
+  for (const BandMember& m : band_) {
+    if (users_[m.slot]->present()) {
+      if (entry == roster_.end() || entry->id != m.id ||
+          entry->slot != m.slot) {
+        return false;
+      }
+      ++entry;
+    }
+  }
+  return entry == roster_.end();
 }
 
 void ProtocolEngine::band_release(common::UserId id) {
@@ -178,7 +218,7 @@ void ProtocolEngine::detach_user(common::UserId id) {
     metrics_.voice_dropped_handoff += u.drop_pending_voice();
   }
   ++metrics_.handoffs_out;
-  u.set_present(false);
+  mark_detached(u);
 }
 
 void ProtocolEngine::attach_user(common::UserId id) {
@@ -189,14 +229,14 @@ void ProtocolEngine::attach_user(common::UserId id) {
   // sources were already adopted from the previous cell (handoff
   // continuity wins over a fresh draw), so ensure_traffic only fills gaps.
   u.ensure_traffic(params_);
-  u.set_present(true);
+  mark_attached(u);
   on_user_attached(id);
 }
 
 void ProtocolEngine::attach_user_initial(common::UserId id) {
   auto& u = user(id);
   u.ensure_traffic(params_);
-  u.set_present(true);
+  if (!u.present()) mark_attached(u);
   on_user_attached(id);
 }
 
@@ -208,7 +248,7 @@ void ProtocolEngine::evict_user(common::UserId id) {
     metrics_.voice_dropped_outage += u.drop_pending_voice();
   }
   ++metrics_.outage_evictions;
-  u.set_present(false);
+  mark_detached(u);
 }
 
 common::Time ProtocolEngine::frame_tick() {
@@ -278,21 +318,42 @@ void ProtocolEngine::advance_world() {
   } else {
     bank_.advance_all_to(t);
   }
-  std::int64_t present = 0;
-  for (auto& u : users()) {
-    if (!u.present()) continue;
-    ++present;
+  assert(roster_matches_band());
+  // Only the attached users with a traffic event due: a talking voice
+  // source has one per voice period, a silent one per silence, a data
+  // source one per burst. Skipping the rest is exact — on_frame before
+  // the next event replays nothing and draws nothing.
+  for (RosterEntry& e : roster_) {
+    if (e.next_event > t + kTimeEps) {
+      assert(next_event_of(*users_[e.slot]) > t + kTimeEps);
+      continue;
+    }
+    MobileUser& u = *users_[e.slot];
     if (u.is_voice()) {
-      const auto update = u.voice().on_frame(t);
+      auto& source = u.voice();
+      const auto update = source.on_frame(t);
       metrics_.voice_generated += update.packets_generated;
       metrics_.voice_dropped_deadline += update.packets_expired;
+      e.next_event = source.next_event_time();
     } else {
-      const auto update = u.data().on_frame(t);
+      auto& source = u.data();
+      const auto update = source.on_frame(t);
       metrics_.data_generated += update.packets_arrived;
+      e.next_event = source.next_event_time();
     }
   }
-  metrics_.attached_user_frames += present;
-  if (barring_) barr_win_user_frames_ += present;
+  const auto attached = static_cast<std::int64_t>(roster_.size());
+  metrics_.attached_user_frames += attached;
+  if (barring_) barr_win_user_frames_ += attached;
+}
+
+void ProtocolEngine::release_finished_talkspurts(ReservationGrid& grid) {
+  for_each_attached([&grid](MobileUser& u) {
+    if (u.is_voice() && grid.has_reservation(u.id()) &&
+        !u.voice().in_talkspurt() && !u.voice().has_packet()) {
+      grid.release(u.id());
+    }
+  });
 }
 
 double ProtocolEngine::permission_prob(const MobileUser& u) const {

@@ -5,6 +5,12 @@
 // implement process_frame() with their access-control rules and return the
 // frame duration they consumed — constant for the static-frame protocols,
 // data-dependent for RMAV/DRMA — which sets when the next frame starts.
+//
+// Per-frame work is activity-indexed. The engine keeps a roster of its
+// attached users (a sparse band also holds neighbours' users it only
+// measures), advance_world calls only the traffic sources with an event
+// due, and every protocol scan walks the roster (for_each_attached). Both
+// are exact: results are bit-identical to visiting every band member.
 #pragma once
 
 #include <cstdint>
@@ -13,6 +19,7 @@
 #include <span>
 #include <string>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "channel/channel_bank.hpp"
@@ -24,6 +31,7 @@
 #include "mac/load_estimator.hpp"
 #include "mac/metrics.hpp"
 #include "mac/mobile_user.hpp"
+#include "mac/reservation.hpp"
 #include "mac/scenario.hpp"
 #include "phy/adaptive_phy.hpp"
 #include "phy/fixed_phy.hpp"
@@ -39,12 +47,24 @@ struct BandMember {
   std::uint32_t slot;
 };
 
+/// One attached user of an engine: its id, its storage slot, and the
+/// earliest time its traffic source has an event due (the source's
+/// next_event_time() as of advance_world's last visit; -inf after every
+/// attach, so the first frame always visits). The roster is kept sorted by
+/// id, so the per-frame scans over it keep the historical ascending-id
+/// order.
+struct RosterEntry {
+  common::UserId id;
+  std::uint32_t slot;
+  common::Time next_event;
+};
+
 class MobileUser;
 
 /// Range view over an engine's band-resident users in ascending user-id
 /// order — the sparse-presence replacement for the historical
-/// `std::vector<MobileUser>&` that users() returned. Protocols range-for
-/// it exactly as before; the indirection through slots is the only change.
+/// `std::vector<MobileUser>&` that users() returned, for tests and
+/// benchmarks. The frame loop walks the roster of attached users instead.
 class UserBand {
  public:
   class iterator {
@@ -146,6 +166,11 @@ class ProtocolEngine {
   /// Band membership, ascending by user id. slot is the user's storage /
   /// ChannelBank row index.
   const std::vector<BandMember>& band() const { return band_; }
+  /// The attached (present) band members, ascending by user id with their
+  /// slots: what every per-frame scan visits. Maintained by band_admit,
+  /// attach_user, attach_user_initial, detach_user and evict_user — the
+  /// only places a user's presence changes.
+  const std::vector<RosterEntry>& roster() const { return roster_; }
   std::size_t band_size() const { return band_.size(); }
   bool band_resident(common::UserId id) const;
 
@@ -193,8 +218,10 @@ class ProtocolEngine {
   common::Time now() const { return now_; }
   common::FrameIndex frame_index() const { return frame_index_; }
 
-  /// The band-resident users in ascending user-id order (historically: the
-  /// whole population).
+  /// Every band-resident user in ascending user-id order, attached or not
+  /// (historically: the whole population). The frame loop itself never
+  /// walks it — advance_world and the protocols' scans visit the roster of
+  /// attached users — so this is the tests' and benchmarks' view.
   UserBand users() { return {band_, users_}; }
   MobileUser& user(common::UserId id);
 
@@ -232,8 +259,48 @@ class ProtocolEngine {
   /// Advances channels and sources to the current frame boundary and
   /// accounts packet generation/expiry. With params.lazy_channel the
   /// channel side is an O(1) clock move (bank_.set_time); per-user state
-  /// materializes when the frame touches or reads it.
+  /// materializes when the frame touches or reads it. Traffic is
+  /// activity-indexed: only roster entries whose next event is due
+  /// (next_event <= now + 1e-9, the test on_frame itself makes) call
+  /// on_frame, since on_frame before that instant changes nothing. The
+  /// cached time can only be early, never late: the mutations a source
+  /// sees between frames (consume_packet, drop_pending_voice, push_front,
+  /// set_rate_scale) never move its next event earlier, and an early
+  /// visit is a no-op that refreshes the cache.
   void advance_world();
+
+  /// The band member stored at `slot` (a roster entry's or a protocol's
+  /// recorded slot): the O(1) alternative to user(id)'s search.
+  MobileUser& at_slot(std::uint32_t slot) { return *users_[slot]; }
+  /// A band member's storage slot, which is its ChannelBank row.
+  static std::uint32_t slot_of(const MobileUser& u) {
+    return static_cast<std::uint32_t>(u.channel().index());
+  }
+
+  /// The per-frame scan: calls `visit(MobileUser&)` for every attached
+  /// user in ascending id order, except the ids in `skip` — an ascending
+  /// id list such as RequestQueue::members() — which one merge-walk
+  /// passes over instead of a membership search per user. Neither the
+  /// roster nor `skip` may change during the walk.
+  template <typename Visit>
+  void for_each_attached(std::span<const common::UserId> skip,
+                         Visit&& visit) {
+    auto next_skip = skip.begin();
+    for (const RosterEntry& e : roster_) {
+      while (next_skip != skip.end() && *next_skip < e.id) ++next_skip;
+      if (next_skip != skip.end() && *next_skip == e.id) continue;
+      visit(*users_[e.slot]);
+    }
+  }
+  template <typename Visit>
+  void for_each_attached(Visit&& visit) {
+    for_each_attached({}, std::forward<Visit>(visit));
+  }
+
+  /// Ends the reservation of every attached voice user whose talkspurt is
+  /// over with no packet left to send (the grid-based baselines' per-frame
+  /// release; ascending id order).
+  void release_finished_talkspurts(ReservationGrid& grid);
 
   /// Declares the users this frame is about to read (slot owners, due
   /// lists, contention candidates, grant queues): a lazy bank
@@ -323,6 +390,7 @@ class ProtocolEngine {
   // dense population slot == id and band_ is the identity.
   std::vector<std::unique_ptr<MobileUser>> users_;
   std::vector<BandMember> band_;
+  std::vector<RosterEntry> roster_;  ///< attached band members, by id
   ProtocolMetrics metrics_;
   phy::FixedPhy fixed_phy_;
   phy::AdaptivePhy adaptive_phy_;
@@ -340,6 +408,13 @@ class ProtocolEngine {
   /// touch_channels' lazy path: translates each id through user(id)'s
   /// lookup into touch_slots_ and materializes those bank slots.
   void materialize_touched(std::span<const common::UserId> users);
+  /// The only presence transitions: flip the user's flag and enter it in
+  /// (or remove it from) the roster at its id's place.
+  void mark_attached(MobileUser& u);
+  void mark_detached(MobileUser& u);
+  /// Debug cross-check: the roster lists exactly the present band members,
+  /// in ascending id, with their slots.
+  bool roster_matches_band() const;
   /// Closes one barring control window: freeze the raw load signals, fold
   /// them into the estimator, step the controller, sample the factors.
   void barring_control_step();

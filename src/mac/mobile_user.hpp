@@ -87,7 +87,6 @@ class MobileUser {
   // so the attachment policy can measure their pilot.
 
   bool present() const { return present_; }
-  void set_present(bool present) { present_ = present; }
 
   /// Carries the user's service state into this cell on handoff: traffic
   /// sources (talkspurt phase, pending packets, data backlog — the
@@ -125,6 +124,11 @@ class MobileUser {
   }
 
  private:
+  // Presence changes only through the engine, which keeps its roster of
+  // attached users in step with this flag.
+  friend class ProtocolEngine;
+  void set_present(bool present) { present_ = present; }
+
   double backoff_scale_ = 1.0;
   bool present_ = true;
   common::UserId id_;

@@ -60,4 +60,18 @@ void RequestQueue::age_all() {
   for (auto& r : entries_) ++r.frames_waited;
 }
 
+void order_voice_first(std::span<const PendingRequest> queued,
+                       std::span<const PendingRequest> winners,
+                       std::vector<PendingRequest>& out) {
+  out.clear();
+  for (auto type : {RequestType::kVoice, RequestType::kData}) {
+    for (const auto& request : queued) {
+      if (request.type == type) out.push_back(request);
+    }
+    for (const auto& request : winners) {
+      if (request.type == type) out.push_back(request);
+    }
+  }
+}
+
 }  // namespace charisma::mac

@@ -7,9 +7,11 @@
 //
 // Each user has at most one queued request — a device that already holds
 // one never contends again until it is served or purged — and push()
-// enforces it. The queue indexes its members by user id, so the
-// per-frame "already queued?" test every protocol runs for each present
-// user is a binary search rather than a scan of the whole backlog.
+// enforces it. The queue indexes its members by user id (members(),
+// ascending): the per-frame contention scans skip queued users with one
+// merge-walk of that index against the engine's id-sorted roster, and a
+// single "already queued?" test (contains()) is a binary search rather
+// than a scan of the whole backlog.
 #pragma once
 
 #include <span>
@@ -54,6 +56,10 @@ class RequestQueue {
   /// Whether the user has a queued request: O(log size).
   bool contains(common::UserId user) const;
 
+  /// The queued users in ascending id order: a read-only view of the
+  /// membership index, valid until the next push/remove/purge/clear.
+  std::span<const common::UserId> members() const { return members_; }
+
   /// Removes the given user's request (after full service or expiry); a
   /// user with no queued request is a no-op.
   void remove(common::UserId user);
@@ -74,5 +80,15 @@ class RequestQueue {
   std::vector<PendingRequest> entries_;  ///< FIFO order
   std::vector<common::UserId> members_;  ///< entries_' users, ascending
 };
+
+/// The baselines' FCFS service order: `queued` then `winners`, voice
+/// requests before any data request (voice outranks data in every protocol
+/// of the study, paper §1) and FCFS within each class — a stable
+/// voice-first partition of [queued, winners]. Replaces `out`'s contents,
+/// so callers reuse one buffer and the steady-state serve path allocates
+/// nothing.
+void order_voice_first(std::span<const PendingRequest> queued,
+                       std::span<const PendingRequest> winners,
+                       std::vector<PendingRequest>& out);
 
 }  // namespace charisma::mac

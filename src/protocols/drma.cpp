@@ -8,7 +8,17 @@ namespace charisma::protocols {
 
 namespace {
 constexpr double kInf = std::numeric_limits<double>::infinity();
+
+void insert_sorted(std::vector<common::UserId>& ids, common::UserId id) {
+  ids.insert(std::lower_bound(ids.begin(), ids.end(), id), id);
 }
+
+void erase_sorted(std::vector<common::UserId>& ids, common::UserId id) {
+  const auto at = std::lower_bound(ids.begin(), ids.end(), id);
+  assert(at != ids.end() && *at == id);
+  ids.erase(at);
+}
+}  // namespace
 
 DrmaProtocol::DrmaProtocol(const mac::ScenarioParams& params,
                            DrmaOptions options)
@@ -28,13 +38,7 @@ void DrmaProtocol::on_user_attached([[maybe_unused]] common::UserId id) {
 }
 
 common::Time DrmaProtocol::process_frame() {
-  // Release reservations of finished talkspurts.
-  for (auto& u : users()) {
-    if (u.is_voice() && grid_.has_reservation(u.id()) &&
-        !u.voice().in_talkspurt() && !u.voice().has_packet()) {
-      grid_.release(u.id());
-    }
-  }
+  release_finished_talkspurts(grid_);
   queue_.purge_expired_voice(now());
 
   const int phase =
@@ -44,9 +48,8 @@ common::Time DrmaProtocol::process_frame() {
   // Requests awaiting service: yesterday's queue first (with-queue mode),
   // then winners of this frame's conversions as they happen.
   pending_.assign(queue_.entries().begin(), queue_.entries().end());
+  engaged_.assign(queue_.members().begin(), queue_.members().end());
   queue_.clear();
-  engaged_.clear();
-  for (const auto& r : pending_) engaged_.insert(r.user);
 
   // Touch set: reservation holders of this phase plus the queued users a
   // free slot may serve; conversion contenders are covered by
@@ -73,7 +76,7 @@ common::Time DrmaProtocol::process_frame() {
       const bool dead = r.type == mac::RequestType::kVoice
                             ? !u.voice().has_packet()
                             : u.data().backlog() == 0;
-      if (dead) engaged_.erase(r.user);
+      if (dead) erase_sorted(engaged_, r.user);
       return dead;
     });
 
@@ -94,7 +97,7 @@ common::Time DrmaProtocol::process_frame() {
         // The served slot position becomes the talkspurt's reservation.
         grid_.reserve_at(phase, slot, request.user);
         transmit_voice_fixed(u);
-        engaged_.erase(request.user);
+        erase_sorted(engaged_, request.user);
       } else {
         // One information slot per successful data request (§3.3): the
         // device contends again for the rest of its burst. (Persisting data
@@ -103,7 +106,7 @@ common::Time DrmaProtocol::process_frame() {
         // voice talkspurts need — the queue stores only requests that got
         // *no* slot, per §4.5.)
         transmit_data_fixed(u);
-        engaged_.erase(request.user);
+        erase_sorted(engaged_, request.user);
       }
       continue;
     }
@@ -111,9 +114,7 @@ common::Time DrmaProtocol::process_frame() {
     // Free slot with nothing to serve: convert it into N_x request
     // minislots.
     candidates_.clear();
-    for (auto& u : users()) {
-      if (!u.present()) continue;
-      if (engaged_.count(u.id())) continue;
+    for_each_attached(engaged_, [this](mac::MobileUser& u) {
       if (u.is_voice()) {
         if (!grid_.has_reservation(u.id()) && u.voice().in_talkspurt() &&
             u.voice().has_packet() && !barring_blocks(u)) {
@@ -122,7 +123,7 @@ common::Time DrmaProtocol::process_frame() {
       } else if (u.data().backlog() > 0 && !barring_blocks(u)) {
         candidates_.push_back(u.id());
       }
-    }
+    });
     if (candidates_.empty()) continue;  // slot stays idle
 
     auto outcome =
@@ -142,7 +143,7 @@ common::Time DrmaProtocol::process_frame() {
       }
       request.acked_at = now();
       pending_.push_back(request);
-      engaged_.insert(uid);
+      insert_sorted(engaged_, uid);
     }
   }
 

@@ -10,7 +10,6 @@
 #pragma once
 
 #include <string>
-#include <unordered_set>
 #include <vector>
 
 #include "mac/engine.hpp"
@@ -52,7 +51,9 @@ class DrmaProtocol : public mac::ProtocolEngine {
   // Per-frame scratch, cleared and refilled every frame but kept across
   // frames so a quiet frame allocates nothing.
   std::vector<mac::PendingRequest> pending_;  ///< requests awaiting a slot
-  std::unordered_set<common::UserId> engaged_;  ///< queued or won this frame
+  /// pending_'s users, ascending: queued or won this frame, so skipped by
+  /// the conversion scans.
+  std::vector<common::UserId> engaged_;
   std::vector<common::UserId> touched_;
   std::vector<common::UserId> candidates_;
 };

@@ -2,7 +2,6 @@
 
 #include <cassert>
 #include <limits>
-#include <vector>
 
 namespace charisma::protocols {
 
@@ -26,15 +25,6 @@ void DtdmaProtocol::on_user_attached([[maybe_unused]] common::UserId id) {
   // A (re-)attaching user must arrive clean of earlier-stay state.
   assert(!grid_.has_reservation(id));
   assert(!queue_.contains(id));
-}
-
-void DtdmaProtocol::release_finished_talkspurts() {
-  for (auto& u : users()) {
-    if (u.is_voice() && grid_.has_reservation(u.id()) &&
-        !u.voice().in_talkspurt() && !u.voice().has_packet()) {
-      grid_.release(u.id());
-    }
-  }
 }
 
 void DtdmaProtocol::transmit_voice(mac::MobileUser& u) {
@@ -92,7 +82,7 @@ bool DtdmaProtocol::serve_request(const mac::PendingRequest& request,
 }
 
 common::Time DtdmaProtocol::process_frame() {
-  release_finished_talkspurts();
+  release_finished_talkspurts(grid_);
   queue_.purge_expired_voice(now());
 
   const int phase =
@@ -109,30 +99,25 @@ common::Time DtdmaProtocol::process_frame() {
   }
   int free_slots = geom_.num_info_slots - static_cast<int>(due.size());
 
-  // 2. Request phase: N_r contention minislots.
-  std::vector<common::UserId> candidates;
-  for (auto& u : users()) {
-    if (!u.present()) continue;
-    if (queue_.contains(u.id())) continue;
+  // 2. Request phase: N_r contention minislots; queued users wait.
+  candidates_.clear();
+  for_each_attached(queue_.members(), [this](mac::MobileUser& u) {
     if (u.is_voice()) {
       if (!grid_.has_reservation(u.id()) && u.voice().in_talkspurt() &&
           u.voice().has_packet() && !barring_blocks(u)) {
-        candidates.push_back(u.id());
+        candidates_.push_back(u.id());
       }
     } else if (u.data().backlog() > 0 && !barring_blocks(u)) {
-      candidates.push_back(u.id());
+      candidates_.push_back(u.id());
     }
-  }
-  auto outcome = run_contention(candidates, geom_.num_request_slots);
+  });
+  auto outcome = run_contention(candidates_, geom_.num_request_slots);
 
   // 3. FCFS service: queued requests first (oldest), then this frame's
   //    winners in minislot order. Unserved requests stay queued only in
   //    the with-queue configuration (§4.5). Voice outranks data in every
   //    protocol of the study (paper §1): serve all voice requests before
-  //    any data request, FCFS within each class — the class-by-class
-  //    two-pass build below reproduces a stable voice-first partition of
-  //    [queue entries, winners] in reused member scratch, so the
-  //    steady-state serve path allocates nothing.
+  //    any data request, FCFS within each class.
   winner_scratch_.clear();
   for (common::UserId uid : outcome.winners) {
     mac::PendingRequest request;
@@ -150,15 +135,7 @@ common::Time DtdmaProtocol::process_frame() {
     request.acked_at = now();
     winner_scratch_.push_back(request);
   }
-  serve_scratch_.clear();
-  for (auto type : {mac::RequestType::kVoice, mac::RequestType::kData}) {
-    for (const auto& request : queue_.entries()) {
-      if (request.type == type) serve_scratch_.push_back(request);
-    }
-    for (const auto& request : winner_scratch_) {
-      if (request.type == type) serve_scratch_.push_back(request);
-    }
-  }
+  mac::order_voice_first(queue_.entries(), winner_scratch_, serve_scratch_);
   queue_.clear();
   for (auto& request : serve_scratch_) {
     const bool finished = serve_request(request, phase, free_slots);

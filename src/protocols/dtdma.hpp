@@ -42,7 +42,6 @@ class DtdmaProtocol : public mac::ProtocolEngine {
   }
 
  private:
-  void release_finished_talkspurts();
   /// Serves one request (voice: reserve + transmit; data: leftover slots).
   /// Returns true when the request is finished (served or dead) and must
   /// not be re-queued.
@@ -54,6 +53,7 @@ class DtdmaProtocol : public mac::ProtocolEngine {
   PhyVariant variant_;
   mac::ReservationGrid grid_;
   mac::RequestQueue queue_;
+  std::vector<common::UserId> candidates_;  ///< this frame's contenders
   // Reused across frames so the steady-state serve path (queued requests +
   // this frame's winners, voice first) allocates nothing — the frame_alloc
   // pin drives a retransmitting data queue through here.

@@ -1,7 +1,6 @@
 #include "protocols/prma.hpp"
 
 #include <cassert>
-#include <vector>
 
 namespace charisma::protocols {
 
@@ -19,13 +18,7 @@ void PrmaProtocol::on_user_attached([[maybe_unused]] common::UserId id) {
 }
 
 common::Time PrmaProtocol::process_frame() {
-  // Release reservations of finished talkspurts.
-  for (auto& u : users()) {
-    if (u.is_voice() && grid_.has_reservation(u.id()) &&
-        !u.voice().in_talkspurt() && !u.voice().has_packet()) {
-      grid_.release(u.id());
-    }
-  }
+  release_finished_talkspurts(grid_);
 
   const int phase =
       static_cast<int>(frame_index() % geom_.frames_per_voice_period);
@@ -33,12 +26,12 @@ common::Time PrmaProtocol::process_frame() {
 
   // Touch set: this phase's reservation holders transmit unconditionally;
   // direct-transmission winners are sparse and materialize on read.
-  std::vector<common::UserId> owners;
+  owners_.clear();
   for (int slot = 0; slot < options_.info_slots; ++slot) {
     const common::UserId owner = grid_.user_at(phase, slot);
-    if (owner != common::kNoUser) owners.push_back(owner);
+    if (owner != common::kNoUser) owners_.push_back(owner);
   }
-  touch_channels(owners);
+  touch_channels(owners_);
 
   mac::ContentionTally tally;
   for (int slot = 0; slot < options_.info_slots; ++slot) {
@@ -49,34 +42,32 @@ common::Time PrmaProtocol::process_frame() {
     }
 
     // Available slot: contenders transmit their packet directly.
-    std::vector<common::UserId> transmitters;
-    for (auto& u : users()) {
-      if (!u.present()) continue;
+    transmitters_.clear();
+    for_each_attached([this](mac::MobileUser& u) {
       const bool active = u.is_voice()
                               ? (!grid_.has_reservation(u.id()) &&
                                  u.voice().in_talkspurt() &&
                                  u.voice().has_packet())
                               : u.data().backlog() > 0;
-      if (!active) continue;
-      if (barring_blocks(u)) continue;
+      if (!active || barring_blocks(u)) return;
       if (u.rng().bernoulli(permission_prob(u) * u.backoff_scale())) {
-        transmitters.push_back(u.id());
+        transmitters_.push_back(u.id());
       }
-    }
+    });
     ++tally.minislots;
-    tally.transmissions += static_cast<int>(transmitters.size());
+    tally.transmissions += static_cast<int>(transmitters_.size());
 
-    if (transmitters.empty()) {
+    if (transmitters_.empty()) {
       ++tally.idle;
       continue;
     }
-    if (transmitters.size() > 1) {
+    if (transmitters_.size() > 1) {
       // Collision: a whole information slot is burned, every transmitted
       // packet is lost from the air (it stays queued at the device).
       ++tally.collisions;
-      note_request_energy(static_cast<int>(transmitters.size()),
+      note_request_energy(static_cast<int>(transmitters_.size()),
                           geom_.slot_symbols, /*useful=*/0);
-      for (common::UserId id : transmitters) {
+      for (common::UserId id : transmitters_) {
         user(id).note_contention_collision();
       }
       continue;
@@ -84,7 +75,7 @@ common::Time PrmaProtocol::process_frame() {
 
     // Exactly one transmitter: the packet itself went over the air.
     ++tally.successes;
-    auto& winner = user(transmitters.front());
+    auto& winner = user(transmitters_.front());
     winner.note_contention_success();
     if (winner.is_voice()) {
       // The slot position becomes the talkspurt's reservation.

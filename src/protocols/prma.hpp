@@ -12,6 +12,7 @@
 #pragma once
 
 #include <string>
+#include <vector>
 
 #include "mac/engine.hpp"
 #include "mac/reservation.hpp"
@@ -40,6 +41,10 @@ class PrmaProtocol : public mac::ProtocolEngine {
  private:
   PrmaOptions options_;
   mac::ReservationGrid grid_;
+  // Per-frame scratch, reused so an active frame does not allocate it anew:
+  // this phase's reservation holders, and one free slot's transmitters.
+  std::vector<common::UserId> owners_;
+  std::vector<common::UserId> transmitters_;
 };
 
 }  // namespace charisma::protocols

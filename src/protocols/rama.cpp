@@ -1,9 +1,7 @@
 #include "protocols/rama.hpp"
 
 #include <cassert>
-#include <algorithm>
 #include <limits>
-#include <vector>
 
 namespace charisma::protocols {
 
@@ -29,15 +27,6 @@ void RamaProtocol::on_user_attached([[maybe_unused]] common::UserId id) {
   assert(!queue_.contains(id));
 }
 
-void RamaProtocol::release_finished_talkspurts() {
-  for (auto& u : users()) {
-    if (u.is_voice() && grid_.has_reservation(u.id()) &&
-        !u.voice().in_talkspurt() && !u.voice().has_packet()) {
-      grid_.release(u.id());
-    }
-  }
-}
-
 bool RamaProtocol::serve_request(const mac::PendingRequest& request, int phase,
                                  int& free_slots) {
   auto& u = user(request.user);
@@ -61,7 +50,7 @@ bool RamaProtocol::serve_request(const mac::PendingRequest& request, int phase,
 }
 
 common::Time RamaProtocol::process_frame() {
-  release_finished_talkspurts();
+  release_finished_talkspurts(grid_);
   queue_.purge_expired_voice(now());
 
   const int phase =
@@ -81,29 +70,24 @@ common::Time RamaProtocol::process_frame() {
   // The auction: every active device without a queued request
   // participates (no permission probability — the bidding process is the
   // arbitration). Each auction slot resolves one winner; voice IDs
-  // dominate data IDs.
-  std::vector<common::UserId> voice_contenders;
-  std::vector<common::UserId> data_contenders;
-  for (auto& u : users()) {
-    if (!u.present()) continue;
-    if (queue_.contains(u.id())) continue;
+  // dominate data IDs. The contender lists stay in ascending id order: the
+  // auction indexes them with a shared bs_rng_ draw.
+  voice_contenders_.clear();
+  data_contenders_.clear();
+  for_each_attached(queue_.members(), [this](mac::MobileUser& u) {
     if (u.is_voice()) {
       // RAMA has no permission probability, so the barring gate is the
       // only admission control in front of the auction.
       if (!grid_.has_reservation(u.id()) && u.voice().in_talkspurt() &&
           u.voice().has_packet() && !barring_blocks(u)) {
-        voice_contenders.push_back(u.id());
+        voice_contenders_.push_back(u.id());
       }
     } else if (u.data().backlog() > 0 && !barring_blocks(u)) {
-      data_contenders.push_back(u.id());
+      data_contenders_.push_back(u.id());
     }
-  }
+  });
 
-  // Queued requests go first (FCFS).
-  std::vector<mac::PendingRequest> to_serve(queue_.entries().begin(),
-                                            queue_.entries().end());
-  queue_.clear();
-
+  winners_.clear();
   mac::ContentionTally tally;
   tally.minislots = options_.auction_slots;
   // An auction slot spans ~3 minislots of digit rounds; every remaining
@@ -111,15 +95,15 @@ common::Time RamaProtocol::process_frame() {
   const double auction_symbols = 3.0 * geom_.minislot_symbols;
   for (int a = 0; a < options_.auction_slots; ++a) {
     std::vector<common::UserId>* pool =
-        !voice_contenders.empty() ? &voice_contenders
-        : !data_contenders.empty() ? &data_contenders
-                                   : nullptr;
+        !voice_contenders_.empty() ? &voice_contenders_
+        : !data_contenders_.empty() ? &data_contenders_
+                                    : nullptr;
     if (pool == nullptr) {
       ++tally.idle;
       continue;
     }
-    const int bidders = static_cast<int>(voice_contenders.size() +
-                                         data_contenders.size());
+    const int bidders = static_cast<int>(voice_contenders_.size() +
+                                         data_contenders_.size());
     note_request_energy(bidders, auction_symbols, /*useful=*/1);
     tally.transmissions += bidders;
     if (options_.id_collision_prob > 0.0 &&
@@ -147,17 +131,16 @@ common::Time RamaProtocol::process_frame() {
       request.packets_requested = u.data().backlog();
     }
     request.acked_at = now();
-    to_serve.push_back(request);
+    winners_.push_back(request);
   }
   note_contention(tally);
 
-  // Voice outranks data (paper §1): serve all voice requests before any
-  // data request, FCFS within each class.
-  std::stable_partition(to_serve.begin(), to_serve.end(),
-                        [](const mac::PendingRequest& r) {
-                          return r.type == mac::RequestType::kVoice;
-                        });
-  for (auto& request : to_serve) {
+  // Queued requests go first (FCFS), then the auction winners. Voice
+  // outranks data (paper §1): serve all voice requests before any data
+  // request, FCFS within each class.
+  mac::order_voice_first(queue_.entries(), winners_, to_serve_);
+  queue_.clear();
+  for (auto& request : to_serve_) {
     const bool finished = serve_request(request, phase, free_slots);
     if (!finished && params_.request_queue) {
       ++request.frames_waited;

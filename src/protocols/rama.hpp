@@ -9,6 +9,7 @@
 #pragma once
 
 #include <string>
+#include <vector>
 
 #include "mac/engine.hpp"
 #include "mac/request_queue.hpp"
@@ -43,7 +44,6 @@ class RamaProtocol : public mac::ProtocolEngine {
   }
 
  private:
-  void release_finished_talkspurts();
   /// Serves an auction winner / queued request; true when finished.
   bool serve_request(const mac::PendingRequest& request, int phase,
                      int& free_slots);
@@ -51,6 +51,11 @@ class RamaProtocol : public mac::ProtocolEngine {
   RamaOptions options_;
   mac::ReservationGrid grid_;
   mac::RequestQueue queue_;
+  // Per-frame scratch, reused so an active frame does not allocate it anew.
+  std::vector<common::UserId> voice_contenders_;
+  std::vector<common::UserId> data_contenders_;
+  std::vector<mac::PendingRequest> winners_;   ///< this frame's auction wins
+  std::vector<mac::PendingRequest> to_serve_;  ///< voice-first service order
 };
 
 }  // namespace charisma::protocols

@@ -47,19 +47,18 @@ common::Time RmavProtocol::process_frame() {
   grants_.clear();
 
   // The single competitive slot at the frame's tail.
-  std::vector<common::UserId> candidates;
-  for (auto& u : users()) {
-    if (!u.present()) continue;
+  candidates_.clear();
+  for_each_attached([this](mac::MobileUser& u) {
     if (u.is_voice()) {
       if (u.voice().has_packet() && !barring_blocks(u)) {
-        candidates.push_back(u.id());
+        candidates_.push_back(u.id());
       }
     } else if (u.data().backlog() > 0 && !barring_blocks(u)) {
-      candidates.push_back(u.id());
+      candidates_.push_back(u.id());
     }
-  }
+  });
   auto outcome = mac::run_request_phase(
-      candidates, 1,
+      candidates_, 1,
       [this](common::UserId id) {
         return options_.permission_prob * user(id).backoff_scale();
       },
@@ -87,7 +86,7 @@ common::Time RmavProtocol::process_frame() {
   // last slot" of the frame). A fully idle system hops at the nominal
   // frame cadence, which changes nothing observable (nobody is waiting)
   // but avoids spinning on micro-frames.
-  if (served_slots == 0 && candidates.empty()) {
+  if (served_slots == 0 && candidates_.empty()) {
     return geom_.frame_duration;
   }
   return static_cast<double>(served_slots + 1) * geom_.slot_duration();

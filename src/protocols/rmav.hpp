@@ -48,6 +48,8 @@ class RmavProtocol : public mac::ProtocolEngine {
  private:
   RmavOptions options_;
   std::vector<common::UserId> grants_;  ///< winners to serve this frame
+  /// The competitive slot's contenders, reused across frames.
+  std::vector<common::UserId> candidates_;
 };
 
 }  // namespace charisma::protocols

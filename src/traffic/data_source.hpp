@@ -51,6 +51,11 @@ class DataSource {
   /// frame boundaries).
   FrameUpdate on_frame(common::Time now);
 
+  /// When the next burst arrives: on_frame(t) with t + 1e-9 <
+  /// next_event_time() adds nothing. Only on_frame moves it, and only
+  /// later (push_front and set_rate_scale leave it alone).
+  common::Time next_event_time() const { return next_burst_at_; }
+
   int backlog() const { return static_cast<int>(queue_.size()); }
   bool empty() const { return queue_.empty(); }
 

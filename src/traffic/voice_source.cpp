@@ -44,6 +44,13 @@ void VoiceSource::set_rate_scale(double scale) {
   rate_scale_ = scale;
 }
 
+common::Time VoiceSource::next_event_time() const {
+  if (!initialized_) return -kInf;
+  const common::Time expiry_t = pending_ ? pending_->deadline : kInf;
+  const common::Time packet_t = talkspurt_ ? next_packet_at_ : kInf;
+  return std::min({expiry_t, state_until_, packet_t});
+}
+
 VoiceSource::FrameUpdate VoiceSource::on_frame(common::Time now) {
   FrameUpdate update;
   ensure_initialized(now);

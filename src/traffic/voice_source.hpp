@@ -63,6 +63,15 @@ class VoiceSource {
   /// When the next packet will be emitted if the talkspurt persists.
   common::Time next_packet_at() const { return next_packet_at_; }
 
+  /// The earliest instant on_frame has anything to replay: the minimum of
+  /// the pending packet's deadline, the next state toggle and (while
+  /// talking) the next emission — the bound on_frame's own replay loop
+  /// stops at. -inf before the first on_frame call, which draws the initial
+  /// silence. on_frame(t) with t + 1e-9 < next_event_time() changes nothing
+  /// and returns an all-zero update; consume_packet and set_rate_scale can
+  /// only move the next event later, never earlier.
+  common::Time next_event_time() const;
+
   /// Removes the pending packet (it was transmitted — successfully or not;
   /// voice has no link-layer retransmission).
   void consume_packet() { pending_.reset(); }

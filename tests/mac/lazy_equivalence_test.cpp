@@ -100,6 +100,48 @@ TEST(LazyEquivalence, PartialBandWorldThreadInvariantPerProtocol) {
   }
 }
 
+TEST(LazyEquivalence, MaterializationCountsPinnedPerProtocol) {
+  // A lazy path depends on when each user's channel is read: a frame scan
+  // that reads one more (or one fewer) channel changes that user's whole
+  // later path, and so every result — while the thread-count invariance
+  // above still holds. These exact counters on the partial-band world turn
+  // such a read-set change into a failure. A refactor of the per-frame
+  // scans must reproduce them unchanged; an intentional change to what a
+  // frame reads regenerates them.
+  struct Pin {
+    protocols::ProtocolId id;
+    std::int64_t users_advanced_frames;
+    std::int64_t users_skipped_frames;
+    std::int64_t voice_generated;
+    std::int64_t voice_delivered;
+    std::int64_t data_delivered;
+    std::int64_t request_successes;
+    std::int64_t handoffs;
+  };
+  const Pin pins[] = {
+      {protocols::ProtocolId::kCharisma, 2240, 12237, 217, 161, 233, 14, 4},
+      {protocols::ProtocolId::kDtdmaVr, 2351, 12132, 217, 153, 289, 14, 4},
+      {protocols::ProtocolId::kDrma, 2392, 12083, 217, 155, 199, 2158, 4},
+      {protocols::ProtocolId::kRama, 2695, 11780, 217, 155, 251, 15, 4},
+      {protocols::ProtocolId::kDtdmaFr, 2353, 12130, 217, 155, 318, 14, 4},
+      {protocols::ProtocolId::kRmav, 2325, 12130, 217, 153, 361, 596, 4},
+      {protocols::ProtocolId::kPrma, 2474, 12001, 217, 155, 372, 1249, 4},
+  };
+  for (const Pin& pin : pins) {
+    SCOPED_TRACE(protocols::protocol_name(pin.id));
+    CellularWorld world(lazy_band_config(1), factory_for(pin.id));
+    world.run(0.3, 1.0);
+    const auto m = world.aggregate_metrics();
+    EXPECT_EQ(m.users_advanced_frames, pin.users_advanced_frames);
+    EXPECT_EQ(m.users_skipped_frames, pin.users_skipped_frames);
+    EXPECT_EQ(m.voice_generated, pin.voice_generated);
+    EXPECT_EQ(m.voice_delivered, pin.voice_delivered);
+    EXPECT_EQ(m.data_delivered, pin.data_delivered);
+    EXPECT_EQ(m.request_successes, pin.request_successes);
+    EXPECT_EQ(world.handoffs(), pin.handoffs);
+  }
+}
+
 TEST(LazyEquivalence, LazyWorldSerialVsParallel) {
   // Thread-count invariance survives lazy materialization: the per-cell
   // banks stay share-nothing and each user's innovation stream is private,

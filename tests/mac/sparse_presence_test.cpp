@@ -310,6 +310,41 @@ TEST(SparsePresencePartialBand, SerialAndParallelBitIdentical) {
   }
 }
 
+TEST(SparsePresencePartialBand, RosterIsThePresentBandMembersEveryEpoch) {
+  // Every per-frame scan walks an engine's roster of attached users, not
+  // its band. Across band churn, handoffs and the outage's forced
+  // evictions, each engine's roster must list exactly its present band
+  // members — ascending id, with their storage slots — after every epoch.
+  for (const auto id :
+       {protocols::ProtocolId::kCharisma, protocols::ProtocolId::kDrma}) {
+    SCOPED_TRACE(std::string("protocol ") + protocols::protocol_name(id));
+    const auto cfg = pin_config(/*threads=*/1, /*band_radius_m=*/700.0);
+    CellularWorld world(cfg, factory_for(id));
+    for (int epoch = 0; epoch < 60; ++epoch) {  // [0, 1.2): outage [0.5, 0.9)
+      SCOPED_TRACE("epoch " + std::to_string(epoch));
+      world.advance(cfg.decision_interval);
+      for (int c = 0; c < world.num_cells(); ++c) {
+        SCOPED_TRACE("cell " + std::to_string(c));
+        auto& engine = world.cell(c);
+        std::vector<BandMember> present;
+        for (const BandMember& m : engine.band()) {
+          if (engine.user(m.id).present()) present.push_back(m);
+        }
+        const auto& roster = engine.roster();
+        ASSERT_EQ(roster.size(), present.size());
+        for (std::size_t i = 0; i < roster.size(); ++i) {
+          ASSERT_EQ(roster[i].id, present[i].id);
+          ASSERT_EQ(roster[i].slot, present[i].slot);
+        }
+      }
+    }
+    // Not vacuous: users handed off, and the dark cell evicted some.
+    const auto m = world.aggregate_metrics();
+    EXPECT_GT(m.handoffs_out, 0);
+    EXPECT_GT(m.outage_evictions, 0);
+  }
+}
+
 TEST(SparsePresenceFaultInjection, OutageEvictsAcrossBandsWithoutLeaks) {
   // Fault injection against the band lifecycle: two staggered outages
   // force evictions while bands churn — users get thrown onto neighbours

@@ -3,6 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <random>
+#include <string>
+#include <vector>
 
 #include "common/rng.hpp"
 
@@ -154,6 +158,63 @@ TEST(DataSource, BurstsAreAtLeastOnePacket) {
     packets += u.packets_arrived;
   }
   EXPECT_GE(packets, bursts);
+}
+
+// ---- The next-event contract the engine's activity index relies on ----
+
+TEST(DataSource, FramesBeforeTheNextBurstChangeNothing) {
+  // The engine calls on_frame(t) only once t + 1e-9 >= next_event_time();
+  // every earlier call must add nothing and leave the source as it was.
+  // Service (pop_head) happens between frames, as in the engine. Grids:
+  // fixed 2.5 ms frames and irregular RMAV/DRMA-like ones.
+  for (std::uint64_t seed : {3u, 17u, 29u, 101u}) {
+    for (bool irregular : {false, true}) {
+      SCOPED_TRACE("seed " + std::to_string(seed) +
+                   (irregular ? " irregular" : " 2.5 ms"));
+      DataSource src(test_config(), common::RngStream(seed));
+      std::mt19937_64 gen(seed);
+      std::uniform_real_distribution<double> gap(0.3e-3, 6e-3);
+      long quiet = 0, due = 0;
+      for (double t = 0.0; t < 60.0; t += irregular ? gap(gen) : kFrame) {
+        const double next = src.next_event_time();
+        const int backlog = src.backlog();
+        const auto update = src.on_frame(t);
+        if (t + 1e-9 < next) {
+          ++quiet;
+          ASSERT_EQ(update.bursts_arrived, 0);
+          ASSERT_EQ(update.packets_arrived, 0);
+          ASSERT_EQ(src.backlog(), backlog);
+          ASSERT_EQ(src.next_event_time(), next);
+        } else {
+          ++due;
+          ASSERT_GT(update.bursts_arrived, 0);
+          ASSERT_GT(src.next_event_time(), t + 1e-9);
+        }
+        if (!src.empty() && gen() % 2 == 0) src.pop_head();
+      }
+      EXPECT_GT(quiet, 100 * due);
+      EXPECT_GT(due, 20);
+    }
+  }
+}
+
+TEST(DataSource, OutsideMutationsNeverMoveTheNextBurstEarlier) {
+  // ARQ returns failed packets to the queue head and the world rescales
+  // the burst rate between frames: neither may touch the next arrival the
+  // engine cached.
+  for (std::uint64_t seed : {5u, 6u, 7u}) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    DataSource src(test_config(), common::RngStream(seed));
+    const std::vector<common::Time> failed(3, 0.0);
+    for (long i = 0; i < 24000; ++i) {
+      src.on_frame(static_cast<double>(i) * kFrame);
+      const double before = src.next_event_time();
+      src.push_front(failed);
+      ASSERT_GE(src.next_event_time(), before);
+      src.set_rate_scale(i % 2 == 0 ? 4.0 : 0.25);
+      ASSERT_GE(src.next_event_time(), before);
+    }
+  }
 }
 
 }  // namespace

@@ -3,6 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <limits>
+#include <random>
+#include <string>
 
 #include "common/rng.hpp"
 
@@ -219,6 +223,85 @@ TEST(VoiceSource, LongGapBetweenCallsReplaysEverything) {
   // Same RNG stream, same state machine: identical totals.
   EXPECT_EQ(gen_a, gen_b);
   EXPECT_EQ(exp_a, exp_b);
+}
+
+// ---- The next-event contract the engine's activity index relies on ----
+
+/// The gap to the next frame start: the static protocols' fixed 2.5 ms
+/// frame, or an irregular one like RMAV's and DRMA's load-dependent frames.
+double next_frame_gap(bool irregular, std::mt19937_64& gen) {
+  if (!irregular) return kFrame;
+  return std::uniform_real_distribution<double>(0.3e-3, 6e-3)(gen);
+}
+
+TEST(VoiceSource, NextEventTimeIsMinusInfinityBeforeTheFirstFrame) {
+  VoiceSource src(test_config(), common::RngStream(1));
+  EXPECT_EQ(src.next_event_time(), -std::numeric_limits<double>::infinity());
+  src.on_frame(0.0);  // draws the initial silence
+  EXPECT_GT(src.next_event_time(), 0.0);
+}
+
+TEST(VoiceSource, FramesBeforeTheNextEventChangeNothing) {
+  // The engine calls on_frame(t) only once t + 1e-9 >= next_event_time().
+  // That is exact only if every earlier call is a no-op: an all-zero update
+  // and no visible state change. Transmissions (consume_packet) happen
+  // between frames, as in the engine.
+  for (std::uint64_t seed : {3u, 17u, 29u, 101u}) {
+    for (bool irregular : {false, true}) {
+      SCOPED_TRACE("seed " + std::to_string(seed) +
+                   (irregular ? " irregular" : " 2.5 ms"));
+      VoiceSource src(test_config(), common::RngStream(seed));
+      std::mt19937_64 gen(seed);
+      long quiet = 0, due = 0;
+      for (double t = 0.0; t < 60.0; t += next_frame_gap(irregular, gen)) {
+        const double next = src.next_event_time();
+        const bool had_packet = src.has_packet();
+        const bool talking = src.in_talkspurt();
+        const double next_packet = src.next_packet_at();
+        const auto update = src.on_frame(t);
+        if (t + 1e-9 < next) {
+          ++quiet;
+          ASSERT_FALSE(update.talkspurt_started);
+          ASSERT_EQ(update.packets_generated, 0);
+          ASSERT_EQ(update.packets_expired, 0);
+          ASSERT_EQ(src.has_packet(), had_packet);
+          ASSERT_EQ(src.in_talkspurt(), talking);
+          ASSERT_EQ(src.next_packet_at(), next_packet);
+          ASSERT_EQ(src.next_event_time(), next);
+        } else {
+          ++due;
+        }
+        if (src.has_packet() && gen() % 2 == 0) src.consume_packet();
+      }
+      // Not vacuous: most frames are quiet, and events do fall due.
+      EXPECT_GT(quiet, due);
+      EXPECT_GT(due, 100);
+    }
+  }
+}
+
+TEST(VoiceSource, OutsideMutationsNeverMoveTheNextEventEarlier) {
+  // Between two frames the engine's world may transmit or drop the pending
+  // packet and rescale the call rate. None of them may pull the next event
+  // before the time the engine cached, or a skipped frame would miss it.
+  for (std::uint64_t seed : {5u, 6u, 7u}) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    VoiceSource src(test_config(), common::RngStream(seed));
+    long consumed = 0;
+    for (long i = 0; i < 24000; ++i) {
+      src.on_frame(static_cast<double>(i) * kFrame);
+      double before = src.next_event_time();
+      if (src.has_packet() && i % 3 == 0) {
+        src.consume_packet();
+        ++consumed;
+        ASSERT_GE(src.next_event_time(), before);
+        before = src.next_event_time();
+      }
+      src.set_rate_scale(i % 2 == 0 ? 4.0 : 0.25);
+      ASSERT_GE(src.next_event_time(), before);
+    }
+    EXPECT_GT(consumed, 100);
+  }
 }
 
 }  // namespace
