@@ -149,7 +149,7 @@ MemoryProbe probe_memory(const mac::CellularConfig& cfg,
   mac::CellularWorld world(cfg, [&](const mac::ScenarioParams& p) {
     return protocols::make_protocol(protocol, p);
   });
-  world.run(0.0, 2.0 * cfg.decision_interval);
+  world.run(0.0, 2.0 * mac::CellularWorld::kDecisionInterval);
   MemoryProbe probe;
   probe.rss_bytes = bench::current_rss_bytes() - before;
   probe.users = cfg.params.num_voice_users + cfg.params.num_data_users;
@@ -249,7 +249,7 @@ int main() {
       points.push_back(point);
 
       const double epochs =
-          (warmup_s + measure_s) / cfg.decision_interval;
+          (warmup_s + measure_s) / mac::CellularWorld::kDecisionInterval;
       table.add_row({common::TextTable::num(cells, 0),
                      common::TextTable::num(threads, 0),
                      common::TextTable::num(point.wall_s, 4),

@@ -15,28 +15,16 @@ using Time = double;
 /// Frequency in hertz.
 using Hertz = double;
 
-inline constexpr Time seconds(double s) { return s; }
-inline constexpr Time milliseconds(double ms) { return ms * 1e-3; }
-inline constexpr Time microseconds(double us) { return us * 1e-6; }
-
-inline constexpr double to_milliseconds(Time t) { return t * 1e3; }
-inline constexpr double to_microseconds(Time t) { return t * 1e6; }
-
-inline constexpr Hertz hertz(double hz) { return hz; }
-inline constexpr Hertz kilohertz(double khz) { return khz * 1e3; }
-
 /// Speed in metres per second.
 using Speed = double;
 
 inline constexpr Speed km_per_hour(double kmh) { return kmh / 3.6; }
-inline constexpr double to_km_per_hour(Speed v) { return v * 3.6; }
 
 /// Speed of light, m/s.
 inline constexpr double kSpeedOfLight = 2.99792458e8;
 
-/// Frame/slot indices. 64-bit so multi-hour simulations cannot wrap.
+/// Frame index. 64-bit so multi-hour simulations cannot wrap.
 using FrameIndex = std::int64_t;
-using SlotIndex = std::int32_t;
 
 /// Identifier of a mobile device. Dense, assigned from 0.
 using UserId = std::int32_t;

@@ -3,12 +3,10 @@
 #include <cassert>
 #include <algorithm>
 #include <cmath>
-#include <limits>
 
 namespace charisma::core {
 
 namespace {
-constexpr double kInf = std::numeric_limits<double>::infinity();
 constexpr double kTimeEps = 1e-9;
 }  // namespace
 
@@ -141,24 +139,15 @@ void CharismaProtocol::run_contention_phase() {
     const auto estimate = estimate_csi(u);
     cached_csi(slot_of(u)) = estimate;
 
-    mac::PendingRequest request;
-    request.user = uid;
-    request.acked_at = now();
+    mac::PendingRequest request = acked_request(u);
     request.csi = estimate;
     if (u.is_voice()) {
-      request.type = mac::RequestType::kVoice;
-      request.packets_requested = 1;
-      request.deadline = u.voice().packet().deadline;
       // The successful request establishes (or refreshes) the talkspurt's
       // reservation: follow-up requests are generated by the base station.
       auto& reservation = reservations_[uid];
       reservation.slot = slot_of(u);
       reservation.next_request_at = u.voice().next_packet_at();
       reservation.requested_packet_at = u.voice().packet().generated_at;
-    } else {
-      request.type = mac::RequestType::kData;
-      request.packets_requested = u.data().backlog();
-      request.deadline = kInf;
     }
     pool_.push(request);
   }
@@ -249,13 +238,9 @@ void CharismaProtocol::allocate_and_transmit() {
       completed_.push_back(request.user);
     } else {
       const int per_slot = adaptive_phy_.packets_per_slot(*mode);
-      int max_slots = slots_left;
-      if (options_.max_slots_per_data_request > 0) {
-        max_slots = std::min(max_slots, options_.max_slots_per_data_request);
-      }
       const int needed = static_cast<int>(
           std::ceil(static_cast<double>(u.data().backlog()) / per_slot));
-      const int grant = std::min(max_slots, needed);
+      const int grant = std::min(slots_left, needed);
       if (grant <= 0) {
         completed_.push_back(request.user);
         continue;

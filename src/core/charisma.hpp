@@ -32,10 +32,6 @@ struct CharismaOptions {
   /// (bench_ablation_csi_refresh).
   bool enable_csi_refresh = true;
 
-  /// Cap on information slots one data request may take per frame
-  /// (<= 0 = no cap beyond the frame itself).
-  int max_slots_per_data_request = 0;
-
   /// Future-work extension (§6 / [22]).
   FairnessMode fairness = FairnessMode::kNone;
 };

@@ -17,6 +17,12 @@ constexpr std::uint64_t kMobilityStream = 0x8000'0000ULL;
 constexpr std::uint64_t kCellSeedStream = 0x9000'0000ULL;
 constexpr double kTimeEps = 1e-9;
 constexpr double kLn10 = 2.302585092994046;
+// The closed-form path loss's K and K/2 (see the constructor) and its
+// squared clamp distance.
+constexpr double kPathLossK = 10.0 * CellularWorld::kPathLossExponent / kLn10;
+constexpr double kPathLossHalfK = 0.5 * kPathLossK;
+constexpr double kMinDistanceSqM2 =
+    CellularWorld::kMinDistanceM * CellularWorld::kMinDistanceM;
 /// Pilot level of a dark cell: far below any real link budget, so neither
 /// the hysteresis rule nor the initial argmax ever selects it.
 constexpr double kDarkPilotDb = -1.0e9;
@@ -66,11 +72,10 @@ CellularWorld::CellularWorld(const CellularConfig& config,
     ScenarioParams cell_params = config_.params;
     cell_params.seed = common::derive_seed(
         config_.params.seed, kCellSeedStream + static_cast<std::uint64_t>(c));
-    if (config_.shadow_decorrelation_m > 0.0 &&
-        config_.mobility.speed_mps > 0.0) {
+    if (config_.mobility.speed_mps > 0.0) {
       // Shadowing decorrelates over distance travelled, not wall time.
       cell_params.channel.shadow_tau =
-          config_.shadow_decorrelation_m / config_.mobility.speed_mps;
+          kShadowDecorrelationM / config_.mobility.speed_mps;
     }
     // Engines start empty; the world admits each cell's pilot band below
     // (update_bands), so per-cell state scales with band occupancy.
@@ -81,18 +86,14 @@ CellularWorld::CellularWorld(const CellularConfig& config,
     }
     cells_.push_back(std::move(engine));
   }
-  pilot_alpha_ =
-      1.0 - std::exp(-config_.decision_interval / config_.pilot_filter_tau);
+  pilot_alpha_ = 1.0 - std::exp(-kDecisionInterval / kPilotFilterTau);
 
   // Hoist the path-loss log10 into the per-site closed form
   //   db(d) = C - (K/2) * ln(max(d, d_min)²)
   // with C = mean_db + K * ln(d0) and K = 10 n / ln 10. Squared distances
   // feed the ln directly, so the epoch plane pays neither sqrt nor log10.
-  const double k = 10.0 * config_.path_loss_exponent / kLn10;
-  path_loss_half_k_ = 0.5 * k;
   path_loss_c_db_ = config_.params.channel.mean_snr_db +
-                    k * std::log(config_.reference_distance_m);
-  min_distance_sq_m2_ = config_.min_distance_m * config_.min_distance_m;
+                    kPathLossK * std::log(kReferenceDistanceM);
 
   unsigned threads = config_.num_threads == 0
                          ? std::thread::hardware_concurrency()
@@ -109,9 +110,7 @@ CellularWorld::CellularWorld(const CellularConfig& config,
   // workers would only be woken twice per epoch to claim nothing.
   threads = std::min(
       threads, std::max(static_cast<unsigned>(config_.num_cells), num_shards_));
-  if (threads > 1) {
-    pool_ = std::make_unique<experiment::WorkerPool>(threads);
-  }
+  pool_ = std::make_unique<experiment::WorkerPool>(threads);
 
   const auto users = static_cast<std::size_t>(config_.params.total_users());
   site_index_.rebuild(layout_, config_.pilot_band_radius_m);
@@ -159,27 +158,12 @@ std::vector<int> CellularWorld::band_cells(common::UserId user) const {
   return out;
 }
 
-void CellularWorld::for_each_user_shard(
-    const std::function<void(std::size_t, std::size_t, std::size_t)>& fn) {
-  const std::size_t users = attached_.size();
-  if (pool_) {
-    pool_->for_each_range(users, num_shards_, fn);
-  } else {
-    // Same decomposition formula as WorkerPool::for_each_range, so the
-    // shard boundaries — and with them the proposal arenas — never depend
-    // on whether a pool exists.
-    const std::size_t shards = std::min<std::size_t>(num_shards_, users);
-    for (std::size_t s = 0; s < shards; ++s) {
-      fn(s, s * users / shards, (s + 1) * users / shards);
-    }
-  }
-}
-
 void CellularWorld::advance_mobility(common::Time t) {
   // Phase A (sharded): walk every trajectory draw-free, suspending
   // random-waypoint arrivals with their exact walk state.
-  for_each_user_shard([this, t](std::size_t s, std::size_t begin,
-                                std::size_t end) {
+  pool_->for_each_range(attached_.size(), num_shards_,
+                        [this, t](std::size_t s, std::size_t begin,
+                                  std::size_t end) {
     auto& arena = shard_arenas_[s];
     arena.suspended.clear();
     mobility_.advance_span(t, static_cast<int>(begin), static_cast<int>(end),
@@ -196,9 +180,10 @@ void CellularWorld::advance_mobility(common::Time t) {
 }
 
 void CellularWorld::propose_bands(bool include_attached) {
-  for_each_user_shard([this, include_attached](std::size_t s,
-                                               std::size_t begin,
-                                               std::size_t end) {
+  pool_->for_each_range(attached_.size(), num_shards_,
+                        [this, include_attached](std::size_t s,
+                                                 std::size_t begin,
+                                                 std::size_t end) {
     auto& arena = shard_arenas_[s];
     arena.band_cells.clear();
     arena.band_offsets.clear();
@@ -306,16 +291,8 @@ void CellularWorld::update_outage_flags(common::Time t) {
 }
 
 double CellularWorld::mean_snr_at_distance_db(double d_m) const {
-  const double d_sq = std::max(d_m * d_m, min_distance_sq_m2_);
-  return path_loss_c_db_ - path_loss_half_k_ * std::log(d_sq);
-}
-
-void CellularWorld::for_each_cell(const std::function<void(std::size_t)>& fn) {
-  if (pool_) {
-    pool_->for_each(cells_.size(), fn);
-  } else {
-    for (std::size_t c = 0; c < cells_.size(); ++c) fn(c);
-  }
+  const double d_sq = std::max(d_m * d_m, kMinDistanceSqM2);
+  return path_loss_c_db_ - kPathLossHalfK * std::log(d_sq);
 }
 
 void CellularWorld::update_cell_snr_plane(int c) {
@@ -343,16 +320,16 @@ void CellularWorld::update_cell_snr_plane(int c) {
   for (const BandMember& m : band) {
     const Vec2 pos = mobility_.position(static_cast<int>(m.id));
     const double d_sq =
-        std::max(layout_.distance_sq(pos, c), min_distance_sq_m2_);
-    row[m.slot] = path_loss_c_db_ - path_loss_half_k_ * std::log(d_sq);
+        std::max(layout_.distance_sq(pos, c), kMinDistanceSqM2);
+    row[m.slot] = path_loss_c_db_ - kPathLossHalfK * std::log(d_sq);
     if (interf) {
       double inr = 0.0;
       for (const int s : interferers) {
         const double load = cell_load_[static_cast<std::size_t>(s)];
         if (load <= 0.0) continue;
         const double ds =
-            std::max(layout_.distance_sq(pos, s), min_distance_sq_m2_);
-        const double db = path_loss_c_db_ - path_loss_half_k_ * std::log(ds);
+            std::max(layout_.distance_sq(pos, s), kMinDistanceSqM2);
+        const double db = path_loss_c_db_ - kPathLossHalfK * std::log(ds);
         inr += load * common::from_db(db);
       }
       irow[m.slot] = common::to_db(1.0 + inr);
@@ -378,7 +355,7 @@ void CellularWorld::update_cell_snr_plane(int c) {
 }
 
 void CellularWorld::update_snr_planes() {
-  for_each_cell([this](std::size_t c) {
+  pool_->for_each(cells_.size(), [this](std::size_t c) {
     update_cell_snr_plane(static_cast<int>(c));
   });
 }
@@ -507,8 +484,9 @@ void CellularWorld::decide_attachments() {
   // will later mutate (engines, attached_, attach_counts_) feeds another
   // user's same-epoch decision, so deferring the moves to the coordinator
   // replay is bit-equivalent to the historical interleaved execution.
-  for_each_user_shard([this](std::size_t s, std::size_t begin,
-                             std::size_t end) {
+  pool_->for_each_range(attached_.size(), num_shards_,
+                        [this](std::size_t s, std::size_t begin,
+                               std::size_t end) {
     auto& arena = shard_arenas_[s];
     arena.moves.clear();
     AttachMove move;
@@ -528,47 +506,35 @@ void CellularWorld::apply_attachment_moves() {
   const std::size_t shards =
       std::min<std::size_t>(num_shards_, attached_.size());
   for (std::size_t s = 0; s < shards; ++s) {
-    for (const AttachMove& m : shard_arenas_[s].moves) {
-      const int from = attached_[static_cast<std::size_t>(m.user)];
-      if (m.evict) {
-        evict(static_cast<common::UserId>(m.user), from, m.to);
-      } else {
-        handoff(static_cast<common::UserId>(m.user), from, m.to);
-      }
-    }
+    for (const AttachMove& m : shard_arenas_[s].moves) move_user(m);
   }
 }
 
-void CellularWorld::handoff(common::UserId user, int from, int to) {
-  auto& source = *cells_[static_cast<std::size_t>(from)];
-  auto& target = *cells_[static_cast<std::size_t>(to)];
+void CellularWorld::move_user(const AttachMove& move) {
+  const auto user = static_cast<common::UserId>(move.user);
+  const auto u = static_cast<std::size_t>(move.user);
+  const auto from = static_cast<std::size_t>(attached_[u]);
+  const auto to = static_cast<std::size_t>(move.to);
+  auto& source = *cells_[from];
+  auto& target = *cells_[to];
   // Carry the service state over, then drop what cannot survive the break:
   // the in-flight voice packet dies in transit (counted by the source cell
-  // as voice_dropped_handoff); the data backlog rides along.
+  // as voice_dropped_handoff, or voice_dropped_outage for an eviction);
+  // the data backlog rides along. The target counts handoffs_in either
+  // way, so world-wide: sum(handoffs_in) == sum(handoffs_out) +
+  // sum(outage_evictions).
   target.user(user).adopt_service_state(source.user(user));
   target.user(user).drop_pending_voice();
-  source.detach_user(user);
+  if (move.evict) {
+    source.evict_user(user);
+  } else {
+    source.detach_user(user);
+    ++handoffs_;
+  }
   target.attach_user(user);
-  attached_[static_cast<std::size_t>(user)] = to;
-  --attach_counts_[static_cast<std::size_t>(from)];
-  ++attach_counts_[static_cast<std::size_t>(to)];
-  ++handoffs_;
-}
-
-void CellularWorld::evict(common::UserId user, int from, int to) {
-  // Same state carry as a handoff, but the source books the move as an
-  // outage eviction (in-flight voice -> voice_dropped_outage, not a
-  // hysteresis handoff). The target side still counts handoffs_in, so
-  // world-wide: sum(handoffs_in) == sum(handoffs_out) + sum(evictions).
-  auto& source = *cells_[static_cast<std::size_t>(from)];
-  auto& target = *cells_[static_cast<std::size_t>(to)];
-  target.user(user).adopt_service_state(source.user(user));
-  target.user(user).drop_pending_voice();
-  source.evict_user(user);
-  target.attach_user(user);
-  attached_[static_cast<std::size_t>(user)] = to;
-  --attach_counts_[static_cast<std::size_t>(from)];
-  ++attach_counts_[static_cast<std::size_t>(to)];
+  attached_[u] = move.to;
+  --attach_counts_[from];
+  ++attach_counts_[to];
 }
 
 void CellularWorld::apply_traffic_modulation(common::Time t) {
@@ -577,8 +543,9 @@ void CellularWorld::apply_traffic_modulation(common::Time t) {
   }
   // Sharded: each user's rescale touches only its own sources (a pure
   // member write), and the engine lookup is a read-only binary search.
-  for_each_user_shard([this, t](std::size_t, std::size_t begin,
-                                std::size_t end) {
+  pool_->for_each_range(attached_.size(), num_shards_,
+                        [this, t](std::size_t, std::size_t begin,
+                                  std::size_t end) {
     for (std::size_t u = begin; u < end; ++u) {
       const Vec2 pos = mobility_.position(static_cast<int>(u));
       const double scale =
@@ -597,7 +564,7 @@ void CellularWorld::apply_traffic_modulation(common::Time t) {
 void CellularWorld::run_window(common::Time duration) {
   common::Time remaining = duration;
   while (remaining > kTimeEps) {
-    const common::Time dt = std::min(config_.decision_interval, remaining);
+    const common::Time dt = std::min(kDecisionInterval, remaining);
     // Epoch structure: the world plane — mobility, band rosters, pilot
     // blending, the attachment rule — is computed in parallel over
     // contiguous user-id shards that emit proposals; the coordinator
@@ -654,7 +621,8 @@ void CellularWorld::run_window(common::Time duration) {
     }
     {
       PhaseTimer timer(timings_.cell_plane_s);
-      for_each_cell([this, dt](std::size_t c) { cells_[c]->advance_by(dt); });
+      pool_->for_each(cells_.size(),
+                      [this, dt](std::size_t c) { cells_[c]->advance_by(dt); });
     }
     ++timings_.epochs;
     now_ += dt;

@@ -90,7 +90,8 @@ struct CellularConfig {
   /// engine instantiates all of it); `params.seed` roots the world — cells
   /// derive decorrelated sub-seeds so the same user fades independently on
   /// each cell's link. `params.channel.mean_snr_db` is re-interpreted as
-  /// the link budget at `reference_distance_m` from a base station.
+  /// the link budget at CellularWorld::kReferenceDistanceM from a base
+  /// station.
   ScenarioParams params{};
 
   MobilityConfig mobility{};
@@ -137,24 +138,6 @@ struct CellularConfig {
 
   /// Attachment policy (mac::strongest_with_hysteresis inputs).
   double handoff_hysteresis_db = 4.0;
-  /// Pilot low-pass filter time constant (s) — suppresses fading-rate
-  /// ping-pong.
-  common::Time pilot_filter_tau = 0.2;
-  /// Mobility/attachment decision cadence (s).
-  common::Time decision_interval = 20e-3;
-
-  // ---- Distance -> mean SNR (log-distance path loss) ----
-  double path_loss_exponent = 3.5;
-  double reference_distance_m = 200.0;
-  /// Distances clamp here so a user standing on a site keeps a finite SNR.
-  double min_distance_m = 10.0;
-
-  /// Shadowing decorrelation *distance* (Gudmundson): when > 0 and users
-  /// move, each cell's shadow_tau is derived as distance / speed, so slow
-  /// users see slowly evolving shadowing and vehicular users churn through
-  /// it — which is what makes the handoff rate speed-dependent. 0 keeps
-  /// params.channel.shadow_tau as configured.
-  double shadow_decorrelation_m = 25.0;
 
   /// Cell-outage fault schedule. While a cell is dark its pilot reads the
   /// sentinel floor (nobody attaches), its attached users are force-evicted
@@ -178,9 +161,6 @@ struct CellularConfig {
            layout.valid() && pilot_band_radius_m >= 0.0 &&
            interference_activity >= 0.0 &&
            interference_activity <= 1.0 && handoff_hysteresis_db >= 0.0 &&
-           pilot_filter_tau > 0.0 && decision_interval > 0.0 &&
-           path_loss_exponent > 0.0 && reference_distance_m > 0.0 &&
-           min_distance_m > 0.0 && shadow_decorrelation_m >= 0.0 &&
            modulation.valid();
   }
 };
@@ -193,6 +173,25 @@ using EngineFactory =
 
 class CellularWorld {
  public:
+  /// Mobility/attachment decision cadence (s): one epoch.
+  static constexpr common::Time kDecisionInterval = 20e-3;
+  /// Pilot low-pass filter time constant (s) — suppresses fading-rate
+  /// ping-pong.
+  static constexpr common::Time kPilotFilterTau = 0.2;
+
+  // ---- Distance -> mean SNR (log-distance path loss) ----
+  static constexpr double kPathLossExponent = 3.5;
+  static constexpr double kReferenceDistanceM = 200.0;
+  /// Distances clamp here so a user standing on a site keeps a finite SNR.
+  static constexpr double kMinDistanceM = 10.0;
+
+  /// Shadowing decorrelation *distance* (Gudmundson): when users move,
+  /// each cell's shadow_tau is derived as distance / speed, so slow users
+  /// see slowly evolving shadowing and vehicular users churn through it —
+  /// which is what makes the handoff rate speed-dependent. A static
+  /// population keeps params.channel.shadow_tau as configured.
+  static constexpr double kShadowDecorrelationM = 25.0;
+
   CellularWorld(const CellularConfig& config, const EngineFactory& factory);
 
   /// Runs `warmup` seconds (all metrics then reset, handoff counter
@@ -241,7 +240,7 @@ class CellularWorld {
   }
   const MobilityModel& mobility() const { return mobility_; }
   common::Time now() const { return now_; }
-  unsigned thread_count() const { return pool_ ? pool_->thread_count() : 1; }
+  unsigned thread_count() const { return pool_->thread_count(); }
   /// Resolved coordinator shard count (num_shards after the 0 = auto and
   /// population clamps).
   unsigned shard_count() const { return num_shards_; }
@@ -264,8 +263,8 @@ class CellularWorld {
     return !dark_.empty() && dark_[static_cast<std::size_t>(c)] != 0;
   }
   /// Number of users currently attached to cell `c` — an O(1) read of the
-  /// per-cell counter maintained by initialize_attachments / handoff /
-  /// evict (debug builds reconcile it against the full scan).
+  /// per-cell counter maintained by initialize_attachments and move_user
+  /// (debug builds reconcile it against the full scan).
   int attached_count(int c) const;
 
   /// Cells whose pilot band currently contains `user`, ascending — test
@@ -314,13 +313,6 @@ class CellularWorld {
     /// SiteIndex query dedup scratch (the thread-safe overload).
     std::vector<char> mark_scratch;
   };
-
-  /// Runs fn(shard, begin, end) over the contiguous user-id ranges of the
-  /// resolved shard decomposition — on the pool when configured, inline
-  /// otherwise. The decomposition depends only on (users, num_shards_),
-  /// never on the thread count.
-  void for_each_user_shard(
-      const std::function<void(std::size_t, std::size_t, std::size_t)>& fn);
 
   /// Sharded mobility step to absolute time `t`: phase A advances every
   /// shard's trajectories draw-free (suspending random-waypoint arrivals),
@@ -380,25 +372,24 @@ class CellularWorld {
   /// One user's blend + decision; returns true when a move is proposed.
   bool decide_user(int u, ShardArena& arena, AttachMove& move);
   /// Coordinator replay of the proposed moves in ascending user-id order:
-  /// executes handoff/evict so every engine mutation (and RNG draw) lands
+  /// executes each move_user so every engine mutation (and RNG draw) lands
   /// in the serial order.
   void apply_attachment_moves();
-  void handoff(common::UserId user, int from, int to);
+  /// Executes one move: the target adopts the user's service state (the
+  /// in-flight voice packet dies in transit; the data backlog rides
+  /// along), the source releases the user, and the target attaches it. An
+  /// ordinary move is a hysteresis handoff; an outage eviction (`evict`)
+  /// is booked by the source as such (in-flight voice ->
+  /// voice_dropped_outage) and not counted in handoffs().
+  void move_user(const AttachMove& move);
   /// True when the outage schedule darkens cell `c` at time `t`.
   bool is_dark(int c, common::Time t) const;
   /// Rolls the per-epoch dark flags forward to epoch-start time `t`
   /// (prev_dark_ keeps the previous epoch's flags for the recovery reset).
   void update_outage_flags(common::Time t);
-  /// Forced move off a dark cell: like handoff, but counted as an outage
-  /// eviction (voice in flight -> voice_dropped_outage) and exempt from
-  /// hysteresis.
-  void evict(common::UserId user, int from, int to);
   /// Rescales every user's traffic sources from the modulation config and
   /// its current position (coordinator step; no-op for kNone).
   void apply_traffic_modulation(common::Time t);
-  /// Runs fn(c) for every cell — on the pool when configured, inline
-  /// otherwise.
-  void for_each_cell(const std::function<void(std::size_t)>& fn);
   void run_window(common::Time duration);
 
   CellularConfig config_;
@@ -406,7 +397,9 @@ class CellularWorld {
   SiteLayout layout_;
   SiteIndex site_index_;
   MobilityModel mobility_;
-  std::unique_ptr<experiment::WorkerPool> pool_;  ///< null when serial
+  /// Steps cells and user shards; a one-thread pool runs every round
+  /// inline on the caller.
+  std::unique_ptr<experiment::WorkerPool> pool_;
   std::vector<int> attached_;          ///< per-user cell index
   /// Per-user band residencies, ascending by cell — the sparse
   /// replacement for the dense users×cells filtered-pilot plane.
@@ -440,8 +433,6 @@ class CellularWorld {
   // reference-distance log10 folded into C, so the per-(user, cell) epoch
   // cost is one ln of the squared distance — no sqrt, no division-by-d0.
   double path_loss_c_db_ = 0.0;
-  double path_loss_half_k_ = 0.0;
-  double min_distance_sq_m2_ = 0.0;
   unsigned num_shards_ = 1;
   EpochTimings timings_;
   std::int64_t handoffs_ = 0;

@@ -211,14 +211,7 @@ void ProtocolEngine::advance_by(common::Time duration) {
 }
 
 void ProtocolEngine::detach_user(common::UserId id) {
-  auto& u = user(id);
-  if (!u.present()) return;
-  on_user_detached(id);
-  if (u.is_voice()) {
-    metrics_.voice_dropped_handoff += u.drop_pending_voice();
-  }
-  ++metrics_.handoffs_out;
-  mark_detached(u);
+  remove_user(id, metrics_.voice_dropped_handoff, metrics_.handoffs_out);
 }
 
 void ProtocolEngine::attach_user(common::UserId id) {
@@ -241,13 +234,17 @@ void ProtocolEngine::attach_user_initial(common::UserId id) {
 }
 
 void ProtocolEngine::evict_user(common::UserId id) {
+  remove_user(id, metrics_.voice_dropped_outage, metrics_.outage_evictions);
+}
+
+void ProtocolEngine::remove_user(common::UserId id,
+                                 std::int64_t& voice_dropped,
+                                 std::int64_t& removals) {
   auto& u = user(id);
   if (!u.present()) return;
   on_user_detached(id);
-  if (u.is_voice()) {
-    metrics_.voice_dropped_outage += u.drop_pending_voice();
-  }
-  ++metrics_.outage_evictions;
+  if (u.is_voice()) voice_dropped += u.drop_pending_voice();
+  ++removals;
   mark_detached(u);
 }
 
@@ -373,9 +370,24 @@ bool ProtocolEngine::barring_blocks(MobileUser& u) {
   return true;
 }
 
+PendingRequest ProtocolEngine::acked_request(const MobileUser& u) const {
+  PendingRequest request;
+  request.user = u.id();
+  if (u.is_voice()) {
+    request.type = RequestType::kVoice;
+    request.deadline = u.voice().packet().deadline;
+    request.packets_requested = 1;
+  } else {
+    request.type = RequestType::kData;
+    request.deadline = std::numeric_limits<double>::infinity();
+    request.packets_requested = u.data().backlog();
+  }
+  request.acked_at = now_;
+  return request;
+}
+
 ContentionOutcome ProtocolEngine::run_contention(
-    const std::vector<common::UserId>& candidates, int minislots,
-    int symbols_per_request) {
+    const std::vector<common::UserId>& candidates, int minislots) {
   // Contenders are this frame's dense read set (winners get CSI estimates,
   // CHARISMA ranks them by channel): one batched materialization beats the
   // scattered on-read jumps a lazy bank would otherwise pay.
@@ -404,19 +416,20 @@ ContentionOutcome ProtocolEngine::run_contention(
     });
   }
 
+  settle_contention(outcome, geom_.minislot_symbols);
+  return outcome;
+}
+
+void ProtocolEngine::settle_contention(const ContentionOutcome& outcome,
+                                       double symbols_per_request) {
   for (common::UserId id : outcome.transmitted) {
     user(id).note_contention_collision();
   }
   for (common::UserId id : outcome.winners) {
     user(id).note_contention_success();
   }
-
-  const double symbols = symbols_per_request > 0
-                             ? symbols_per_request
-                             : geom_.minislot_symbols;
-  note_request_energy(outcome.tally.transmissions, symbols,
+  note_request_energy(outcome.tally.transmissions, symbols_per_request,
                       static_cast<int>(outcome.winners.size()));
-  return outcome;
 }
 
 double ProtocolEngine::burst_energy(double symbols) const {

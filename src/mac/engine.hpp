@@ -5,6 +5,9 @@
 // implement process_frame() with their access-control rules and return the
 // frame duration they consumed — constant for the static-frame protocols,
 // data-dependent for RMAV/DRMA — which sets when the next frame starts.
+// The request cycle the protocols share (the contention entry test, the
+// contention phase and its settlement, the request a winner's ACK opens,
+// FCFS service of the queue) is written once here.
 //
 // Per-frame work is activity-indexed. The engine keeps a roster of its
 // attached users (a sparse band also holds neighbours' users it only
@@ -31,6 +34,7 @@
 #include "mac/load_estimator.hpp"
 #include "mac/metrics.hpp"
 #include "mac/mobile_user.hpp"
+#include "mac/request_queue.hpp"
 #include "mac/reservation.hpp"
 #include "mac/scenario.hpp"
 #include "phy/adaptive_phy.hpp"
@@ -318,6 +322,12 @@ class ProtocolEngine {
   /// This user's permission probability (paper §2, p_v / p_d).
   double permission_prob(const MobileUser& u) const;
 
+  /// The reservation phase of the current frame: a reserved voice user
+  /// owns one slot in every frames_per_voice_period-th frame.
+  int voice_phase() const {
+    return static_cast<int>(frame_index_ % geom_.frames_per_voice_period);
+  }
+
   /// Access-class barring gate at contention entry: true when the user is
   /// barred from contending this frame. With barring disabled, or the
   /// user's class factor at 1, returns false without drawing RNG — the
@@ -326,16 +336,58 @@ class ProtocolEngine {
   /// holding a reservation or a queued request).
   bool barring_blocks(MobileUser& u);
 
+  /// The grid baselines' contention entry test for an attached user
+  /// without a queued request: a voice user in a talkspurt with a packet
+  /// pending and no reservation, or a data user with a backlog, that the
+  /// barring gate lets through. The gate (and its draw) is consulted only
+  /// for users the first test admits.
+  bool contends_for_reservation(MobileUser& u, const ReservationGrid& grid) {
+    const bool active = u.is_voice()
+                            ? !grid.has_reservation(u.id()) &&
+                                  u.voice().in_talkspurt() &&
+                                  u.voice().has_packet()
+                            : u.data().backlog() > 0;
+    return active && !barring_blocks(u);
+  }
+
+  /// The request a contention winner's ACK opens at the base station:
+  /// voice asks for one slot by its pending packet's deadline, data for
+  /// its whole backlog with no deadline.
+  PendingRequest acked_request(const MobileUser& u) const;
+
   /// Runs a contention phase over `candidates` with the class permission
   /// probabilities scaled by each device's backoff state, records the
-  /// tally, charges request energy, injects downlink-ACK loss, and updates
-  /// backoff (winners reset, collided losers halve; a winner whose ACK was
-  /// lost behaves like a collided loser and is dropped from the winners).
-  /// `symbols_per_request` defaults to a request minislot; RMAV's
-  /// full-slot competitive requests pass the slot size.
+  /// tally, injects downlink-ACK loss, and settles the phase
+  /// (settle_contention; a winner whose ACK was lost behaves like a
+  /// collided loser and is dropped from the winners). Each request costs a
+  /// minislot's energy.
   ContentionOutcome run_contention(const std::vector<common::UserId>& candidates,
-                                   int minislots,
-                                   int symbols_per_request = -1);
+                                   int minislots);
+
+  /// The tail of every request phase: updates backoff (winners reset,
+  /// collided losers halve) and charges `symbols_per_request` of energy
+  /// per transmitted request, the winners' counting as useful.
+  void settle_contention(const ContentionOutcome& outcome,
+                         double symbols_per_request);
+
+  /// The FCFS service of D-TDMA and RAMA: serves `queue`'s requests, then
+  /// `winners`, voice before data (order_voice_first, built in
+  /// `scratch`), calling `serve(PendingRequest&)`, which returns true when
+  /// the request is finished. The queue is rebuilt from the unfinished
+  /// ones when the request queue is on (§4.5); otherwise they are dropped.
+  template <typename Serve>
+  void serve_voice_first(RequestQueue& queue,
+                         std::span<const PendingRequest> winners,
+                         std::vector<PendingRequest>& scratch, Serve&& serve) {
+    order_voice_first(queue.entries(), winners, scratch);
+    queue.clear();
+    for (PendingRequest& request : scratch) {
+      if (!serve(request) && params_.request_queue) {
+        ++request.frames_waited;
+        queue.push(request);
+      }
+    }
+  }
 
   // ---- Energy accounting (paper §1, motivation 2) ----
 
@@ -408,6 +460,11 @@ class ProtocolEngine {
   /// touch_channels' lazy path: translates each id through user(id)'s
   /// lookup into touch_slots_ and materializes those bank slots.
   void materialize_touched(std::span<const common::UserId> users);
+  /// detach_user and evict_user: the protocol releases the user, its
+  /// in-flight voice is dropped into `voice_dropped`, and `removals`
+  /// counts the move. No-op when already detached.
+  void remove_user(common::UserId id, std::int64_t& voice_dropped,
+                   std::int64_t& removals);
   /// The only presence transitions: flip the user's flag and enter it in
   /// (or remove it from) the roster at its id's place.
   void mark_attached(MobileUser& u);

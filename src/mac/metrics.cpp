@@ -129,12 +129,6 @@ double ProtocolMetrics::mean_materialization_stride() const {
       static_cast<double>(users_advanced_frames));
 }
 
-double ProtocolMetrics::skipped_user_frame_fraction() const {
-  return safe_div(
-      static_cast<double>(users_skipped_frames),
-      static_cast<double>(users_advanced_frames + users_skipped_frames));
-}
-
 double ProtocolMetrics::handoff_rate_hz() const {
   return safe_div(static_cast<double>(handoffs_out), measured_time);
 }

@@ -168,9 +168,6 @@ struct ProtocolMetrics {
   /// User-frames of channel evolution per executed jump: exactly 1 under
   /// eager advancement, the lazy win factor otherwise. 0 on empty windows.
   double mean_materialization_stride() const;
-  /// Fraction of observed user-frames whose per-frame jump was skipped
-  /// (folded into a later materialization). 0 under eager advancement.
-  double skipped_user_frame_fraction() const;
   /// Handoffs out of this cell per measured second.
   double handoff_rate_hz() const;
 

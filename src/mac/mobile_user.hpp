@@ -69,10 +69,6 @@ class MobileUser {
 
   common::TrafficRng& rng() { return *rng_; }
 
-  /// True once the MAC stream (and, unless adopted, the traffic source)
-  /// exist. Shells must ensure_traffic before first presence.
-  bool traffic_ready() const { return rng_.has_value(); }
-
   /// Materializes the deferred per-user state: the MAC stream always, the
   /// traffic source only when none exists yet (a handoff adopts the
   /// source from the previous cell first — that continuity wins over a

@@ -40,7 +40,8 @@ void MobilityModel::advance_to(common::Time t) {
     if (config_.model == MobilityConfig::Model::kConstantVelocity) {
       advance_constant_velocity(u, dt);
     } else {
-      advance_random_waypoint(u, now_, dt);
+      common::Time remaining = dt;
+      walk_random_waypoint(u, remaining, /*allow_draw=*/true);
     }
   }
   now_ = t;
@@ -64,33 +65,16 @@ void MobilityModel::advance_constant_velocity(UserState& u, common::Time dt) {
   reflect(u.pos.y, u.vel.y, config_.field_height_m);
 }
 
-void MobilityModel::advance_random_waypoint(UserState& u, common::Time now,
-                                            common::Time dt) {
-  common::Time remaining = dt;
-  common::Time t = now;
-  walk_random_waypoint(u, t, remaining, /*allow_draw=*/true);
-}
-
-bool MobilityModel::walk_random_waypoint(UserState& u, common::Time& t,
+bool MobilityModel::walk_random_waypoint(UserState& u,
                                          common::Time& remaining,
                                          bool allow_draw) {
-  // Segment walk: pause -> leg to waypoint -> new waypoint, consuming the
-  // epoch in pieces (an epoch can span several short legs).
+  // Segment walk: leg to waypoint -> new waypoint, consuming the epoch in
+  // pieces (an epoch can span several short legs).
   while (remaining > 0.0) {
-    if (t < u.pause_until) {
-      const common::Time wait = std::min(remaining, u.pause_until - t);
-      t += wait;
-      remaining -= wait;
-      continue;
-    }
     const double leg = distance_m(u.pos, u.waypoint);
     if (leg <= 1e-9) {
-      if (!allow_draw) return false;  // suspend: (t, remaining) resumable
+      if (!allow_draw) return false;  // suspend: `remaining` resumable
       pick_waypoint(u);
-      if (config_.pause_s > 0.0) {
-        u.pause_until = t + config_.pause_s;
-        u.vel = {0.0, 0.0};
-      }
       continue;
     }
     const common::Time travel = leg / config_.speed_mps;
@@ -99,7 +83,6 @@ bool MobilityModel::walk_random_waypoint(UserState& u, common::Time& t,
     u.vel = {config_.speed_mps * ux, config_.speed_mps * uy};
     if (travel <= remaining) {
       u.pos = u.waypoint;
-      t += travel;
       remaining -= travel;
     } else {
       u.pos.x += u.vel.x * remaining;
@@ -125,20 +108,18 @@ void MobilityModel::advance_span(common::Time t, int begin, int end,
       advance_constant_velocity(u, dt);  // draw-free, always completes
       continue;
     }
-    common::Time walk_t = now_;
     common::Time remaining = dt;
-    if (!walk_random_waypoint(u, walk_t, remaining, /*allow_draw=*/false)) {
-      out.push_back(Suspended{i, walk_t, remaining});
+    if (!walk_random_waypoint(u, remaining, /*allow_draw=*/false)) {
+      out.push_back(Suspended{i, remaining});
     }
   }
 }
 
 void MobilityModel::resume(const std::vector<Suspended>& suspended) {
   for (const Suspended& s : suspended) {
-    common::Time t = s.t;
     common::Time remaining = s.remaining;
-    walk_random_waypoint(users_[static_cast<std::size_t>(s.user)], t,
-                         remaining, /*allow_draw=*/true);
+    walk_random_waypoint(users_[static_cast<std::size_t>(s.user)], remaining,
+                         /*allow_draw=*/true);
   }
 }
 
@@ -159,12 +140,7 @@ Vec2 MobilityModel::position(int user) const {
 }
 
 Vec2 MobilityModel::velocity(int user) const {
-  const auto& u = users_.at(static_cast<std::size_t>(user));
-  if (config_.model == MobilityConfig::Model::kRandomWaypoint &&
-      now_ < u.pause_until) {
-    return {0.0, 0.0};
-  }
-  return u.vel;
+  return users_.at(static_cast<std::size_t>(user)).vel;
 }
 
 }  // namespace charisma::mac

@@ -5,8 +5,9 @@
 //     specular reflection at the field boundary (the classic "billiard"
 //     model; stationary long-run position distribution is uniform).
 //   * kRandomWaypoint — pick a uniform waypoint, travel to it at the
-//     configured speed, pause, repeat (Johnson & Maltz). The standard
-//     mobility model of the ad-hoc/cellular simulation literature.
+//     configured speed, repeat without pausing (Johnson & Maltz with zero
+//     pause time). The standard mobility model of the ad-hoc/cellular
+//     simulation literature.
 //
 // Positions feed the distance-based path loss that CellularWorld turns
 // into each cell's time-varying mean SNR, which is what makes handoff a
@@ -28,12 +29,9 @@ struct MobilityConfig {
   double field_width_m = 2000.0;
   double field_height_m = 1000.0;
   common::Speed speed_mps = common::km_per_hour(50.0);
-  /// Random-waypoint pause on arrival (0 = keep moving immediately).
-  common::Time pause_s = 0.0;
 
   bool valid() const {
-    return field_width_m > 0.0 && field_height_m > 0.0 && speed_mps >= 0.0 &&
-           pause_s >= 0.0;
+    return field_width_m > 0.0 && field_height_m > 0.0 && speed_mps >= 0.0;
   }
 };
 
@@ -61,11 +59,10 @@ class MobilityModel {
   // commit(t) then moves the epoch clock. Constant-velocity users never
   // draw and complete entirely in phase A.
 
-  /// One suspended random-waypoint walk: the user, and the exact (t,
-  /// remaining) pair the serial segment loop held when it hit a draw.
+  /// One suspended random-waypoint walk: the user, and the exact time
+  /// left in the epoch when the serial segment loop hit a draw.
   struct Suspended {
     int user = 0;
-    common::Time t = 0.0;
     common::Time remaining = 0.0;
   };
 
@@ -86,7 +83,7 @@ class MobilityModel {
 
   int size() const { return static_cast<int>(users_.size()); }
   Vec2 position(int user) const;
-  /// Current velocity (m/s); zero while a random-waypoint user pauses.
+  /// Current velocity (m/s).
   Vec2 velocity(int user) const;
   const MobilityConfig& config() const { return config_; }
 
@@ -94,20 +91,17 @@ class MobilityModel {
   struct UserState {
     Vec2 pos;
     Vec2 vel;
-    Vec2 waypoint;                  // random-waypoint target
-    common::Time pause_until = 0.0; // random-waypoint dwell end
+    Vec2 waypoint;  // random-waypoint target
   };
 
   void advance_constant_velocity(UserState& u, common::Time dt);
-  void advance_random_waypoint(UserState& u, common::Time now,
-                               common::Time dt);
   /// The random-waypoint segment loop shared by the serial and two-phase
-  /// paths: walks `u` forward consuming `remaining`, updating `t` with the
-  /// serial code's exact arithmetic. Returns true when the interval is
-  /// consumed; returns false — with (t, remaining) holding the resumable
-  /// walk state — when a waypoint draw is needed but `allow_draw` is off.
-  bool walk_random_waypoint(UserState& u, common::Time& t,
-                            common::Time& remaining, bool allow_draw);
+  /// paths: walks `u` forward consuming `remaining` with the serial code's
+  /// exact arithmetic. Returns true when the interval is consumed; returns
+  /// false — with `remaining` holding the resumable walk state — when a
+  /// waypoint draw is needed but `allow_draw` is off.
+  bool walk_random_waypoint(UserState& u, common::Time& remaining,
+                            bool allow_draw);
   void pick_waypoint(UserState& u);
 
   MobilityConfig config_;

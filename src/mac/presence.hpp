@@ -52,11 +52,6 @@ class SiteIndex {
   void cells_near(const Vec2& p, std::vector<int>& out,
                   std::vector<char>& scratch) const;
 
-  /// True in all-cells mode (radius <= 0): band membership is the whole
-  /// layout and never changes.
-  bool all_cells() const { return radius_m_ <= 0.0; }
-  double radius_m() const { return radius_m_; }
-
  private:
   struct Entry {
     int site;

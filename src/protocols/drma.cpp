@@ -2,13 +2,10 @@
 
 #include <cassert>
 #include <algorithm>
-#include <limits>
 
 namespace charisma::protocols {
 
 namespace {
-constexpr double kInf = std::numeric_limits<double>::infinity();
-
 void insert_sorted(std::vector<common::UserId>& ids, common::UserId id) {
   ids.insert(std::lower_bound(ids.begin(), ids.end(), id), id);
 }
@@ -20,11 +17,9 @@ void erase_sorted(std::vector<common::UserId>& ids, common::UserId id) {
 }
 }  // namespace
 
-DrmaProtocol::DrmaProtocol(const mac::ScenarioParams& params,
-                           DrmaOptions options)
+DrmaProtocol::DrmaProtocol(const mac::ScenarioParams& params)
     : mac::ProtocolEngine(params),
-      options_(options),
-      grid_(params.geometry.frames_per_voice_period, options.info_slots) {}
+      grid_(params.geometry.frames_per_voice_period, kInfoSlots) {}
 
 void DrmaProtocol::on_user_detached(common::UserId id) {
   grid_.release(id);
@@ -41,9 +36,8 @@ common::Time DrmaProtocol::process_frame() {
   release_finished_talkspurts(grid_);
   queue_.purge_expired_voice(now());
 
-  const int phase =
-      static_cast<int>(frame_index() % geom_.frames_per_voice_period);
-  offer_info_slots(options_.info_slots);
+  const int phase = voice_phase();
+  offer_info_slots(kInfoSlots);
 
   // Requests awaiting service: yesterday's queue first (with-queue mode),
   // then winners of this frame's conversions as they happen.
@@ -55,14 +49,14 @@ common::Time DrmaProtocol::process_frame() {
   // free slot may serve; conversion contenders are covered by
   // run_contention's own touch.
   touched_.clear();
-  for (int slot = 0; slot < options_.info_slots; ++slot) {
+  for (int slot = 0; slot < kInfoSlots; ++slot) {
     const common::UserId owner = grid_.user_at(phase, slot);
     if (owner != common::kNoUser) touched_.push_back(owner);
   }
   for (const auto& r : pending_) touched_.push_back(r.user);
   touch_channels(touched_);
 
-  for (int slot = 0; slot < options_.info_slots; ++slot) {
+  for (int slot = 0; slot < kInfoSlots; ++slot) {
     const common::UserId owner = grid_.user_at(phase, slot);
     if (owner != common::kNoUser) {
       // Reserved slot: its voice user transmits (or idles it away).
@@ -115,34 +109,13 @@ common::Time DrmaProtocol::process_frame() {
     // minislots.
     candidates_.clear();
     for_each_attached(engaged_, [this](mac::MobileUser& u) {
-      if (u.is_voice()) {
-        if (!grid_.has_reservation(u.id()) && u.voice().in_talkspurt() &&
-            u.voice().has_packet() && !barring_blocks(u)) {
-          candidates_.push_back(u.id());
-        }
-      } else if (u.data().backlog() > 0 && !barring_blocks(u)) {
-        candidates_.push_back(u.id());
-      }
+      if (contends_for_reservation(u, grid_)) candidates_.push_back(u.id());
     });
     if (candidates_.empty()) continue;  // slot stays idle
 
-    auto outcome =
-        run_contention(candidates_, options_.minislots_per_conversion);
+    auto outcome = run_contention(candidates_, kMinislotsPerConversion);
     for (common::UserId uid : outcome.winners) {
-      mac::PendingRequest request;
-      request.user = uid;
-      auto& u = user(uid);
-      if (u.is_voice()) {
-        request.type = mac::RequestType::kVoice;
-        request.deadline = u.voice().packet().deadline;
-        request.packets_requested = 1;
-      } else {
-        request.type = mac::RequestType::kData;
-        request.deadline = kInf;
-        request.packets_requested = u.data().backlog();
-      }
-      request.acked_at = now();
-      pending_.push_back(request);
+      pending_.push_back(acked_request(user(uid)));
       insert_sorted(engaged_, uid);
     }
   }

@@ -18,18 +18,16 @@
 
 namespace charisma::protocols {
 
-struct DrmaOptions {
+class DrmaProtocol : public mac::ProtocolEngine {
+ public:
   /// Information slots per frame (N_k). The DRMA frame has no dedicated
   /// request subframe, so the shared symbol budget fits one more slot than
   /// the CHARISMA layout.
-  int info_slots = 11;
+  static constexpr int kInfoSlots = 11;
   /// Request minislots one converted slot yields (N_x).
-  int minislots_per_conversion = 8;
-};
+  static constexpr int kMinislotsPerConversion = 8;
 
-class DrmaProtocol : public mac::ProtocolEngine {
- public:
-  DrmaProtocol(const mac::ScenarioParams& params, DrmaOptions options = {});
+  explicit DrmaProtocol(const mac::ScenarioParams& params);
 
   std::string name() const override { return "DRMA"; }
 
@@ -45,7 +43,6 @@ class DrmaProtocol : public mac::ProtocolEngine {
   }
 
  private:
-  DrmaOptions options_;
   mac::ReservationGrid grid_;
   mac::RequestQueue queue_;
   // Per-frame scratch, cleared and refilled every frame but kept across

@@ -1,13 +1,8 @@
 #include "protocols/dtdma.hpp"
 
 #include <cassert>
-#include <limits>
 
 namespace charisma::protocols {
-
-namespace {
-constexpr double kInf = std::numeric_limits<double>::infinity();
-}
 
 DtdmaProtocol::DtdmaProtocol(const mac::ScenarioParams& params,
                              PhyVariant variant)
@@ -85,8 +80,7 @@ common::Time DtdmaProtocol::process_frame() {
   release_finished_talkspurts(grid_);
   queue_.purge_expired_voice(now());
 
-  const int phase =
-      static_cast<int>(frame_index() % geom_.frames_per_voice_period);
+  const int phase = voice_phase();
   offer_info_slots(geom_.num_info_slots);
 
   // 1. Reserved voice users transmit in their owned slots. They are this
@@ -102,14 +96,7 @@ common::Time DtdmaProtocol::process_frame() {
   // 2. Request phase: N_r contention minislots; queued users wait.
   candidates_.clear();
   for_each_attached(queue_.members(), [this](mac::MobileUser& u) {
-    if (u.is_voice()) {
-      if (!grid_.has_reservation(u.id()) && u.voice().in_talkspurt() &&
-          u.voice().has_packet() && !barring_blocks(u)) {
-        candidates_.push_back(u.id());
-      }
-    } else if (u.data().backlog() > 0 && !barring_blocks(u)) {
-      candidates_.push_back(u.id());
-    }
+    if (contends_for_reservation(u, grid_)) candidates_.push_back(u.id());
   });
   auto outcome = run_contention(candidates_, geom_.num_request_slots);
 
@@ -120,30 +107,12 @@ common::Time DtdmaProtocol::process_frame() {
   //    any data request, FCFS within each class.
   winner_scratch_.clear();
   for (common::UserId uid : outcome.winners) {
-    mac::PendingRequest request;
-    request.user = uid;
-    auto& u = user(uid);
-    if (u.is_voice()) {
-      request.type = mac::RequestType::kVoice;
-      request.deadline = u.voice().packet().deadline;
-      request.packets_requested = 1;
-    } else {
-      request.type = mac::RequestType::kData;
-      request.deadline = kInf;
-      request.packets_requested = u.data().backlog();
-    }
-    request.acked_at = now();
-    winner_scratch_.push_back(request);
+    winner_scratch_.push_back(acked_request(user(uid)));
   }
-  mac::order_voice_first(queue_.entries(), winner_scratch_, serve_scratch_);
-  queue_.clear();
-  for (auto& request : serve_scratch_) {
-    const bool finished = serve_request(request, phase, free_slots);
-    if (!finished && params_.request_queue) {
-      ++request.frames_waited;
-      queue_.push(request);
-    }
-  }
+  serve_voice_first(queue_, winner_scratch_, serve_scratch_,
+                    [&](const mac::PendingRequest& request) {
+                      return serve_request(request, phase, free_slots);
+                    });
   return geom_.frame_duration;
 }
 

@@ -4,11 +4,9 @@
 
 namespace charisma::protocols {
 
-PrmaProtocol::PrmaProtocol(const mac::ScenarioParams& params,
-                           PrmaOptions options)
+PrmaProtocol::PrmaProtocol(const mac::ScenarioParams& params)
     : mac::ProtocolEngine(params),
-      options_(options),
-      grid_(params.geometry.frames_per_voice_period, options.info_slots) {}
+      grid_(params.geometry.frames_per_voice_period, kInfoSlots) {}
 
 void PrmaProtocol::on_user_detached(common::UserId id) { grid_.release(id); }
 
@@ -20,21 +18,20 @@ void PrmaProtocol::on_user_attached([[maybe_unused]] common::UserId id) {
 common::Time PrmaProtocol::process_frame() {
   release_finished_talkspurts(grid_);
 
-  const int phase =
-      static_cast<int>(frame_index() % geom_.frames_per_voice_period);
-  offer_info_slots(options_.info_slots);
+  const int phase = voice_phase();
+  offer_info_slots(kInfoSlots);
 
   // Touch set: this phase's reservation holders transmit unconditionally;
   // direct-transmission winners are sparse and materialize on read.
   owners_.clear();
-  for (int slot = 0; slot < options_.info_slots; ++slot) {
+  for (int slot = 0; slot < kInfoSlots; ++slot) {
     const common::UserId owner = grid_.user_at(phase, slot);
     if (owner != common::kNoUser) owners_.push_back(owner);
   }
   touch_channels(owners_);
 
   mac::ContentionTally tally;
-  for (int slot = 0; slot < options_.info_slots; ++slot) {
+  for (int slot = 0; slot < kInfoSlots; ++slot) {
     const common::UserId owner = grid_.user_at(phase, slot);
     if (owner != common::kNoUser) {
       transmit_voice_fixed(user(owner));
@@ -44,13 +41,8 @@ common::Time PrmaProtocol::process_frame() {
     // Available slot: contenders transmit their packet directly.
     transmitters_.clear();
     for_each_attached([this](mac::MobileUser& u) {
-      const bool active = u.is_voice()
-                              ? (!grid_.has_reservation(u.id()) &&
-                                 u.voice().in_talkspurt() &&
-                                 u.voice().has_packet())
-                              : u.data().backlog() > 0;
-      if (!active || barring_blocks(u)) return;
-      if (u.rng().bernoulli(permission_prob(u) * u.backoff_scale())) {
+      if (contends_for_reservation(u, grid_) &&
+          u.rng().bernoulli(permission_prob(u) * u.backoff_scale())) {
         transmitters_.push_back(u.id());
       }
     });

@@ -19,15 +19,13 @@
 
 namespace charisma::protocols {
 
-struct PrmaOptions {
-  /// Information slots per frame; the shared symbol budget fits 11 (no
-  /// request or pilot subframes).
-  int info_slots = 11;
-};
-
 class PrmaProtocol : public mac::ProtocolEngine {
  public:
-  PrmaProtocol(const mac::ScenarioParams& params, PrmaOptions options = {});
+  /// Information slots per frame; the shared symbol budget fits 11 (no
+  /// request or pilot subframes).
+  static constexpr int kInfoSlots = 11;
+
+  explicit PrmaProtocol(const mac::ScenarioParams& params);
 
   std::string name() const override { return "PRMA"; }
 
@@ -39,7 +37,6 @@ class PrmaProtocol : public mac::ProtocolEngine {
   void on_user_attached(common::UserId id) override;
 
  private:
-  PrmaOptions options_;
   mac::ReservationGrid grid_;
   // Per-frame scratch, reused so an active frame does not allocate it anew:
   // this phase's reservation holders, and one free slot's transmitters.

@@ -1,18 +1,11 @@
 #include "protocols/rama.hpp"
 
 #include <cassert>
-#include <limits>
 
 namespace charisma::protocols {
 
-namespace {
-constexpr double kInf = std::numeric_limits<double>::infinity();
-}
-
-RamaProtocol::RamaProtocol(const mac::ScenarioParams& params,
-                           RamaOptions options)
+RamaProtocol::RamaProtocol(const mac::ScenarioParams& params)
     : mac::ProtocolEngine(params),
-      options_(options),
       grid_(params.geometry.frames_per_voice_period,
             params.geometry.num_info_slots) {}
 
@@ -53,8 +46,7 @@ common::Time RamaProtocol::process_frame() {
   release_finished_talkspurts(grid_);
   queue_.purge_expired_voice(now());
 
-  const int phase =
-      static_cast<int>(frame_index() % geom_.frames_per_voice_period);
+  const int phase = voice_phase();
   offer_info_slots(geom_.num_info_slots);
 
   // This frame's dense read set: reservation holders transmit below; the
@@ -69,31 +61,25 @@ common::Time RamaProtocol::process_frame() {
 
   // The auction: every active device without a queued request
   // participates (no permission probability — the bidding process is the
-  // arbitration). Each auction slot resolves one winner; voice IDs
-  // dominate data IDs. The contender lists stay in ascending id order: the
-  // auction indexes them with a shared bs_rng_ draw.
+  // arbitration, and the barring gate the only admission control in front
+  // of it). Each auction slot resolves one winner; voice IDs dominate data
+  // IDs. The contender lists stay in ascending id order: the auction
+  // indexes them with a shared bs_rng_ draw.
   voice_contenders_.clear();
   data_contenders_.clear();
   for_each_attached(queue_.members(), [this](mac::MobileUser& u) {
-    if (u.is_voice()) {
-      // RAMA has no permission probability, so the barring gate is the
-      // only admission control in front of the auction.
-      if (!grid_.has_reservation(u.id()) && u.voice().in_talkspurt() &&
-          u.voice().has_packet() && !barring_blocks(u)) {
-        voice_contenders_.push_back(u.id());
-      }
-    } else if (u.data().backlog() > 0 && !barring_blocks(u)) {
-      data_contenders_.push_back(u.id());
+    if (contends_for_reservation(u, grid_)) {
+      (u.is_voice() ? voice_contenders_ : data_contenders_).push_back(u.id());
     }
   });
 
   winners_.clear();
   mac::ContentionTally tally;
-  tally.minislots = options_.auction_slots;
+  tally.minislots = kAuctionSlots;
   // An auction slot spans ~3 minislots of digit rounds; every remaining
   // contender transmits its ID digits in every auction slot.
   const double auction_symbols = 3.0 * geom_.minislot_symbols;
-  for (int a = 0; a < options_.auction_slots; ++a) {
+  for (int a = 0; a < kAuctionSlots; ++a) {
     std::vector<common::UserId>* pool =
         !voice_contenders_.empty() ? &voice_contenders_
         : !data_contenders_.empty() ? &data_contenders_
@@ -106,47 +92,23 @@ common::Time RamaProtocol::process_frame() {
                                          data_contenders_.size());
     note_request_energy(bidders, auction_symbols, /*useful=*/1);
     tally.transmissions += bidders;
-    if (options_.id_collision_prob > 0.0 &&
-        bs_rng_.bernoulli(options_.id_collision_prob)) {
-      ++tally.collisions;  // two devices drew identical IDs
-      continue;
-    }
     // IDs are random per auction slot: the winner is uniform over the
     // dominant class.
     const int pick = bs_rng_.uniform_int(static_cast<int>(pool->size()));
     const common::UserId winner = (*pool)[static_cast<std::size_t>(pick)];
     pool->erase(pool->begin() + pick);
     ++tally.successes;
-
-    mac::PendingRequest request;
-    request.user = winner;
-    auto& u = user(winner);
-    if (u.is_voice()) {
-      request.type = mac::RequestType::kVoice;
-      request.deadline = u.voice().packet().deadline;
-      request.packets_requested = 1;
-    } else {
-      request.type = mac::RequestType::kData;
-      request.deadline = kInf;
-      request.packets_requested = u.data().backlog();
-    }
-    request.acked_at = now();
-    winners_.push_back(request);
+    winners_.push_back(acked_request(user(winner)));
   }
   note_contention(tally);
 
   // Queued requests go first (FCFS), then the auction winners. Voice
   // outranks data (paper §1): serve all voice requests before any data
   // request, FCFS within each class.
-  mac::order_voice_first(queue_.entries(), winners_, to_serve_);
-  queue_.clear();
-  for (auto& request : to_serve_) {
-    const bool finished = serve_request(request, phase, free_slots);
-    if (!finished && params_.request_queue) {
-      ++request.frames_waited;
-      queue_.push(request);
-    }
-  }
+  serve_voice_first(queue_, winners_, to_serve_,
+                    [&](const mac::PendingRequest& request) {
+                      return serve_request(request, phase, free_slots);
+                    });
   return geom_.frame_duration;
 }
 

@@ -17,18 +17,15 @@
 
 namespace charisma::protocols {
 
-struct RamaOptions {
-  /// Auction slots per frame. An auction slot is ~3 minislots long (the
-  /// digit rounds), so the default 4 fits the shared symbol budget.
-  int auction_slots = 4;
-  /// Probability that an auction fails to resolve (two contenders drew the
-  /// same full ID). With realistic ID lengths this is negligible.
-  double id_collision_prob = 0.0;
-};
-
 class RamaProtocol : public mac::ProtocolEngine {
  public:
-  RamaProtocol(const mac::ScenarioParams& params, RamaOptions options = {});
+  /// Auction slots per frame. An auction slot is ~3 minislots long (the
+  /// digit rounds), so 4 fit the shared symbol budget. With realistic ID
+  /// lengths two contenders never draw the same full ID, so every auction
+  /// slot with a bidder resolves exactly one winner.
+  static constexpr int kAuctionSlots = 4;
+
+  explicit RamaProtocol(const mac::ScenarioParams& params);
 
   std::string name() const override { return "RAMA"; }
 
@@ -48,7 +45,6 @@ class RamaProtocol : public mac::ProtocolEngine {
   bool serve_request(const mac::PendingRequest& request, int phase,
                      int& free_slots);
 
-  RamaOptions options_;
   mac::ReservationGrid grid_;
   mac::RequestQueue queue_;
   // Per-frame scratch, reused so an active frame does not allocate it anew.

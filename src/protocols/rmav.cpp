@@ -5,9 +5,8 @@
 
 namespace charisma::protocols {
 
-RmavProtocol::RmavProtocol(const mac::ScenarioParams& params,
-                           RmavOptions options)
-    : mac::ProtocolEngine(params), options_(options) {}
+RmavProtocol::RmavProtocol(const mac::ScenarioParams& params)
+    : mac::ProtocolEngine(params) {}
 
 void RmavProtocol::on_user_detached(common::UserId id) {
   std::erase(grants_, id);
@@ -37,7 +36,7 @@ common::Time RmavProtocol::process_frame() {
       }
       // A grant covers exactly one packet; the next packet contends anew.
     } else {
-      const int slots = std::min(options_.pmax, u.data().backlog());
+      const int slots = std::min(kPmax, u.data().backlog());
       for (int s = 0; s < slots; ++s) {
         transmit_data_fixed(u);
       }
@@ -49,32 +48,21 @@ common::Time RmavProtocol::process_frame() {
   // The single competitive slot at the frame's tail.
   candidates_.clear();
   for_each_attached([this](mac::MobileUser& u) {
-    if (u.is_voice()) {
-      if (u.voice().has_packet() && !barring_blocks(u)) {
-        candidates_.push_back(u.id());
-      }
-    } else if (u.data().backlog() > 0 && !barring_blocks(u)) {
-      candidates_.push_back(u.id());
-    }
+    const bool pending =
+        u.is_voice() ? u.voice().has_packet() : u.data().backlog() > 0;
+    if (pending && !barring_blocks(u)) candidates_.push_back(u.id());
   });
   auto outcome = mac::run_request_phase(
       candidates_, 1,
       [this](common::UserId id) {
-        return options_.permission_prob * user(id).backoff_scale();
+        return kPermissionProb * user(id).backoff_scale();
       },
       [this](common::UserId id) -> common::TrafficRng& {
         return user(id).rng();
       });
   note_contention(outcome.tally);
-  for (common::UserId id : outcome.transmitted) {
-    user(id).note_contention_collision();
-  }
-  for (common::UserId id : outcome.winners) {
-    user(id).note_contention_success();
-  }
   // The competitive slot is a full information slot (Fig. 2b).
-  note_request_energy(outcome.tally.transmissions, geom_.slot_symbols,
-                      static_cast<int>(outcome.winners.size()));
+  settle_contention(outcome, geom_.slot_symbols);
   if (!outcome.winners.empty()) {
     grants_.push_back(outcome.winners.front());
   }

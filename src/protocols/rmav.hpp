@@ -21,24 +21,21 @@
 
 namespace charisma::protocols {
 
-struct RmavOptions {
-  int pmax = 10;  ///< max information slots per data grant (paper: 10)
+class RmavProtocol : public mac::ProtocolEngine {
+ public:
+  /// Max information slots per data grant (P_max; paper: 10).
+  static constexpr int kPmax = 10;
   /// RMAV's LAN-oriented design contends aggressively in the single
   /// competitive slot (p = 0.5 here, versus the 0.2-0.3 of the
   /// TDMA-framed protocols, whose many minislots can afford throttling).
   /// With one opportunity per frame, concurrent contenders collide and
   /// accumulate — the mechanism behind the paper's "RMAV quickly becomes
   /// unstable even with a moderate number of voice users" observation.
-  double permission_prob = 0.5;
-};
+  static constexpr double kPermissionProb = 0.5;
 
-class RmavProtocol : public mac::ProtocolEngine {
- public:
-  RmavProtocol(const mac::ScenarioParams& params, RmavOptions options = {});
+  explicit RmavProtocol(const mac::ScenarioParams& params);
 
   std::string name() const override { return "RMAV"; }
-
-  std::size_t grants_outstanding() const { return grants_.size(); }
 
  protected:
   common::Time process_frame() override;
@@ -46,7 +43,6 @@ class RmavProtocol : public mac::ProtocolEngine {
   void on_user_attached(common::UserId id) override;
 
  private:
-  RmavOptions options_;
   std::vector<common::UserId> grants_;  ///< winners to serve this frame
   /// The competitive slot's contenders, reused across frames.
   std::vector<common::UserId> candidates_;

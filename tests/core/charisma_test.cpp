@@ -165,16 +165,6 @@ TEST(Charisma, SnrSpreadCreatesUnevenService) {
   EXPECT_LT(m.jain_fairness_index(0, 29), 0.97);
 }
 
-TEST(Charisma, DataSlotCapRespected) {
-  CharismaOptions options;
-  options.max_slots_per_data_request = 1;
-  CharismaProtocol proto(ideal_channel(0, 1), options);
-  const auto& m = proto.run(2.0, 5.0);
-  // One data user, one slot per frame, top mode carries 5 packets.
-  EXPECT_LE(m.data_delivered, m.frames * 5);
-  EXPECT_GT(m.data_delivered, 0);
-}
-
 TEST(Charisma, PriorityWeightsPlumbThrough) {
   // Zero voice offset with heavy data CSI weight must still deliver voice
   // (urgency term) — smoke-checks the option plumbing end to end.

@@ -88,8 +88,10 @@ TEST(CrossProtocol, CharismaDataCapacityBeatsEveryBaseline) {
 
 TEST(CrossProtocol, QueueHelpsCharismaMoreThanRama) {
   // Paper §5.1: the request queue lifts CHARISMA significantly but RAMA
-  // "only slightly".
-  const auto with_q = small_mixed(110, 0, true, 23);
+  // "only slightly". At 150 voice users the gap between the two gains is
+  // about 0.006 in voice loss, and no seed of 20 tried shows less than
+  // 0.003; a CHARISMA that ignored its queue would gain nothing and fail.
+  const auto with_q = small_mixed(150, 0, true, 23);
   auto no_q = with_q;
   no_q.request_queue = false;
 
@@ -99,7 +101,7 @@ TEST(CrossProtocol, QueueHelpsCharismaMoreThanRama) {
   const double rama_gain =
       run_one(ProtocolId::kRama, no_q).voice_loss_rate() -
       run_one(ProtocolId::kRama, with_q).voice_loss_rate();
-  EXPECT_GT(charisma_gain, rama_gain - 1e-4);
+  EXPECT_GT(charisma_gain, rama_gain + 1e-3);
 }
 
 TEST(CrossProtocol, DataUsersShrinkVoiceCapacity) {

@@ -253,6 +253,61 @@ TEST(OverloadSurvival, BarringCutsVoiceLossAtFiveTimesLoad) {
   }
 }
 
+// ------------------------------------------------ barring-on golden pin
+// The golden pins above hold the barring-off path. This one holds where
+// each protocol consults the gate: barring_blocks draws from the user's
+// own stream, so a scan that asked the gate for one user more or fewer
+// would move every later draw of that user. One cell per protocol, 400
+// voice + 60 data users, exact integers. In one cell, CHARISMA's and
+// RAMA's load estimators see too few collisions to ever close the gate,
+// so they pin the open-gate path (no checks at all).
+TEST(BarringOnGolden, RequestPathOfEveryProtocol) {
+  struct Pin {
+    ProtocolId id;
+    std::int64_t voice_generated;
+    std::int64_t voice_delivered;
+    std::int64_t data_delivered;
+    std::int64_t request_successes;
+    std::int64_t request_collisions;
+    std::int64_t barring_checks;
+    std::int64_t barred_voice;
+    std::int64_t barred_data;
+  };
+  const Pin pins[] = {
+      {ProtocolId::kCharisma, 15306, 5599, 6929, 421, 20, 0, 0, 0},
+      {ProtocolId::kDtdmaVr, 15306, 7949, 0, 2695, 2459, 49381, 40220, 3276},
+      {ProtocolId::kDrma, 15306, 8551, 42, 383, 332, 14372, 8288, 5017},
+      {ProtocolId::kRama, 15306, 7936, 0, 3005, 0, 0, 0, 0},
+      {ProtocolId::kDtdmaFr, 15306, 7923, 0, 2684, 2189, 49704, 40973, 4060},
+      {ProtocolId::kRmav, 15291, 2034, 1203, 2174, 1567, 1056842, 787675,
+       212293},
+      {ProtocolId::kPrma, 15306, 8374, 17, 189, 141, 48138, 27074, 16770},
+  };
+  for (const Pin& pin : pins) {
+    SCOPED_TRACE(protocols::protocol_name(pin.id));
+    ScenarioParams p;
+    p.num_voice_users = 400;
+    p.num_data_users = 60;
+    p.seed = 11;
+    p.barring.enabled = true;
+    auto eng = protocols::make_protocol(pin.id, p);
+    const auto& m = eng->run(0.5, 2.0);
+    EXPECT_EQ(m.voice_generated, pin.voice_generated);
+    EXPECT_EQ(m.voice_delivered, pin.voice_delivered);
+    EXPECT_EQ(m.data_delivered, pin.data_delivered);
+    EXPECT_EQ(m.request_successes, pin.request_successes);
+    EXPECT_EQ(m.request_collisions, pin.request_collisions);
+    EXPECT_EQ(m.barring_checks, pin.barring_checks);
+    EXPECT_EQ(m.barring_barred_voice, pin.barred_voice);
+    EXPECT_EQ(m.barring_barred_data, pin.barred_data);
+    if (pin.id == ProtocolId::kCharisma || pin.id == ProtocolId::kRama) {
+      EXPECT_EQ(m.barring_checks, 0);
+    } else {
+      EXPECT_GT(m.barring_checks, 0);
+    }
+  }
+}
+
 // ------------------------------------------------------ outage recovery
 
 TEST(OverloadSurvival, OutageDropsInFlightVoiceAndCountsIt) {

@@ -322,7 +322,7 @@ TEST(SparsePresencePartialBand, RosterIsThePresentBandMembersEveryEpoch) {
     CellularWorld world(cfg, factory_for(id));
     for (int epoch = 0; epoch < 60; ++epoch) {  // [0, 1.2): outage [0.5, 0.9)
       SCOPED_TRACE("epoch " + std::to_string(epoch));
-      world.advance(cfg.decision_interval);
+      world.advance(CellularWorld::kDecisionInterval);
       for (int c = 0; c < world.num_cells(); ++c) {
         SCOPED_TRACE("cell " + std::to_string(c));
         auto& engine = world.cell(c);

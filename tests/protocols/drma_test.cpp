@@ -52,15 +52,6 @@ TEST(Drma, InfoSlotBudgetRespected) {
   EXPECT_LE(m.info_slots_assigned, m.info_slots_offered);
 }
 
-TEST(Drma, CustomSlotCounts) {
-  DrmaOptions options;
-  options.info_slots = 5;
-  options.minislots_per_conversion = 4;
-  DrmaProtocol proto(small_mixed(10, 2), options);
-  const auto& m = proto.run(2.0, 4.0);
-  EXPECT_EQ(m.info_slots_offered, m.frames * 5);
-}
-
 TEST(Drma, DeterministicGivenSeed) {
   DrmaProtocol a(small_mixed(12, 4, true, 17));
   DrmaProtocol b(small_mixed(12, 4, true, 17));

@@ -72,11 +72,9 @@ TEST(Prma, DeterministicGivenSeed) {
 }
 
 TEST(Prma, CustomSlotCount) {
-  PrmaOptions options;
-  options.info_slots = 5;
-  PrmaProtocol proto(small_mixed(10, 2), options);
+  PrmaProtocol proto(small_mixed(10, 2));
   const auto& m = proto.run(1.0, 3.0);
-  EXPECT_EQ(m.info_slots_offered, m.frames * 5);
+  EXPECT_EQ(m.info_slots_offered, m.frames * PrmaProtocol::kInfoSlots);
 }
 
 }  // namespace

@@ -19,27 +19,18 @@ TEST(Rama, IdealChannelLosesNoVoice) {
 }
 
 TEST(Rama, AuctionRateBoundsAdmissions) {
-  // At most `auction_slots` winners per frame, so with contention-free
+  // At most kAuctionSlots winners per frame, so with contention-free
   // queues off, data service is capped by auctions * 1 slot.
-  RamaOptions options;
-  options.auction_slots = 2;
-  RamaProtocol proto(ideal_channel(0, 40, /*queue=*/false), options);
+  RamaProtocol proto(ideal_channel(0, 40, /*queue=*/false));
   const auto& m = proto.run(3.0, 8.0);
-  EXPECT_LE(m.data_throughput_per_frame(), 2.0 + 1e-9);
+  EXPECT_LE(m.data_throughput_per_frame(),
+            RamaProtocol::kAuctionSlots + 1e-9);
 }
 
 TEST(Rama, NoCollisionsByDefault) {
   RamaProtocol proto(small_mixed(30, 10));
   const auto& m = proto.run(2.0, 6.0);
   EXPECT_EQ(m.request_collisions, 0);
-}
-
-TEST(Rama, IdCollisionsWhenConfigured) {
-  RamaOptions options;
-  options.id_collision_prob = 0.5;
-  RamaProtocol proto(small_mixed(30, 10), options);
-  const auto& m = proto.run(2.0, 6.0);
-  EXPECT_GT(m.request_collisions, 0);
 }
 
 TEST(Rama, StableUnderOverload) {

@@ -37,14 +37,12 @@ TEST(Rmav, ShortDelayAtLightLoad) {
 }
 
 TEST(Rmav, PmaxCapsDataGrant) {
-  RmavOptions options;
-  options.pmax = 3;
-  RmavProtocol proto(ideal_channel(0, 1), options);
+  RmavProtocol proto(ideal_channel(0, 1));
   const auto& m = proto.run(2.0, 6.0);
   EXPECT_GT(m.data_delivered, 0);
-  // A single user served one grant per two frames at 3 slots each
-  // cannot exceed 1.5 packets/frame on the fixed PHY.
-  EXPECT_LE(m.data_throughput_per_frame(), 3.0 + 1e-9);
+  // A single user's grant carries at most P_max slots, one packet each on
+  // the fixed PHY, and a frame serves at most one grant.
+  EXPECT_LE(m.data_throughput_per_frame(), RmavProtocol::kPmax + 1e-9);
 }
 
 TEST(Rmav, VariableFrameDurations) {
