@@ -1,7 +1,7 @@
 // Ablation — the Sec. 4.4 CSI refresh mechanism: poll budget N_b swept at
 // high Doppler (where estimates stale fastest) on a loaded cell. Quantifies
-// how many pilot slots the refresh actually needs — the design choice
-// DESIGN.md calls out.
+// how many pilot slots per frame the refresh needs to buy back the error
+// losses of allocations made on stale CSI.
 #include <iostream>
 
 #include "bench_support.hpp"

@@ -1,10 +1,10 @@
 // Fig. 5 — "A sample of channel fading with fast fading superimposed on
 // long-term shadowing". Generates a 2-second trace from the Jakes
 // sum-of-sinusoids fast-fading generator on top of the log-normal
-// shadowing of a standalone UserChannel (one ChannelBank row, the model
-// every simulation uses), sampled every 2 ms, and prints a decimated
-// series plus summary statistics matching the figure's qualitative
-// features (~10 ms fast fluctuations over a ~1 s local mean).
+// shadowing of a one-row ChannelBank (the model every simulation uses),
+// sampled every 2 ms, and prints a decimated series plus summary
+// statistics matching the figure's qualitative features (~10 ms fast
+// fluctuations over a ~1 s local mean).
 #include <iostream>
 
 #include "bench_support.hpp"
@@ -20,7 +20,8 @@ int main() {
   shadow_cfg.shadow_sigma_db = 3.0;
   shadow_cfg.shadow_tau = 1.0;
   shadow_cfg.sample_interval = 2e-3;
-  channel::UserChannel shadow(shadow_cfg, common::RngStream(2026, 1));
+  channel::ChannelBank shadow;
+  shadow.add_user(shadow_cfg, common::RngStream(2026, 1));
 
   common::TextTable table("Combined fading c(t)^2 in dB, 2 ms samples "
                           "(every 25th sample shown)");
@@ -36,12 +37,12 @@ int main() {
   const int samples = 1000;  // 2 s at 2 ms
   for (int i = 0; i < samples; ++i) {
     const double t = static_cast<double>(i) * 2e-3;
-    shadow.advance_to(t);
+    shadow.advance_user_to(0, t);
     const double fast_db = common::to_db(fast.power_gain(t));
-    const double total_db = fast_db + shadow.shadow_db();
+    const double total_db = fast_db + shadow.shadow_db(0);
     combined_db.add(total_db);
     fast_db_acc.add(fast_db);
-    shadow_db_acc.add(shadow.shadow_db());
+    shadow_db_acc.add(shadow.shadow_db(0));
     min_db = std::min(min_db, total_db);
     max_db = std::max(max_db, total_db);
     if (i > 0 && (fast_db > 0.0) != (prev_fast_db > 0.0)) ++crossings;
@@ -49,7 +50,7 @@ int main() {
     if (i % 25 == 0) {
       table.add_row({common::TextTable::num(t, 3),
                      common::TextTable::num(fast_db, 2),
-                     common::TextTable::num(shadow.shadow_db(), 2),
+                     common::TextTable::num(shadow.shadow_db(0), 2),
                      common::TextTable::num(total_db, 2)});
     }
   }

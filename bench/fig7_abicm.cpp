@@ -50,11 +50,12 @@ int main() {
   // quantity behind "D-TDMA/VR has twice the average offered throughput of
   // D-TDMA/FR" (paper Sec. 3.5).
   common::RngStream rng(7);
-  channel::UserChannel ch(channel::ChannelConfig{}, common::RngStream(7));
+  channel::ChannelBank ch;
+  ch.add_user(channel::ChannelConfig{}, common::RngStream(7));
   common::Accumulator tput;
   for (int i = 1; i <= 200000; ++i) {
-    ch.advance_to(static_cast<double>(i) * 2.5e-3);
-    tput.add(table.normalized_throughput(table.select(ch.snr_linear())));
+    ch.advance_user_to(0, static_cast<double>(i) * 2.5e-3);
+    tput.add(table.normalized_throughput(table.select(ch.snr_linear(0))));
   }
   common::TextTable op("Average adaptive throughput at the calibrated operating point");
   op.set_header({"quantity", "value"});

@@ -16,17 +16,18 @@ namespace {
 
 using namespace charisma;
 
-void BM_UserChannelFrameStep(benchmark::State& state) {
-  channel::UserChannel ch(channel::ChannelConfig{}, common::RngStream(1));
+void BM_ChannelRowFrameStep(benchmark::State& state) {
+  channel::ChannelBank ch;
+  ch.add_user(channel::ChannelConfig{}, common::RngStream(1));
   double t = 0.0;
   for (auto _ : state) {
     t += 2.5e-3;
-    ch.advance_to(t);
-    benchmark::DoNotOptimize(ch.snr_linear());
+    ch.advance_user_to(0, t);
+    benchmark::DoNotOptimize(ch.snr_linear(0));
   }
   state.SetItemsProcessed(state.iterations());
 }
-BENCHMARK(BM_UserChannelFrameStep);
+BENCHMARK(BM_ChannelRowFrameStep);
 
 void BM_RngNormal(benchmark::State& state) {
   // In-house Box-Muller (cached spare) — the innovation generator of the
@@ -130,7 +131,6 @@ void BM_ChannelBankLazyAdvance(benchmark::State& state) {
   const int pct = static_cast<int>(state.range(0));
   const int window = std::max(1, n * pct / 100);
   auto bank = make_bank(n);
-  bank.set_lazy(true);
   // Doubled id array so every rotating window is one contiguous span.
   std::vector<std::uint32_t> ids(static_cast<std::size_t>(n) * 2);
   for (std::size_t i = 0; i < ids.size(); ++i) {
@@ -142,8 +142,8 @@ void BM_ChannelBankLazyAdvance(benchmark::State& state) {
   for (auto _ : state) {
     t += dt;
     const std::size_t lo = static_cast<std::size_t>((frame * window) % n);
-    bank.advance_users_to({ids.data() + lo, static_cast<std::size_t>(window)},
-                          t);
+    bank.set_time(t);
+    bank.materialize_users({ids.data() + lo, static_cast<std::size_t>(window)});
     benchmark::DoNotOptimize(bank.fading_power(ids[lo]));
     ++frame;
   }

@@ -58,7 +58,7 @@ double benchmark_bank(int users, int frames, int stride) {
   return wall.count();
 }
 
-/// Lazy bank with a rotating touch window: each frame declares only
+/// Lazy schedule with a rotating touch window: each frame declares only
 /// `touch_ratio` of the population as its read set (the frame-loop shape
 /// under ProtocolEngine's touch hooks), so an untouched user accrues
 /// deferred frames until its window comes around and one O(1) jump covers
@@ -70,7 +70,6 @@ double benchmark_bank_lazy(int users, int frames, double touch_ratio) {
   for (int i = 0; i < users; ++i) {
     bank.add_user(cfg, common::RngStream(static_cast<std::uint64_t>(i) + 1));
   }
-  bank.set_lazy(true);
   const int window = std::max(
       1, static_cast<int>(static_cast<double>(users) * touch_ratio));
   // Doubled id array so every rotating window is one contiguous span.
@@ -85,8 +84,8 @@ double benchmark_bank_lazy(int users, int frames, double touch_ratio) {
     t += cfg.sample_interval;
     const std::size_t lo = static_cast<std::size_t>(
         (static_cast<long long>(f) * window) % users);
-    bank.advance_users_to(
-        {ids.data() + lo, static_cast<std::size_t>(window)}, t);
+    bank.set_time(t);
+    bank.materialize_users({ids.data() + lo, static_cast<std::size_t>(window)});
     sink += bank.fading_power(ids[lo]);
   }
   const std::chrono::duration<double> wall =

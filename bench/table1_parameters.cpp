@@ -1,6 +1,8 @@
 // Table 1 — simulation parameters. Echoes the scenario the other benches
-// run, with the derived quantities (symbol rate, activity factor, mode
-// thresholds) that the calibration in DESIGN.md fixes.
+// run — the library defaults of mac::ScenarioParams, including the
+// calibrated permission probabilities and fixed-PHY design point, and the
+// ABICM ladder of phy::ModeTable::abicm6 — with the derived quantities
+// (symbol rate, activity factor, packets per slot).
 #include <iostream>
 
 #include "bench_support.hpp"

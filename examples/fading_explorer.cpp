@@ -36,29 +36,34 @@ int main(int argc, char** argv) {
             << " Hz, coherence ~"
             << common::TextTable::num(1000.0 / cfg.doppler_hz, 1) << " ms\n\n";
 
-  channel::UserChannel ch(
-      cfg, common::RngStream(
-               static_cast<std::uint64_t>(config.get_int_or("seed", 7))));
+  channel::ChannelBank ch;
+  ch.add_user(cfg, common::RngStream(static_cast<std::uint64_t>(
+                       config.get_int_or("seed", 7))));
   const auto phy = phy::AdaptivePhy::abicm6();
 
   // Strip chart: one row per 25 ms, column = SNR in dB (offset by 5).
-  std::cout << "SNR strip chart (each row = 25 ms; '|' = mode thresholds "
-               "4/9/13/16.5/20 dB):\n";
+  const auto column = [](double db) {
+    return static_cast<std::size_t>(
+        std::clamp(static_cast<int>(db + 5.0), 0, 40));
+  };
+  std::string thresholds(41, ' ');
+  std::cout << "SNR strip chart (each row = 25 ms; '|' = mode thresholds";
+  for (const auto& mode : phy.table().modes()) {
+    thresholds[column(mode.threshold_db)] = '|';
+    std::cout << (mode.index == 0 ? " " : "/") << mode.threshold_db;
+  }
+  std::cout << " dB):\n";
   std::cout << "  -5dB      5        15        25       35\n";
   std::vector<std::int64_t> mode_histogram(7, 0);  // [0]=outage, 1..6=modes
   const auto steps = static_cast<long>(seconds / 2.5e-3);
   for (long i = 1; i <= steps; ++i) {
-    ch.advance_to(static_cast<double>(i) * 2.5e-3);
-    const double db = ch.snr_db();
-    const auto mode = phy.select_mode(ch.snr_linear());
+    ch.advance_user_to(0, static_cast<double>(i) * 2.5e-3);
+    const double db = ch.snr_db(0);
+    const auto mode = phy.select_mode(ch.snr_linear(0));
     ++mode_histogram[static_cast<std::size_t>(mode ? *mode + 1 : 0)];
     if (i % 10 == 0) {  // one row per 25 ms
-      const int col = std::clamp(static_cast<int>(db + 5.0), 0, 40);
-      std::string row(41, ' ');
-      for (int th : {9, 14, 18, 21, 25}) {  // thresholds + 5 dB offset
-        row[static_cast<std::size_t>(th)] = '|';
-      }
-      row[static_cast<std::size_t>(col)] = '*';
+      std::string row = thresholds;
+      row[column(db)] = '*';
       std::cout << "  " << row << '\n';
     }
   }

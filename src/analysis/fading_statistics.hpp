@@ -1,11 +1,10 @@
 // Closed-form statistics of the calibrated channel model: outage/mode
 // probabilities and the mean adaptive throughput under Nakagami-L fast
-// fading with log-normal shadowing. These are the quantities DESIGN.md's
-// calibration is derived from; tests use them to pin the simulator's
-// empirical behaviour to theory.
+// fading with log-normal shadowing. Tests (FadingStatistics.*) use them to
+// pin the simulator's empirical behaviour to theory.
 #pragma once
 
-#include "channel/user_channel.hpp"
+#include "channel/channel_bank.hpp"
 #include "phy/modes.hpp"
 
 namespace charisma::analysis {

@@ -1,8 +1,8 @@
 // Closed-form properties of the slotted request contention (paper §2's
 // "Request Contention Model"): per-slot success probability, optimal
 // permission probability, and the contender count at which a p-persistent
-// phase destabilizes. Used by tests to cross-validate the simulator and by
-// DESIGN.md's stability discussion.
+// phase destabilizes. Used by tests (SlottedAloha.*) to cross-validate the
+// simulator's contention phase.
 #pragma once
 
 namespace charisma::analysis {

@@ -1,7 +1,8 @@
 // First-order voice-capacity analysis for the TDMA geometry: the
 // statistical-multiplexing numbers behind the paper's Fig. 11 read-offs
-// (saturation population, per-frame demand, and the no-queue overflow
-// loss approximation from DESIGN.md's calibration).
+// (saturation population, per-frame demand, and a Poisson no-queue
+// overflow loss approximation whose 1% knee is 107 users for the default
+// geometry; VoiceCapacity.NoQueueCapacityNearCalibrationTarget pins it).
 #pragma once
 
 #include "mac/geometry.hpp"

@@ -1,5 +1,6 @@
 #include "channel/channel_bank.hpp"
 
+#include <cassert>
 #include <cmath>
 #include <mutex>
 #include <numeric>
@@ -38,7 +39,6 @@ void ChannelBank::reserve(std::size_t users) {
   interference_linear_.reserve(users);
   shadow_sigma_db_.reserve(users);
   inv_branch_count_.reserve(users);
-  dt_.reserve(users);
   step_.reserve(users);
   group_.reserve(users);
   fading_power_.reserve(users);
@@ -119,7 +119,7 @@ std::size_t ChannelBank::seed_row(std::size_t slot,
     fade_im_.resize(fade_re_.size());
     for (auto* column : {&mean_snr_linear_, &mean_snr_db_, &interference_db_,
                          &interference_linear_, &shadow_sigma_db_,
-                         &inv_branch_count_, &dt_, &fading_power_,
+                         &inv_branch_count_, &fading_power_,
                          &shadow_db_, &shadow_linear_}) {
       column->resize(rows);
     }
@@ -139,10 +139,9 @@ std::size_t ChannelBank::seed_row(std::size_t slot,
   inv_branch_count_[slot] =
       1.0 / static_cast<double>(config.diversity_branches);
   shadow_sigma_db_[slot] = config.shadow_sigma_db;
-  dt_[slot] = config.sample_interval;
   group_[slot] = group_for(fade_rho, shadow_rho);
 
-  // Register the sample interval with the lazy clock: one floor() per
+  // Register the sample interval with the bank clock: one floor() per
   // distinct dt per set_time, one table slot per row.
   std::size_t di = 0;
   while (di < distinct_dts_.size() &&
@@ -292,35 +291,15 @@ void ChannelBank::jump_user(std::size_t user, const JumpCoeffs& c) {
 }
 
 void ChannelBank::advance_user_to(std::size_t user, common::Time t) {
-  if (lazy_) {
-    // One clock per lazy bank: move it (monotonically) and materialize just
-    // this user; everyone else catches up on their own next read/touch.
-    set_time(t);
-    materialize_user(user);
-    return;
-  }
-  // Eager: the historical independent per-user walk (no bank clock). Same
-  // boundary rule as ever: the epsilon absorbs accumulated floating-point
-  // error when t is built by summing frame durations that are not exact
-  // binary fractions.
-  const auto target =
-      static_cast<std::int64_t>(std::floor(t / dt_[user] + 1e-9));
-  if (target < step_[user]) {
-    throw std::logic_error("ChannelBank::advance_user_to: time went backwards");
-  }
-  const std::int64_t k = target - step_[user];
-  if (k == 0) return;
-  jump_user(user, coeffs(group_[user], k));
-  step_[user] = target;
-  ++jump_events_;
-  jump_frames_ += k;
+  set_time(t);
+  materialize_user(user);
 }
 
 void ChannelBank::set_time(common::Time t) {
-  // O(1) in the population: one floor() per distinct sample interval.
-  // Identical boundary expression to the historical advance_all_to loop, so
-  // eager advance_all_to (= set_time + materialize_all) lands on the same
-  // target steps bit for bit.
+  // O(1) in the population: one floor() per distinct sample interval. The
+  // epsilon absorbs accumulated floating-point error when t is built by
+  // summing frame durations that are not exact binary fractions. Every
+  // pinned sequence depends on this exact expression.
   for (std::size_t i = 0; i < distinct_dts_.size(); ++i) {
     const auto target = static_cast<std::int64_t>(
         std::floor(t / distinct_dts_[i] + 1e-9));
@@ -335,13 +314,9 @@ void ChannelBank::set_time(common::Time t) {
 void ChannelBank::materialize_user(std::size_t user) {
   const std::int64_t target = dt_targets_[dt_index_[user]];
   const std::int64_t k = target - step_[user];
-  if (k <= 0) {
-    if (k < 0) {
-      throw std::logic_error(
-          "ChannelBank::materialize_user: user ahead of the bank clock");
-    }
-    return;
-  }
+  // One clock: rows only ever advance *to* it, so none is ahead.
+  assert(k >= 0);
+  if (k == 0) return;
   jump_user(user, coeffs(group_[user], k));
   step_[user] = target;
   ++jump_events_;
@@ -357,10 +332,8 @@ void ChannelBank::materialize_batch(std::span<const std::uint32_t> slots) {
   for (const std::uint32_t slot : slots) {
     const std::size_t user = slot;
     const std::int64_t target = dt_targets_[dt_index_[user]];
-    if (target < step_[user]) {
-      throw std::logic_error("ChannelBank: row ahead of the bank clock");
-    }
     const std::int64_t k = target - step_[user];
+    assert(k >= 0);
     if (k == 0) continue;
     if (c == nullptr || group_[user] != last_group || k != last_k) {
       last_group = group_[user];
@@ -394,12 +367,6 @@ void ChannelBank::materialize_users(std::span<const std::uint32_t> slots) {
   materialize_batch(slots);
 }
 
-void ChannelBank::advance_users_to(std::span<const std::uint32_t> slots,
-                                   common::Time t) {
-  set_time(t);
-  materialize_users(slots);
-}
-
 void ChannelBank::advance_all_to(common::Time t) {
   set_time(t);
   materialize_all();
@@ -415,57 +382,28 @@ void ChannelBank::set_mean_snr_db(std::size_t user, double db) {
 }
 
 void ChannelBank::set_mean_snr_db_all(std::span<const double> db) {
-  const std::size_t n = configs_.size();
-  if (db.size() < n) {
+  if (db.size() < configs_.size()) {
     throw std::invalid_argument("ChannelBank::set_mean_snr_db_all: short span");
   }
-  if (vacant_count_ != 0) {
-    // Sparse bank: db[slot] is defined only for active slots; vacant rows
-    // keep whatever they held (re-seeded on acquire, never read).
-    refresh_active();
-    for (const std::uint32_t u : scratch_ids_) {
-      configs_[u].mean_snr_db = db[u];
-      mean_snr_db_[u] = db[u];
-      mean_snr_linear_[u] = common::from_db(db[u]);
-    }
-    return;
-  }
-  for (std::size_t u = 0; u < n; ++u) {
+  // db[slot] is defined only for active slots; vacant rows keep whatever
+  // they held (re-seeded on acquire, never read).
+  refresh_active();
+  for (const std::uint32_t u : scratch_ids_) {
     configs_[u].mean_snr_db = db[u];
     mean_snr_db_[u] = db[u];
-  }
-  // Separate pass so the pow() loop streams the two flat arrays without the
-  // ChannelConfig stride (and vectorizes under -fno-math-errno).
-  const double* src = db.data();
-  double* dst = mean_snr_linear_.data();
-  for (std::size_t u = 0; u < n; ++u) {
-    dst[u] = common::from_db(src[u]);
+    mean_snr_linear_[u] = common::from_db(db[u]);
   }
 }
 
 void ChannelBank::set_interference_db_all(std::span<const double> db) {
-  const std::size_t n = configs_.size();
-  if (db.size() < n) {
+  if (db.size() < configs_.size()) {
     throw std::invalid_argument(
         "ChannelBank::set_interference_db_all: short span");
   }
-  if (vacant_count_ != 0) {
-    refresh_active();
-    for (const std::uint32_t u : scratch_ids_) {
-      interference_db_[u] = db[u];
-      interference_linear_[u] = common::from_db(-db[u]);
-    }
-    return;
-  }
-  for (std::size_t u = 0; u < n; ++u) {
+  refresh_active();
+  for (const std::uint32_t u : scratch_ids_) {
     interference_db_[u] = db[u];
-  }
-  // Same two-pass structure as set_mean_snr_db_all: the pow() loop streams
-  // flat arrays and vectorizes under -fno-math-errno.
-  const double* src = db.data();
-  double* dst = interference_linear_.data();
-  for (std::size_t u = 0; u < n; ++u) {
-    dst[u] = common::from_db(-src[u]);
+    interference_linear_[u] = common::from_db(-db[u]);
   }
 }
 
@@ -474,35 +412,22 @@ double ChannelBank::snr_db(std::size_t user) const {
 }
 
 void ChannelBank::snr_db_all(std::span<double> out) const {
-  const std::size_t n = configs_.size();
-  if (out.size() < n) {
+  if (out.size() < configs_.size()) {
     throw std::invalid_argument("ChannelBank::snr_db_all: short span");
   }
-  // The pilot plane reads everyone, so a lazy bank re-anchors the whole
-  // population here — this is what bounds a mobile world's idle gaps at
-  // one epoch. Same logical-constness note as ensure_user.
-  if (lazy_) const_cast<ChannelBank*>(this)->materialize_all();
+  // The pilot plane reads everyone, so it brings every active row to the
+  // clock first — under the lazy schedule this is what bounds a mobile
+  // world's idle gaps at one epoch; after advance_all_to it is one compare
+  // per row. Same logical-constness note as ensure_user.
+  const_cast<ChannelBank*>(this)->materialize_all();
   constexpr double kTenOverLn10 = 4.342944819032518;  // 10 / ln(10)
-  const double* mean_db = mean_snr_db_.data();
-  const double* shadow = shadow_db_.data();
-  const double* fade = fading_power_.data();
-  const double* interf = interference_db_.data();
-  double* dst = out.data();
-  if (vacant_count_ != 0) {
-    // Vacant rows keep whatever out[slot] already held — the caller owns
-    // the slot-indexed buffer and only reads active entries.
-    refresh_active();
-    for (const std::uint32_t u : scratch_ids_) {
-      dst[u] = mean_db[u] + shadow[u] + kTenOverLn10 * std::log(fade[u]) -
-               interf[u];
-    }
-    return;
-  }
-  for (std::size_t u = 0; u < n; ++u) {
-    // Subtracting the interference penalty last keeps the interference-free
-    // value (penalty 0.0) bit-identical to the pre-SINR pilot plane.
-    dst[u] = mean_db[u] + shadow[u] + kTenOverLn10 * std::log(fade[u]) -
-             interf[u];
+  // Vacant rows keep whatever out[slot] already held — the caller owns the
+  // slot-indexed buffer and only reads active entries. Subtracting the
+  // interference penalty last keeps the interference-free value (penalty
+  // 0.0) bit-identical to the pre-SINR pilot plane.
+  for (const std::uint32_t u : scratch_ids_) {
+    out[u] = mean_snr_db_[u] + shadow_db_[u] +
+             kTenOverLn10 * std::log(fading_power_[u]) - interference_db_[u];
   }
 }
 

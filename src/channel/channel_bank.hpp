@@ -19,18 +19,22 @@
 // id), so results are independent of population size and of whether a user
 // is advanced individually or in the batched pass.
 //
-// Lazy mode (set_lazy(true), opt-in): the bank separates the frame clock
-// from materialization. set_time(t) moves the clock in O(1); per-user state
-// is materialized on demand — by the frame's declared touch set
-// (advance_users_to / materialize_users) or transparently by the first read
-// of an untouched user — via the same closed-form jump, so a user idle for
-// k frames pays one jump (two table lookups) instead of k. Because every
-// user owns a private innovation stream, a lazy bank's realization is
-// independent of *who* triggers materialization and of the order users
-// materialize in; it is NOT samplewise identical to the eager schedule (a
-// k-jump consumes one innovation set where k unit steps consume k — the
-// two are equal in distribution, not in realization), which is why eager
-// remains the default and reproduces the historical sequences bit for bit.
+// One clock per bank: set_time(t) moves the frame boundary in O(1), and a
+// row materializes up to it through the same closed-form jump — in bulk
+// (advance_all_to / materialize_all), for a declared touch set
+// (materialize_users), or by the first read of a row that is behind it.
+// Every read brings its row to the clock first, which is one compare when
+// the row is already current. Which schedule a run follows is decided
+// outside the bank, by when its caller materializes: the eager schedule
+// (advance_all_to every frame, the default) reproduces the historical
+// sequences bit for bit; the lazy one (set_time every frame, touch sets and
+// reads materialize) lets a row idle for k frames pay one jump (two table
+// lookups) instead of k. Because every row owns a private innovation
+// stream, a lazy realization is independent of *who* triggers
+// materialization and of the order rows materialize in; it is NOT
+// samplewise identical to the eager one (a k-jump consumes one innovation
+// set where k unit steps consume k — the two are equal in distribution,
+// not in realization).
 #pragma once
 
 #include <cmath>
@@ -58,11 +62,11 @@ struct ChannelConfig {
                                          common::Hertz carrier_hz);
 };
 
-/// SoA bank of per-user fading + shadowing processes stepped lazily on each
-/// user's sample grid. Rows are either appended once (add_user) or cycled
-/// through the acquire/release free-list (sparse presence); either way the
-/// caller addresses a row by the returned slot index and UserChannel wraps
-/// one slot as a per-user view.
+/// SoA bank of per-user fading + shadowing processes stepped on each user's
+/// sample grid. Rows are either appended once (add_user) or cycled through
+/// the acquire/release free-list (sparse presence); either way the caller
+/// addresses a row by the returned slot index — a user's channel *is* its
+/// row (MobileUser::slot), and a standalone trace is a one-row bank.
 class ChannelBank {
  public:
   ChannelBank() = default;
@@ -101,24 +105,14 @@ class ChannelBank {
 
   std::size_t size() const { return configs_.size(); }
 
-  /// Advances every user to (the grid point at or before) `t` in one pass.
-  /// Equivalent to set_time(t) + materialize_all(); in the default eager
-  /// mode this reproduces the historical per-frame schedule bit for bit.
+  /// Advances every user to (the grid point at or before) `t` in one pass:
+  /// set_time(t) + materialize_all(). Called every frame, this is the
+  /// historical eager schedule bit for bit.
   void advance_all_to(common::Time t);
 
-  /// Advances one user; must be called with non-decreasing times per user.
-  /// In lazy mode this moves the bank clock (monotonically) and
-  /// materializes just this user; in eager mode it is the historical
-  /// independent per-user advance and leaves the bank clock untouched.
+  /// set_time(t) + materializing just `user`; everyone else catches up on
+  /// their own next read or touch. Times must be non-decreasing.
   void advance_user_to(std::size_t user, common::Time t);
-
-  // ---- Lazy on-demand materialization (opt-in; see file comment) ----
-
-  /// Switches the bank to (or from) lazy demand-driven materialization.
-  /// Call before the first advance; reads of a lazy bank transparently
-  /// materialize the addressed user up to the bank clock.
-  void set_lazy(bool lazy) { lazy_ = lazy; }
-  bool lazy() const { return lazy_; }
 
   /// O(1) frame-clock move: records `t` (non-decreasing) as the boundary
   /// every subsequent read/touch materializes to. No per-user work.
@@ -135,16 +129,11 @@ class ChannelBank {
   /// Materializes every user up to the bank clock (epoch pilot planes).
   void materialize_all();
 
-  /// set_time(t) + materialize_users(slots): the lazy frame-loop entry
-  /// point replacing advance_all_to(t) when only `slots` will be read.
-  void advance_users_to(std::span<const std::uint32_t> slots,
-                        common::Time t);
-
   /// Materialization accounting since construction: `jump_events` counts
   /// executed jumps (user-frames where work was done), `jump_frames` the
-  /// user-frames covered (sum of jump strides). Eager banks report a
-  /// stride of exactly 1 (events == frames); the gap between the two is
-  /// the work lazy mode avoided.
+  /// user-frames covered (sum of jump strides). The eager schedule reports
+  /// a stride of exactly 1 (events == frames); the gap between the two is
+  /// the work the lazy schedule avoided.
   struct LazyStats {
     std::int64_t jump_events = 0;
     std::int64_t jump_frames = 0;
@@ -189,34 +178,35 @@ class ChannelBank {
   /// the exp() is paid by the first read — protocol frames read the SNR
   /// of a handful of candidates, not of the whole population.
   double snr_linear(std::size_t user) const {
-    if (lazy_) ensure_user(user);
+    ensure_user(user);
     return mean_snr_linear_[user] * fading_power_[user] *
            shadow_linear(user) * interference_linear_[user];
   }
   double snr_db(std::size_t user) const;
 
-  /// Bulk pilot read: writes every user's instantaneous SNR (dB) to out[u].
-  /// Works in the dB domain — mean dB + shadowing dB + 10·log10(fading
-  /// power) — so it pays one log per user where the scalar snr_db() pays an
-  /// exp (lazy shadowing) *and* a log10 through the linear domain. Same
-  /// quantity, different operation order: values agree with snr_db() to
-  /// floating-point rounding.
+  /// Bulk pilot read: brings every active row to the bank clock, then
+  /// writes each one's instantaneous SNR (dB) to out[slot], leaving vacant
+  /// slots' entries as they were. Works in the dB domain — mean dB +
+  /// shadowing dB + 10·log10(fading power) — so it pays one log per user
+  /// where the scalar snr_db() pays an exp (lazy shadowing) *and* a log10
+  /// through the linear domain. Same quantity, different operation order:
+  /// values agree with snr_db() to floating-point rounding.
   void snr_db_all(std::span<double> out) const;
 
   /// Components, exposed for tracing and tests.
   double fading_power(std::size_t user) const {
-    if (lazy_) ensure_user(user);
+    ensure_user(user);
     return fading_power_[user];
   }
   double shadow_db(std::size_t user) const {
-    if (lazy_) ensure_user(user);
+    ensure_user(user);
     return shadow_db_[user];
   }
 
   /// Per-branch I/Q state and the private innovation-engine cursor,
   /// exposed for the jump-vs-step equivalence tests (which pin that k
   /// deferred clock moves + one materialization equals one k-jump bitwise,
-  /// RNG cursor included). Branch reads do NOT materialize lazily.
+  /// RNG cursor included). Branch reads do NOT materialize.
   double fade_re(std::size_t user, int branch) const {
     return fade_re_[branch_begin_[user] + static_cast<std::size_t>(branch)];
   }
@@ -258,7 +248,7 @@ class ChannelBank {
   static JumpCoeffs compute_coeffs(double fade_rho, double shadow_rho,
                                    std::int64_t k);
   /// Process-wide (fade_rho, shadow_rho, k) -> JumpCoeffs memo shared by
-  /// every bank, so standalone UserChannels and the per-cell banks of a
+  /// every bank, so one-row trace banks and the per-cell banks of a
   /// world reuse one pow() evaluation per distinct stride instead of
   /// rebuilding tables per instance. Mutex-guarded; only consulted on a
   /// local-table miss, so the hot path stays lock-free.
@@ -268,14 +258,14 @@ class ChannelBank {
 
   /// The one row-seeding path: validates `config`, writes every per-row
   /// field of `slot` (appending a row when slot == size()), registers its
-  /// sample interval with the lazy clock and draws its stationary start
+  /// sample interval with the bank clock and draws its stationary start
   /// from `rng`. Returns `slot`.
   std::size_t seed_row(std::size_t slot, const ChannelConfig& config,
                        common::RngStream& rng);
 
-  /// Materializes one user up to the bank clock (lazy read path).
+  /// Materializes one user up to the bank clock (the read path).
   void materialize_user(std::size_t user);
-  /// Logical-constness escape for lazy reads: the observable value is "the
+  /// Logical-constness escape for reads: the observable value is "the
   /// state at the bank clock"; whether it is physically materialized is an
   /// implementation detail (banks are externally synchronized per cell, so
   /// no concurrent-read hazard is introduced).
@@ -322,7 +312,6 @@ class ChannelBank {
   std::vector<double> interference_linear_;
   std::vector<double> shadow_sigma_db_;
   std::vector<double> inv_branch_count_;
-  std::vector<common::Time> dt_;
   std::vector<std::int64_t> step_;
   std::vector<std::size_t> group_;
 
@@ -334,12 +323,11 @@ class ChannelBank {
 
   std::vector<ParamGroup> groups_;
 
-  // ---- Lazy clock ----
+  // ---- Clock ----
   // The frame boundary as a per-distinct-dt target step: dt_index_[u] is a
   // small index into distinct_dts_/dt_targets_, so set_time computes one
   // floor() per distinct sample interval (normally exactly one) and
   // ensure_user is two array loads + a compare.
-  bool lazy_ = false;
   common::Time bank_time_ = 0.0;
   std::vector<common::Time> distinct_dts_;
   std::vector<std::int64_t> dt_targets_;

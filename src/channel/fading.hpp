@@ -8,8 +8,7 @@
 //    branches ChannelBank steps on the frame grid; the per-slot *effective*
 //    SNR used by the protocol simulations is the average power of
 //    `branches` i.i.d. branches (Gamma(L) marginal, i.e. Nakagami-L),
-//    modelling interleaving + diversity combining as motivated in
-//    DESIGN.md.
+//    modelling interleaving + diversity combining.
 #pragma once
 
 #include <complex>
@@ -46,8 +45,9 @@ class JakesFadingGenerator {
 
 /// Per-step correlation coefficient for a grid interval dt under coherence
 /// time Tc = 1/doppler: rho = exp(-dt * doppler). (An exponential
-/// correlation model; see DESIGN.md for why this is preferred over the
-/// oscillatory J0 form for the MAC-level simulation.)
+/// correlation model rather than the oscillatory J0 form: its k-step
+/// correlation is rho^k, which admits the exact O(1) k-step jump
+/// ChannelBank uses.)
 double ar_rho_for(common::Hertz doppler, common::Time dt);
 
 }  // namespace charisma::channel

@@ -17,7 +17,6 @@
 #include "channel/channel_bank.hpp"
 #include "channel/csi.hpp"
 #include "channel/fading.hpp"
-#include "channel/user_channel.hpp"
 #include "common/config.hpp"
 #include "common/math.hpp"
 #include "common/rng.hpp"

@@ -91,7 +91,7 @@ void CharismaProtocol::on_user_detached(common::UserId id) {
   // this base station; the target cell learns the channel afresh.
   pool_.remove(id);
   reservations_.erase(id);
-  cached_csi(slot_of(user(id))) = channel::CsiEstimate{};
+  cached_csi(user(id).slot()) = channel::CsiEstimate{};
 }
 
 void CharismaProtocol::on_user_attached([[maybe_unused]] common::UserId id) {
@@ -100,7 +100,7 @@ void CharismaProtocol::on_user_attached([[maybe_unused]] common::UserId id) {
   assert(!pool_.contains(id));
   assert(reservations_.find(id) == reservations_.end());
   assert([&] {
-    const std::uint32_t slot = slot_of(user(id));
+    const std::uint32_t slot = user(id).slot();
     return slot >= csi_cache_.size() || !csi_cache_[slot].valid();
   }());
 }
@@ -137,7 +137,7 @@ void CharismaProtocol::run_contention_phase() {
     // Request packets embed pilot symbols (Fig. 9a): the base station gets
     // a fresh CSI estimate with every successful request.
     const auto estimate = estimate_csi(u);
-    cached_csi(slot_of(u)) = estimate;
+    cached_csi(u.slot()) = estimate;
 
     mac::PendingRequest request = acked_request(u);
     request.csi = estimate;
@@ -145,7 +145,7 @@ void CharismaProtocol::run_contention_phase() {
       // The successful request establishes (or refreshes) the talkspurt's
       // reservation: follow-up requests are generated by the base station.
       auto& reservation = reservations_[uid];
-      reservation.slot = slot_of(u);
+      reservation.slot = u.slot();
       reservation.next_request_at = u.voice().next_packet_at();
       reservation.requested_packet_at = u.voice().packet().generated_at;
     }
@@ -169,7 +169,7 @@ void CharismaProtocol::refresh_backlog_csi() {
   std::partial_sort(stale_.begin(), stale_.begin() + polls, stale_.end(),
                     ranks_before);
   // The polled short-list is a dense read set (one pilot estimate each):
-  // declare it to a lazy bank as one batch.
+  // under the lazy schedule, declare it as one batch.
   polled_.clear();
   for (std::size_t i = 0; i < polls; ++i) {
     polled_.push_back(pool[stale_[i].position].user);
@@ -180,7 +180,7 @@ void CharismaProtocol::refresh_backlog_csi() {
     auto& u = user(request.user);
     const auto estimate = estimate_csi(u);
     request.csi = estimate;
-    cached_csi(slot_of(u)) = estimate;
+    cached_csi(u.slot()) = estimate;
     ++metrics_.csi_polls;
     note_pilot_energy();  // the polled device transmits pilot symbols
   }

@@ -245,10 +245,9 @@ void CellularWorld::update_user_band(int u, std::span<const int> cells) {
       band_scratch_.push_back(band[i]);  // staying: keep the filter state
       ++i;
     } else {
-      MobileUser& mu =
-          cells_[static_cast<std::size_t>(c)]->band_admit(uid, false);
-      band_scratch_.push_back(BandPilot{
-          c, static_cast<std::uint32_t>(mu.channel().index()), 0.0, true});
+      const MobileUser& mu =
+          cells_[static_cast<std::size_t>(c)]->band_admit(uid);
+      band_scratch_.push_back(BandPilot{c, mu.slot(), 0.0, true});
     }
   }
   while (i < band.size()) {
@@ -338,7 +337,7 @@ void CellularWorld::update_cell_snr_plane(int c) {
   }
   // Same per-cell bank-op order as the dense world: mean plane,
   // interference plane, pilot snapshot. The snapshot reads every band
-  // member, so under a lazy bank the epoch is a full band re-anchor,
+  // member, so under the lazy schedule the epoch is a full band re-anchor,
   // bounding any member's deferred-jump stride by the epoch period. A
   // dark cell's bank is still fed the true plane (fading state and draw
   // order must not depend on the outage schedule); only the *broadcast*
@@ -368,7 +367,7 @@ void CellularWorld::update_cell_loads() {
   }
 }
 
-void CellularWorld::blend_user_pilots(std::size_t u, double alpha) {
+void CellularWorld::blend_user_pilots(std::size_t u) {
   // Band-local pilot filtering: the user's band entries blend their
   // cell's slot-indexed snapshot row, cell-ascending — the dense plane's
   // exact per-user scan order. Per-user arithmetic is independent, so the
@@ -394,28 +393,21 @@ void CellularWorld::blend_user_pilots(std::size_t u, double alpha) {
     }
     if (e.fresh) {
       // First snapshot this entry ever sees (band entry, or the world's
-      // initial blend): the pilot *is* the snapshot. At alpha = 1 this
-      // equals 0 + 1.0 * (snap - 0) bit for bit, so the dense initial
-      // blend is reproduced exactly.
+      // initial blend): the pilot *is* the snapshot.
       e.pilot_db = plane_rows_[c][e.slot];
       e.fresh = false;
       continue;
     }
-    e.pilot_db += alpha * (plane_rows_[c][e.slot] - e.pilot_db);
-  }
-}
-
-void CellularWorld::blend_pilots(double alpha) {
-  const std::size_t users = attached_.size();
-  for (std::size_t u = 0; u < users; ++u) {
-    blend_user_pilots(u, alpha);
+    e.pilot_db += pilot_alpha_ * (plane_rows_[c][e.slot] - e.pilot_db);
   }
 }
 
 void CellularWorld::initialize_attachments() {
-  blend_pilots(1.0);  // no history yet: the pilot *is* the first snapshot
   const int users = config_.params.total_users();
   for (int u = 0; u < users; ++u) {
+    // Every band entry is fresh (or dark) here, so the blend takes the
+    // first snapshot as the pilot.
+    blend_user_pilots(static_cast<std::size_t>(u));
     const auto& band = band_[static_cast<std::size_t>(u)];
     // Strict-> argmax over the band in ascending cell order — the dense
     // all-cells scan, restricted to residency.
@@ -491,7 +483,7 @@ void CellularWorld::decide_attachments() {
     arena.moves.clear();
     AttachMove move;
     for (std::size_t u = begin; u < end; ++u) {
-      blend_user_pilots(u, pilot_alpha_);
+      blend_user_pilots(u);
       if (decide_user(static_cast<int>(u), arena, move)) {
         arena.moves.push_back(move);
       }

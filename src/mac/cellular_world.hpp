@@ -231,7 +231,7 @@ class CellularWorld {
   /// user must be resident in cell `c`'s band.
   double interference_db(common::UserId user, int c) const {
     auto& cell = *cells_.at(static_cast<std::size_t>(c));
-    return cell.channel_bank().interference_db(cell.user(user).channel().index());
+    return cell.channel_bank().interference_db(cell.user(user).slot());
   }
   /// The aggregate load (activity × attached users) cell `c` contributed
   /// to the current epoch's interference plane.
@@ -356,12 +356,10 @@ class CellularWorld {
   /// Coordinator step after attachment: refreshes cell_load_ (activity ×
   /// attached users per cell) for the next epoch's interference plane.
   void update_cell_loads();
-  /// Low-pass blend of the per-cell snapshot rows into one user's band
-  /// entries; alpha = 1 overwrites (initial attachment), pilot_alpha_
-  /// filters. Fresh entries restart from the snapshot.
-  void blend_user_pilots(std::size_t u, double alpha);
-  /// blend_user_pilots over the whole population (construction).
-  void blend_pilots(double alpha);
+  /// Low-pass blend (pilot_alpha_) of the per-cell snapshot rows into one
+  /// user's band entries. Fresh entries — every entry at construction —
+  /// start from the snapshot.
+  void blend_user_pilots(std::size_t u);
   /// Sharded attachment phase: each shard blends its users' pilots and
   /// evaluates the outage-eviction / strongest-with-hysteresis rule
   /// against the frozen epoch snapshot, emitting AttachMove proposals.

@@ -48,9 +48,6 @@ ProtocolEngine::ProtocolEngine(const ScenarioParams& params)
   // The channel grid step must match the frame cadence so per-frame draws
   // line up with the coherence model.
   params_.channel.sample_interval = geom_.frame_duration;
-  // Opt-in demand-driven materialization: advance_world moves the bank
-  // clock in O(1) and the frame's touch sets / reads materialize users.
-  bank_.set_lazy(params_.lazy_channel);
   if (!params_.defer_population) {
     // Dense (historical) population: every user admitted in id order —
     // slot == id throughout — present with live traffic from the start.
@@ -62,7 +59,8 @@ ProtocolEngine::ProtocolEngine(const ScenarioParams& params)
     users_.reserve(total);
     band_.reserve(total);
     for (int i = 0; i < params.total_users(); ++i) {
-      band_admit(static_cast<common::UserId>(i), true);
+      band_admit(static_cast<common::UserId>(i));
+      attach_user_initial(static_cast<common::UserId>(i));
     }
   }
 }
@@ -87,8 +85,7 @@ void ProtocolEngine::materialize_touched(
     std::span<const common::UserId> users) {
   touch_slots_.clear();
   for (const common::UserId id : users) {
-    touch_slots_.push_back(
-        static_cast<std::uint32_t>(user(id).channel().index()));
+    touch_slots_.push_back(user(id).slot());
   }
   bank_.materialize_users(touch_slots_);
 }
@@ -100,8 +97,7 @@ bool ProtocolEngine::band_resident(common::UserId id) const {
   return it != band_.end() && it->id == id;
 }
 
-MobileUser& ProtocolEngine::band_admit(common::UserId id,
-                                       bool materialize_traffic) {
+MobileUser& ProtocolEngine::band_admit(common::UserId id) {
   if (id < 0 || id >= static_cast<common::UserId>(params_.total_users())) {
     throw std::out_of_range("ProtocolEngine::band_admit: bad id");
   }
@@ -122,7 +118,7 @@ MobileUser& ProtocolEngine::band_admit(common::UserId id,
   auto u = std::make_unique<MobileUser>(id, service, params_, bank_, visit);
   // The bank decides the slot (fresh row or a reused free-list one); the
   // engine's storage mirrors the bank's rows one-for-one.
-  const std::size_t slot = u->channel().index();
+  const std::size_t slot = u->slot();
   if (slot == users_.size()) {
     users_.push_back(std::move(u));
   } else {
@@ -130,19 +126,14 @@ MobileUser& ProtocolEngine::band_admit(common::UserId id,
   }
   if (slot != static_cast<std::size_t>(id)) identity_ = false;
   band_.insert(pos, BandMember{id, static_cast<std::uint32_t>(slot)});
-  MobileUser& ref = *users_[slot];
-  if (materialize_traffic) {
-    ref.ensure_traffic(params_);
-    mark_attached(ref);
-  }
-  return ref;
+  return *users_[slot];
 }
 
 void ProtocolEngine::mark_attached(MobileUser& u) {
   u.set_present(true);
   const auto pos =
       std::lower_bound(roster_.begin(), roster_.end(), u.id(), id_before);
-  roster_.insert(pos, RosterEntry{u.id(), slot_of(u),
+  roster_.insert(pos, RosterEntry{u.id(), u.slot(),
                                   -std::numeric_limits<double>::infinity()});
 }
 
@@ -299,6 +290,9 @@ void ProtocolEngine::barring_control_step() {
 
 void ProtocolEngine::advance_world() {
   const common::Time t = now_;
+  // This branch and touch_channels' are the whole difference between the
+  // two channel schedules.
+  //
   // Eager (default): one batched SoA pass over every user's
   // fading/shadowing state instead of per-user pointer-chasing walks.
   // Detached users' channels keep evolving (their pilots are what the
@@ -390,7 +384,7 @@ ContentionOutcome ProtocolEngine::run_contention(
     const std::vector<common::UserId>& candidates, int minislots) {
   // Contenders are this frame's dense read set (winners get CSI estimates,
   // CHARISMA ranks them by channel): one batched materialization beats the
-  // scattered on-read jumps a lazy bank would otherwise pay.
+  // scattered on-read jumps the lazy schedule would otherwise pay.
   touch_channels(candidates);
   auto outcome = run_request_phase(
       candidates, minislots,
@@ -449,7 +443,7 @@ void ProtocolEngine::note_pilot_energy() {
 }
 
 channel::CsiEstimate ProtocolEngine::estimate_csi(MobileUser& u) {
-  return csi_estimator_.estimate(u.channel().snr_linear(), now_,
+  return csi_estimator_.estimate(bank_.snr_linear(u.slot()), now_,
                                  u.rng());
 }
 
@@ -464,7 +458,8 @@ void ProtocolEngine::transmit_voice_fixed(MobileUser& u) {
     note_wasted_slot();
     return;  // device stays silent: no energy spent
   }
-  const bool ok = fixed_phy_.transmit_packet(u.channel().snr_linear(), u.rng());
+  const bool ok =
+      fixed_phy_.transmit_packet(bank_.snr_linear(u.slot()), u.rng());
   src.consume_packet();
   const double energy = burst_energy(geom_.slot_symbols);
   metrics_.energy_info_j += energy;
@@ -493,7 +488,7 @@ void ProtocolEngine::transmit_voice_adaptive(MobileUser& u, int mode) {
     return;
   }
   const bool ok =
-      adaptive_phy_.transmit_packet(mode, u.channel().snr_linear(), u.rng());
+      adaptive_phy_.transmit_packet(mode, bank_.snr_linear(u.slot()), u.rng());
   src.consume_packet();
   const double energy = burst_energy(geom_.slot_symbols);
   metrics_.energy_info_j += energy;
@@ -518,7 +513,7 @@ int ProtocolEngine::transmit_data_fixed(MobileUser& u) {
   ++metrics_.data_tx_attempts;
   const double energy = burst_energy(geom_.slot_symbols);
   metrics_.energy_info_j += energy;
-  if (fixed_phy_.transmit_packet(u.channel().snr_linear(), u.rng())) {
+  if (fixed_phy_.transmit_packet(bank_.snr_linear(u.slot()), u.rng())) {
     ++metrics_.data_delivered;
     metrics_.data_delay_s.add(now_ - arrival);
     metrics_.data_delay_hist.add(now_ - arrival);
@@ -540,7 +535,7 @@ int ProtocolEngine::transmit_data_adaptive(MobileUser& u, int mode,
     note_wasted_slot();
     return 0;
   }
-  const double snr = u.channel().snr_linear();
+  const double snr = bank_.snr_linear(u.slot());
   const common::Time t = now_;
   const int to_send = std::min(cap, src.backlog());
   int delivered = 0;

@@ -147,24 +147,22 @@ class ProtocolEngine {
 
   /// Admits `id` into this engine's band: acquires a ChannelBank row
   /// (reusing a released slot when one matches) and constructs the user's
-  /// shell there. With `materialize_traffic` the user is also made present
-  /// with live traffic sources — the historical at-construction semantics,
-  /// used for the dense population and by tests; the world instead admits
-  /// shells and attaches separately. What the new row draws depends only
-  /// on (scenario seed, id, per-(user,cell) visit count) — never on the
-  /// presence history of the rest of the population or on which slot the
-  /// free list handed back. Throws on a double admit or a bad id.
-  MobileUser& band_admit(common::UserId id, bool materialize_traffic);
+  /// shell there, absent; attach_user_initial or attach_user makes it
+  /// present. What the new row draws depends only on (scenario seed, id,
+  /// per-(user,cell) visit count) — never on the presence history of the
+  /// rest of the population or on which slot the free list handed back.
+  /// Throws on a double admit or a bad id.
+  MobileUser& band_admit(common::UserId id);
 
   /// Releases `id` from the band: destroys its shell and frees its bank
   /// row for reuse. The user must be detached first (throws logic_error
   /// otherwise); its next admit here draws a fresh rebirth seed.
   void band_release(common::UserId id);
 
-  /// First-time attachment during world construction: makes the user
-  /// present with live traffic, *without* counting a handoff — the initial
-  /// placement is not a hand-in (dense initialize_attachments never
-  /// counted one either).
+  /// First-time attachment (the dense population at construction, the
+  /// world's initial placement): makes the user present with live traffic,
+  /// *without* counting a handoff — the initial placement is not a
+  /// hand-in.
   void attach_user_initial(common::UserId id);
 
   /// Band membership, ascending by user id. slot is the user's storage /
@@ -229,8 +227,9 @@ class ProtocolEngine {
   UserBand users() { return {band_, users_}; }
   MobileUser& user(common::UserId id);
 
-  /// The shared SoA channel state all users' channels view into; exposed
-  /// for benchmarks and tests of the batched hot path.
+  /// The SoA channel state whose rows are the users' channels
+  /// (MobileUser::slot); exposed for benchmarks and tests of the batched
+  /// hot path.
   channel::ChannelBank& channel_bank() { return bank_; }
   const channel::ChannelBank& channel_bank() const { return bank_; }
 
@@ -249,8 +248,9 @@ class ProtocolEngine {
   /// protocol state. Every stock protocol keys its state by user id and
   /// releases it in on_user_detached, so the default — and the overrides —
   /// do no release-mode work; overrides assert no stale residue survived a
-  /// detach/release cycle. Never fired for the dense at-construction
-  /// population (protocol constructors run after admission).
+  /// detach/release cycle. The dense at-construction population attaches
+  /// inside the base constructor, where the call dispatches to this no-op
+  /// (protocol constructors run after admission).
   virtual void on_user_attached(common::UserId /*id*/) {}
 
   /// Number of requests the protocol is holding at the base station
@@ -261,8 +261,10 @@ class ProtocolEngine {
   // ---- World helpers ----
 
   /// Advances channels and sources to the current frame boundary and
-  /// accounts packet generation/expiry. With params.lazy_channel the
-  /// channel side is an O(1) clock move (bank_.set_time); per-user state
+  /// accounts packet generation/expiry. The channel side is one of the two
+  /// places the schedule differs (touch_channels is the other):
+  /// advance_all_to (eager, the default) or, with params.lazy_channel, an
+  /// O(1) clock move (bank_.set_time) after which per-user state
   /// materializes when the frame touches or reads it. Traffic is
   /// activity-indexed: only roster entries whose next event is due
   /// (next_event <= now + 1e-9, the test on_frame itself makes) call
@@ -276,10 +278,6 @@ class ProtocolEngine {
   /// The band member stored at `slot` (a roster entry's or a protocol's
   /// recorded slot): the O(1) alternative to user(id)'s search.
   MobileUser& at_slot(std::uint32_t slot) { return *users_[slot]; }
-  /// A band member's storage slot, which is its ChannelBank row.
-  static std::uint32_t slot_of(const MobileUser& u) {
-    return static_cast<std::uint32_t>(u.channel().index());
-  }
 
   /// The per-frame scan: calls `visit(MobileUser&)` for every attached
   /// user in ascending id order, except the ids in `skip` — an ascending
@@ -307,16 +305,16 @@ class ProtocolEngine {
   void release_finished_talkspurts(ReservationGrid& grid);
 
   /// Declares the users this frame is about to read (slot owners, due
-  /// lists, contention candidates, grant queues): a lazy bank
-  /// materializes them as one batch instead of paying scattered on-read
-  /// jumps; an eager bank (the default) needs nothing. Protocols pass user
+  /// lists, contention candidates, grant queues): under the lazy schedule
+  /// they materialize as one batch instead of paying scattered on-read
+  /// jumps; the eager schedule (the default) needs nothing. Protocols pass user
   /// ids; the engine translates them to bank slots (a sparse band's rows
   /// are recycled, so ids != slots). The touch set is an optimization, not
   /// an obligation — any user read without being declared still
   /// materializes transparently, so protocol hooks only need to cover
   /// their hot sets.
   void touch_channels(std::span<const common::UserId> users) {
-    if (bank_.lazy()) materialize_touched(users);
+    if (params_.lazy_channel) materialize_touched(users);
   }
 
   /// This user's permission probability (paper §2, p_v / p_d).
@@ -436,7 +434,7 @@ class ProtocolEngine {
 
   ScenarioParams params_;
   FrameGeometry geom_;
-  channel::ChannelBank bank_;  // declared before users_: views into it
+  channel::ChannelBank bank_;  // users_[slot]'s channel is row `slot`
   // Slot-indexed storage mirroring the bank's rows one-for-one (null at
   // vacant slots), plus the ascending-id membership index over it. In the
   // dense population slot == id and band_ is the identity.

@@ -33,39 +33,17 @@ channel::ChannelConfig user_channel_config(common::UserId id,
   return cfg;
 }
 
-channel::UserChannel make_channel(common::UserId id,
-                                  const ScenarioParams& params,
-                                  std::uint64_t seed,
-                                  channel::ChannelBank* bank) {
-  const channel::ChannelConfig cfg = user_channel_config(id, params);
-  common::RngStream rng(seed,
-                        kChannelStream + static_cast<std::uint64_t>(id));
-  if (bank != nullptr) {
-    return channel::UserChannel(*bank,
-                                bank->acquire_user(cfg, std::move(rng)));
-  }
-  return channel::UserChannel(cfg, std::move(rng));
-}
 }  // namespace
 
 MobileUser::MobileUser(common::UserId id, ServiceType service,
                        const ScenarioParams& params,
-                       channel::ChannelBank* bank)
-    : id_(id),
-      service_(service),
-      seed_(params.seed),
-      channel_(make_channel(id, params, params.seed, bank)) {
-  ensure_traffic(params);
-}
-
-MobileUser::MobileUser(common::UserId id, ServiceType service,
-                       const ScenarioParams& params,
                        channel::ChannelBank& bank, std::uint32_t visit)
-    : present_(false),
-      id_(id),
-      service_(service),
-      seed_(visit_seed(params.seed, visit)),
-      channel_(make_channel(id, params, seed_, &bank)) {}
+    : id_(id), service_(service), seed_(visit_seed(params.seed, visit)) {
+  common::RngStream rng(seed_,
+                        kChannelStream + static_cast<std::uint64_t>(id));
+  slot_ = static_cast<std::uint32_t>(
+      bank.acquire_user(user_channel_config(id, params), std::move(rng)));
+}
 
 void MobileUser::ensure_traffic(const ScenarioParams& params) {
   if (!rng_.has_value()) {

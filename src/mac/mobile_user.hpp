@@ -1,13 +1,13 @@
-// A mobile device: its service type, traffic source, radio channel and a
-// private random stream for MAC-level draws (contention permissions,
-// packet-error realizations). All per-user randomness is seeded from the
-// scenario seed and the user id, so populations are reproducible and
-// protocols see identical worlds.
+// A mobile device: its service type, traffic source, radio channel (a row
+// of its cell's ChannelBank) and a private random stream for MAC-level
+// draws (contention permissions, packet-error realizations). All per-user
+// randomness is seeded from the scenario seed and the user id, so
+// populations are reproducible and protocols see identical worlds.
 //
-// Sparse presence: a user object can be constructed as a band-resident
-// *shell* — channel row live in the cell's bank (the attachment policy
-// needs its pilot), traffic sources and MAC stream deferred until the user
-// actually attaches (ensure_traffic). A shell is ~a hundred bytes; the
+// A user is constructed as a band-resident *shell* — channel row live in
+// the cell's bank (the attachment policy needs its pilot), traffic sources
+// and MAC stream deferred until the user actually attaches
+// (ensure_traffic). A shell is ~a hundred bytes; the
 // mt19937_64-backed streams it defers are ~2.5 KB each, which is what
 // makes band-local worlds with very large populations affordable. Under
 // ScenarioParams::traffic_rng = kCompact the deferred streams themselves
@@ -20,7 +20,7 @@
 #include <memory>
 #include <optional>
 
-#include "channel/user_channel.hpp"
+#include "channel/channel_bank.hpp"
 #include "common/rng.hpp"
 #include "common/units.hpp"
 #include "mac/scenario.hpp"
@@ -33,20 +33,10 @@ enum class ServiceType { kVoice, kData };
 
 class MobileUser {
  public:
-  /// Fully materialized user, present, visit 0: the historical single-cell
-  /// constructor. When `bank` is non-null the user's channel is registered
-  /// in that shared ChannelBank (the engine's batched hot path); otherwise
-  /// the channel is standalone. Seeding is identical either way, so the
-  /// same user sees the same channel in both modes.
-  MobileUser(common::UserId id, ServiceType service,
-             const ScenarioParams& params,
-             channel::ChannelBank* bank = nullptr);
-
-  /// Band-shell constructor (sparse presence): acquires a channel row in
-  /// `bank` but defers the traffic sources and the MAC stream until
-  /// ensure_traffic; the user starts absent. `visit` is the per-(user,
-  /// cell) band-entry counter: visit 0 draws from the plain scenario seed
-  /// (bit-identical to the historical constructor), visit v > 0 derives a
+  /// Acquires the user's channel row in `bank` and builds the shell: the
+  /// traffic sources and the MAC stream wait for ensure_traffic, and the
+  /// user starts absent. `visit` is the per-(user, cell) band-entry counter:
+  /// visit 0 draws from the plain scenario seed, visit v > 0 derives a
   /// fresh rebirth seed, so what a re-entering user's row draws depends
   /// only on (seed, id, visit) — never on the presence history of the rest
   /// of the population or on which bank slot the free-list handed back.
@@ -59,8 +49,10 @@ class MobileUser {
   bool is_voice() const { return service_ == ServiceType::kVoice; }
   bool is_data() const { return service_ == ServiceType::kData; }
 
-  channel::UserChannel& channel() { return channel_; }
-  const channel::UserChannel& channel() const { return channel_; }
+  /// The user's channel: its row in the bank it was constructed on, and
+  /// the engine's storage slot for it (slot == id only in a full,
+  /// never-released population).
+  std::uint32_t slot() const { return slot_; }
 
   traffic::VoiceSource& voice() { return *voice_; }
   const traffic::VoiceSource& voice() const { return *voice_; }
@@ -126,12 +118,12 @@ class MobileUser {
   void set_present(bool present) { present_ = present; }
 
   double backoff_scale_ = 1.0;
-  bool present_ = true;
+  bool present_ = false;
   common::UserId id_;
   ServiceType service_;
+  std::uint32_t slot_;
   std::uint64_t seed_;  // visit-derived scenario seed (visit 0: the plain one)
   std::optional<common::TrafficRng> rng_;
-  channel::UserChannel channel_;
   std::unique_ptr<traffic::VoiceSource> voice_;
   std::unique_ptr<traffic::DataSource> data_;
 };

@@ -5,7 +5,7 @@
 
 #include <cstdint>
 
-#include "channel/user_channel.hpp"
+#include "channel/channel_bank.hpp"
 #include "common/rng.hpp"
 #include "mac/barring.hpp"
 #include "mac/energy.hpp"
@@ -30,7 +30,7 @@ struct ScenarioParams {
   phy::PhyConfig phy{};
 
   /// Design point (dB) of the fixed-throughput PHY used by the
-  /// non-adaptive baselines (DESIGN.md calibration).
+  /// non-adaptive baselines; bench/table1_parameters prints it.
   double fixed_phy_reference_db = 9.75;
 
   // Traffic model (paper §2).

@@ -22,8 +22,6 @@ FixedPhy::FixedPhy(double ber_reference_db, double target_ber, int packet_bits)
   mode_.ber_coefficient = x * x / mode_.threshold_linear;
 }
 
-FixedPhy FixedPhy::standard() { return FixedPhy(7.0, 1e-5, 160); }
-
 double FixedPhy::packet_error_rate(double true_snr_linear) const {
   return mode_.per(true_snr_linear, packet_bits_);
 }

@@ -16,13 +16,6 @@ class FixedPhy {
   /// (the design point of the static link budget).
   FixedPhy(double ber_reference_db, double target_ber, int packet_bits);
 
-  /// Defaults from DESIGN.md: 1 bit/symbol, design point 7 dB, BER 1e-5,
-  /// 160-bit packets.
-  static FixedPhy standard();
-
-  double bits_per_symbol() const { return 1.0; }
-  int packets_per_slot() const { return 1; }
-
   double ber(double true_snr_linear) const { return mode_.ber(true_snr_linear); }
   double packet_error_rate(double true_snr_linear) const;
 
@@ -32,9 +25,6 @@ class FixedPhy {
   bool transmit_packet(double true_snr_linear, Rng& rng) const {
     return !rng.bernoulli(packet_error_rate(true_snr_linear));
   }
-
-  double ber_reference_db() const { return mode_.threshold_db; }
-  int packet_bits() const { return packet_bits_; }
 
  private:
   TransmissionMode mode_;

@@ -54,9 +54,10 @@ ModeTable ModeTable::custom(const std::vector<double>& bits_per_symbol,
 }
 
 ModeTable ModeTable::abicm6(double target_ber) {
-  // Thresholds calibrated in DESIGN.md: the trellis-coded low modes are
-  // more robust than the legacy fixed-rate design point (10 dB), while the
-  // dense high modes match adaptive-modulation ladders.
+  // The trellis-coded low modes (2.5, 5.5 and 9 dB) hold the target BER
+  // below the fixed-rate design point (ScenarioParams::
+  // fixed_phy_reference_db, 9.75 dB), while the dense high modes match
+  // adaptive-modulation ladders. bench/table1_parameters prints the table.
   return custom({0.5, 1.0, 2.0, 3.0, 4.0, 5.0},
                 {2.5, 5.5, 9.0, 13.0, 16.5, 20.0}, target_ber);
 }

@@ -42,7 +42,7 @@ class ModeTable {
                           double target_ber);
 
   /// The paper's 6-mode ABICM ladder: throughputs {0.5,1,2,3,4,5} bit/sym
-  /// with thresholds {2,5,9,13,16.5,20} dB (DESIGN.md calibration).
+  /// with thresholds {2.5, 5.5, 9, 13, 16.5, 20} dB.
   static ModeTable abicm6(double target_ber = 1e-5);
 
   /// Highest mode whose threshold (plus `margin_db` of backoff) is met by

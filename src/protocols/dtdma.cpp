@@ -84,7 +84,7 @@ common::Time DtdmaProtocol::process_frame() {
   offer_info_slots(geom_.num_info_slots);
 
   // 1. Reserved voice users transmit in their owned slots. They are this
-  //    frame's dense read set, so declare them to a lazy bank in one batch
+  //    frame's dense read set, so declare them in one batch (lazy schedule)
   //    (queued to_serve users are sparse and materialize on read).
   const auto due = grid_.due_in_phase(phase);
   touch_channels(due);

@@ -80,10 +80,6 @@ class DataSource {
   void set_rate_scale(double scale);
   double rate_scale() const { return rate_scale_; }
 
-  /// Current MMPP modulating state (always false when disabled) — test
-  /// visibility.
-  bool mmpp_high() const { return mmpp_high_; }
-
  private:
   /// Draws the gap to the burst after `ref`, first advancing the MMPP
   /// modulating chain to `ref` so the gap uses the state in force there.

@@ -1,7 +1,11 @@
-#include "channel/user_channel.hpp"
+// A user's channel is one ChannelBank row: these pin the statistics and
+// the grid-step rules of a single row, driven through one-row banks.
+#include "channel/channel_bank.hpp"
 
 #include <cmath>
 #include <gtest/gtest.h>
+
+#include <utility>
 
 #include "common/math.hpp"
 #include "common/rng.hpp"
@@ -19,13 +23,20 @@ ChannelConfig test_config() {
   return cfg;
 }
 
-TEST(UserChannel, MeanSnrNearLinkBudget) {
-  UserChannel ch(test_config(), common::RngStream(1));
+/// A one-row bank: the standalone form of a user's channel.
+ChannelBank one_row(const ChannelConfig& config, common::RngStream rng) {
+  ChannelBank bank;
+  bank.add_user(config, std::move(rng));
+  return bank;
+}
+
+TEST(ChannelRow, MeanSnrNearLinkBudget) {
+  auto ch = one_row(test_config(), common::RngStream(1));
   double sum = 0.0;
   const int n = 100000;
   for (int i = 1; i <= n; ++i) {
-    ch.advance_to(static_cast<double>(i) * 2.5e-3);
-    sum += ch.snr_linear();
+    ch.advance_user_to(0, static_cast<double>(i) * 2.5e-3);
+    sum += ch.snr_linear(0);
   }
   // E[snr] = mean * E[fading]=1 * E[shadow] where E[10^(N(0,sigma)/10)]
   // = exp((sigma*ln10/10)^2/2) ~ 1.27 for sigma=3dB.
@@ -34,31 +45,25 @@ TEST(UserChannel, MeanSnrNearLinkBudget) {
               common::from_db(16.0) * 0.25);
 }
 
-TEST(UserChannel, TimeMustNotGoBackwards) {
-  UserChannel ch(test_config(), common::RngStream(2));
-  ch.advance_to(1.0);
-  EXPECT_THROW(ch.advance_to(0.5), std::logic_error);
+TEST(ChannelRow, StateConstantWithinGridStep) {
+  auto ch = one_row(test_config(), common::RngStream(3));
+  ch.advance_user_to(0, 0.1);
+  const double snr = ch.snr_linear(0);
+  ch.advance_user_to(0, 0.1 + 1e-3);  // less than one 2.5 ms step further
+  EXPECT_DOUBLE_EQ(ch.snr_linear(0), snr);
 }
 
-TEST(UserChannel, StateConstantWithinGridStep) {
-  UserChannel ch(test_config(), common::RngStream(3));
-  ch.advance_to(0.1);
-  const double snr = ch.snr_linear();
-  ch.advance_to(0.1 + 1e-3);  // less than one 2.5 ms step further
-  EXPECT_DOUBLE_EQ(ch.snr_linear(), snr);
-}
-
-TEST(UserChannel, IndependentUsersDecorrelated) {
-  UserChannel a(test_config(), common::RngStream(4));
-  UserChannel b(test_config(), common::RngStream(5));
+TEST(ChannelRow, IndependentUsersDecorrelated) {
+  auto a = one_row(test_config(), common::RngStream(4));
+  auto b = one_row(test_config(), common::RngStream(5));
   double sum_ab = 0.0, sum_a = 0.0, sum_b = 0.0, sum_a2 = 0.0, sum_b2 = 0.0;
   const int n = 20000;
   for (int i = 1; i <= n; ++i) {
     const double t = static_cast<double>(i) * 2.5e-3;
-    a.advance_to(t);
-    b.advance_to(t);
-    const double fa = a.fading_power();
-    const double fb = b.fading_power();
+    a.advance_user_to(0, t);
+    b.advance_user_to(0, t);
+    const double fa = a.fading_power(0);
+    const double fb = b.fading_power(0);
     sum_a += fa;
     sum_b += fb;
     sum_ab += fa * fb;
@@ -71,56 +76,56 @@ TEST(UserChannel, IndependentUsersDecorrelated) {
   EXPECT_LT(std::fabs(cov / std::sqrt(var_a * var_b)), 0.1);
 }
 
-TEST(UserChannel, SnrDbConsistent) {
-  UserChannel ch(test_config(), common::RngStream(6));
-  ch.advance_to(0.25);
-  EXPECT_NEAR(ch.snr_db(), common::to_db(ch.snr_linear()), 1e-12);
+TEST(ChannelRow, SnrDbConsistent) {
+  auto ch = one_row(test_config(), common::RngStream(6));
+  ch.advance_user_to(0, 0.25);
+  EXPECT_NEAR(ch.snr_db(0), common::to_db(ch.snr_linear(0)), 1e-12);
 }
 
-TEST(UserChannel, DeterministicGivenSeed) {
-  UserChannel a(test_config(), common::RngStream(7));
-  UserChannel b(test_config(), common::RngStream(7));
+TEST(ChannelRow, DeterministicGivenSeed) {
+  auto a = one_row(test_config(), common::RngStream(7));
+  auto b = one_row(test_config(), common::RngStream(7));
   for (int i = 1; i <= 100; ++i) {
     const double t = static_cast<double>(i) * 2.5e-3;
-    a.advance_to(t);
-    b.advance_to(t);
-    EXPECT_DOUBLE_EQ(a.snr_linear(), b.snr_linear());
+    a.advance_user_to(0, t);
+    b.advance_user_to(0, t);
+    EXPECT_DOUBLE_EQ(a.snr_linear(0), b.snr_linear(0));
   }
 }
 
-TEST(UserChannel, StepBoundaryRoundingTolerantOfAccumulatedTime) {
+TEST(ChannelRow, StepBoundaryRoundingTolerantOfAccumulatedTime) {
   // Frame clocks build t by summing frame durations that are not exact
   // binary fractions, so the accumulated t drifts a few ulp below n * dt.
   // The floor(t/dt + 1e-9) epsilon must land both clocks on the same grid
   // step; without it the accumulated clock falls one step behind and every
   // subsequent draw diverges.
   const double dt = 2.5e-3;
-  UserChannel exact(test_config(), common::RngStream(10));
-  UserChannel accumulated(test_config(), common::RngStream(10));
+  auto exact = one_row(test_config(), common::RngStream(10));
+  auto accumulated = one_row(test_config(), common::RngStream(10));
   double t = 0.0;
   for (int i = 1; i <= 4000; ++i) {
     t += dt;  // rounds; at i=3 already t != i * dt exactly
-    exact.advance_to(static_cast<double>(i) * dt);
-    accumulated.advance_to(t);
-    ASSERT_DOUBLE_EQ(exact.snr_linear(), accumulated.snr_linear()) << i;
+    exact.advance_user_to(0, static_cast<double>(i) * dt);
+    accumulated.advance_user_to(0, t);
+    ASSERT_DOUBLE_EQ(exact.snr_linear(0), accumulated.snr_linear(0)) << i;
   }
 }
 
-TEST(UserChannel, StepBoundarySlightlyUnderMultipleRoundsUp) {
+TEST(ChannelRow, StepBoundarySlightlyUnderMultipleRoundsUp) {
   // A target a hair under an exact multiple of dt (floating-point noise,
   // not a genuinely earlier time) must still advance to that step.
   const double dt = 2.5e-3;
-  UserChannel a(test_config(), common::RngStream(11));
-  UserChannel b(test_config(), common::RngStream(11));
+  auto a = one_row(test_config(), common::RngStream(11));
+  auto b = one_row(test_config(), common::RngStream(11));
   const double boundary = 100.0 * dt;
-  a.advance_to(boundary);
-  b.advance_to(boundary * (1.0 - 1e-12));
-  EXPECT_DOUBLE_EQ(a.snr_linear(), b.snr_linear());
+  a.advance_user_to(0, boundary);
+  b.advance_user_to(0, boundary * (1.0 - 1e-12));
+  EXPECT_DOUBLE_EQ(a.snr_linear(0), b.snr_linear(0));
   // ...while a target clearly inside the previous step lands one step
   // short (same seed, same single-jump path, different stride).
-  UserChannel c(test_config(), common::RngStream(11));
-  c.advance_to(boundary - 0.6 * dt);
-  EXPECT_NE(c.snr_linear(), a.snr_linear());
+  auto c = one_row(test_config(), common::RngStream(11));
+  c.advance_user_to(0, boundary - 0.6 * dt);
+  EXPECT_NE(c.snr_linear(0), a.snr_linear(0));
 }
 
 TEST(ChannelConfig, DopplerForSpeed) {
@@ -134,25 +139,25 @@ TEST(ChannelConfig, DopplerForSpeed) {
                std::invalid_argument);
 }
 
-TEST(UserChannel, HigherDopplerDecorrelatesFaster) {
+TEST(ChannelRow, HigherDopplerDecorrelatesFaster) {
   auto slow_cfg = test_config();
   slow_cfg.doppler_hz = 20.0;
   auto fast_cfg = test_config();
   fast_cfg.doppler_hz = 200.0;
-  UserChannel slow(slow_cfg, common::RngStream(8));
-  UserChannel fast(fast_cfg, common::RngStream(9));
+  auto slow = one_row(slow_cfg, common::RngStream(8));
+  auto fast = one_row(fast_cfg, common::RngStream(9));
   double slow_diff = 0.0, fast_diff = 0.0;
   double prev_slow = 0.0, prev_fast = 0.0;
   for (int i = 1; i <= 20000; ++i) {
     const double t = static_cast<double>(i) * 2.5e-3;
-    slow.advance_to(t);
-    fast.advance_to(t);
+    slow.advance_user_to(0, t);
+    fast.advance_user_to(0, t);
     if (i > 1) {
-      slow_diff += std::fabs(slow.fading_power() - prev_slow);
-      fast_diff += std::fabs(fast.fading_power() - prev_fast);
+      slow_diff += std::fabs(slow.fading_power(0) - prev_slow);
+      fast_diff += std::fabs(fast.fading_power(0) - prev_fast);
     }
-    prev_slow = slow.fading_power();
-    prev_fast = fast.fading_power();
+    prev_slow = slow.fading_power(0);
+    prev_fast = fast.fading_power(0);
   }
   EXPECT_LT(slow_diff, fast_diff);
 }

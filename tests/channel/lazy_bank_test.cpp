@@ -1,8 +1,8 @@
-// The lazy-materialization contract of ChannelBank:
+// The lazy-schedule contract of ChannelBank:
 //
 //  * k deferred clock moves + one materialization IS one k-jump — bitwise,
 //    per diversity branch, RNG cursor included (the property that makes the
-//    closed-form jump an *implementation detail* of lazy mode);
+//    closed-form jump an *implementation detail* of the lazy schedule);
 //  * the touch set is an optimization, not an obligation: scattered
 //    on-read materialization equals one batched declaration, bitwise —
 //    also when a batch mixes parameter groups, branch counts and strides;
@@ -49,9 +49,9 @@ ChannelBank make_bank(int users, std::uint64_t seed0,
   return bank;
 }
 
-// NOTE: fading_power/shadow_db/snr_linear are materializing reads on a lazy
-// bank, so comparing two banks is itself a (bitwise-neutral) touch — callers
-// must compare users both banks have already materialized, or bulk-advance
+// NOTE: fading_power/shadow_db/snr_linear are materializing reads, so
+// comparing two banks is itself a (bitwise-neutral) touch — callers must
+// compare users both banks have already materialized, or bulk-advance
 // first, for the current_step assertion to be meaningful.
 void expect_user_bitwise_equal(const ChannelBank& a, const ChannelBank& b,
                                std::size_t u) {
@@ -83,7 +83,6 @@ TEST(LazyBank, DeferredClockPlusMaterializeEqualsOneJump) {
     SCOPED_TRACE("k = " + std::to_string(k));
     auto lazy = make_bank(3, 40);
     auto eager = make_bank(3, 40);
-    lazy.set_lazy(true);
     for (int i = 1; i <= k; ++i) {
       lazy.set_time(static_cast<double>(i) * kDt);
     }
@@ -112,7 +111,6 @@ TEST(LazyBank, BulkAdvanceEqualsLazyMaterializeAll) {
   // one place lazy and eager schedules coincide bitwise.
   auto lazy = make_bank(6, 90, /*mixed_population=*/true);
   auto eager = make_bank(6, 90, /*mixed_population=*/true);
-  lazy.set_lazy(true);
   for (double t : {5 * kDt, 6 * kDt, 70 * kDt}) {
     lazy.set_time(t);
     lazy.materialize_all();
@@ -121,10 +119,10 @@ TEST(LazyBank, BulkAdvanceEqualsLazyMaterializeAll) {
   }
 }
 
-/// Drives two identical lazy banks over `frames` frames. Each frame,
-/// touch(f, ids) names the read set: `batched` declares it up front,
-/// `on_read` only moves its clock and reads those users one by one, in
-/// reverse order; the touched users are compared as they go. Every
+/// Drives two identical banks on the lazy schedule over `frames` frames.
+/// Each frame, touch(f, ids) names the read set: `batched` declares it up
+/// front, `on_read` only moves its clock and reads those users one by one,
+/// in reverse order; the touched users are compared as they go. Every
 /// `settle_every`-th frame instead settles the whole population —
 /// `batched` in one bulk pass over the accumulated heterogeneous strides,
 /// `on_read` by reading each user — and compares everyone.
@@ -132,8 +130,6 @@ template <typename TouchFn>
 void expect_on_read_matches_batched(ChannelBank& on_read,
                                     ChannelBank& batched, int frames,
                                     int settle_every, TouchFn touch) {
-  on_read.set_lazy(true);
-  batched.set_lazy(true);
   std::vector<std::uint32_t> ids;
   for (int f = 1; f <= frames; ++f) {
     SCOPED_TRACE("frame " + std::to_string(f));
@@ -149,7 +145,8 @@ void expect_on_read_matches_batched(ChannelBank& on_read,
     }
     ids.clear();
     touch(f, ids);
-    batched.advance_users_to(ids, t);
+    batched.set_time(t);
+    batched.materialize_users(ids);
     on_read.set_time(t);
     for (auto it = ids.rbegin(); it != ids.rend(); ++it) {
       ASSERT_GT(on_read.snr_linear(static_cast<std::size_t>(*it)), 0.0);
@@ -204,10 +201,10 @@ TEST(LazyBank, CounterAccounting) {
   // at the end. Every user-frame of evolution must be accounted: frames =
   // 8 * 10 = 80; events = 10 (user 0) + 7 (one deferred jump each) = 17.
   auto bank = make_bank(8, 500);
-  bank.set_lazy(true);
   const std::uint32_t zero[] = {0};
   for (int f = 1; f <= 9; ++f) {
-    bank.advance_users_to(zero, static_cast<double>(f) * kDt);
+    bank.set_time(static_cast<double>(f) * kDt);
+    bank.materialize_users(zero);
   }
   bank.advance_all_to(10 * kDt);
   const auto stats = bank.lazy_stats();
@@ -256,7 +253,6 @@ std::string logic_error_text(Fn fn) {
 
 TEST(LazyBank, GuardsAndErrors) {
   auto bank = make_bank(4, 800);
-  bank.set_lazy(true);
   bank.set_time(5 * kDt);
   EXPECT_THROW(bank.set_time(4 * kDt), std::logic_error);
   const std::uint32_t bogus[] = {99};
@@ -268,7 +264,6 @@ TEST(LazyBank, GuardsAndErrors) {
   // A released row is vacant: touching it throws before any row advances,
   // draws or counts toward the accounting (release_user's contract).
   auto sparse = make_bank(3, 1000);
-  sparse.set_lazy(true);
   sparse.release_user(1);
   sparse.set_time(10 * kDt);
   const std::uint64_t cursor = sparse.rng_cursor(1);
@@ -281,16 +276,6 @@ TEST(LazyBank, GuardsAndErrors) {
   EXPECT_EQ(sparse.lazy_stats().jump_events, 0);
   EXPECT_EQ(sparse.rng_cursor(1), cursor);
   EXPECT_EQ(sparse.current_step(0), 0);
-
-  // Eager semantics preserved: a user advanced ahead of a later bulk
-  // advance still trips the guard, and every batch entry point names it.
-  auto eager = make_bank(2, 900);
-  eager.advance_user_to(0, 10 * kDt);
-  const std::string ahead = "ChannelBank: row ahead of the bank clock";
-  EXPECT_EQ(logic_error_text([&] { eager.advance_all_to(5 * kDt); }), ahead);
-  const std::uint32_t first[] = {0};
-  EXPECT_EQ(logic_error_text([&] { eager.materialize_users(first); }), ahead);
-  EXPECT_EQ(logic_error_text([&] { eager.materialize_all(); }), ahead);
 }
 
 }  // namespace

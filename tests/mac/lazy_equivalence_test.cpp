@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -139,6 +140,55 @@ TEST(LazyEquivalence, MaterializationCountsPinnedPerProtocol) {
     EXPECT_EQ(m.data_delivered, pin.data_delivered);
     EXPECT_EQ(m.request_successes, pin.request_successes);
     EXPECT_EQ(world.handoffs(), pin.handoffs);
+  }
+}
+
+TEST(LazyEquivalence, TouchSchedulePinnedPerProtocol) {
+  // The counters above are world totals; this pins *when* each row
+  // materializes. One lazy engine per protocol runs in one-slot windows,
+  // so every frame is seen on its own (RMAV's shortest frame is one slot),
+  // and after each window every band member's materialized step is folded
+  // into a digest. Moving one read or touch to another frame changes it.
+  struct Pin {
+    protocols::ProtocolId id;
+    std::uint64_t digest;
+  };
+  const Pin pins[] = {
+      {protocols::ProtocolId::kCharisma, 0x595f3a56b69c77dbULL},
+      {protocols::ProtocolId::kDtdmaVr, 0xb5086bd4ea06183dULL},
+      {protocols::ProtocolId::kDrma, 0x8234b44bf1ba52d4ULL},
+      {protocols::ProtocolId::kRama, 0x6ceb646123994f92ULL},
+      {protocols::ProtocolId::kDtdmaFr, 0x1eba6469c5bd5bf1ULL},
+      {protocols::ProtocolId::kRmav, 0x7e449026b22fe411ULL},
+      {protocols::ProtocolId::kPrma, 0x50a6d6ce2da7fa46ULL},
+  };
+  ScenarioParams params;
+  params.num_voice_users = 60;
+  params.num_data_users = 10;
+  params.seed = 31;
+  params.lazy_channel = true;
+  const common::Time window = params.geometry.slot_duration();
+  for (const Pin& pin : pins) {
+    SCOPED_TRACE(protocols::protocol_name(pin.id));
+    auto engine = protocols::make_protocol(pin.id, params);
+    const auto& bank = engine->channel_bank();
+    // 64-bit FNV-1a over the little-endian bytes of each folded value.
+    std::uint64_t digest = 0xcbf29ce484222325ULL;
+    const auto fold = [&digest](std::int64_t value) {
+      const auto v = static_cast<std::uint64_t>(value);
+      for (int byte = 0; byte < 8; ++byte) {
+        digest = (digest ^ ((v >> (8 * byte)) & 0xffu)) * 0x100000001b3ULL;
+      }
+    };
+    for (int w = 0; w < 9000; ++w) {
+      engine->advance_by(window);
+      for (const BandMember& m : engine->band()) {
+        fold(bank.current_step(m.slot));
+      }
+    }
+    fold(engine->metrics().users_advanced_frames);
+    fold(engine->metrics().users_skipped_frames);
+    EXPECT_EQ(digest, pin.digest) << std::hex << "0x" << digest;
   }
 }
 

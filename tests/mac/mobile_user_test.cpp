@@ -13,8 +13,17 @@ ScenarioParams test_params() {
   return p;
 }
 
+/// A user with its channel row in `bank` and live traffic (visit 0).
+MobileUser make_user(common::UserId id, ServiceType service,
+                     const ScenarioParams& params, channel::ChannelBank& bank) {
+  MobileUser u(id, service, params, bank, /*visit=*/0);
+  u.ensure_traffic(params);
+  return u;
+}
+
 TEST(MobileUser, VoiceConstruction) {
-  MobileUser u(0, ServiceType::kVoice, test_params());
+  channel::ChannelBank bank;
+  const auto u = make_user(0, ServiceType::kVoice, test_params(), bank);
   EXPECT_TRUE(u.is_voice());
   EXPECT_FALSE(u.is_data());
   EXPECT_EQ(u.id(), 0);
@@ -24,15 +33,17 @@ TEST(MobileUser, VoiceConstruction) {
 }
 
 TEST(MobileUser, DataConstruction) {
-  MobileUser u(5, ServiceType::kData, test_params());
+  channel::ChannelBank bank;
+  const auto u = make_user(5, ServiceType::kData, test_params(), bank);
   EXPECT_TRUE(u.is_data());
   EXPECT_DOUBLE_EQ(u.data().config().mean_burst_packets, 100.0);
 }
 
 TEST(MobileUser, IndependentStreamsAcrossUsers) {
   auto params = test_params();
-  MobileUser a(0, ServiceType::kVoice, params);
-  MobileUser b(1, ServiceType::kVoice, params);
+  channel::ChannelBank bank;
+  auto a = make_user(0, ServiceType::kVoice, params, bank);
+  auto b = make_user(1, ServiceType::kVoice, params, bank);
   // Different user ids draw different MAC randomness despite one seed.
   int equal = 0;
   for (int i = 0; i < 50; ++i) {
@@ -43,18 +54,20 @@ TEST(MobileUser, IndependentStreamsAcrossUsers) {
 
 TEST(MobileUser, ReproducibleAcrossConstructions) {
   auto params = test_params();
-  MobileUser a(0, ServiceType::kVoice, params);
-  MobileUser b(0, ServiceType::kVoice, params);
+  channel::ChannelBank bank_a, bank_b;
+  auto a = make_user(0, ServiceType::kVoice, params, bank_a);
+  auto b = make_user(0, ServiceType::kVoice, params, bank_b);
   for (int i = 0; i < 50; ++i) {
     EXPECT_DOUBLE_EQ(a.rng().uniform(), b.rng().uniform());
   }
-  a.channel().advance_to(0.1);
-  b.channel().advance_to(0.1);
-  EXPECT_DOUBLE_EQ(a.channel().snr_linear(), b.channel().snr_linear());
+  bank_a.advance_user_to(a.slot(), 0.1);
+  bank_b.advance_user_to(b.slot(), 0.1);
+  EXPECT_DOUBLE_EQ(bank_a.snr_linear(a.slot()), bank_b.snr_linear(b.slot()));
 }
 
 TEST(MobileUser, BackoffDynamics) {
-  MobileUser u(0, ServiceType::kData, test_params());
+  channel::ChannelBank bank;
+  auto u = make_user(0, ServiceType::kData, test_params(), bank);
   EXPECT_DOUBLE_EQ(u.backoff_scale(), 1.0);
   u.note_contention_collision();
   EXPECT_DOUBLE_EQ(u.backoff_scale(), 0.5);
@@ -65,7 +78,8 @@ TEST(MobileUser, BackoffDynamics) {
 }
 
 TEST(MobileUser, BackoffFloor) {
-  MobileUser u(0, ServiceType::kData, test_params());
+  channel::ChannelBank bank;
+  auto u = make_user(0, ServiceType::kData, test_params(), bank);
   for (int i = 0; i < 20; ++i) u.note_contention_collision();
   EXPECT_DOUBLE_EQ(u.backoff_scale(), 1.0 / 64.0);
 }

@@ -8,14 +8,6 @@
 namespace charisma::phy {
 namespace {
 
-TEST(FixedPhy, StandardParameters) {
-  const auto phy = FixedPhy::standard();
-  EXPECT_DOUBLE_EQ(phy.bits_per_symbol(), 1.0);
-  EXPECT_EQ(phy.packets_per_slot(), 1);
-  EXPECT_EQ(phy.packet_bits(), 160);
-  EXPECT_DOUBLE_EQ(phy.ber_reference_db(), 7.0);
-}
-
 TEST(FixedPhy, BerAtReferenceEqualsTarget) {
   const FixedPhy phy(9.5, 1e-5, 160);
   EXPECT_NEAR(phy.ber(common::from_db(9.5)), 1e-5, 1e-8);
