@@ -1,19 +1,23 @@
 // Batched structure-of-arrays channel evolution — the simulator's hottest
 // loop, rebuilt for population scale.
 //
-// Every user's diversity-branch I/Q fading states live in contiguous
-// parallel arrays (no per-user heap objects, no std::complex indirection),
-// and one pass advances all users to a frame boundary. The per-sample AR(1)
-// walk is replaced by its closed-form k-step jump:
+// A bank is one radio environment: the users of a cell share its Doppler
+// spread, shadowing process (sigma, tau), diversity order and sample grid,
+// and differ only in their link-budget mean SNR, their state and their
+// innovation stream. Every user's diversity-branch I/Q fading states live
+// in contiguous parallel arrays at a fixed stride (no per-user heap
+// objects, no std::complex indirection), and one pass advances all users
+// to a frame boundary. The per-sample AR(1) walk is replaced by its
+// closed-form k-step jump:
 //
 //     h[n+k] = rho^k * h[n] + sqrt(1 - rho^(2k)) * w,   w ~ CN(0, 1)
 //
 // (exact, because the AR(1) recursion composes into the same Gauss-Markov
 // form at any stride), and the matching Ornstein–Uhlenbeck jump for the
 // log-normal shadowing dB process. Variable-length frames (RMAV/DRMA) and
-// long idle gaps therefore cost O(1) per user instead of O(k); the rho^k /
-// sqrt(1-rho^2k) coefficients are memoized per (parameter-group, stride),
-// so the common frame strides hit a precomputed table.
+// long idle gaps therefore cost O(1) per user instead of O(k); the bank
+// keeps one rho^k / sqrt(1-rho^2k) table per stride, so the common frame
+// strides cost a table lookup instead of two pow() calls.
 //
 // Each user keeps its own RngStream (seeded from the scenario seed and user
 // id), so results are independent of population size and of whether a user
@@ -40,6 +44,7 @@
 #include <cmath>
 #include <cstdint>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -62,34 +67,29 @@ struct ChannelConfig {
                                          common::Hertz carrier_hz);
 };
 
-/// SoA bank of per-user fading + shadowing processes stepped on each user's
-/// sample grid. Rows are either appended once (add_user) or cycled through
-/// the acquire/release free-list (sparse presence); either way the caller
-/// addresses a row by the returned slot index — a user's channel *is* its
-/// row (MobileUser::slot), and a standalone trace is a one-row bank.
+/// SoA bank of one radio environment's per-user fading + shadowing
+/// processes, stepped on the environment's sample grid. Rows enter through
+/// add_user and leave through release_user (sparse presence recycles them);
+/// the caller addresses a row by the returned slot index — a user's channel
+/// *is* its row (MobileUser::slot), and a standalone trace is a one-row
+/// bank.
 class ChannelBank {
  public:
   ChannelBank() = default;
 
   void reserve(std::size_t users);
 
-  /// Appends a user in the stationary channel state and returns its index.
-  /// The stream seeds this user's private innovation generator, so a
-  /// user's realization depends only on its own stream — not on the
-  /// population around it.
+  /// Adds a user in the stationary channel state and returns its slot. The
+  /// first row fixes the bank's environment; a later `config` that differs
+  /// from it in anything but mean_snr_db throws std::invalid_argument and
+  /// leaves the bank as it was. The slot is the last released one (LIFO,
+  /// so serial and parallel worlds that release in the same coordinator
+  /// order reuse the same slots), else a new row at the end. Either way
+  /// the row is seeded from `rng` with the same stationary-start draw
+  /// order and starts at the bank clock's current step, so what it
+  /// materializes depends only on its own stream and on when it was added
+  /// — not on the population around it, nor on which slot it got.
   std::size_t add_user(const ChannelConfig& config, common::RngStream rng);
-
-  /// add_user with slot recycling: reuses a released row whose branch
-  /// storage fits `config` (LIFO over the free-list, so serial and
-  /// parallel worlds that release in the same coordinator order reuse the
-  /// same slots), else appends. The reused row is re-seeded from `rng`
-  /// exactly as add_user would seed a fresh one — same stationary-start
-  /// draw order — and starts at the bank clock's current step for its
-  /// sample interval, so what a row materializes depends only on the
-  /// stream it was given and on when it was acquired, never on which slot
-  /// the free-list happened to hand back. With an empty free-list this is
-  /// add_user bit for bit.
-  std::size_t acquire_user(const ChannelConfig& config, common::RngStream rng);
 
   /// Returns `slot` to the free-list. The row's state stays in place but
   /// is excluded from every whole-bank operation (materialize_all,
@@ -98,12 +98,12 @@ class ChannelBank {
   void release_user(std::size_t slot);
 
   /// Slots currently backing a live user (size() minus the free-list).
-  std::size_t active_count() const { return configs_.size() - vacant_count_; }
+  std::size_t active_count() const { return step_.size() - vacant_count_; }
 
   /// True when `slot` is on the free-list.
   bool vacant(std::size_t slot) const { return vacant_[slot] != 0; }
 
-  std::size_t size() const { return configs_.size(); }
+  std::size_t size() const { return step_.size(); }
 
   /// Advances every user to (the grid point at or before) `t` in one pass:
   /// set_time(t) + materialize_all(). Called every frame, this is the
@@ -140,16 +140,12 @@ class ChannelBank {
   };
   LazyStats lazy_stats() const { return {jump_events_, jump_frames_}; }
 
-  /// Re-anchors the user's link-budget mean SNR (dB) — the mobility fast
-  /// path: path loss moves the mean while the fading/shadowing processes
-  /// (and the user's RNG draw order) are left completely undisturbed, so a
-  /// mobile run stays replayable against a static one draw for draw.
-  void set_mean_snr_db(std::size_t user, double db);
-
-  /// Bulk set_mean_snr_db: re-anchors every user's mean from db[u] in one
-  /// pass (same no-RNG / no-fading-state guarantee). The mobility layer
-  /// feeds a whole cell's path-loss plane through here each epoch instead
-  /// of total_users scalar calls.
+  /// Re-anchors every active user's link-budget mean SNR from db[slot] in
+  /// one pass — the mobility fast path: path loss moves the means while
+  /// the fading/shadowing processes (and every RNG draw order) are left
+  /// completely undisturbed, so a mobile run stays replayable against a
+  /// static one draw for draw. The mobility layer feeds a whole cell's
+  /// path-loss plane through here each epoch.
   void set_mean_snr_db_all(std::span<const double> db);
 
   /// Bulk co-channel interference plane: db[u] is the SINR penalty
@@ -167,9 +163,7 @@ class ChannelBank {
   }
 
   /// Current link-budget mean SNR (dB) of `user`.
-  double mean_snr_db(std::size_t user) const {
-    return configs_[user].mean_snr_db;
-  }
+  double mean_snr_db(std::size_t user) const { return mean_snr_db_[user]; }
 
   /// Instantaneous effective SNR (linear) of `user` at its current state,
   /// after the interference penalty (SINR when an interference plane is
@@ -208,25 +202,28 @@ class ChannelBank {
   /// deferred clock moves + one materialization equals one k-jump bitwise,
   /// RNG cursor included). Branch reads do NOT materialize.
   double fade_re(std::size_t user, int branch) const {
-    return fade_re_[branch_begin_[user] + static_cast<std::size_t>(branch)];
+    return fade_re_[user * branches_ + static_cast<std::size_t>(branch)];
   }
   double fade_im(std::size_t user, int branch) const {
-    return fade_im_[branch_begin_[user] + static_cast<std::size_t>(branch)];
+    return fade_im_[user * branches_ + static_cast<std::size_t>(branch)];
   }
   std::uint64_t rng_cursor(std::size_t user) const {
     return rng_[user].raw_state();
   }
 
-  const ChannelConfig& config(std::size_t user) const {
-    return configs_[user];
+  /// The bank's environment with `user`'s current mean SNR.
+  ChannelConfig config(std::size_t user) const {
+    ChannelConfig row = env_;
+    row.mean_snr_db = mean_snr_db_[user];
+    return row;
   }
   std::int64_t current_step(std::size_t user) const { return step_[user]; }
 
  private:
-  /// Jump coefficients for one parameter group at stride k. The innovation
-  /// scales are for a *unit-variance* target: the fading per-component
-  /// scale folds in the CN(0,1) half-power; the shadowing scale is
-  /// multiplied by sigma_db at the use site.
+  /// Jump coefficients at stride k. The innovation scales are for a
+  /// *unit-variance* target: the fading per-component scale folds in the
+  /// CN(0,1) half-power; the shadowing scale is multiplied by sigma_db at
+  /// the use site.
   struct JumpCoeffs {
     double fade_rho_k;
     double fade_component_scale;   // sqrt((1 - rho^2k) / 2)
@@ -234,34 +231,15 @@ class ChannelBank {
     double shadow_unit_scale;      // sqrt(1 - rho_s^2k)
   };
 
-  /// Fading/shadowing correlation parameters shared by a set of users;
-  /// stride coefficients are memoized here so repeated frame strides cost
-  /// two table lookups instead of two pow() calls per user.
-  struct ParamGroup {
-    double fade_rho;
-    double shadow_rho;
-    std::vector<std::pair<std::int64_t, JumpCoeffs>> strides;
-  };
-
-  std::size_t group_for(double fade_rho, double shadow_rho);
-  const JumpCoeffs& coeffs(std::size_t group, std::int64_t k);
-  static JumpCoeffs compute_coeffs(double fade_rho, double shadow_rho,
-                                   std::int64_t k);
-  /// Process-wide (fade_rho, shadow_rho, k) -> JumpCoeffs memo shared by
-  /// every bank, so one-row trace banks and the per-cell banks of a
-  /// world reuse one pow() evaluation per distinct stride instead of
-  /// rebuilding tables per instance. Mutex-guarded; only consulted on a
-  /// local-table miss, so the hot path stays lock-free.
-  static JumpCoeffs shared_coeffs(double fade_rho, double shadow_rho,
-                                  std::int64_t k);
+  /// The memoized coefficients for stride k: repeated frame strides cost a
+  /// table lookup instead of two pow() calls per user.
+  const JumpCoeffs& coeffs(std::int64_t k);
   void jump_user(std::size_t user, const JumpCoeffs& c);
 
-  /// The one row-seeding path: validates `config`, writes every per-row
-  /// field of `slot` (appending a row when slot == size()), registers its
-  /// sample interval with the bank clock and draws its stationary start
-  /// from `rng`. Returns `slot`.
-  std::size_t seed_row(std::size_t slot, const ChannelConfig& config,
-                       common::RngStream& rng);
+  /// Fixes the bank's environment from the first row's `config` (validated
+  /// first, so a rejected config leaves the bank as it was), or checks
+  /// that a later row's `config` matches it in all but mean_snr_db.
+  void admit_environment(const ChannelConfig& config);
 
   /// Materializes one user up to the bank clock (the read path).
   void materialize_user(std::size_t user);
@@ -270,14 +248,14 @@ class ChannelBank {
   /// implementation detail (banks are externally synchronized per cell, so
   /// no concurrent-read hazard is introduced).
   void ensure_user(std::size_t user) const {
-    if (step_[user] != dt_targets_[dt_index_[user]]) {
+    if (step_[user] != target_step_) {
       const_cast<ChannelBank*>(this)->materialize_user(user);
     }
   }
 
   /// The memoized scalar jump loop over `slots`: consecutive rows sharing
-  /// (param group, stride) reuse the previous iteration's coefficients, so
-  /// the common single-dt population pays one table lookup per batch.
+  /// a stride reuse the previous iteration's coefficients, so an eager
+  /// frame pays one table lookup per batch.
   void materialize_batch(std::span<const std::uint32_t> slots);
 
   double shadow_linear(std::size_t user) const {
@@ -290,30 +268,33 @@ class ChannelBank {
     return linear;
   }
 
-  std::vector<ChannelConfig> configs_;
+  // ---- The radio environment (fixed by the first row) ----
+  // env_.mean_snr_db is unused: each row's mean lives in mean_snr_db_.
+  ChannelConfig env_;
+  std::size_t branches_ = 0;      // fade_re_/fade_im_ stride per row
+  double inv_branches_ = 0.0;     // 1 / branches_
+  double fade_rho_ = 0.0;
+  double shadow_rho_ = 0.0;
+  std::vector<std::pair<std::int64_t, JumpCoeffs>> strides_;
+
   // 8-byte per-user engines: with mt19937_64's ~2.5 KB state the RNG alone
   // would stream tens of MB through the cache per frame at 10k+ users.
   std::vector<common::SplitMix64> rng_;
 
   // ---- SoA state ----
   // Branch I/Q states for all users, contiguous; user u owns
-  // [branch_begin_[u], branch_begin_[u] + branch_count_[u]).
+  // [u * branches_, (u + 1) * branches_).
   std::vector<double> fade_re_;
   std::vector<double> fade_im_;
-  std::vector<std::size_t> branch_begin_;
-  std::vector<int> branch_count_;
 
   std::vector<double> mean_snr_linear_;
-  std::vector<double> mean_snr_db_;  // flat copy of configs_[u].mean_snr_db
+  std::vector<double> mean_snr_db_;
   // Interference penalty in both domains (dB subtracted by snr_db_all,
   // linear factor 10^(-dB/10) multiplied by snr_linear); 0 dB / 1.0 until
   // set_interference_db_all is called.
   std::vector<double> interference_db_;
   std::vector<double> interference_linear_;
-  std::vector<double> shadow_sigma_db_;
-  std::vector<double> inv_branch_count_;
   std::vector<std::int64_t> step_;
-  std::vector<std::size_t> group_;
 
   // Cached outputs of the last advance (what the MAC layer actually reads);
   // shadow_linear_ < 0 marks a stale entry recomputed on first read.
@@ -321,22 +302,17 @@ class ChannelBank {
   std::vector<double> shadow_db_;
   mutable std::vector<double> shadow_linear_;
 
-  std::vector<ParamGroup> groups_;
-
   // ---- Clock ----
-  // The frame boundary as a per-distinct-dt target step: dt_index_[u] is a
-  // small index into distinct_dts_/dt_targets_, so set_time computes one
-  // floor() per distinct sample interval (normally exactly one) and
-  // ensure_user is two array loads + a compare.
+  // The frame boundary as a step on the environment's sample grid, so
+  // ensure_user is one load + a compare. It follows set_time once the
+  // first row exists; before that only bank_time_ moves.
   common::Time bank_time_ = 0.0;
-  std::vector<common::Time> distinct_dts_;
-  std::vector<std::int64_t> dt_targets_;
-  std::vector<std::uint32_t> dt_index_;
+  std::int64_t target_step_ = 0;
   // Ascending active-slot list fed to the batch loop and the bulk loops.
   // With no vacancies it is the iota over all slots (the historical
   // materialize_all batch, bit for bit); rebuilt lazily after any
-  // add/acquire/release. Mutable: refreshing it from a const read path is
-  // the same logical-constness escape as ensure_user.
+  // add/release. Mutable: refreshing it from a const read path is the same
+  // logical-constness escape as ensure_user.
   mutable std::vector<std::uint32_t> scratch_ids_;
   mutable bool active_dirty_ = false;
   void refresh_active() const;

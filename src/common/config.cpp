@@ -34,15 +34,20 @@ std::optional<std::string> KeyValueConfig::get_string(
 std::optional<double> KeyValueConfig::get_double(const std::string& key) const {
   auto s = get_string(key);
   if (!s) return std::nullopt;
+  double v = 0.0;
   try {
     std::size_t pos = 0;
-    const double v = std::stod(*s, &pos);
+    v = std::stod(*s, &pos);
     if (pos != s->size()) throw std::invalid_argument("trailing characters");
-    return v;
   } catch (const std::exception&) {
     throw std::invalid_argument("KeyValueConfig: value for '" + key +
                                 "' is not a number: '" + *s + "'");
   }
+  if (!std::isfinite(v)) {
+    throw std::invalid_argument("KeyValueConfig: value for '" + key +
+                                "' is not finite: '" + *s + "'");
+  }
+  return v;
 }
 
 std::optional<int> KeyValueConfig::get_int(const std::string& key) const {

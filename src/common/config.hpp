@@ -21,6 +21,8 @@ class KeyValueConfig {
   void set(const std::string& key, const std::string& value);
 
   std::optional<std::string> get_string(const std::string& key) const;
+  /// Throws std::invalid_argument naming `key` for a malformed number and
+  /// for NaN or ±inf, which no knob means.
   std::optional<double> get_double(const std::string& key) const;
   std::optional<int> get_int(const std::string& key) const;
   std::optional<bool> get_bool(const std::string& key) const;

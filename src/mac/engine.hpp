@@ -145,8 +145,8 @@ class ProtocolEngine {
   // The historical dense mode is the special case where the whole
   // population is admitted at construction and never released.
 
-  /// Admits `id` into this engine's band: acquires a ChannelBank row
-  /// (reusing a released slot when one matches) and constructs the user's
+  /// Admits `id` into this engine's band: adds a ChannelBank row (reusing
+  /// the last released slot when there is one) and constructs the user's
   /// shell there, absent; attach_user_initial or attach_user makes it
   /// present. What the new row draws depends only on (scenario seed, id,
   /// per-(user,cell) visit count) — never on the presence history of the

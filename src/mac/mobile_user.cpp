@@ -42,7 +42,7 @@ MobileUser::MobileUser(common::UserId id, ServiceType service,
   common::RngStream rng(seed_,
                         kChannelStream + static_cast<std::uint64_t>(id));
   slot_ = static_cast<std::uint32_t>(
-      bank.acquire_user(user_channel_config(id, params), std::move(rng)));
+      bank.add_user(user_channel_config(id, params), std::move(rng)));
 }
 
 void MobileUser::ensure_traffic(const ScenarioParams& params) {

@@ -33,7 +33,7 @@ enum class ServiceType { kVoice, kData };
 
 class MobileUser {
  public:
-  /// Acquires the user's channel row in `bank` and builds the shell: the
+  /// Adds the user's channel row to `bank` and builds the shell: the
   /// traffic sources and the MAC stream wait for ensure_traffic, and the
   /// user starts absent. `visit` is the per-(user, cell) band-entry counter:
   /// visit 0 draws from the plain scenario seed, visit v > 0 derives a

@@ -7,6 +7,7 @@
 #include <cstdint>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/math.hpp"
@@ -160,13 +161,12 @@ TEST(ChannelBank, ShadowingStationarySigmaUnderStridedAdvance) {
 
 TEST(ChannelBank, MixedConfigsKeepPerUserBudgets) {
   ChannelBank bank;
-  auto slow = test_config(10.0);
-  slow.shadow_sigma_db = 0.0;  // isolate the link-budget ratio
-  bank.add_user(slow, common::RngStream(1));
-  auto fast = test_config(20.0);
-  fast.shadow_sigma_db = 0.0;
-  fast.doppler_hz = 200.0;  // second parameter group
-  bank.add_user(fast, common::RngStream(2));
+  auto low = test_config(10.0);
+  low.shadow_sigma_db = 0.0;  // isolate the link-budget ratio
+  bank.add_user(low, common::RngStream(1));
+  auto high = test_config(20.0);
+  high.shadow_sigma_db = 0.0;
+  bank.add_user(high, common::RngStream(2));
   bank.advance_all_to(1.0);
   EXPECT_DOUBLE_EQ(bank.config(0).mean_snr_db, 10.0);
   EXPECT_DOUBLE_EQ(bank.config(1).mean_snr_db, 20.0);
@@ -215,10 +215,10 @@ TEST(ChannelBank, SetMeanSnrRescalesWithoutDisturbingState) {
     moved.advance_all_to(t);
     still.advance_all_to(t);
     // Wiggle every user's mean each step, then restore user 0's.
-    for (std::size_t u = 0; u < moved.size(); ++u) {
-      moved.set_mean_snr_db(u, 16.0 + static_cast<double>(i % 7) - 3.0);
-    }
-    moved.set_mean_snr_db(0, 16.0);
+    std::vector<double> db(moved.size(),
+                           16.0 + static_cast<double>(i % 7) - 3.0);
+    db[0] = 16.0;
+    moved.set_mean_snr_db_all(db);
     for (std::size_t u = 0; u < moved.size(); ++u) {
       ASSERT_DOUBLE_EQ(moved.fading_power(u), still.fading_power(u));
       ASSERT_DOUBLE_EQ(moved.shadow_db(u), still.shadow_db(u));
@@ -232,10 +232,13 @@ TEST(ChannelBank, SetMeanSnrMovesTheMean) {
   ChannelBank bank;
   bank.add_user(test_config(16.0), common::RngStream(1));
   const double before = bank.snr_linear(0);
-  bank.set_mean_snr_db(0, 26.0);
+  const std::vector<double> db = {26.0};
+  bank.set_mean_snr_db_all(db);
   EXPECT_DOUBLE_EQ(bank.mean_snr_db(0), 26.0);
+  EXPECT_DOUBLE_EQ(bank.config(0).mean_snr_db, 26.0);
   EXPECT_NEAR(bank.snr_linear(0) / before, 10.0, 1e-9);
-  EXPECT_THROW(bank.set_mean_snr_db(7, 10.0), std::out_of_range);
+  const std::vector<double> too_short;
+  EXPECT_THROW(bank.set_mean_snr_db_all(too_short), std::invalid_argument);
 }
 
 TEST(ChannelBank, SnrDbAllMatchesScalarReads) {
@@ -254,37 +257,6 @@ TEST(ChannelBank, SnrDbAllMatchesScalarReads) {
   }
   std::vector<double> too_short(bank.size() - 1);
   EXPECT_THROW(bank.snr_db_all(too_short), std::invalid_argument);
-}
-
-TEST(ChannelBank, SetMeanSnrDbAllMatchesScalarWrites) {
-  ChannelBank bulk, scalar;
-  for (std::uint64_t s = 1; s <= 5; ++s) {
-    bulk.add_user(test_config(), common::RngStream(s));
-    scalar.add_user(test_config(), common::RngStream(s));
-  }
-  bulk.advance_all_to(0.1);
-  scalar.advance_all_to(0.1);
-  std::vector<double> db;
-  for (std::size_t u = 0; u < bulk.size(); ++u) {
-    db.push_back(5.0 + 3.0 * static_cast<double>(u));
-    scalar.set_mean_snr_db(u, db.back());
-  }
-  bulk.set_mean_snr_db_all(db);
-  for (std::size_t u = 0; u < bulk.size(); ++u) {
-    ASSERT_DOUBLE_EQ(bulk.mean_snr_db(u), scalar.mean_snr_db(u));
-    ASSERT_DOUBLE_EQ(bulk.snr_linear(u), scalar.snr_linear(u));  // exact
-    ASSERT_DOUBLE_EQ(bulk.config(u).mean_snr_db, db[u]);
-  }
-  // Bulk re-anchoring is the same no-RNG fast path as the scalar call: the
-  // next advance stays draw-for-draw aligned.
-  bulk.advance_all_to(0.2);
-  scalar.advance_all_to(0.2);
-  for (std::size_t u = 0; u < bulk.size(); ++u) {
-    ASSERT_DOUBLE_EQ(bulk.fading_power(u), scalar.fading_power(u));
-    ASSERT_DOUBLE_EQ(bulk.shadow_db(u), scalar.shadow_db(u));
-  }
-  std::vector<double> too_short(bulk.size() - 1);
-  EXPECT_THROW(bulk.set_mean_snr_db_all(too_short), std::invalid_argument);
 }
 
 TEST(ChannelBank, SetInterferenceLeavesStateAndDrawsUntouched) {
@@ -387,6 +359,80 @@ TEST(ChannelBank, InvalidConfigsThrow) {
   bad_doppler.doppler_hz = 0.0;
   EXPECT_THROW(bank.add_user(bad_doppler, common::RngStream(1)),
                std::invalid_argument);
+  EXPECT_EQ(bank.size(), 0u);  // a rejected row leaves no trace
+}
+
+TEST(ChannelBank, RowsShareOneEnvironment) {
+  // The first row fixes the bank's radio environment: a later row may bring
+  // its own link-budget mean, and nothing else. A rejected row leaves the
+  // bank as it was, free slot included.
+  ChannelBank bank;
+  bank.add_user(test_config(), common::RngStream(1));
+  bank.add_user(test_config(), common::RngStream(2));
+  bank.release_user(0);
+  const auto with = [](auto edit) {
+    auto cfg = test_config();
+    edit(cfg);
+    return cfg;
+  };
+  const ChannelConfig foreign[] = {
+      with([](ChannelConfig& c) { c.doppler_hz = 200.0; }),
+      with([](ChannelConfig& c) { c.shadow_sigma_db = 6.0; }),
+      with([](ChannelConfig& c) { c.shadow_tau = 2.0; }),
+      with([](ChannelConfig& c) { c.diversity_branches = 2; }),
+      with([](ChannelConfig& c) { c.sample_interval = 5e-3; }),
+  };
+  for (const ChannelConfig& cfg : foreign) {
+    EXPECT_THROW(bank.add_user(cfg, common::RngStream(3)),
+                 std::invalid_argument);
+    EXPECT_EQ(bank.size(), 2u);
+    EXPECT_TRUE(bank.vacant(0));
+  }
+  EXPECT_EQ(bank.add_user(test_config(26.0), common::RngStream(3)), 0u);
+  EXPECT_EQ(bank.size(), 2u);
+  EXPECT_EQ(bank.config(0).mean_snr_db, 26.0);
+  EXPECT_EQ(bank.config(0).doppler_hz, bank.config(1).doppler_hz);
+}
+
+TEST(ChannelBank, RecycledRowMatchesFreshRow) {
+  // add_user reuses the last released slot before it appends. A recycled
+  // row must be the row a fresh bank would add at the same clock with the
+  // same stream: nothing of the slot's previous tenant survives.
+  ChannelBank bank;
+  for (std::uint64_t s = 1; s <= 4; ++s) {
+    bank.add_user(test_config(), common::RngStream(s));
+  }
+  bank.advance_all_to(0.05);
+  bank.release_user(1);
+  bank.release_user(3);
+  bank.advance_all_to(0.1);
+  EXPECT_EQ(bank.active_count(), 2u);
+  EXPECT_EQ(bank.add_user(test_config(), common::RngStream(11)), 3u);
+  EXPECT_FALSE(bank.vacant(3));
+  EXPECT_TRUE(bank.vacant(1));
+  EXPECT_EQ(bank.add_user(test_config(), common::RngStream(12)), 1u);
+  EXPECT_FALSE(bank.vacant(1));
+  EXPECT_EQ(bank.active_count(), 4u);
+  EXPECT_EQ(bank.add_user(test_config(), common::RngStream(13)), 4u);
+  EXPECT_EQ(bank.active_count(), 5u);
+  EXPECT_EQ(bank.size(), 5u);
+  bank.advance_all_to(0.2);
+  const std::pair<std::size_t, std::uint64_t> recycled[] = {{3, 11},
+                                                            {1, 12}};
+  for (const auto& [slot, seed] : recycled) {
+    SCOPED_TRACE("slot " + std::to_string(slot));
+    ChannelBank fresh;
+    fresh.set_time(0.1);
+    fresh.add_user(test_config(), common::RngStream(seed));
+    fresh.advance_all_to(0.2);
+    for (int b = 0; b < test_config().diversity_branches; ++b) {
+      EXPECT_EQ(bank.fade_re(slot, b), fresh.fade_re(0, b)) << "branch " << b;
+      EXPECT_EQ(bank.fade_im(slot, b), fresh.fade_im(0, b)) << "branch " << b;
+    }
+    EXPECT_EQ(bank.snr_linear(slot), fresh.snr_linear(0));  // exact
+    EXPECT_EQ(bank.rng_cursor(slot), fresh.rng_cursor(0));
+    EXPECT_EQ(bank.current_step(slot), fresh.current_step(0));
+  }
 }
 
 TEST(ChannelBank, AllApisOnReleasedRowsMatchTwinWithoutReleases) {
@@ -441,7 +487,8 @@ TEST(ChannelBankPinned, EagerRealization) {
   // The eager default's realization, pinned at unit level so an edit to the
   // jump kernel or its ziggurat draws cannot hide until a world golden
   // moves: a four-branch row at 50 km/h Doppler, a one-branch row, and a
-  // four-branch row in a second Doppler group, after 1000 eager frames.
+  // four-branch row at 240 Hz, each on a one-row bank, after 1000 eager
+  // frames.
   struct PinnedRow {
     double doppler_hz;
     int branches;
@@ -467,32 +514,32 @@ TEST(ChannelBankPinned, EagerRealization) {
         {-0x1.54d2e6fd47c5ep-1, -0x1.3ce1b5c0d212cp-2}},
        -0x1.1296846c4338ep+2, 0x1.341d3c275ab76p+0, 0x10aab24a9b8aa3f9ULL},
   };
-  ChannelBank bank;
+  const auto bits = [](double x) { return std::bit_cast<std::uint64_t>(x); };
+  std::int64_t jump_events = 0, jump_frames = 0;
   std::uint64_t seed = 1;
   for (const PinnedRow& row : rows) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
     ChannelConfig cfg;
     cfg.doppler_hz = row.doppler_hz;
     cfg.diversity_branches = row.branches;
+    ChannelBank bank;
     bank.add_user(cfg, common::RngStream(seed++));
-  }
-  for (int f = 1; f <= 1000; ++f) {
-    bank.advance_all_to(static_cast<double>(f) * 2.5e-3);
-  }
-  const auto bits = [](double x) { return std::bit_cast<std::uint64_t>(x); };
-  for (std::size_t u = 0; u < bank.size(); ++u) {
-    SCOPED_TRACE("row " + std::to_string(u));
-    const PinnedRow& row = rows[u];
-    EXPECT_EQ(bank.current_step(u), 1000);
-    for (int b = 0; b < row.branches; ++b) {
-      EXPECT_EQ(bits(bank.fade_re(u, b)), bits(row.iq[b][0])) << "branch " << b;
-      EXPECT_EQ(bits(bank.fade_im(u, b)), bits(row.iq[b][1])) << "branch " << b;
+    for (int f = 1; f <= 1000; ++f) {
+      bank.advance_all_to(static_cast<double>(f) * 2.5e-3);
     }
-    EXPECT_EQ(bits(bank.shadow_db(u)), bits(row.shadow_db));
-    EXPECT_EQ(bits(bank.fading_power(u)), bits(row.fading_power));
-    EXPECT_EQ(bank.rng_cursor(u), row.rng_cursor);
+    EXPECT_EQ(bank.current_step(0), 1000);
+    for (int b = 0; b < row.branches; ++b) {
+      EXPECT_EQ(bits(bank.fade_re(0, b)), bits(row.iq[b][0])) << "branch " << b;
+      EXPECT_EQ(bits(bank.fade_im(0, b)), bits(row.iq[b][1])) << "branch " << b;
+    }
+    EXPECT_EQ(bits(bank.shadow_db(0)), bits(row.shadow_db));
+    EXPECT_EQ(bits(bank.fading_power(0)), bits(row.fading_power));
+    EXPECT_EQ(bank.rng_cursor(0), row.rng_cursor);
+    jump_events += bank.lazy_stats().jump_events;
+    jump_frames += bank.lazy_stats().jump_frames;
   }
-  EXPECT_EQ(bank.lazy_stats().jump_events, 3000);
-  EXPECT_EQ(bank.lazy_stats().jump_frames, 3000);
+  EXPECT_EQ(jump_events, 3000);
+  EXPECT_EQ(jump_frames, 3000);
 }
 
 }  // namespace

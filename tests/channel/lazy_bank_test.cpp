@@ -5,7 +5,7 @@
 //    closed-form jump an *implementation detail* of the lazy schedule);
 //  * the touch set is an optimization, not an obligation: scattered
 //    on-read materialization equals one batched declaration, bitwise —
-//    also when a batch mixes parameter groups, branch counts and strides;
+//    also when a batch mixes strides;
 //  * the materialization counters account for every user-frame exactly.
 #include "channel/channel_bank.hpp"
 
@@ -23,28 +23,22 @@ namespace {
 
 constexpr double kDt = 2.5e-3;
 
-ChannelConfig test_config(double doppler_hz = 100.0, int branches = 4) {
+ChannelConfig test_config() {
   ChannelConfig cfg;
   cfg.mean_snr_db = 16.0;
   cfg.shadow_sigma_db = 3.0;
-  cfg.doppler_hz = doppler_hz;
-  cfg.diversity_branches = branches;
+  cfg.doppler_hz = 100.0;
+  cfg.diversity_branches = 4;
   cfg.sample_interval = kDt;
   return cfg;
 }
 
-ChannelBank make_bank(int users, std::uint64_t seed0,
-                      bool mixed_population = false) {
+ChannelBank make_bank(int users, std::uint64_t seed0) {
   ChannelBank bank;
   bank.reserve(static_cast<std::size_t>(users));
   for (int u = 0; u < users; ++u) {
-    // Mixed population: two parameter groups and two branch counts, so a
-    // batch must re-key its coefficient memo at every group/stride change.
-    const auto cfg = mixed_population
-                         ? test_config(u % 2 == 0 ? 100.0 : 220.0,
-                                       u % 3 == 0 ? 2 : 4)
-                         : test_config();
-    bank.add_user(cfg, common::RngStream(seed0 + static_cast<std::uint64_t>(u)));
+    bank.add_user(test_config(),
+                  common::RngStream(seed0 + static_cast<std::uint64_t>(u)));
   }
   return bank;
 }
@@ -109,8 +103,8 @@ TEST(LazyBank, BulkAdvanceEqualsLazyMaterializeAll) {
   // advance_all_to is already one k-jump per user, so "clock move + full
   // materialization" and the eager bulk call are the same operation — the
   // one place lazy and eager schedules coincide bitwise.
-  auto lazy = make_bank(6, 90, /*mixed_population=*/true);
-  auto eager = make_bank(6, 90, /*mixed_population=*/true);
+  auto lazy = make_bank(6, 90);
+  auto eager = make_bank(6, 90);
   for (double t : {5 * kDt, 6 * kDt, 70 * kDt}) {
     lazy.set_time(t);
     lazy.materialize_all();
@@ -177,14 +171,13 @@ TEST(LazyBank, OnReadMatchesBatchedTouch) {
         });
   }
   {
-    // Two parameter groups and two branch counts, touched through
-    // rotating windows of varying length: users accrue different strides,
-    // so the batch loop must re-key its coefficient memo at every group or
-    // stride change — which the per-user read path never memoizes.
-    SCOPED_TRACE("mixed population, rotating variable-length windows");
+    // Rotating windows of varying length: users accrue different strides,
+    // so the batch loop must re-key its coefficient memo at every stride
+    // change — which the per-user read path never memoizes.
+    SCOPED_TRACE("rotating variable-length windows");
     const int n = 23;
-    auto on_read = make_bank(n, 7, /*mixed_population=*/true);
-    auto batched = make_bank(n, 7, /*mixed_population=*/true);
+    auto on_read = make_bank(n, 7);
+    auto batched = make_bank(n, 7);
     expect_on_read_matches_batched(
         on_read, batched, 60, 10,
         [n](int f, std::vector<std::uint32_t>& ids) {
@@ -219,25 +212,6 @@ TEST(LazyBank, CounterAccounting) {
   const auto eager_stats = eager.lazy_stats();
   EXPECT_EQ(eager_stats.jump_events, 80);
   EXPECT_EQ(eager_stats.jump_frames, 80);
-}
-
-TEST(LazyBank, SharedCoeffCacheBitwiseStable) {
-  // The process-wide rho^k memo must be invisible: a bank whose irregular
-  // strides were already cached by an earlier bank (cache hits) produces
-  // exactly the realization of the bank that computed them (cache misses).
-  const std::vector<int> strides = {1, 3, 17, 64, 255, 2, 19};
-  auto run = [&](std::uint64_t seed0) {
-    auto bank = make_bank(5, seed0, /*mixed_population=*/true);
-    double t = 0.0;
-    for (int k : strides) {
-      t += static_cast<double>(k) * kDt;
-      bank.advance_all_to(t);
-    }
-    return bank;
-  };
-  const auto first = run(1234);   // warms the shared cache
-  const auto second = run(1234);  // identical schedule, cache hits
-  expect_users_bitwise_equal(first, second);
 }
 
 // The message of the std::logic_error `fn` throws ("" if it throws none).

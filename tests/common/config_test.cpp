@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
+
 namespace charisma::common {
 namespace {
 
@@ -61,6 +64,25 @@ TEST(Config, TypeErrorsThrow) {
   EXPECT_THROW(cfg.get_bool("x"), std::invalid_argument);
   cfg.set("y", "12abc");
   EXPECT_THROW(cfg.get_int("y"), std::invalid_argument);
+}
+
+TEST(Config, NonFiniteDoublesThrowNamingTheKey) {
+  KeyValueConfig cfg;
+  for (const char* value : {"nan", "NaN", "inf", "-inf", "infinity"}) {
+    cfg.set("mean_snr_db", value);
+    try {
+      cfg.get_double("mean_snr_db");
+      ADD_FAILURE() << value << " was accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("value for 'mean_snr_db'"),
+                std::string::npos)
+          << e.what();
+    }
+    EXPECT_THROW(cfg.get_double_or("mean_snr_db", 1.0), std::invalid_argument)
+        << value;
+  }
+  cfg.set("mean_snr_db", "-1e300");
+  EXPECT_DOUBLE_EQ(cfg.get_double("mean_snr_db").value(), -1e300);
 }
 
 TEST(Config, RejectUnknownPassesKnownKeys) {

@@ -209,38 +209,42 @@ TEST(SparsePresencePartialBand, EpochInvariantsAndHandoffConservation) {
   // A band smaller than the layout: membership churns with mobility, rows
   // are released and recycled. Step the world epoch-window by epoch-window
   // across the outage and check the row/leak invariants and the handoff
-  // conservation law after every window.
-  CellularWorld world(pin_config(/*threads=*/1, /*band_radius_m=*/700.0),
-                      factory_for(protocols::ProtocolId::kCharisma));
-  expect_band_invariants(world);
-  std::int64_t handoffs_in = 0, handoffs_out = 0, evictions = 0;
-  bool saw_partial_band = false;
-  for (int window = 0; window < 15; ++window) {
-    SCOPED_TRACE("window " + std::to_string(window));
-    world.run(0.0, 0.1);  // covers [0, 1.5): outage of cell 2 at [0.5, 0.9)
+  // conservation law after every window, under both channel schedules.
+  for (const bool lazy : {false, true}) {
+    SCOPED_TRACE(lazy ? "lazy channels" : "eager channels");
+    auto cfg = pin_config(/*threads=*/1, /*band_radius_m=*/700.0);
+    cfg.params.lazy_channel = lazy;
+    CellularWorld world(cfg, factory_for(protocols::ProtocolId::kCharisma));
     expect_band_invariants(world);
-    const auto m = world.aggregate_metrics();
-    // Conservation: every arrival is a departure from somewhere — a
-    // voluntary handoff or an outage eviction.
-    EXPECT_EQ(m.handoffs_in, m.handoffs_out + m.outage_evictions);
-    handoffs_in += m.handoffs_in;
-    handoffs_out += m.handoffs_out;
-    evictions += m.outage_evictions;
-    std::size_t rows = 0;
-    for (int c = 0; c < world.num_cells(); ++c) {
-      rows += world.cell(c).band_size();
+    std::int64_t handoffs_in = 0, handoffs_out = 0, evictions = 0;
+    bool saw_partial_band = false;
+    for (int window = 0; window < 15; ++window) {
+      SCOPED_TRACE("window " + std::to_string(window));
+      world.run(0.0, 0.1);  // covers [0, 1.5): outage of cell 2 at [0.5, 0.9)
+      expect_band_invariants(world);
+      const auto m = world.aggregate_metrics();
+      // Conservation: every arrival is a departure from somewhere — a
+      // voluntary handoff or an outage eviction.
+      EXPECT_EQ(m.handoffs_in, m.handoffs_out + m.outage_evictions);
+      handoffs_in += m.handoffs_in;
+      handoffs_out += m.handoffs_out;
+      evictions += m.outage_evictions;
+      std::size_t rows = 0;
+      for (int c = 0; c < world.num_cells(); ++c) {
+        rows += world.cell(c).band_size();
+      }
+      const auto dense_rows =
+          static_cast<std::size_t>(world.cell(0).params().total_users()) *
+          static_cast<std::size_t>(world.num_cells());
+      EXPECT_LT(rows, dense_rows);  // actually sparse, not silently dense
+      saw_partial_band = saw_partial_band || rows < dense_rows;
     }
-    const auto dense_rows =
-        static_cast<std::size_t>(world.cell(0).params().total_users()) *
-        static_cast<std::size_t>(world.num_cells());
-    EXPECT_LT(rows, dense_rows);  // actually sparse, not silently dense
-    saw_partial_band = saw_partial_band || rows < dense_rows;
+    EXPECT_TRUE(saw_partial_band);
+    EXPECT_EQ(handoffs_in, handoffs_out + evictions);
+    EXPECT_GT(handoffs_in, 0) << "no handoffs at all — scenario too static";
+    // The fault fired: the dark cell evicted somebody while bands churned.
+    EXPECT_GT(evictions, 0);
   }
-  EXPECT_TRUE(saw_partial_band);
-  EXPECT_EQ(handoffs_in, handoffs_out + evictions);
-  EXPECT_GT(handoffs_in, 0) << "no handoffs at all — scenario too static";
-  // The fault fired: the dark cell evicted somebody while bands churned.
-  EXPECT_GT(evictions, 0);
 }
 
 TEST(SparsePresencePartialBand, MobilityReentersBandsUnderFreshSeeds) {

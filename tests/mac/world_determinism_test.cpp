@@ -280,9 +280,12 @@ TEST(WorldDeterminismExtra, ShardCountSweepBitIdentical) {
   // the engine free lists), the uplink interference plane, closed-loop
   // barring, and a mid-run outage — the metrics must stay bit-identical
   // for any (shards, threads) pair, including shards > threads,
-  // shards < threads, and the hardware-concurrency defaults (0).
-  auto make = [](unsigned shards, unsigned threads) {
+  // shards < threads, and the hardware-concurrency defaults (0). The sweep
+  // runs under both channel schedules, each against its own serial
+  // reference: lazy rows materialize on the admit/release churn too.
+  auto make = [](bool lazy, unsigned shards, unsigned threads) {
     auto cfg = hex_world_config(threads, /*seed=*/29);
+    cfg.params.lazy_channel = lazy;
     cfg.num_shards = shards;
     cfg.pilot_band_radius_m = 700.0;
     // The load it takes to actually engage closed-loop barring (checks
@@ -298,16 +301,22 @@ TEST(WorldDeterminismExtra, ShardCountSweepBitIdentical) {
     world.run(0.3, 1.2);
     return world.aggregate_metrics();
   };
-  const auto reference = make(/*shards=*/1, /*threads=*/1);
-  ASSERT_GT(reference.voice_generated, 0);
-  ASSERT_GT(reference.outage_evictions, 0);
-  ASSERT_GT(reference.interference_db.count(), 0);
-  ASSERT_GT(reference.barring_checks, 0);
-  for (unsigned shards : {2u, 3u, 4u, 0u}) {  // 0 = match thread count
-    for (unsigned threads : {1u, 2u, 4u, 0u}) {  // 0 = hardware
-      SCOPED_TRACE("shards " + std::to_string(shards) + " threads " +
-                   std::to_string(threads));
-      expect_identical(reference, make(shards, threads));
+  for (const bool lazy : {false, true}) {
+    SCOPED_TRACE(lazy ? "lazy channels" : "eager channels");
+    const auto reference = make(lazy, /*shards=*/1, /*threads=*/1);
+    ASSERT_GT(reference.voice_generated, 0);
+    ASSERT_GT(reference.outage_evictions, 0);
+    ASSERT_GT(reference.interference_db.count(), 0);
+    ASSERT_GT(reference.barring_checks, 0);
+    if (lazy) {
+      ASSERT_GT(reference.users_skipped_frames, 0);
+    }
+    for (unsigned shards : {2u, 3u, 4u, 0u}) {  // 0 = match thread count
+      for (unsigned threads : {1u, 2u, 4u, 0u}) {  // 0 = hardware
+        SCOPED_TRACE("shards " + std::to_string(shards) + " threads " +
+                     std::to_string(threads));
+        expect_identical(reference, make(lazy, shards, threads));
+      }
     }
   }
 }

@@ -73,7 +73,8 @@ Mobility / multi-cell (cells >= 2 enables the CellularWorld scenario):
                        parallel, proposals merged in user order; 0 =
                        match the thread count (default 0; results are
                        bit-identical at any setting)
-  kmh=F                user speed; also sets the Doppler spread (default 50)
+  kmh=F                user speed (>= 0); also sets the Doppler spread
+                       (default 50); a parked kmh=0 needs doppler_hz=F
   handoff_hysteresis_db=F  strongest-pilot margin before handoff (default 4)
   mobility=waypoint|vector random-waypoint or constant-velocity (default
                        waypoint)
@@ -210,14 +211,29 @@ mac::ScenarioParams scenario_from(const common::KeyValueConfig& config) {
       config.get_double_or("mean_snr_db", params.channel.mean_snr_db);
   params.channel.shadow_sigma_db =
       config.get_double_or("shadow_sigma_db", params.channel.shadow_sigma_db);
+  if (params.channel.shadow_sigma_db < 0.0) {
+    throw std::invalid_argument("shadow_sigma_db= must be >= 0");
+  }
   if (config.contains("kmh")) {
+    const double kmh = config.get_double_or("kmh", 50.0);
+    if (kmh < 0.0) throw std::invalid_argument("kmh= must be >= 0");
     params.channel.doppler_hz = channel::ChannelConfig::doppler_for_speed(
-        common::km_per_hour(config.get_double_or("kmh", 50.0)), 2.0e9);
+        common::km_per_hour(kmh), 2.0e9);
   }
   params.channel.doppler_hz =
       config.get_double_or("doppler_hz", params.channel.doppler_hz);
+  if (params.channel.doppler_hz <= 0.0) {
+    // A parked population (kmh=0) still needs a Doppler spread to fade.
+    throw std::invalid_argument(
+        config.contains("doppler_hz")
+            ? "doppler_hz= must be > 0"
+            : "kmh= must be > 0 unless doppler_hz= sets the Doppler spread");
+  }
   params.channel.diversity_branches =
       config.get_int_or("diversity", params.channel.diversity_branches);
+  if (params.channel.diversity_branches < 1) {
+    throw std::invalid_argument("diversity= must be >= 1");
+  }
 
   params.fixed_phy_reference_db =
       config.get_double_or("fixed_ref_db", params.fixed_phy_reference_db);

@@ -66,6 +66,21 @@ expect_knob outage outage=1:2 cells=3 $quick
 expect_knob flash flash=1:2 cells=3 $quick
 expect_knob diurnal diurnal=1:0 cells=2 $quick
 expect_reject "unknown key 'foo'" foo=1 $quick
+# The channel environment's knobs, named before the channel layer sees
+# them.
+expect_knob diversity diversity=0 $quick
+expect_knob shadow_sigma_db shadow_sigma_db=-1 $quick
+expect_knob kmh kmh=-5 $quick
+expect_knob kmh kmh=-5 doppler_hz=5 cells=2 $quick
+expect_knob kmh kmh=0 $quick
+expect_knob kmh cells=2 kmh=0 $quick
+expect_knob doppler_hz doppler_hz=0 $quick
+expect_knob doppler_hz doppler_hz=-3 cells=2 $quick
+expect_knob doppler_hz kmh=0 doppler_hz=0 $quick
+# No knob takes NaN or an infinity.
+expect_reject "value for 'mean_snr_db'" mean_snr_db=nan $quick
+expect_reject "value for 'fixed_ref_db'" protocol=rama fixed_ref_db=inf $quick
+expect_reject "value for 'band'" band=-inf cells=3 $quick
 
 if [ "$failures" -ne 0 ]; then
   echo "cli_reject_check: $failures invocation(s) not rejected by name" >&2
