@@ -6,7 +6,7 @@
 
 #include "bench_support.hpp"
 
-int main() {
+int main() try {
   using namespace charisma;
   bench::print_banner("Ablation: CSI refresh poll budget N_b",
                       "Kwok & Lau, Sec. 4.4 (polling mechanism)");
@@ -51,4 +51,7 @@ int main() {
       << "CSI (mode mismatch -> error losses); a handful of pilot slots per\n"
       << "frame buys back most of the loss — the paper's N_b sizing.\n";
   return 0;
+} catch (const std::exception& e) {
+  std::cerr << "error: " << e.what() << '\n';
+  return 1;
 }

@@ -6,7 +6,7 @@
 
 #include "bench_support.hpp"
 
-int main() {
+int main() try {
   using namespace charisma;
   bench::print_banner("Ablation: CHARISMA priority metric (Eq. 2)",
                       "Kwok & Lau, Sec. 4.3 (design knobs)");
@@ -77,4 +77,7 @@ int main() {
       << "gain (higher loss/lower throughput); dropping urgency sacrifices\n"
       << "deadline packets; dropping V lets data displace voice.\n";
   return 0;
+} catch (const std::exception& e) {
+  std::cerr << "error: " << e.what() << '\n';
+  return 1;
 }

@@ -10,6 +10,7 @@
 
 #include <sys/resource.h>
 
+#include <cmath>
 #include <complex>
 #include <cstdio>
 #include <cstdlib>
@@ -96,50 +97,102 @@ class LegacyChannelWalk {
   std::vector<std::unique_ptr<User>> users_;
 };
 
-inline double env_double(const char* name, double fallback) {
-  const char* v = std::getenv(name);
-  return v != nullptr ? std::atof(v) : fallback;
-}
+// Environment knobs. Each reader takes variable `name`, returns `fallback`
+// when it is unset, and throws std::invalid_argument naming the variable
+// for a value it cannot use whole (no atoi-style truncation: CELLS=3x is
+// an error, not 3). Bench mains read every knob before their first
+// simulation and report the error on stderr with exit status 1.
 
-inline int env_int(const char* name, int fallback) {
-  const char* v = std::getenv(name);
-  return v != nullptr ? std::atoi(v) : fallback;
-}
-
-/// Like env_int but through KeyValueConfig::parse_count, so population
-/// knobs accept magnitude suffixes: CHARISMA_BENCH_WORLD_USERS=250k / 1M.
-inline long long env_count(const char* name, long long fallback) {
-  const char* v = std::getenv(name);
-  return v != nullptr ? common::KeyValueConfig::parse_count(name, v)
-                      : fallback;
-}
-
-/// env_count narrowed to int: the suffix-aware replacement for env_int on
-/// integer knobs (CELLS=1k works; an unknown suffix throws naming the
-/// knob, instead of atoi's silent truncation).
-inline int env_count_int(const char* name, int fallback) {
+/// A finite real number ("0.4", "1e3").
+inline double env_real(const char* name, double fallback) {
   const char* v = std::getenv(name);
   if (v == nullptr) return fallback;
-  const long long n = common::KeyValueConfig::parse_count(name, v);
-  if (n < std::numeric_limits<int>::min() ||
-      n > std::numeric_limits<int>::max()) {
+  char* end = nullptr;
+  const double d = std::strtod(v, &end);
+  if (end == v || *end != '\0' || !std::isfinite(d)) {
     throw std::invalid_argument(std::string(name) +
-                                ": count does not fit in int: " + v);
+                                ": not a finite number: '" + v + "'");
+  }
+  return d;
+}
+
+/// A count token of knob `name` through KeyValueConfig::parse_count, so
+/// population knobs accept magnitude suffixes (250k, 1M), narrowed to int
+/// and at least `min`.
+inline int count_at_least(const char* name, const std::string& token,
+                          int min) {
+  const long long n = common::KeyValueConfig::parse_count(name, token);
+  if (n < min || n > std::numeric_limits<int>::max()) {
+    throw std::invalid_argument(std::string(name) + ": '" + token +
+                                "' is not an integer >= " +
+                                std::to_string(min));
   }
   return static_cast<int>(n);
+}
+
+/// A count knob, at least `min` (CELLS=1k works).
+inline int env_count_int(const char* name, int fallback, int min) {
+  const char* v = std::getenv(name);
+  return v != nullptr ? count_at_least(name, v, min) : fallback;
 }
 
 /// Duration knobs: a plain decimal ("0.3") passes through unchanged;
 /// anything with a trailing suffix goes through parse_count, which accepts
 /// k/M magnitudes and rejects unknown suffixes naming the knob (so
-/// MEASURE=10x fails loudly instead of atof-truncating to 10).
+/// MEASURE=10x fails loudly instead of atof-truncating to 10). Negative,
+/// NaN and infinite durations are rejected too.
 inline double env_seconds(const char* name, double fallback) {
   const char* v = std::getenv(name);
   if (v == nullptr) return fallback;
   char* end = nullptr;
-  const double d = std::strtod(v, &end);
-  if (end != v && *end == '\0') return d;
-  return static_cast<double>(common::KeyValueConfig::parse_count(name, v));
+  double d = std::strtod(v, &end);
+  if (end == v || *end != '\0') {
+    d = static_cast<double>(common::KeyValueConfig::parse_count(name, v));
+  }
+  if (!(d >= 0.0) || !std::isfinite(d)) {
+    throw std::invalid_argument(std::string(name) +
+                                ": not a duration >= 0: '" + v + "'");
+  }
+  return d;
+}
+
+/// A comma-separated list: the non-empty tokens of `name`, or of
+/// `fallback` when it is unset.
+inline std::vector<std::string> env_list(const char* name,
+                                         const std::string& fallback) {
+  const char* v = std::getenv(name);
+  std::stringstream stream(v != nullptr ? std::string(v) : fallback);
+  std::vector<std::string> tokens;
+  std::string token;
+  while (std::getline(stream, token, ',')) {
+    if (!token.empty()) tokens.push_back(token);
+  }
+  return tokens;
+}
+
+/// A list of counts, each at least `min` (k/M suffixes as env_count_int).
+inline std::vector<int> env_count_list(const char* name,
+                                       const std::string& fallback,
+                                       int min) {
+  std::vector<int> values;
+  for (const auto& token : env_list(name, fallback)) {
+    values.push_back(count_at_least(name, token, min));
+  }
+  return values;
+}
+
+/// A list of protocol names, spelled as charisma_sim's protocol=.
+inline std::vector<protocols::ProtocolId> env_protocol_list(
+    const char* name, const std::string& fallback) {
+  std::vector<protocols::ProtocolId> ids;
+  for (const auto& token : env_list(name, fallback)) {
+    try {
+      ids.push_back(protocols::parse_protocol(token));
+    } catch (const std::exception& e) {
+      throw std::invalid_argument(std::string(name) + ": " + e.what());
+    }
+  }
+  return ids;
 }
 
 /// Peak resident set of this process so far, in bytes (Linux reports
@@ -171,13 +224,13 @@ inline experiment::RunSpec standard_spec(int default_reps = 2) {
   experiment::RunSpec spec;
   spec.warmup_s = env_seconds("CHARISMA_BENCH_WARMUP", 4.0);
   spec.measure_s = env_seconds("CHARISMA_BENCH_MEASURE", 12.0);
-  spec.replications = env_count_int("CHARISMA_BENCH_REPS", default_reps);
+  spec.replications = env_count_int("CHARISMA_BENCH_REPS", default_reps, 1);
   return spec;
 }
 
 /// Sweep worker threads (CHARISMA_BENCH_THREADS; 0 = hardware threads).
 inline unsigned standard_threads() {
-  return static_cast<unsigned>(env_count_int("CHARISMA_BENCH_THREADS", 0));
+  return static_cast<unsigned>(env_count_int("CHARISMA_BENCH_THREADS", 0, 0));
 }
 
 inline void print_banner(const std::string& what, const std::string& paper) {

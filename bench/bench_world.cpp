@@ -19,8 +19,8 @@
 //                                 to hardware; default 1,2,4,<hardware>)
 //   CHARISMA_BENCH_WORLD_PROTOCOL protocol id (default dtdma_fr)
 //   CHARISMA_BENCH_JSON_DIR       where BENCH_world.json lands (default .)
-// Integer knobs take k/M magnitude suffixes (CELLS=1k); malformed values
-// and unknown suffixes abort naming the knob.
+// Integer knobs take k/M magnitude suffixes (CELLS=1k); a malformed value
+// or an unknown suffix exits 1 naming the knob before any world runs.
 //
 // Shard-overhead stage (PR 9): the world plane (mobility, band rosters,
 // pilot filtering, attachment) is computed over coordinator shards whose
@@ -56,28 +56,18 @@ namespace {
 
 using namespace charisma;
 
-std::vector<unsigned> parse_list(const char* name, const std::string& csv) {
-  std::vector<unsigned> values;
-  std::stringstream stream(csv);
-  std::string token;
-  while (std::getline(stream, token, ',')) {
-    if (token.empty()) continue;  // tolerate trailing/duplicate commas
-    // parse_count accepts k/M suffixes and throws on anything malformed,
-    // naming the knob — a typo'd list aborts instead of silently running
-    // a different sweep.
-    const long long n = common::KeyValueConfig::parse_count(name, token);
-    if (n < 0) {
-      throw std::invalid_argument(std::string(name) +
-                                  ": list entries must be >= 0: " + token);
-    }
-    values.push_back(static_cast<unsigned>(n));
+// A thread or shard count list: 0 entries resolve to `hardware`, the
+// serial reference 1 is always added, and the list comes back sorted and
+// deduplicated, so the reference runs first.
+std::vector<unsigned> concurrency_list(const std::vector<int>& given,
+                                       unsigned hardware) {
+  std::vector<unsigned> out{1};
+  for (const int n : given) {
+    out.push_back(n == 0 ? hardware : static_cast<unsigned>(n));
   }
-  return values;
-}
-
-std::string env_list(const char* name, const std::string& fallback) {
-  const char* v = std::getenv(name);
-  return v != nullptr ? std::string(v) : fallback;
+  std::sort(out.begin(), out.end());
+  out.erase(std::unique(out.begin(), out.end()), out.end());
+  return out;
 }
 
 mac::CellularConfig world_config(int cells, unsigned threads, int voice,
@@ -169,41 +159,50 @@ MemoryProbe probe_memory(const mac::CellularConfig& cfg,
 
 }  // namespace
 
-int main() {
+int main() try {
   bench::print_banner(
       "World-loop scaling: parallel cells, allocation-free frames, "
       "batched pilots",
       "CHARISMA extension (no paper figure); PR 4 trajectory point");
 
-  const int voice = bench::env_count_int("CHARISMA_BENCH_WORLD_VOICE", 96);
-  const int data = bench::env_count_int("CHARISMA_BENCH_WORLD_DATA", 24);
+  // Every knob is read here, before the first world runs.
+  const int voice = bench::env_count_int("CHARISMA_BENCH_WORLD_VOICE", 96, 0);
+  const int data = bench::env_count_int("CHARISMA_BENCH_WORLD_DATA", 24, 0);
   const double measure_s =
       bench::env_seconds("CHARISMA_BENCH_WORLD_MEASURE", 8.0);
-  const int reps =
-      std::max(1, bench::env_count_int("CHARISMA_BENCH_WORLD_REPS", 3));
+  const int reps = bench::env_count_int("CHARISMA_BENCH_WORLD_REPS", 3, 1);
   const double warmup_s = std::min(0.5, measure_s * 0.25);
   const unsigned hardware =
       std::max(1u, std::thread::hardware_concurrency());
-  const auto protocol = protocols::parse_protocol(
-      env_list("CHARISMA_BENCH_WORLD_PROTOCOL", "dtdma_fr"));
-
-  auto cells_list = parse_list("CHARISMA_BENCH_WORLD_CELLS",
-                               env_list("CHARISMA_BENCH_WORLD_CELLS", "2,4,8"));
-  auto threads_list = parse_list(
-      "CHARISMA_BENCH_WORLD_THREADS",
-      env_list("CHARISMA_BENCH_WORLD_THREADS",
-               "1,2,4," + std::to_string(hardware)));
-  // 0 means hardware concurrency everywhere else; resolve it here so the
-  // sort below cannot place a "0" entry ahead of the serial reference.
-  for (unsigned& t : threads_list) {
-    if (t == 0) t = hardware;
+  const auto protocol_list =
+      bench::env_protocol_list("CHARISMA_BENCH_WORLD_PROTOCOL", "dtdma_fr");
+  if (protocol_list.size() != 1) {
+    throw std::invalid_argument(
+        "CHARISMA_BENCH_WORLD_PROTOCOL: expected one protocol");
   }
-  // The serial run is the determinism/speedup reference; always measure it
-  // first, even when the env list omits it.
-  threads_list.push_back(1);
-  std::sort(threads_list.begin(), threads_list.end());
-  threads_list.erase(std::unique(threads_list.begin(), threads_list.end()),
-                     threads_list.end());
+  const auto protocol = protocol_list.front();
+  const auto cells_list =
+      bench::env_count_list("CHARISMA_BENCH_WORLD_CELLS", "2,4,8", 1);
+  // The serial run is the determinism/speedup reference; it is measured
+  // first even when the list omits it (0 = hardware concurrency).
+  const std::string hardware_default = "1,2,4," + std::to_string(hardware);
+  const auto threads_list = concurrency_list(
+      bench::env_count_list("CHARISMA_BENCH_WORLD_THREADS", hardware_default,
+                            0),
+      hardware);
+  const auto shards_list = concurrency_list(
+      bench::env_count_list("CHARISMA_BENCH_WORLD_SHARDS", hardware_default,
+                            0),
+      hardware);
+  const int mem_users =
+      bench::env_count_int("CHARISMA_BENCH_WORLD_USERS", 100'000, 0);
+  const int mem_cells =
+      bench::env_count_int("CHARISMA_BENCH_WORLD_MEMORY_CELLS", 91, 1);
+  const double band_radius_m =
+      bench::env_real("CHARISMA_BENCH_WORLD_BAND", 1200.0);
+  if (band_radius_m < 0.0) {
+    throw std::invalid_argument("CHARISMA_BENCH_WORLD_BAND: must be >= 0");
+  }
 
   std::cout << "population: " << voice << " voice + " << data
             << " data users, measure " << measure_s
@@ -292,18 +291,6 @@ int main() {
   // replay) against the monolithic serial plane, which is the regression
   // the 1-CPU container can actually catch. Bit-identity across the shard
   // list is re-verified on every run and feeds the exit code.
-  auto shards_list = parse_list(
-      "CHARISMA_BENCH_WORLD_SHARDS",
-      env_list("CHARISMA_BENCH_WORLD_SHARDS",
-               "1,2,4," + std::to_string(hardware)));
-  for (unsigned& s : shards_list) {
-    if (s == 0) s = hardware;  // 0 = auto resolves to hardware, like threads
-  }
-  shards_list.push_back(1);  // the serial-plane reference, always first
-  std::sort(shards_list.begin(), shards_list.end());
-  shards_list.erase(std::unique(shards_list.begin(), shards_list.end()),
-                    shards_list.end());
-
   struct ShardPoint {
     unsigned shards;
     double wall_s;
@@ -314,8 +301,7 @@ int main() {
     mac::CellularWorld::EpochTimings timings;
     bool deterministic;
   };
-  const int shard_cells =
-      cells_list.empty() ? 4 : static_cast<int>(cells_list.front());
+  const int shard_cells = cells_list.empty() ? 4 : cells_list.front();
   common::TextTable shard_table(
       "Coordinator shard overhead (threads=1, " +
       std::to_string(shard_cells) + " cells); epoch split serial/shard/cell");
@@ -399,15 +385,9 @@ int main() {
             << "%, noise-dominated by the cell plane on small worlds)\n";
 
   // --- Memory stage: sparse presence bytes/user vs a dense calibration ---
-  const long long mem_users =
-      bench::env_count("CHARISMA_BENCH_WORLD_USERS", 100'000);
-  const int mem_cells =
-      bench::env_count_int("CHARISMA_BENCH_WORLD_MEMORY_CELLS", 91);
-  const double band_radius_m =
-      bench::env_double("CHARISMA_BENCH_WORLD_BAND", 1200.0);
   std::ostringstream memory_fields;
   if (mem_users > 0) {
-    const int total = static_cast<int>(mem_users);
+    const int total = mem_users;
     const int mem_voice = total - total / 5;
     const int mem_data = total - mem_voice;
     // Dense calibration first: a band=all-cells world at 1/50 the
@@ -514,4 +494,7 @@ int main() {
   bench::append_trajectory_point("world_epoch_loop", "BENCH_world",
                                  fields.str());
   return all_deterministic ? 0 : 1;
+} catch (const std::exception& e) {
+  std::cerr << "error: " << e.what() << '\n';
+  return 1;
 }

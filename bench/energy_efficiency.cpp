@@ -9,7 +9,7 @@
 
 #include "bench_support.hpp"
 
-int main() {
+int main() try {
   using namespace charisma;
   bench::print_banner("Energy efficiency (the paper's motivation 2)",
                       "Kwok & Lau, Sec. 1 observations 1-2");
@@ -50,4 +50,7 @@ int main() {
       << "the scheduling layer on top, spending its joules on high-mode\n"
       << "slots that carry several packets each.\n";
   return 0;
+} catch (const std::exception& e) {
+  std::cerr << "error: " << e.what() << '\n';
+  return 1;
 }

@@ -6,7 +6,7 @@
 
 #include "bench_support.hpp"
 
-int main() {
+int main() try {
   using namespace charisma;
   bench::print_banner(
       "Fig. 11: voice packet loss rate versus traffic load",
@@ -62,4 +62,7 @@ int main() {
       << "    fixed-PHY baselines only slightly (panels a->b).\n"
       << "  * Adding data users shifts every curve left (panels c-f).\n";
   return 0;
+} catch (const std::exception& e) {
+  std::cerr << "error: " << e.what() << '\n';
+  return 1;
 }

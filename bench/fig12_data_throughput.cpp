@@ -5,7 +5,7 @@
 
 #include "bench_support.hpp"
 
-int main() {
+int main() try {
   using namespace charisma;
   bench::print_banner("Fig. 12: data throughput against traffic load",
                       "Kwok & Lau, Fig. 12a-f (six panels, six protocols)");
@@ -56,4 +56,7 @@ int main() {
       << "    ones scale with the mode ladder, CHARISMA highest thanks to\n"
       << "    CSI-ranked packing.\n";
   return 0;
+} catch (const std::exception& e) {
+  std::cerr << "error: " << e.what() << '\n';
+  return 1;
 }

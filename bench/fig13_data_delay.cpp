@@ -6,7 +6,7 @@
 
 #include "bench_support.hpp"
 
-int main() {
+int main() try {
   using namespace charisma;
   bench::print_banner("Fig. 13: data delay against traffic load",
                       "Kwok & Lau, Fig. 13a-f (six panels, six protocols)");
@@ -79,4 +79,7 @@ int main() {
       << "  * At the (1 s, 0.25) QoS point CHARISMA carries ~1.5x the data\n"
       << "    users of D-TDMA/VR and ~3x RAMA/DRMA (paper Sec. 5.2).\n";
   return 0;
+} catch (const std::exception& e) {
+  std::cerr << "error: " << e.what() << '\n';
+  return 1;
 }

@@ -6,21 +6,20 @@
 // faster fading *and* more frequent cell-boundary crossings.
 //
 // Knobs (besides the bench_support ones):
-//   CHARISMA_BENCH_CELLS   number of cells (default 2)
+//   CHARISMA_BENCH_CELLS   number of cells (>= 2, default 2)
 //   CHARISMA_BENCH_VOICE   voice users (default 60)
-#include <algorithm>
 #include <iostream>
 
 #include "bench_support.hpp"
 
-int main() {
+int main() try {
   using namespace charisma;
   bench::print_banner(
       "Handoff: voice packet loss versus user speed (multi-cell mobility)",
       "Kwok & Lau, Sec. 6 future work (no paper figure; CHARISMA extension)");
 
-  const int cells = std::max(2, bench::env_int("CHARISMA_BENCH_CELLS", 2));
-  const int voice_users = bench::env_int("CHARISMA_BENCH_VOICE", 60);
+  const int cells = bench::env_count_int("CHARISMA_BENCH_CELLS", 2, 2);
+  const int voice_users = bench::env_count_int("CHARISMA_BENCH_VOICE", 60, 0);
   const auto spec = bench::standard_spec(/*default_reps=*/1);
   const double speeds_kmh[] = {3.0, 30.0, 60.0, 120.0};
 
@@ -90,4 +89,7 @@ int main() {
       << "  * CHARISMA keeps its lead at every speed: CSI-ranked allocation\n"
       << "    adapts to the post-handoff channel within a validity period.\n";
   return 0;
+} catch (const std::exception& e) {
+  std::cerr << "error: " << e.what() << '\n';
+  return 1;
 }

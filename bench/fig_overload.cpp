@@ -25,7 +25,6 @@
 //   CHARISMA_BENCH_JSON_DIR          where BENCH_overload.json lands
 #include <fstream>
 #include <iostream>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -34,21 +33,6 @@
 namespace {
 
 using namespace charisma;
-
-std::vector<std::string> split_csv(const std::string& csv) {
-  std::vector<std::string> out;
-  std::stringstream stream(csv);
-  std::string token;
-  while (std::getline(stream, token, ',')) {
-    if (!token.empty()) out.push_back(token);
-  }
-  return out;
-}
-
-std::string env_str(const char* name, const std::string& fallback) {
-  const char* v = std::getenv(name);
-  return v != nullptr ? std::string(v) : fallback;
-}
 
 struct OverloadPoint {
   std::string protocol;
@@ -70,29 +54,23 @@ struct OutagePoint {
 
 }  // namespace
 
-int main() {
+int main() try {
   bench::print_banner(
       "Overload survival: loss/delay vs offered load, barring off/on, "
       "plus cell-outage recovery",
       "CHARISMA extension (no paper figure); PR 6 trajectory point");
 
-  const int voice = bench::env_int("CHARISMA_BENCH_OVERLOAD_VOICE", 60);
-  const int data = bench::env_int("CHARISMA_BENCH_OVERLOAD_DATA", 10);
+  const int voice =
+      bench::env_count_int("CHARISMA_BENCH_OVERLOAD_VOICE", 60, 0);
+  const int data = bench::env_count_int("CHARISMA_BENCH_OVERLOAD_DATA", 10, 0);
   const double warmup_s =
-      bench::env_double("CHARISMA_BENCH_OVERLOAD_WARMUP", 2.0);
+      bench::env_seconds("CHARISMA_BENCH_OVERLOAD_WARMUP", 2.0);
   const double measure_s =
-      bench::env_double("CHARISMA_BENCH_OVERLOAD_MEASURE", 4.0);
-  const auto factor_tokens =
-      split_csv(env_str("CHARISMA_BENCH_OVERLOAD_FACTORS", "1,2,5,10"));
-  const auto protocol_names =
-      split_csv(env_str("CHARISMA_BENCH_OVERLOAD_PROTOCOLS", "prma,rmav"));
-
-  std::vector<int> factors;
-  for (const auto& t : factor_tokens) factors.push_back(std::stoi(t));
-  std::vector<protocols::ProtocolId> ids;
-  for (const auto& n : protocol_names) {
-    ids.push_back(protocols::parse_protocol(n));
-  }
+      bench::env_seconds("CHARISMA_BENCH_OVERLOAD_MEASURE", 4.0);
+  const auto factors = bench::env_count_list(
+      "CHARISMA_BENCH_OVERLOAD_FACTORS", "1,2,5,10", /*min=*/1);
+  const auto ids = bench::env_protocol_list(
+      "CHARISMA_BENCH_OVERLOAD_PROTOCOLS", "prma,rmav");
 
   common::TextTable table("Voice loss and data delay vs offered load");
   table.set_header({"protocol", "load", "barring", "voice loss",
@@ -240,4 +218,7 @@ int main() {
   out << "  ]\n}\n";
   std::cout << "(wrote " << path << ")\n";
   return degradation_ok && accounting_ok ? 0 : 1;
+} catch (const std::exception& e) {
+  std::cerr << "error: " << e.what() << '\n';
+  return 1;
 }

@@ -15,32 +15,13 @@
 //   CHARISMA_BENCH_REUSE_VOICE   voice users in the world (default 40)
 //   CHARISMA_BENCH_REUSE_ACTIVITY per-user activity factor (default 0.4)
 #include <iostream>
-#include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "bench_support.hpp"
 
-namespace {
-
-std::vector<int> parse_list(const std::string& csv) {
-  std::vector<int> values;
-  std::stringstream stream(csv);
-  std::string token;
-  while (std::getline(stream, token, ',')) {
-    if (!token.empty()) values.push_back(std::stoi(token));
-  }
-  return values;
-}
-
-std::string env_or(const char* name, const std::string& fallback) {
-  const char* v = std::getenv(name);
-  return v != nullptr ? std::string(v) : fallback;
-}
-
-}  // namespace
-
-int main() {
+int main() try {
   using namespace charisma;
   bench::print_banner(
       "Frequency reuse: voice loss / data throughput vs reuse factor "
@@ -49,12 +30,17 @@ int main() {
       "plane");
 
   const auto cells_list =
-      parse_list(env_or("CHARISMA_BENCH_REUSE_CELLS", "7"));
+      bench::env_count_list("CHARISMA_BENCH_REUSE_CELLS", "7", /*min=*/1);
   const auto reuse_list =
-      parse_list(env_or("CHARISMA_BENCH_REUSE_FACTORS", "1,3,7"));
-  const int voice_users = bench::env_int("CHARISMA_BENCH_REUSE_VOICE", 40);
+      bench::env_count_list("CHARISMA_BENCH_REUSE_FACTORS", "1,3,7", 1);
+  const int voice_users =
+      bench::env_count_int("CHARISMA_BENCH_REUSE_VOICE", 40, 0);
   const double activity =
-      bench::env_double("CHARISMA_BENCH_REUSE_ACTIVITY", 0.4);
+      bench::env_real("CHARISMA_BENCH_REUSE_ACTIVITY", 0.4);
+  if (activity < 0.0 || activity > 1.0) {
+    throw std::invalid_argument(
+        "CHARISMA_BENCH_REUSE_ACTIVITY: must be in [0, 1]");
+  }
   const auto spec = bench::standard_spec(/*default_reps=*/1);
 
   std::cout << voice_users << " voice + 5 data users, activity factor "
@@ -140,4 +126,7 @@ int main() {
       << "    the gap at reuse 1 because their PHY adapts to the degraded\n"
       << "    SINR instead of shipping packets into it.\n";
   return 0;
+} catch (const std::exception& e) {
+  std::cerr << "error: " << e.what() << '\n';
+  return 1;
 }

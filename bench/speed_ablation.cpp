@@ -94,9 +94,7 @@ double benchmark_bank_lazy(int users, int frames, double touch_ratio) {
   return wall.count();
 }
 
-void run_hot_path_ablation() {
-  const int users = bench::env_count_int("CHARISMA_BENCH_BANK_USERS", 10000);
-  const int frames = bench::env_count_int("CHARISMA_BENCH_BANK_FRAMES", 400);
+void run_hot_path_ablation(int users, int frames) {
   const double touch_ratio = 0.10;
 
   const double legacy_s = benchmark_legacy_walk(users, frames);
@@ -157,14 +155,18 @@ void run_hot_path_ablation() {
 
 }  // namespace
 
-int main() {
+int main() try {
   using namespace charisma;
   bench::print_banner("Sec. 5.3.3: mobile speed and CSI usage",
                       "Kwok & Lau, Sec. 5.3.3 (speed sensitivity)");
 
-  run_hot_path_ablation();
-
+  const int users =
+      bench::env_count_int("CHARISMA_BENCH_BANK_USERS", 10000, 1);
+  const int frames = bench::env_count_int("CHARISMA_BENCH_BANK_FRAMES", 400, 1);
   const auto spec_template = bench::standard_spec(/*default_reps=*/2);
+
+  run_hot_path_ablation(users, frames);
+
   const double carrier_hz = 2.0e9;
 
   struct Row {
@@ -230,4 +232,7 @@ int main() {
             << "The refresh mechanism's value grows with speed (compare the\n"
             << "two loss columns) — the paper's Sec. 5.3.3 observation.\n";
   return 0;
+} catch (const std::exception& e) {
+  std::cerr << "error: " << e.what() << '\n';
+  return 1;
 }

@@ -19,9 +19,10 @@
 // keeps one rho^k / sqrt(1-rho^2k) table per stride, so the common frame
 // strides cost a table lookup instead of two pow() calls.
 //
-// Each user keeps its own RngStream (seeded from the scenario seed and user
-// id), so results are independent of population size and of whether a user
-// is advanced individually or in the batched pass.
+// Each row keeps its own SplitMix64 innovation engine, seeded by one draw
+// of the RngStream add_user is given (itself derived from the scenario
+// seed and user id), so results are independent of population size and of
+// whether a user is advanced individually or in the batched pass.
 //
 // One clock per bank: set_time(t) moves the frame boundary in O(1), and a
 // row materializes up to it through the same closed-form jump — in bulk

@@ -35,7 +35,7 @@ class CsiEstimator {
   CsiEstimator(double error_sigma_db, common::Time validity);
 
   /// `rng` is the observed user's stream — any type with a
-  /// normal(mean, stddev) draw (RngStream, CompactRngStream, TrafficRng).
+  /// normal(mean, stddev) draw (a BasicRngStream or a TrafficRng).
   template <typename Rng>
   CsiEstimate estimate(double true_snr_linear, common::Time now,
                        Rng& rng) const {

@@ -13,8 +13,6 @@ double to_db(double linear) {
 
 double from_db(double db) { return std::pow(10.0, db / 10.0); }
 
-double q_function(double x) { return 0.5 * std::erfc(x / std::sqrt(2.0)); }
-
 double erfc_inv(double y) {
   if (y <= 0.0 || y >= 2.0) {
     throw std::domain_error("erfc_inv: argument must lie in (0, 2)");
@@ -113,7 +111,5 @@ double gamma_upper_regularized(int k, double x) {
   }
   return std::exp(-x) * sum;
 }
-
-double log1p_stable(double x) { return std::log1p(x); }
 
 }  // namespace charisma::common

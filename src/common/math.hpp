@@ -1,6 +1,6 @@
 // Numeric helpers shared by the channel and PHY models: dB conversions,
-// Gaussian tail functions and their inverses, and the Bessel J0 used by the
-// Jakes fading autocorrelation.
+// the inverse complementary error function, the Bessel J0 used by the
+// Jakes fading autocorrelation and the regularized upper incomplete gamma.
 #pragma once
 
 namespace charisma::common {
@@ -10,9 +10,6 @@ double to_db(double linear);
 
 /// Converts decibels to a linear power ratio.
 double from_db(double db);
-
-/// Gaussian Q-function: P(N(0,1) > x).
-double q_function(double x);
 
 /// Inverse of the complementary error function. Accurate to ~1e-9 over
 /// y in (0, 2) via a rational seed refined with two Newton steps.
@@ -27,9 +24,5 @@ double bessel_j0(double x);
 /// Used to validate the Nakagami-m effective-SNR distribution in tests and
 /// to derive operating points analytically.
 double gamma_upper_regularized(int k, double x);
-
-/// Numerically stable log(1+x) wrapper kept for symmetry with the header's
-/// role as the single math include.
-double log1p_stable(double x);
 
 }  // namespace charisma::common

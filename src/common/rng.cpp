@@ -8,182 +8,6 @@ namespace charisma::common {
 
 namespace {
 
-// ln(k!) for the PTRS acceptance test: exact table for small k, Stirling's
-// series beyond it (absolute error < 1e-11 for k >= 16).
-double ln_factorial(long k) {
-  static constexpr double kTable[] = {
-      0.0,
-      0.0,
-      0.6931471805599453,
-      1.791759469228055,
-      3.1780538303479458,
-      4.787491742782046,
-      6.579251212010101,
-      8.525161361065415,
-      10.60460290274525,
-      12.801827480081469,
-      15.104412573075516,
-      17.502307845873887,
-      19.987214495661885,
-      22.552163853123425,
-      25.19122118273868,
-      27.89927138384089,
-  };
-  if (k < 16) return kTable[k];
-  const double x = static_cast<double>(k) + 1.0;
-  const double inv = 1.0 / x;
-  const double inv2 = inv * inv;
-  return (x - 0.5) * std::log(x) - x +
-         0.5 * std::log(2.0 * std::numbers::pi) +
-         inv * (1.0 / 12.0 - inv2 * (1.0 / 360.0 - inv2 / 1260.0));
-}
-
-// Adapts the mt19937_64 engine to the shared distribution templates'
-// Source concept (next() -> uint64, uniform() -> [0, 1)).
-struct Mt19937Source {
-  std::mt19937_64& engine;
-  std::uint64_t next() { return engine(); }
-  double uniform() {
-    return static_cast<double>(engine() >> 11) * 0x1.0p-53;
-  }
-};
-
-// Adapts CompactRngStream's splitmix64 counter to the same concept. The
-// stream object itself already satisfies it, but taking the raw state by
-// reference keeps the adapter symmetric with Mt19937Source and avoids
-// aliasing the partially-updated spare fields during a draw.
-struct SplitMixCounterSource {
-  std::uint64_t& state;
-  std::uint64_t next() {
-    return detail::splitmix64_mix(state += detail::kSplitMixGamma);
-  }
-  double uniform() {
-    return static_cast<double>(next() >> 11) * 0x1.0p-53;
-  }
-};
-
-// ---- Distribution algorithms, shared by RngStream and CompactRngStream.
-// Templated over the raw bit source so both generators run the *same*
-// algorithm with the same draw pattern: the mt instantiation reproduces
-// the historical RngStream sequences bit for bit (Mt19937Source::next()
-// is exactly what the member functions used to call), and the compact
-// instantiation inherits every numerical property for free.
-
-template <typename Source>
-double uniform_from(Source src) {
-  // 53-bit mantissa-exact uniform in [0, 1).
-  return static_cast<double>(src.next() >> 11) * 0x1.0p-53;
-}
-
-template <typename Source>
-int uniform_int_from(Source src, int n) {
-  if (n <= 0) throw std::domain_error("uniform_int: n must be positive");
-  // Lemire's multiply-shift: map a 64-bit draw onto [0, n) via the high
-  // word of a 128-bit product, rejecting the sliver that would bias the
-  // result. One multiply on the accept path; rejection probability < n/2^64.
-  const auto range = static_cast<std::uint64_t>(n);
-  unsigned __int128 product =
-      static_cast<unsigned __int128>(src.next()) * range;
-  auto low = static_cast<std::uint64_t>(product);
-  if (low < range) {
-    const std::uint64_t threshold = (0ULL - range) % range;
-    while (low < threshold) {
-      product = static_cast<unsigned __int128>(src.next()) * range;
-      low = static_cast<std::uint64_t>(product);
-    }
-  }
-  return static_cast<int>(static_cast<std::uint64_t>(product >> 64));
-}
-
-template <typename Source>
-bool bernoulli_from(Source src, double p) {
-  if (p <= 0.0) return false;
-  if (p >= 1.0) return true;
-  return uniform_from(src) < p;
-}
-
-template <typename Source>
-double exponential_from(Source src, double mean) {
-  if (mean <= 0.0) throw std::domain_error("exponential: mean must be positive");
-  double u = uniform_from(src);
-  // Guard the log against u == 0.
-  if (u <= 0.0) u = 0x1.0p-53;
-  return -mean * std::log(u);
-}
-
-template <typename Source>
-double normal_from(Source src, double& spare, bool& has_spare) {
-  if (has_spare) {
-    has_spare = false;
-    return spare;
-  }
-  // Box–Muller: exactly two uniforms per pair of variates, so the draw
-  // count per call is deterministic (unlike polar rejection) and the spare
-  // costs nothing to cache.
-  double u1 = uniform_from(src);
-  if (u1 <= 0.0) u1 = 0x1.0p-53;
-  const double radius = std::sqrt(-2.0 * std::log(u1));
-  const double theta = 2.0 * std::numbers::pi * uniform_from(src);
-  spare = radius * std::sin(theta);
-  has_spare = true;
-  return radius * std::cos(theta);
-}
-
-template <typename Source>
-double rayleigh_amplitude_from(Source src, double mean_square) {
-  if (mean_square <= 0.0) {
-    throw std::domain_error("rayleigh_amplitude: mean_square must be positive");
-  }
-  // If X = sqrt(-mean_square * ln U) then E[X^2] = mean_square.
-  double u = uniform_from(src);
-  if (u <= 0.0) u = 0x1.0p-53;
-  return std::sqrt(-mean_square * std::log(u));
-}
-
-template <typename Source>
-int poisson_ptrs_from(Source src, double mean) {
-  // Hörmann's PTRS transformed rejection (W. Hörmann, "The transformed
-  // rejection method for generating Poisson random variables", 1993).
-  // Valid for mean >= 10; expected uniforms per variate < 2.5.
-  const double slam = std::sqrt(mean);
-  const double loglam = std::log(mean);
-  const double b = 0.931 + 2.53 * slam;
-  const double a = -0.059 + 0.02483 * b;
-  const double invalpha = 1.1239 + 1.1328 / (b - 3.4);
-  const double vr = 0.9277 - 3.6224 / (b - 2.0);
-  for (;;) {
-    const double u = uniform_from(src) - 0.5;
-    const double v = uniform_from(src);
-    const double us = 0.5 - std::fabs(u);
-    const auto k =
-        static_cast<long>(std::floor((2.0 * a / us + b) * u + mean + 0.43));
-    if (us >= 0.07 && v <= vr) return static_cast<int>(k);
-    if (k < 0 || (us < 0.013 && v > us)) continue;
-    if (std::log(v) + std::log(invalpha) - std::log(a / (us * us) + b) <=
-        k * loglam - mean - ln_factorial(k)) {
-      return static_cast<int>(k);
-    }
-  }
-}
-
-template <typename Source>
-int poisson_from(Source src, double mean) {
-  if (mean < 0.0) throw std::domain_error("poisson: mean must be >= 0");
-  if (mean == 0.0) return 0;
-  if (mean < 10.0) {
-    // Knuth: count uniforms whose running product stays above e^-mean.
-    const double limit = std::exp(-mean);
-    int k = 0;
-    double product = uniform_from(src);
-    while (product > limit) {
-      ++k;
-      product *= uniform_from(src);
-    }
-    return k;
-  }
-  return poisson_ptrs_from(src, mean);
-}
-
 detail::ZigguratTables build_ziggurat_tables() {
   // Marsaglia & Tsang 2000, "The ziggurat method for generating random
   // variables": 128 rectangular layers of equal area vn under the standard
@@ -222,111 +46,81 @@ const ZigguratTables& ziggurat_tables() {
 std::uint64_t derive_seed(std::uint64_t root, std::uint64_t stream) {
   // splitmix64 finalizer over a mixed input; distinct (root, stream) pairs
   // map to well-decorrelated outputs.
-  std::uint64_t z = root + 0x9E3779B97F4A7C15ULL * (stream + 1);
-  z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ULL;
-  z = (z ^ (z >> 27)) * 0x94D049BB133111EBULL;
-  return z ^ (z >> 31);
+  return SplitMix64::mix(root + SplitMix64::kGamma * (stream + 1));
 }
 
-// ---- RngStream (mt19937_64-backed) ----
+template <typename Engine>
+double BasicRngStream<Engine>::uniform() {
+  // 53-bit mantissa-exact uniform in [0, 1).
+  return static_cast<double>(engine_() >> 11) * 0x1.0p-53;
+}
 
-double RngStream::uniform() { return uniform_from(Mt19937Source{engine_}); }
-
-double RngStream::uniform(double lo, double hi) {
+template <typename Engine>
+double BasicRngStream<Engine>::uniform(double lo, double hi) {
   return lo + (hi - lo) * uniform();
 }
 
-int RngStream::uniform_int(int n) {
-  return uniform_int_from(Mt19937Source{engine_}, n);
+template <typename Engine>
+int BasicRngStream<Engine>::uniform_int(int n) {
+  if (n <= 0) throw std::domain_error("uniform_int: n must be positive");
+  // Lemire's multiply-shift: map a 64-bit draw onto [0, n) via the high
+  // word of a 128-bit product, rejecting the sliver that would bias the
+  // result. One multiply on the accept path; rejection probability < n/2^64.
+  const auto range = static_cast<std::uint64_t>(n);
+  unsigned __int128 product = static_cast<unsigned __int128>(engine_()) * range;
+  auto low = static_cast<std::uint64_t>(product);
+  if (low < range) {
+    const std::uint64_t threshold = (0ULL - range) % range;
+    while (low < threshold) {
+      product = static_cast<unsigned __int128>(engine_()) * range;
+      low = static_cast<std::uint64_t>(product);
+    }
+  }
+  return static_cast<int>(static_cast<std::uint64_t>(product >> 64));
 }
 
-bool RngStream::bernoulli(double p) {
-  return bernoulli_from(Mt19937Source{engine_}, p);
+template <typename Engine>
+bool BasicRngStream<Engine>::bernoulli(double p) {
+  if (p <= 0.0) return false;
+  if (p >= 1.0) return true;
+  return uniform() < p;
 }
 
-double RngStream::exponential(double mean) {
-  return exponential_from(Mt19937Source{engine_}, mean);
+template <typename Engine>
+double BasicRngStream<Engine>::exponential(double mean) {
+  if (mean <= 0.0) {
+    throw std::domain_error("exponential: mean must be positive");
+  }
+  double u = uniform();
+  // Guard the log against u == 0.
+  if (u <= 0.0) u = 0x1.0p-53;
+  return -mean * std::log(u);
 }
 
-double RngStream::normal() {
-  return normal_from(Mt19937Source{engine_}, spare_normal_, has_spare_normal_);
+template <typename Engine>
+double BasicRngStream<Engine>::normal() {
+  if (has_spare_normal_) {
+    has_spare_normal_ = false;
+    return spare_normal_;
+  }
+  // Box–Muller: exactly two uniforms per pair of variates, so the draw
+  // count per call is deterministic (unlike polar rejection) and the spare
+  // costs nothing to cache.
+  double u1 = uniform();
+  if (u1 <= 0.0) u1 = 0x1.0p-53;
+  const double radius = std::sqrt(-2.0 * std::log(u1));
+  const double theta = 2.0 * std::numbers::pi * uniform();
+  spare_normal_ = radius * std::sin(theta);
+  has_spare_normal_ = true;
+  return radius * std::cos(theta);
 }
 
-double RngStream::normal(double mean, double stddev) {
+template <typename Engine>
+double BasicRngStream<Engine>::normal(double mean, double stddev) {
   return mean + stddev * normal();
 }
 
-double RngStream::normal_fast() {
-  Mt19937Source source{engine_};
-  return detail::ziggurat_normal(source, detail::ziggurat_tables());
-}
-
-double RngStream::rayleigh_amplitude(double mean_square) {
-  return rayleigh_amplitude_from(Mt19937Source{engine_}, mean_square);
-}
-
-double RngStream::lognormal_db(double mean_db, double sigma_db) {
-  return std::pow(10.0, normal(mean_db, sigma_db) / 10.0);
-}
-
-int RngStream::poisson(double mean) {
-  return poisson_from(Mt19937Source{engine_}, mean);
-}
-
-int RngStream::poisson_ptrs(double mean) {
-  return poisson_ptrs_from(Mt19937Source{engine_}, mean);
-}
-
-// ---- CompactRngStream (splitmix64-counter-backed) ----
-
-double CompactRngStream::uniform() {
-  return uniform_from(SplitMixCounterSource{state_});
-}
-
-double CompactRngStream::uniform(double lo, double hi) {
-  return lo + (hi - lo) * uniform();
-}
-
-int CompactRngStream::uniform_int(int n) {
-  return uniform_int_from(SplitMixCounterSource{state_}, n);
-}
-
-bool CompactRngStream::bernoulli(double p) {
-  return bernoulli_from(SplitMixCounterSource{state_}, p);
-}
-
-double CompactRngStream::exponential(double mean) {
-  return exponential_from(SplitMixCounterSource{state_}, mean);
-}
-
-double CompactRngStream::normal() {
-  return normal_from(SplitMixCounterSource{state_}, spare_normal_,
-                     has_spare_normal_);
-}
-
-double CompactRngStream::normal(double mean, double stddev) {
-  return mean + stddev * normal();
-}
-
-double CompactRngStream::normal_fast() {
-  SplitMixCounterSource source{state_};
-  return detail::ziggurat_normal(source, detail::ziggurat_tables());
-}
-
-double CompactRngStream::rayleigh_amplitude(double mean_square) {
-  return rayleigh_amplitude_from(SplitMixCounterSource{state_}, mean_square);
-}
-
-double CompactRngStream::lognormal_db(double mean_db, double sigma_db) {
-  return std::pow(10.0, normal(mean_db, sigma_db) / 10.0);
-}
-
-int CompactRngStream::poisson(double mean) {
-  return poisson_from(SplitMixCounterSource{state_}, mean);
-}
-
-int CompactRngStream::poisson_ptrs(double mean) {
-  return poisson_ptrs_from(SplitMixCounterSource{state_}, mean);
-}
+template class BasicRngStream<std::mt19937_64>;
+template class BasicRngStream<SplitMix64>;
 
 }  // namespace charisma::common

@@ -1,19 +1,20 @@
 // Deterministic random-number streams.
 //
 // Every stochastic entity in the simulator (each user's channel, each
-// traffic source, each contention draw) owns its own RngStream derived from
+// traffic source, each contention draw) owns its own stream derived from
 // a root seed, so (a) runs are bit-reproducible given a scenario seed and
 // (b) adding users or reordering events does not perturb other entities'
 // draws — the property the paper's "common simulation platform" needs for a
 // fair cross-protocol comparison.
 //
-// The distribution layer is implemented in-house (Box–Muller normals with a
-// cached spare, Lemire bounded integers, Knuth/PTRS Poisson) instead of the
-// std:: distribution objects: the standard leaves their algorithms
-// unspecified, so stdlib upgrades would silently change every simulation
-// result, and the std implementations construct per-call state on the hot
-// path. Only std::mt19937_64 (whose output *is* pinned by the standard) is
-// kept as the raw bit source.
+// The draws are implemented in-house (Box–Muller normals with a cached
+// spare, Lemire bounded integers, a ziggurat for the channel innovations)
+// instead of the std:: distribution objects: the standard leaves their
+// algorithms unspecified, so stdlib upgrades would silently change every
+// simulation result, and the std implementations construct per-call state
+// on the hot path. The raw bits come from engines whose output is fixed:
+// std::mt19937_64 (pinned by the standard) and the splitmix64 counter
+// below.
 #pragma once
 
 #include <bit>
@@ -39,17 +40,6 @@ struct ZigguratTables {
   double f[128];
 };
 const ZigguratTables& ziggurat_tables();
-
-/// The splitmix64 increment and output mix, shared as free functions by
-/// SplitMix64 and CompactRngStream so both produce the same sequence from
-/// the same counter.
-inline constexpr std::uint64_t kSplitMixGamma = 0x9E3779B97F4A7C15ULL;
-
-inline constexpr std::uint64_t splitmix64_mix(std::uint64_t z) {
-  z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ULL;
-  z = (z ^ (z >> 27)) * 0x94D049BB133111EBULL;
-  return z ^ (z >> 31);
-}
 
 /// Gives the magnitude `x` the sign in bit 7 of the candidate draw `bits`
 /// by flipping the IEEE sign bit. That is exactly what negation does, ±0
@@ -98,7 +88,7 @@ double ziggurat_normal_slow(Engine& eng, const ZigguratTables& zig,
   }
 }
 
-/// Ziggurat sampler over any engine exposing next() -> uint64 and
+/// Ziggurat sampler over an engine exposing next() -> uint64 and
 /// uniform() -> [0, 1), with the first candidate draw supplied by the
 /// caller (lets callers pre-generate draws with independent mixing chains
 /// for ILP). Header-inline so tight SoA loops inline the ~97.9%
@@ -115,21 +105,24 @@ inline double ziggurat_normal_from(Engine& eng, const ZigguratTables& zig,
   return ziggurat_normal_slow(eng, zig, bits);
 }
 
-template <typename Engine>
-inline double ziggurat_normal(Engine& eng, const ZigguratTables& zig) {
-  return ziggurat_normal_from(eng, zig, eng.next());
-}
-
 }  // namespace detail
 
 /// Minimal 8-byte generator (splitmix64) for state-dense SoA hot loops,
 /// where mt19937_64's ~2.5 KB state would blow the cache out across a
 /// large population. Passes BigCrush; one add + three xor-multiplies per
-/// draw. Seed each instance from a well-mixed 64-bit value (e.g. a draw
+/// draw. A UniformRandomBitGenerator, so it is also CompactRngStream's
+/// engine. Seed each instance from a well-mixed 64-bit value (e.g. a draw
 /// of the owner's RngStream) to keep streams decorrelated.
 class SplitMix64 {
  public:
+  using result_type = std::uint64_t;
+  static constexpr std::uint64_t kGamma = 0x9E3779B97F4A7C15ULL;
+
   explicit SplitMix64(std::uint64_t seed) : state_(seed) {}
+
+  static constexpr result_type min() { return 0; }
+  static constexpr result_type max() { return ~result_type{0}; }
+  result_type operator()() { return next(); }
 
   std::uint64_t next() { return mix(state_ += kGamma); }
 
@@ -140,7 +133,7 @@ class SplitMix64 {
 
   /// Standard normal via the shared ziggurat tables.
   double normal(const detail::ZigguratTables& zig) {
-    return detail::ziggurat_normal(*this, zig);
+    return detail::ziggurat_normal_from(*this, zig, next());
   }
 
   /// Two standard normals. The state update is a plain add, so both
@@ -159,24 +152,30 @@ class SplitMix64 {
   /// jump-vs-step equivalence tests.
   std::uint64_t raw_state() const { return state_; }
 
+  /// The splitmix64 output mix (also derive_seed's finalizer).
+  static constexpr std::uint64_t mix(std::uint64_t z) {
+    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ULL;
+    z = (z ^ (z >> 27)) * 0x94D049BB133111EBULL;
+    return z ^ (z >> 31);
+  }
+
  private:
-  static constexpr std::uint64_t kGamma = detail::kSplitMixGamma;
-
-  static std::uint64_t mix(std::uint64_t z) { return detail::splitmix64_mix(z); }
-
   std::uint64_t state_;
 };
 
-/// A self-contained random stream with the distribution draws the models
-/// need. Wraps std::mt19937_64; not thread-safe (each thread/entity owns
-/// its own stream).
-class RngStream {
+/// A self-contained random stream with the draws the models make, over a
+/// 64-bit UniformRandomBitGenerator. Every draw is one algorithm for both
+/// engines, so RngStream and CompactRngStream differ only in their raw
+/// bits: moments match while realizations differ. Not thread-safe (each
+/// thread/entity owns its own stream).
+template <typename Engine>
+class BasicRngStream {
  public:
-  explicit RngStream(std::uint64_t seed) : engine_(seed) {}
-  RngStream(std::uint64_t root, std::uint64_t stream)
+  explicit BasicRngStream(std::uint64_t seed) : engine_(seed) {}
+  BasicRngStream(std::uint64_t root, std::uint64_t stream)
       : engine_(derive_seed(root, stream)) {}
 
-  /// Uniform in [0, 1).
+  /// Uniform in [0, 1), 53-bit mantissa-exact.
   double uniform();
 
   /// Uniform in [lo, hi).
@@ -199,105 +198,32 @@ class RngStream {
   /// Normal with mean/stddev.
   double normal(double mean, double stddev);
 
-  /// Standard normal via the Marsaglia–Tsang ziggurat (128 layers): the
-  /// same distribution as normal() but a different realization at ~one
-  /// engine draw per variate (no transcendentals on the accept path).
-  /// The batched channel hot path draws its innovations here; normal()
-  /// keeps the Box–Muller sequence the regression tests pin.
-  double normal_fast();
-
-  /// Rayleigh *amplitude* with E[X^2] = mean_square.
-  double rayleigh_amplitude(double mean_square);
-
-  /// Log-normal where the underlying normal is specified in dB:
-  /// returns 10^(N(mean_db, sigma_db)/10).
-  double lognormal_db(double mean_db, double sigma_db);
-
-  /// Poisson with the given mean (>= 0). Knuth's product-of-uniforms for
-  /// small means, Hörmann's PTRS transformed rejection for large ones.
-  int poisson(double mean);
-
-  /// Direct access for use with std:: distributions in tests and for
+  /// Direct access for use with std:: distributions in benches and for
   /// seeding derived generators. External draws advance the engine without
-  /// the distribution layer's knowledge, so any cached Box–Muller spare
-  /// would no longer be "the next variate after the engine's cursor" —
-  /// drop it to keep normal() consistent with the raw stream position.
-  std::mt19937_64& engine() {
+  /// the stream's knowledge, so any cached Box–Muller spare would no
+  /// longer be "the next variate after the engine's cursor" — drop it to
+  /// keep normal() consistent with the raw stream position.
+  Engine& engine() {
     has_spare_normal_ = false;
     return engine_;
   }
 
  private:
-  int poisson_ptrs(double mean);
-
-  std::mt19937_64 engine_;
+  Engine engine_;
   double spare_normal_ = 0.0;
   bool has_spare_normal_ = false;
 };
 
-/// The ~24-byte counter-based alternative to RngStream: splitmix64 state
-/// (8 bytes) plus the cached Box–Muller spare, exposing the exact same
-/// distribution surface. The algorithms are shared with RngStream (rng.cpp
-/// instantiates one template layer for both), only the raw bit source
-/// differs — so moments match while realizations differ. Built for the
-/// per-attached-user traffic/MAC streams of very large sparse populations,
-/// where mt19937_64's ~2.5 KB state per stream dominates bytes-per-user.
-class CompactRngStream {
- public:
-  explicit CompactRngStream(std::uint64_t seed) : state_(seed) {}
-  CompactRngStream(std::uint64_t root, std::uint64_t stream)
-      : state_(derive_seed(root, stream)) {}
+/// The mt19937_64 stream: base-station, mobility and bank-row seeding, and
+/// the per-user traffic/MAC streams by default.
+using RngStream = BasicRngStream<std::mt19937_64>;
+/// The ~24-byte splitmix64 stream, for the per-attached-user traffic/MAC
+/// streams of very large sparse populations, where mt19937_64's ~2.5 KB
+/// state per stream dominates bytes-per-user.
+using CompactRngStream = BasicRngStream<SplitMix64>;
 
-  /// Raw 64-bit draw (splitmix64: one add, three xor-multiplies).
-  std::uint64_t next() {
-    return detail::splitmix64_mix(state_ += detail::kSplitMixGamma);
-  }
-
-  /// Uniform in [0, 1), 53-bit mantissa-exact.
-  double uniform();
-
-  /// Uniform in [lo, hi).
-  double uniform(double lo, double hi);
-
-  /// Uniform integer in [0, n), unbiased (Lemire multiply-shift).
-  int uniform_int(int n);
-
-  /// True with probability p (clamped to [0, 1]).
-  bool bernoulli(double p);
-
-  /// Exponential with the given mean (> 0).
-  double exponential(double mean);
-
-  /// Standard normal (Box–Muller with cached spare).
-  double normal();
-
-  /// Normal with mean/stddev.
-  double normal(double mean, double stddev);
-
-  /// Standard normal via the shared 128-layer ziggurat tables.
-  double normal_fast();
-
-  /// Rayleigh *amplitude* with E[X^2] = mean_square.
-  double rayleigh_amplitude(double mean_square);
-
-  /// Log-normal specified in dB: 10^(N(mean_db, sigma_db)/10).
-  double lognormal_db(double mean_db, double sigma_db);
-
-  /// Poisson with the given mean (>= 0). Knuth below 10, PTRS beyond.
-  int poisson(double mean);
-
-  /// Raw counter state (cursor assertions in tests). Reading it does not
-  /// perturb the stream, but mirrors engine(): setting it would desync a
-  /// cached spare, so none is offered — reseed by constructing afresh.
-  std::uint64_t raw_state() const { return state_; }
-
- private:
-  int poisson_ptrs(double mean);
-
-  std::uint64_t state_;
-  double spare_normal_ = 0.0;
-  bool has_spare_normal_ = false;
-};
+extern template class BasicRngStream<std::mt19937_64>;
+extern template class BasicRngStream<SplitMix64>;
 
 /// Which generator backs the per-user traffic/MAC streams of a scenario.
 /// kMt is the default and reproduces every historical pinned sequence bit
@@ -311,7 +237,8 @@ enum class RngKind : std::uint8_t { kMt, kCompact };
 /// what MobileUser used to hold, so mt draws stay bit-identical) or an
 /// inline CompactRngStream (compact mode, no heap at all). The dispatch
 /// branch is perfectly predicted — a scenario picks one kind and sticks
-/// with it.
+/// with it. It forwards the three draws the traffic sources, contention,
+/// PHY and CSI models make.
 class TrafficRng {
  public:
   TrafficRng(RngKind kind, std::uint64_t root, std::uint64_t stream)
@@ -342,38 +269,14 @@ class TrafficRng {
   TrafficRng(TrafficRng&&) noexcept = default;
   TrafficRng& operator=(TrafficRng&&) noexcept = default;
 
-  RngKind kind() const { return mt_ ? RngKind::kMt : RngKind::kCompact; }
-
-  double uniform() { return mt_ ? mt_->uniform() : compact_.uniform(); }
-  double uniform(double lo, double hi) {
-    return mt_ ? mt_->uniform(lo, hi) : compact_.uniform(lo, hi);
-  }
-  int uniform_int(int n) {
-    return mt_ ? mt_->uniform_int(n) : compact_.uniform_int(n);
-  }
   bool bernoulli(double p) {
     return mt_ ? mt_->bernoulli(p) : compact_.bernoulli(p);
   }
   double exponential(double mean) {
     return mt_ ? mt_->exponential(mean) : compact_.exponential(mean);
   }
-  double normal() { return mt_ ? mt_->normal() : compact_.normal(); }
   double normal(double mean, double stddev) {
     return mt_ ? mt_->normal(mean, stddev) : compact_.normal(mean, stddev);
-  }
-  double normal_fast() {
-    return mt_ ? mt_->normal_fast() : compact_.normal_fast();
-  }
-  double rayleigh_amplitude(double mean_square) {
-    return mt_ ? mt_->rayleigh_amplitude(mean_square)
-               : compact_.rayleigh_amplitude(mean_square);
-  }
-  double lognormal_db(double mean_db, double sigma_db) {
-    return mt_ ? mt_->lognormal_db(mean_db, sigma_db)
-               : compact_.lognormal_db(mean_db, sigma_db);
-  }
-  int poisson(double mean) {
-    return mt_ ? mt_->poisson(mean) : compact_.poisson(mean);
   }
 
  private:

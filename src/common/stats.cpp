@@ -48,11 +48,6 @@ double RatioCounter::ratio() const {
   return static_cast<double>(successes_) / static_cast<double>(trials_);
 }
 
-double RatioCounter::complement() const {
-  if (trials_ == 0) return 0.0;
-  return static_cast<double>(failures()) / static_cast<double>(trials_);
-}
-
 Histogram::Histogram(double lo, double hi, std::size_t bins)
     : lo_(lo), hi_(hi), width_((hi - lo) / static_cast<double>(bins)),
       counts_(bins, 0) {

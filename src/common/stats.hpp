@@ -59,8 +59,6 @@ class RatioCounter {
   std::int64_t trials() const { return trials_; }
   /// successes / trials; 0 when no trials recorded.
   double ratio() const;
-  /// failures / trials; 0 when no trials recorded.
-  double complement() const;
 
  private:
   std::int64_t successes_ = 0;

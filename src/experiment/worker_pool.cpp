@@ -27,24 +27,12 @@ WorkerPool::~WorkerPool() {
   workers_.clear();
 }
 
-void WorkerPool::run_task(std::size_t i) {
-  if (range_fn_ != nullptr) {
-    // Shard i of the round's range decomposition: the bounds are a pure
-    // function of (total, shards), so claiming order cannot change them.
-    const std::size_t begin = i * range_total_ / n_;
-    const std::size_t end = (i + 1) * range_total_ / n_;
-    (*range_fn_)(i, begin, end);
-  } else {
-    (*fn_)(i);
-  }
-}
-
 void WorkerPool::run_round() {
   while (!failed_.load(std::memory_order_acquire)) {
     const std::size_t i = next_.fetch_add(1, std::memory_order_relaxed);
     if (i >= n_) return;
     try {
-      run_task(i);
+      (*fn_)(i);
     } catch (...) {
       {
         std::lock_guard<std::mutex> lock(mutex_);
@@ -72,23 +60,6 @@ void WorkerPool::worker_loop() {
   }
 }
 
-void WorkerPool::dispatch_round() {
-  start_cv_.notify_all();
-  run_round();  // the calling thread participates
-  std::unique_lock<std::mutex> lock(mutex_);
-  // Full barrier: every worker has wound down this round (each wakes
-  // exactly once per round, and the next round cannot start before this
-  // wait clears), so the caller sees all writes made by the tasks.
-  done_cv_.wait(lock, [&] { return workers_active_ == 0; });
-  fn_ = nullptr;
-  range_fn_ = nullptr;
-  if (error_) {
-    std::exception_ptr e = error_;
-    error_ = nullptr;
-    std::rethrow_exception(e);
-  }
-}
-
 void WorkerPool::for_each(std::size_t n,
                           const std::function<void(std::size_t)>& fn) {
   if (n == 0) return;
@@ -101,7 +72,6 @@ void WorkerPool::for_each(std::size_t n,
   {
     std::lock_guard<std::mutex> lock(mutex_);
     fn_ = &fn;
-    range_fn_ = nullptr;
     n_ = n;
     next_.store(0, std::memory_order_relaxed);
     failed_.store(false, std::memory_order_relaxed);
@@ -109,33 +79,36 @@ void WorkerPool::for_each(std::size_t n,
     workers_active_ = workers_.size();
     ++round_;
   }
-  dispatch_round();
+  start_cv_.notify_all();
+  run_round();  // the calling thread participates
+  std::unique_lock<std::mutex> lock(mutex_);
+  // Full barrier: every worker has wound down this round (each wakes
+  // exactly once per round, and the next round cannot start before this
+  // wait clears), so the caller sees all writes made by the tasks.
+  done_cv_.wait(lock, [&] { return workers_active_ == 0; });
+  fn_ = nullptr;
+  if (error_) {
+    std::exception_ptr e = error_;
+    error_ = nullptr;
+    std::rethrow_exception(e);
+  }
 }
 
 void WorkerPool::for_each_range(
     std::size_t total, std::size_t shards,
     const std::function<void(std::size_t, std::size_t, std::size_t)>& fn) {
   if (total == 0 || shards == 0) return;
-  shards = std::min(shards, total);  // never an empty shard
-  if (workers_.empty()) {
-    for (std::size_t s = 0; s < shards; ++s) {
-      fn(s, s * total / shards, (s + 1) * total / shards);
-    }
-    return;
-  }
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    fn_ = nullptr;
-    range_fn_ = &fn;
-    range_total_ = total;
-    n_ = shards;
-    next_.store(0, std::memory_order_relaxed);
-    failed_.store(false, std::memory_order_relaxed);
-    error_ = nullptr;
-    workers_active_ = workers_.size();
-    ++round_;
-  }
-  dispatch_round();
+  // Shard s's bounds are a pure function of (total, shards), so claiming
+  // order cannot change them. The task captures two references, which
+  // std::function stores inline: a round allocates nothing.
+  struct Split {
+    std::size_t total, shards;
+  };
+  const Split split{total, std::min(shards, total)};  // never an empty shard
+  for_each(split.shards, [&fn, &split](std::size_t s) {
+    fn(s, s * split.total / split.shards,
+       (s + 1) * split.total / split.shards);
+  });
 }
 
 }  // namespace charisma::experiment

@@ -49,9 +49,9 @@ class WorkerPool {
 
   /// Scatter/gather over a contiguous index space: splits [0, total) into
   /// `shards` near-equal contiguous ranges and runs
-  /// fn(shard, begin, end) for each, with the same barrier, exception and
-  /// reentrancy contract as for_each. Shards in excess of `total` are
-  /// dropped (no empty ranges); shard s covers
+  /// fn(shard, begin, end) for each — one for_each round, so with its
+  /// barrier, exception and reentrancy contract. Shards in excess of
+  /// `total` are dropped (no empty ranges); shard s covers
   /// [s*total/shards, (s+1)*total/shards). The decomposition depends only
   /// on (total, shards) — never on the thread count — which is what lets
   /// sharded callers keep bit-identical results at any concurrency.
@@ -64,10 +64,6 @@ class WorkerPool {
   /// Claims and runs indices of the current round until they run out (or a
   /// failure short-circuits the round).
   void run_round();
-  void run_task(std::size_t i);
-  /// Dispatches one round (n_ indices over whichever of fn_/range_fn_ is
-  /// set) across the workers plus the calling thread, with a full barrier.
-  void dispatch_round();
 
   unsigned threads_;
   std::vector<std::jthread> workers_;
@@ -81,9 +77,6 @@ class WorkerPool {
   std::exception_ptr error_;
 
   const std::function<void(std::size_t)>* fn_ = nullptr;
-  const std::function<void(std::size_t, std::size_t, std::size_t)>*
-      range_fn_ = nullptr;
-  std::size_t range_total_ = 0;  ///< for_each_range: size of [0, total)
   std::size_t n_ = 0;
   std::atomic<std::size_t> next_{0};
   std::atomic<bool> failed_{false};

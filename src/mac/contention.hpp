@@ -35,7 +35,7 @@ struct ContentionOutcome {
 /// Runs `minislots` request slots over `candidates`. `permission(id)` gives
 /// each user's permission probability; `rng_of(id)` must return that user's
 /// private stream — any stream type with a bernoulli(double) draw
-/// (RngStream, CompactRngStream or the TrafficRng dispatcher) — which
+/// (a BasicRngStream or the TrafficRng dispatcher) — which
 /// keeps runs reproducible regardless of candidate-set composition.
 /// Winners are removed from contention as they succeed.
 template <typename Permission, typename RngOf>

@@ -47,7 +47,7 @@ class AdaptivePhy {
   double packet_error_rate(int mode, double true_snr_linear) const;
 
   /// Draws a packet success for one transmission from the user's stream —
-  /// any type with a bernoulli(double) draw (RngStream, CompactRngStream,
+  /// any type with a bernoulli(double) draw (a BasicRngStream or a
   /// TrafficRng).
   template <typename Rng>
   bool transmit_packet(int mode, double true_snr_linear, Rng& rng) const {

@@ -20,7 +20,7 @@ class FixedPhy {
   double packet_error_rate(double true_snr_linear) const;
 
   /// Draws a packet success from the user's stream — any type with a
-  /// bernoulli(double) draw (RngStream, CompactRngStream, TrafficRng).
+  /// bernoulli(double) draw (a BasicRngStream or a TrafficRng).
   template <typename Rng>
   bool transmit_packet(double true_snr_linear, Rng& rng) const {
     return !rng.bernoulli(packet_error_rate(true_snr_linear));

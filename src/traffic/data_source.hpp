@@ -36,9 +36,9 @@ struct DataSourceConfig {
 
 class DataSource {
  public:
-  /// `rng` is the source's private stream: an mt-backed RngStream converts
-  /// implicitly (the historical call shape), a CompactRngStream gives the
-  /// ~24-byte per-user representation of large sparse populations.
+  /// `rng` is the source's private stream, a TrafficRng: an RngStream or a
+  /// CompactRngStream converts implicitly. The source draws exponential
+  /// interarrival, sojourn and burst-size values from it.
   DataSource(const DataSourceConfig& config, common::TrafficRng rng);
 
   struct FrameUpdate {

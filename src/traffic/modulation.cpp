@@ -38,6 +38,10 @@ void validate_or_throw(const TrafficModulationConfig& cfg,
     case TrafficModulationConfig::Kind::kNone:
       return;
     case TrafficModulationConfig::Kind::kFlashCrowd:
+      if (!std::isfinite(cfg.epicenter_x_m) ||
+          !std::isfinite(cfg.epicenter_y_m)) {
+        fail("epicenter coordinates must be finite");
+      }
       if (!(cfg.radius_m > 0.0)) fail("radius must be > 0");
       if (!(cfg.rate_multiplier > 0.0)) {
         fail("multiplier must be > 0 (a non-positive rate scale would make "

@@ -7,6 +7,7 @@
 // set_rate_scale calls entirely, keeping legacy runs bit-identical).
 #pragma once
 
+#include <cmath>
 #include <string>
 
 #include "common/units.hpp"
@@ -40,7 +41,8 @@ struct TrafficModulationConfig {
       case Kind::kNone:
         return true;
       case Kind::kFlashCrowd:
-        return radius_m > 0.0 && rate_multiplier > 0.0 && end >= start;
+        return std::isfinite(epicenter_x_m) && std::isfinite(epicenter_y_m) &&
+               radius_m > 0.0 && rate_multiplier > 0.0 && end >= start;
       case Kind::kDiurnal:
         return amplitude >= 0.0 && amplitude < 1.0 && period_s > 0.0 &&
                wavelength_m > 0.0;

@@ -40,9 +40,9 @@ struct VoiceSourceConfig {
 
 class VoiceSource {
  public:
-  /// `rng` is the source's private stream: an mt-backed RngStream converts
-  /// implicitly (the historical call shape), a CompactRngStream gives the
-  /// ~24-byte per-user representation of large sparse populations.
+  /// `rng` is the source's private stream, a TrafficRng: an RngStream or a
+  /// CompactRngStream converts implicitly. The source draws exponential
+  /// holding times from it.
   VoiceSource(const VoiceSourceConfig& config, common::TrafficRng rng);
 
   /// What happened since the previous call (events up to and including

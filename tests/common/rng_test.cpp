@@ -108,40 +108,6 @@ TEST(RngStream, NormalMoments) {
   EXPECT_NEAR(std::sqrt(sum2 / n - mean * mean), 2.0, 0.03);
 }
 
-TEST(RngStream, RayleighMeanSquare) {
-  RngStream rng(23);
-  double sum2 = 0.0;
-  const int n = 200000;
-  for (int i = 0; i < n; ++i) {
-    const double x = rng.rayleigh_amplitude(2.5);
-    EXPECT_GE(x, 0.0);
-    sum2 += x * x;
-  }
-  EXPECT_NEAR(sum2 / n, 2.5, 0.05);
-  EXPECT_THROW(rng.rayleigh_amplitude(0.0), std::domain_error);
-}
-
-TEST(RngStream, LognormalDbMedian) {
-  RngStream rng(29);
-  int below = 0;
-  const int n = 100000;
-  for (int i = 0; i < n; ++i) {
-    if (rng.lognormal_db(3.0, 8.0) < std::pow(10.0, 0.3)) ++below;
-  }
-  // Median of the linear value is 10^(mean_db/10).
-  EXPECT_NEAR(static_cast<double>(below) / n, 0.5, 0.01);
-}
-
-TEST(RngStream, PoissonMean) {
-  RngStream rng(31);
-  long sum = 0;
-  const int n = 100000;
-  for (int i = 0; i < n; ++i) sum += rng.poisson(4.2);
-  EXPECT_NEAR(static_cast<double>(sum) / n, 4.2, 0.05);
-  EXPECT_EQ(rng.poisson(0.0), 0);
-  EXPECT_THROW(rng.poisson(-1.0), std::domain_error);
-}
-
 // ---- Seed-pinned regression sequences ----
 // The distribution layer is implemented in-house precisely so these exact
 // sequences cannot change under a stdlib upgrade. If an edit to rng.cpp is
@@ -174,19 +140,6 @@ TEST(RngStreamPinned, UniformIntSequence) {
   for (int e : expected) EXPECT_EQ(rng.uniform_int(97), e);
 }
 
-TEST(RngStreamPinned, PoissonSequences) {
-  {
-    RngStream rng(12345);  // Knuth path
-    const int expected[] = {5, 2, 1, 0, 5, 2, 6, 7};
-    for (int e : expected) EXPECT_EQ(rng.poisson(4.2), e);
-  }
-  {
-    RngStream rng(12345);  // PTRS path
-    const int expected[] = {37, 44, 41, 39, 38, 49, 35, 31};
-    for (int e : expected) EXPECT_EQ(rng.poisson(40.0), e);
-  }
-}
-
 TEST(RngStreamPinned, ExponentialSequence) {
   RngStream rng(12345);
   const double expected[] = {
@@ -198,15 +151,17 @@ TEST(RngStreamPinned, ExponentialSequence) {
 
 // ---- Statistical checks of the in-house algorithm branches ----
 
-TEST(RngStream, NormalFastMomentsAndTails) {
-  // The ziggurat generator must match N(0,1) in moments and in the deep
-  // tail (where the wedge/tail rejection branches do the work).
-  RngStream rng(53);
+TEST(SplitMix64, ZigguratMomentsAndTails) {
+  // The ziggurat generator (the ChannelBank innovations) must match N(0,1)
+  // in moments and in the deep tail (where the wedge/tail rejection
+  // branches do the work).
+  const auto& zig = detail::ziggurat_tables();
+  SplitMix64 rng(53);
   double sum = 0.0, sum2 = 0.0, sum3 = 0.0, sum4 = 0.0;
   int beyond_2 = 0, beyond_3 = 0;
   const int n = 2000000;
   for (int i = 0; i < n; ++i) {
-    const double x = rng.normal_fast();
+    const double x = rng.normal(zig);
     sum += x;
     sum2 += x * x;
     sum3 += x * x * x;
@@ -220,21 +175,6 @@ TEST(RngStream, NormalFastMomentsAndTails) {
   EXPECT_NEAR(sum4 / n, 3.0, 0.05);
   EXPECT_NEAR(static_cast<double>(beyond_2) / n, 0.0455, 0.002);
   EXPECT_NEAR(static_cast<double>(beyond_3) / n, 0.0027, 0.0005);
-}
-
-TEST(RngStream, PoissonLargeMeanMoments) {
-  // Exercises the PTRS rejection branch (mean >= 10).
-  RngStream rng(37);
-  double sum = 0.0, sum2 = 0.0;
-  const int n = 200000;
-  for (int i = 0; i < n; ++i) {
-    const double x = rng.poisson(30.0);
-    sum += x;
-    sum2 += x * x;
-  }
-  const double mean = sum / n;
-  EXPECT_NEAR(mean, 30.0, 0.1);
-  EXPECT_NEAR(sum2 / n - mean * mean, 30.0, 0.5);
 }
 
 TEST(RngStream, UniformIntLargeRangeUnbiased) {
@@ -337,18 +277,18 @@ TEST(CompactRngStream, TwoArgConstructorMatchesDerivedSeed) {
 }
 
 TEST(CompactRngStream, MatchesSplitMix64RawStream) {
-  // The raw bit source is exactly the repo's SplitMix64 (the ChannelBank
-  // lane kernel advances the same chain in flat arrays).
+  // The engine is exactly the repo's SplitMix64 (the ChannelBank lane
+  // kernel advances the same chain in flat arrays).
   CompactRngStream a(9001);
   SplitMix64 b(9001);
-  for (int i = 0; i < 64; ++i) EXPECT_EQ(a.next(), b.next());
+  for (int i = 0; i < 64; ++i) EXPECT_EQ(a.engine()(), b.next());
 }
 
 TEST(CompactRngStream, UniformAdvancesCounterByOneGamma) {
   CompactRngStream rng(5);
-  const std::uint64_t before = rng.raw_state();
+  const std::uint64_t before = rng.engine().raw_state();
   (void)rng.uniform();
-  EXPECT_EQ(rng.raw_state(), before + detail::kSplitMixGamma);
+  EXPECT_EQ(rng.engine().raw_state(), before + SplitMix64::kGamma);
 }
 
 // Seed-pinned compact sequences, locked the same way RngStreamPinned locks
@@ -364,7 +304,7 @@ TEST(CompactRngStreamPinned, RawSequence) {
       2205171434679333405ULL,
       3248800117070709450ULL,
   };
-  for (std::uint64_t e : expected) EXPECT_EQ(rng.next(), e);
+  for (std::uint64_t e : expected) EXPECT_EQ(rng.engine()(), e);
 }
 
 TEST(CompactRngStreamPinned, UniformSequence) {
@@ -391,19 +331,6 @@ TEST(CompactRngStreamPinned, UniformIntSequence) {
   CompactRngStream rng(12345);
   const int expected[] = {12, 19, 11, 17, 49, 32, 11, 41};
   for (int e : expected) EXPECT_EQ(rng.uniform_int(97), e);
-}
-
-TEST(CompactRngStreamPinned, PoissonSequences) {
-  {
-    CompactRngStream rng(12345);  // Knuth path
-    const int expected[] = {2, 3, 4, 8, 2, 2, 2, 5};
-    for (int e : expected) EXPECT_EQ(rng.poisson(4.2), e);
-  }
-  {
-    CompactRngStream rng(12345);  // PTRS path
-    const int expected[] = {32, 31, 40, 31, 40, 33, 46, 46};
-    for (int e : expected) EXPECT_EQ(rng.poisson(40.0), e);
-  }
 }
 
 TEST(CompactRngStreamPinned, ExponentialSequence) {
@@ -542,7 +469,7 @@ TEST(SplitMix64Pinned, ZigguratDraws) {
   std::size_t draws = 0;
   for (std::uint64_t s = kSeed;
        s != rng.raw_state() && draws <= 2 * std::size(expected);
-       s += detail::kSplitMixGamma) {
+       s += SplitMix64::kGamma) {
     ++draws;
   }
   EXPECT_GT(draws, std::size(expected));
@@ -587,9 +514,8 @@ TEST(ZigguratSign, ZeroMagnitudeKeepsItsSign) {
 }
 
 // ---- Distribution equivalence: CompactRngStream vs RngStream ----
-// Both generators run the *same* distribution algorithms (rng.cpp
-// instantiates one template layer for both); only the raw bit source
-// differs. Moments at fixed N must therefore agree within sampling error
+// Both streams are one template, BasicRngStream, over different engines,
+// so they run the *same* draw algorithms; only the raw bits differ. Moments at fixed N must therefore agree within sampling error
 // — computed on both streams and compared to each other as well as to the
 // analytic values.
 
@@ -662,26 +588,6 @@ TEST(CompactVsMt, NormalMomentsAndTails) {
   EXPECT_NEAR(c_tail, 0.0455, 0.002);
 }
 
-TEST(CompactVsMt, NormalFastMomentsAndTails) {
-  // The ziggurat path over the splitmix64 source (wedge + tail rejection
-  // included).
-  constexpr int kN = 1000000;
-  CompactRngStream compact(109);
-  double sum = 0.0, sum2 = 0.0, sum4 = 0.0;
-  int beyond_3 = 0;
-  for (int i = 0; i < kN; ++i) {
-    const double x = compact.normal_fast();
-    sum += x;
-    sum2 += x * x;
-    sum4 += x * x * x * x;
-    if (std::fabs(x) > 3.0) ++beyond_3;
-  }
-  EXPECT_NEAR(sum / kN, 0.0, 0.005);
-  EXPECT_NEAR(sum2 / kN, 1.0, 0.01);
-  EXPECT_NEAR(sum4 / kN, 3.0, 0.05);
-  EXPECT_NEAR(beyond_3 / static_cast<double>(kN), 0.0027, 0.0005);
-}
-
 TEST(CompactVsMt, BernoulliRate) {
   constexpr int kN = 200000;
   RngStream mt(113);
@@ -717,84 +623,37 @@ TEST(CompactVsMt, UniformIntMeanAndCoverage) {
   EXPECT_NEAR(c_lo, 0.1, 0.005);
 }
 
-TEST(CompactVsMt, PoissonBothBranches) {
-  constexpr int kN = 200000;
-  for (const double mean : {4.2, 30.0}) {  // Knuth and PTRS branches
-    RngStream mt(131);
-    CompactRngStream compact(131);
-    const auto draw = [mean](auto& r) {
-      return static_cast<double>(r.poisson(mean));
-    };
-    const Moments a = moments_of(mt, kN, draw);
-    const Moments b = moments_of(compact, kN, draw);
-    EXPECT_NEAR(a.mean, mean, mean * 0.01) << "mean=" << mean;
-    EXPECT_NEAR(b.mean, mean, mean * 0.01) << "mean=" << mean;
-    EXPECT_NEAR(a.var, mean, mean * 0.05) << "mean=" << mean;
-    EXPECT_NEAR(b.var, mean, mean * 0.05) << "mean=" << mean;
-  }
-}
-
-TEST(CompactVsMt, RayleighMeanSquare) {
-  constexpr int kN = 200000;
-  RngStream mt(137);
-  CompactRngStream compact(137);
-  double a2 = 0.0, b2 = 0.0;
-  for (int i = 0; i < kN; ++i) {
-    const double a = mt.rayleigh_amplitude(2.5);
-    const double b = compact.rayleigh_amplitude(2.5);
-    a2 += a * a;
-    b2 += b * b;
-  }
-  EXPECT_NEAR(a2 / kN, 2.5, 0.05);
-  EXPECT_NEAR(b2 / kN, 2.5, 0.05);
-}
-
-TEST(CompactVsMt, LognormalDbMedian) {
-  constexpr int kN = 200000;
-  RngStream mt(139);
-  CompactRngStream compact(139);
-  int a = 0, b = 0;
-  const double median = std::pow(10.0, 0.3);
-  for (int i = 0; i < kN; ++i) {
-    if (mt.lognormal_db(3.0, 8.0) < median) ++a;
-    if (compact.lognormal_db(3.0, 8.0) < median) ++b;
-  }
-  EXPECT_NEAR(a / static_cast<double>(kN), 0.5, 0.01);
-  EXPECT_NEAR(b / static_cast<double>(kN), 0.5, 0.01);
-}
-
 TEST(CompactRngStream, DomainErrorsMatchRngStream) {
   CompactRngStream rng(7);
   EXPECT_THROW(rng.uniform_int(0), std::domain_error);
   EXPECT_THROW(rng.exponential(0.0), std::domain_error);
-  EXPECT_THROW(rng.rayleigh_amplitude(0.0), std::domain_error);
-  EXPECT_THROW(rng.poisson(-1.0), std::domain_error);
-  EXPECT_EQ(rng.poisson(0.0), 0);
   EXPECT_FALSE(rng.bernoulli(0.0));
   EXPECT_TRUE(rng.bernoulli(1.0));
 }
 
 // ---- TrafficRng: the per-user stream-kind dispatcher ----
 
+// Draws each of TrafficRng's three forwarded kinds from `t` and `ref` in
+// turn, `rounds` times, and requires identical values.
+template <typename Stream>
+void expect_same_draws(TrafficRng& t, Stream& ref, int rounds) {
+  for (int i = 0; i < rounds; ++i) {
+    EXPECT_EQ(t.bernoulli(0.3), ref.bernoulli(0.3)) << "round " << i;
+    EXPECT_EQ(t.exponential(2.0), ref.exponential(2.0)) << "round " << i;
+    EXPECT_EQ(t.normal(1.0, 2.0), ref.normal(1.0, 2.0)) << "round " << i;
+  }
+}
+
 TEST(TrafficRng, MtKindReproducesRngStreamBitForBit) {
   TrafficRng t(RngKind::kMt, 42, 7);
   RngStream ref(42, 7);
-  EXPECT_EQ(t.kind(), RngKind::kMt);
-  for (int i = 0; i < 16; ++i) EXPECT_DOUBLE_EQ(t.uniform(), ref.uniform());
-  EXPECT_EQ(t.uniform_int(97), ref.uniform_int(97));
-  EXPECT_NEAR(t.normal(), ref.normal(), 0.0);
-  EXPECT_EQ(t.poisson(4.2), ref.poisson(4.2));
-  EXPECT_NEAR(t.exponential(2.0), ref.exponential(2.0), 0.0);
+  expect_same_draws(t, ref, 16);
 }
 
 TEST(TrafficRng, CompactKindReproducesCompactStreamBitForBit) {
   TrafficRng t(RngKind::kCompact, 42, 7);
   CompactRngStream ref(42, 7);
-  EXPECT_EQ(t.kind(), RngKind::kCompact);
-  for (int i = 0; i < 16; ++i) EXPECT_DOUBLE_EQ(t.uniform(), ref.uniform());
-  EXPECT_EQ(t.uniform_int(97), ref.uniform_int(97));
-  EXPECT_NEAR(t.normal(), ref.normal(), 0.0);
-  EXPECT_EQ(t.poisson(4.2), ref.poisson(4.2));
+  expect_same_draws(t, ref, 16);
 }
 
 TEST(TrafficRng, ImplicitConversionFromStreams) {
@@ -802,32 +661,26 @@ TEST(TrafficRng, ImplicitConversionFromStreams) {
   // compiling and draw the same sequence.
   TrafficRng from_mt = RngStream(555);
   RngStream mt_ref(555);
-  EXPECT_EQ(from_mt.kind(), RngKind::kMt);
-  for (int i = 0; i < 8; ++i) {
-    EXPECT_DOUBLE_EQ(from_mt.uniform(), mt_ref.uniform());
-  }
+  expect_same_draws(from_mt, mt_ref, 8);
 
   TrafficRng from_compact = CompactRngStream(555);
   CompactRngStream c_ref(555);
-  EXPECT_EQ(from_compact.kind(), RngKind::kCompact);
-  for (int i = 0; i < 8; ++i) {
-    EXPECT_DOUBLE_EQ(from_compact.uniform(), c_ref.uniform());
-  }
+  expect_same_draws(from_compact, c_ref, 8);
 }
 
 TEST(TrafficRng, CopyIsDeepForBothKinds) {
   for (const RngKind kind : {RngKind::kMt, RngKind::kCompact}) {
     TrafficRng original(kind, 9, 9);
-    (void)original.uniform();
+    (void)original.exponential(1.0);
     TrafficRng copy = original;  // snapshot mid-stream
     // Advancing the copy must not move the original (a handoff's adopted
     // source must fork, not alias).
-    const double from_copy = copy.uniform();
-    const double from_original = original.uniform();
+    const double from_copy = copy.exponential(1.0);
+    const double from_original = original.exponential(1.0);
     EXPECT_DOUBLE_EQ(from_copy, from_original);
     TrafficRng assigned(RngKind::kMt, 1, 1);
     assigned = original;
-    EXPECT_DOUBLE_EQ(assigned.uniform(), original.uniform());
+    EXPECT_DOUBLE_EQ(assigned.exponential(1.0), original.exponential(1.0));
   }
 }
 

@@ -79,7 +79,6 @@ TEST(RatioCounter, Basics) {
   EXPECT_EQ(rc.successes(), 3);
   EXPECT_EQ(rc.failures(), 1);
   EXPECT_DOUBLE_EQ(rc.ratio(), 0.75);
-  EXPECT_DOUBLE_EQ(rc.complement(), 0.25);
 }
 
 TEST(RatioCounter, AddManyAndMerge) {

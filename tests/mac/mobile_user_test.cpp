@@ -47,7 +47,7 @@ TEST(MobileUser, IndependentStreamsAcrossUsers) {
   // Different user ids draw different MAC randomness despite one seed.
   int equal = 0;
   for (int i = 0; i < 50; ++i) {
-    if (a.rng().uniform() == b.rng().uniform()) ++equal;
+    if (a.rng().exponential(1.0) == b.rng().exponential(1.0)) ++equal;
   }
   EXPECT_LT(equal, 2);
 }
@@ -58,7 +58,7 @@ TEST(MobileUser, ReproducibleAcrossConstructions) {
   auto a = make_user(0, ServiceType::kVoice, params, bank_a);
   auto b = make_user(0, ServiceType::kVoice, params, bank_b);
   for (int i = 0; i < 50; ++i) {
-    EXPECT_DOUBLE_EQ(a.rng().uniform(), b.rng().uniform());
+    EXPECT_DOUBLE_EQ(a.rng().exponential(1.0), b.rng().exponential(1.0));
   }
   bank_a.advance_user_to(a.slot(), 0.1);
   bank_b.advance_user_to(b.slot(), 0.1);

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <stdexcept>
 #include <string>
 
@@ -105,6 +106,15 @@ TEST(TrafficModulation, FlashRejectionsNameTheKnobAndField) {
   cfg.end = cfg.start - 0.5;
   msg = thrown_message([&] { validate_or_throw(cfg, "flash"); });
   EXPECT_NE(msg.find("end"), std::string::npos) << msg;
+
+  // A NaN or infinite epicenter would make every distance test false.
+  for (const double bad : {std::nan(""), HUGE_VAL}) {
+    cfg = flash_config();
+    cfg.epicenter_y_m = bad;
+    msg = thrown_message([&] { validate_or_throw(cfg, "flash"); });
+    EXPECT_NE(msg.find("epicenter"), std::string::npos) << msg;
+    EXPECT_FALSE(cfg.valid());
+  }
 }
 
 TEST(TrafficModulation, DiurnalRejectionsNameTheKnobAndField) {

@@ -138,7 +138,77 @@ Output:
 )";
 }
 
-// Splits "a,b,c" into ints; throws naming the knob on malformed input.
+// The values a numeric knob accepts: lo..hi, each end closed or open.
+struct Domain {
+  double lo, hi;
+  bool lo_open, hi_open;
+
+  bool contains(double v) const {
+    return (lo_open ? v > lo : v >= lo) && (hi_open ? v < hi : v <= hi);
+  }
+
+  std::string describe() const {
+    const auto num = [](double v) {
+      std::ostringstream out;
+      out.precision(12);
+      out << v;
+      return out.str();
+    };
+    if (std::isinf(hi)) return (lo_open ? "> " : ">= ") + num(lo);
+    return std::string("in ") + (lo_open ? "(" : "[") + num(lo) + ", " +
+           num(hi) + (hi_open ? ")" : "]");
+  }
+};
+
+constexpr double kInf = std::numeric_limits<double>::infinity();
+constexpr Domain kPositive{0.0, kInf, true, false};
+constexpr Domain kNonNegative{0.0, kInf, false, false};
+constexpr Domain kAtLeastOne{1.0, kInf, false, false};
+constexpr Domain kProbability{0.0, 1.0, true, false};      // (0, 1]
+constexpr Domain kLossProbability{0.0, 1.0, false, true};  // [0, 1)
+constexpr Domain kFraction{0.0, 1.0, false, false};        // [0, 1]
+constexpr Domain kPopulation{0.0, std::numeric_limits<int>::max(), false,
+                             false};
+
+// The one range check behind every numeric knob: throws naming `key` when
+// `value` (the knob's text is `text`) lies outside `domain`.
+void require(const std::string& key, double value, const std::string& text,
+             const Domain& domain) {
+  if (!domain.contains(value)) {
+    throw std::invalid_argument(key + "= must be " + domain.describe() +
+                                ", got '" + text + "'");
+  }
+}
+
+// Numeric knob readers: the knob's value (or `fallback` when it is
+// absent), range-checked at parse time so an out-of-domain value fails by
+// name here instead of deep inside a library constructor.
+double read_double(const common::KeyValueConfig& config,
+                   const std::string& key, double fallback,
+                   const Domain& domain) {
+  const double v = config.get_double_or(key, fallback);
+  require(key, v, config.get_string_or(key, ""), domain);
+  return v;
+}
+
+int read_int(const common::KeyValueConfig& config, const std::string& key,
+             int fallback, const Domain& domain) {
+  const int v = config.get_int_or(key, fallback);
+  require(key, v, config.get_string_or(key, ""), domain);
+  return v;
+}
+
+// A population count, which accepts magnitude suffixes (250k, 1M).
+int read_count(const common::KeyValueConfig& config, const std::string& key,
+               int fallback) {
+  const long long v = config.get_count_or(key, fallback);
+  require(key, static_cast<double>(v), config.get_string_or(key, ""),
+          kPopulation);
+  return static_cast<int>(v);
+}
+
+// Splits "a,b,c" into user counts; throws naming the knob on malformed or
+// negative input.
 std::vector<int> parse_int_list(const std::string& key,
                                 const std::string& value) {
   std::vector<int> values;
@@ -153,11 +223,13 @@ std::vector<int> parse_int_list(const std::string& key,
       throw std::invalid_argument(key + "=: bad value '" + token + "' in '" +
                                   value + "'");
     }
+    require(key, values.back(), token, kNonNegative);
   }
   return values;
 }
 
-// Splits "a:b:c" into doubles; throws naming the knob on malformed input.
+// Splits "a:b:c" into finite doubles; throws naming the knob on malformed
+// input.
 std::vector<double> parse_colon_list(const std::string& key,
                                      const std::string& value) {
   std::vector<double> fields;
@@ -168,6 +240,9 @@ std::vector<double> parse_colon_list(const std::string& key,
       std::size_t pos = 0;
       fields.push_back(std::stod(token, &pos));
       if (pos != token.size()) throw std::invalid_argument("trailing");
+      if (!std::isfinite(fields.back())) {
+        throw std::invalid_argument("not finite");
+      }
     } catch (const std::exception&) {
       throw std::invalid_argument(key + "=: bad field '" + token + "' in '" +
                                   value + "'");
@@ -195,91 +270,80 @@ const std::vector<std::string> kKnownKeys = {
 
 mac::ScenarioParams scenario_from(const common::KeyValueConfig& config) {
   mac::ScenarioParams params;
-  const auto count_knob = [&config](const char* key, long long fallback) {
-    const long long n = config.get_count_or(key, fallback);
-    if (n < 0 || n > std::numeric_limits<int>::max()) {
-      throw std::invalid_argument(std::string(key) + "= is out of range");
-    }
-    return static_cast<int>(n);
-  };
-  params.num_voice_users = count_knob("voice_users", 80);
-  params.num_data_users = count_knob("data_users", 0);
+  params.num_voice_users = read_count(config, "voice_users", 80);
+  params.num_data_users = read_count(config, "data_users", 0);
   params.request_queue = config.get_bool_or("queue", true);
   params.seed = static_cast<std::uint64_t>(config.get_int_or("seed", 1));
 
   params.channel.mean_snr_db =
       config.get_double_or("mean_snr_db", params.channel.mean_snr_db);
-  params.channel.shadow_sigma_db =
-      config.get_double_or("shadow_sigma_db", params.channel.shadow_sigma_db);
-  if (params.channel.shadow_sigma_db < 0.0) {
-    throw std::invalid_argument("shadow_sigma_db= must be >= 0");
-  }
+  params.channel.shadow_sigma_db = read_double(
+      config, "shadow_sigma_db", params.channel.shadow_sigma_db, kNonNegative);
   if (config.contains("kmh")) {
-    const double kmh = config.get_double_or("kmh", 50.0);
-    if (kmh < 0.0) throw std::invalid_argument("kmh= must be >= 0");
+    const double kmh = read_double(config, "kmh", 50.0, kNonNegative);
     params.channel.doppler_hz = channel::ChannelConfig::doppler_for_speed(
         common::km_per_hour(kmh), 2.0e9);
   }
-  params.channel.doppler_hz =
-      config.get_double_or("doppler_hz", params.channel.doppler_hz);
-  if (params.channel.doppler_hz <= 0.0) {
+  if (!config.contains("doppler_hz") && params.channel.doppler_hz <= 0.0) {
     // A parked population (kmh=0) still needs a Doppler spread to fade.
     throw std::invalid_argument(
-        config.contains("doppler_hz")
-            ? "doppler_hz= must be > 0"
-            : "kmh= must be > 0 unless doppler_hz= sets the Doppler spread");
+        "kmh= must be > 0 unless doppler_hz= sets the Doppler spread");
   }
-  params.channel.diversity_branches =
-      config.get_int_or("diversity", params.channel.diversity_branches);
-  if (params.channel.diversity_branches < 1) {
-    throw std::invalid_argument("diversity= must be >= 1");
-  }
+  params.channel.doppler_hz = read_double(
+      config, "doppler_hz", params.channel.doppler_hz, kPositive);
+  params.channel.diversity_branches = read_int(
+      config, "diversity", params.channel.diversity_branches, kAtLeastOne);
 
   params.fixed_phy_reference_db =
       config.get_double_or("fixed_ref_db", params.fixed_phy_reference_db);
-  params.phy.target_ber =
-      config.get_double_or("target_ber", params.phy.target_ber);
-  params.csi_error_sigma_db =
-      config.get_double_or("csi_noise_db", params.csi_error_sigma_db);
-  params.csi_validity_frames =
-      config.get_int_or("csi_validity_frames", params.csi_validity_frames);
-  params.ack_loss_prob = config.get_double_or("ack_loss", 0.0);
-  params.energy.tx_power_w =
-      config.get_double_or("tx_power_w", params.energy.tx_power_w);
+  params.phy.target_ber = read_double(config, "target_ber",
+                                      params.phy.target_ber,
+                                      Domain{0.0, 0.5, true, true});
+  params.csi_error_sigma_db = read_double(
+      config, "csi_noise_db", params.csi_error_sigma_db, kNonNegative);
+  params.csi_validity_frames = read_int(
+      config, "csi_validity_frames", params.csi_validity_frames, kAtLeastOne);
+  params.ack_loss_prob =
+      read_double(config, "ack_loss", 0.0, kLossProbability);
+  params.energy.tx_power_w = read_double(
+      config, "tx_power_w", params.energy.tx_power_w, kNonNegative);
 
   params.geometry.num_request_slots =
-      config.get_int_or("request_slots", params.geometry.num_request_slots);
-  params.geometry.num_info_slots =
-      config.get_int_or("info_slots", params.geometry.num_info_slots);
-  params.geometry.num_pilot_slots =
-      config.get_int_or("pilot_slots", params.geometry.num_pilot_slots);
+      read_int(config, "request_slots", params.geometry.num_request_slots,
+               kAtLeastOne);
+  params.geometry.num_info_slots = read_int(
+      config, "info_slots", params.geometry.num_info_slots, kAtLeastOne);
+  params.geometry.num_pilot_slots = read_int(
+      config, "pilot_slots", params.geometry.num_pilot_slots, kNonNegative);
 
   params.mean_talkspurt_s =
-      config.get_double_or("talkspurt_s", params.mean_talkspurt_s);
+      read_double(config, "talkspurt_s", params.mean_talkspurt_s, kPositive);
   params.mean_silence_s =
-      config.get_double_or("silence_s", params.mean_silence_s);
-  params.mean_burst_packets =
-      config.get_double_or("burst_packets", params.mean_burst_packets);
-  params.mean_data_interarrival_s =
-      config.get_double_or("interarrival_s", params.mean_data_interarrival_s);
+      read_double(config, "silence_s", params.mean_silence_s, kPositive);
+  params.mean_burst_packets = read_double(
+      config, "burst_packets", params.mean_burst_packets, kAtLeastOne);
+  params.mean_data_interarrival_s = read_double(
+      config, "interarrival_s", params.mean_data_interarrival_s, kPositive);
   params.voice_permission_prob =
-      config.get_double_or("pv", params.voice_permission_prob);
+      read_double(config, "pv", params.voice_permission_prob, kProbability);
   params.data_permission_prob =
-      config.get_double_or("pd", params.data_permission_prob);
+      read_double(config, "pd", params.data_permission_prob, kProbability);
 
-  const double overload = config.get_double_or("overload", 1.0);
-  if (overload <= 0.0) {
-    throw std::invalid_argument("overload= must be > 0");
+  const double overload = read_double(config, "overload", 1.0, kPositive);
+  const double voice = std::round(params.num_voice_users * overload);
+  const double data = std::round(params.num_data_users * overload);
+  if (voice + data > std::numeric_limits<int>::max()) {
+    throw std::invalid_argument(
+        "overload= scales the population past the largest int");
   }
-  params.num_voice_users = static_cast<int>(
-      std::lround(params.num_voice_users * overload));
-  params.num_data_users = static_cast<int>(
-      std::lround(params.num_data_users * overload));
+  params.num_voice_users = static_cast<int>(voice);
+  params.num_data_users = static_cast<int>(data);
 
-  params.data_mmpp_rate_ratio =
-      config.get_double_or("mmpp_ratio", params.data_mmpp_rate_ratio);
+  params.data_mmpp_rate_ratio = read_double(
+      config, "mmpp_ratio", params.data_mmpp_rate_ratio, kAtLeastOne);
   params.data_mmpp_mean_sojourn_s =
-      config.get_double_or("mmpp_sojourn_s", params.data_mmpp_mean_sojourn_s);
+      read_double(config, "mmpp_sojourn_s", params.data_mmpp_mean_sojourn_s,
+                  kNonNegative);
   params.barring.enabled = config.get_bool_or("barring", false);
 
   const std::string chan = config.get_string_or("channel", "eager");
@@ -321,17 +385,11 @@ core::CharismaOptions charisma_options_from(
 mac::CellularConfig cellular_from(const common::KeyValueConfig& config,
                                   const mac::ScenarioParams& params) {
   mac::CellularConfig world;
-  world.num_cells = config.get_int_or("cells", 1);
-  const int threads = config.get_int_or("threads", 1);
-  if (threads < 0) {
-    throw std::invalid_argument("threads= must be >= 0 (0 = hardware)");
-  }
-  world.num_threads = static_cast<unsigned>(threads);
-  const int shards = config.get_int_or("shards", 0);
-  if (shards < 0) {
-    throw std::invalid_argument("shards= must be >= 0 (0 = match threads)");
-  }
-  world.num_shards = static_cast<unsigned>(shards);
+  world.num_cells = read_int(config, "cells", 1, kAtLeastOne);
+  world.num_threads =
+      static_cast<unsigned>(read_int(config, "threads", 1, kNonNegative));
+  world.num_shards =
+      static_cast<unsigned>(read_int(config, "shards", 0, kNonNegative));
   world.params = params;
   if (!config.contains("mean_snr_db")) {
     // The single-cell default (16 dB) is the SNR of the *whole* cell; in
@@ -340,9 +398,10 @@ mac::CellularConfig cellular_from(const common::KeyValueConfig& config,
     // mid-cell user (~400 m) at the familiar 16 dB operating point.
     world.params.channel.mean_snr_db = 26.0;
   }
-  world.handoff_hysteresis_db = config.get_double_or(
-      "handoff_hysteresis_db", world.handoff_hysteresis_db);
-  const double kmh = config.get_double_or("kmh", 50.0);
+  world.handoff_hysteresis_db = read_double(
+      config, "handoff_hysteresis_db", world.handoff_hysteresis_db,
+      kNonNegative);
+  const double kmh = read_double(config, "kmh", 50.0, kNonNegative);
   world.mobility.speed_mps = common::km_per_hour(kmh);
   if (!config.contains("kmh") && !config.contains("doppler_hz")) {
     // scenario_from only derives the Doppler from kmh when the knob is
@@ -367,16 +426,18 @@ mac::CellularConfig cellular_from(const common::KeyValueConfig& config,
   const bool hex = layout == "hex";
   world.layout.kind = hex ? mac::SiteLayoutConfig::Kind::kHex
                           : mac::SiteLayoutConfig::Kind::kLine;
-  world.layout.reuse_factor = config.get_int_or("reuse", 1);
-  world.layout.wrap_around = config.get_bool_or("wrap", false);
-  world.pilot_band_radius_m = config.get_double_or("band", 0.0);
-  if (world.pilot_band_radius_m < 0.0) {
-    throw std::invalid_argument("band= must be >= 0 (0 = every cell)");
+  world.layout.reuse_factor = read_int(config, "reuse", 1, kAtLeastOne);
+  if (hex && !mac::SiteLayout::is_rhombic_number(world.layout.reuse_factor)) {
+    throw std::invalid_argument(
+        "reuse= must be a rhombic number (1, 3, 4, 7, 9, 12, ...) with "
+        "layout=hex");
   }
+  world.layout.wrap_around = config.get_bool_or("wrap", false);
+  world.pilot_band_radius_m = read_double(config, "band", 0.0, kNonNegative);
   // Hex cells carry co-channel interference by default; the line world
   // keeps its historical interference-free behaviour unless asked.
   world.interference_activity =
-      config.get_double_or("interference", hex ? 0.4 : 0.0);
+      read_double(config, "interference", hex ? 0.4 : 0.0, kFraction);
 
   if (auto spec = config.get_string("outage")) {
     std::stringstream stream(*spec);
@@ -388,7 +449,11 @@ mac::CellularConfig cellular_from(const common::KeyValueConfig& config,
             "outage= expects cell:start:end windows, got '" + window + "'");
       }
       mac::CellOutageWindow w;
-      w.cell = static_cast<int>(f[0]);
+      // A cell index that is not a whole number in range becomes -1, which
+      // valid() rejects (casting an out-of-range double would be undefined).
+      const bool cell_ok = f[0] == std::trunc(f[0]) && f[0] >= 0.0 &&
+                           f[0] < world.num_cells;
+      w.cell = cell_ok ? static_cast<int>(f[0]) : -1;
       w.start = f[1];
       w.end = f[2];
       if (!w.valid(world.num_cells)) {
@@ -432,7 +497,8 @@ mac::CellularConfig cellular_from(const common::KeyValueConfig& config,
   traffic::validate_or_throw(world.modulation,
                              config.contains("flash") ? "flash" : "diurnal");
 
-  const double radius = config.get_double_or("cell_radius_m", 500.0);
+  const double radius =
+      read_double(config, "cell_radius_m", 500.0, kPositive);
   if (hex) {
     world.layout.site_spacing_m = 2.0 * radius;
     const auto [width, height] = mac::SiteLayout::hex_field_extent(
@@ -544,16 +610,12 @@ int main(int argc, char** argv) {
     config.reject_unknown(kKnownKeys);
     experiment::RunSpec spec;
     spec.params = scenario_from(config);
-    spec.warmup_s = config.get_double_or("warmup", 4.0);
-    spec.measure_s = config.get_double_or("measure", 12.0);
-    spec.replications = config.get_int_or("replications", 1);
-    if (spec.replications < 1) {
-      throw std::invalid_argument("replications= must be >= 1");
-    }
+    spec.warmup_s = read_double(config, "warmup", 4.0, kNonNegative);
+    spec.measure_s = read_double(config, "measure", 12.0, kPositive);
+    spec.replications = read_int(config, "replications", 1, kAtLeastOne);
     spec.charisma = charisma_options_from(config);
     const auto protocol_list = protocols_from(config);
-    const int cells = config.get_int_or("cells", 1);
-    if (cells < 1) throw std::invalid_argument("cells= must be >= 1");
+    const int cells = read_int(config, "cells", 1, kAtLeastOne);
 
     if (cells < 2) {
       for (const char* knob : {"outage", "flash", "diurnal"}) {

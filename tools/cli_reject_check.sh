@@ -77,10 +77,43 @@ expect_knob kmh cells=2 kmh=0 $quick
 expect_knob doppler_hz doppler_hz=0 $quick
 expect_knob doppler_hz doppler_hz=-3 cells=2 $quick
 expect_knob doppler_hz kmh=0 doppler_hz=0 $quick
-# No knob takes NaN or an infinity.
+# No knob takes NaN or an infinity, colon-list fields included.
 expect_reject "value for 'mean_snr_db'" mean_snr_db=nan $quick
 expect_reject "value for 'fixed_ref_db'" protocol=rama fixed_ref_db=inf $quick
 expect_reject "value for 'band'" band=-inf cells=3 $quick
+expect_knob flash voice_users=4 data_users=1 warmup=0.1 measure=0.3 cells=3 \
+  flash=nan:0:500:5:0:1
+expect_knob flash cells=2 flash=0:inf:500:5:0:1 $quick
+expect_knob outage cells=3 outage=1:-inf:2 $quick
+expect_knob outage cells=3 outage=1e300:0:1 $quick
+# Every numeric knob is range-checked where it is read, before any
+# library constructor could reject it without naming it.
+expect_knob ack_loss ack_loss=2 $quick
+expect_knob pv pv=-1 $quick
+expect_knob pd pd=0 $quick
+expect_knob talkspurt_s talkspurt_s=0 $quick
+expect_knob silence_s silence_s=0 $quick
+expect_knob burst_packets burst_packets=0 $quick
+expect_knob interarrival_s interarrival_s=0 $quick
+expect_knob tx_power_w tx_power_w=-1 $quick
+expect_knob mmpp_ratio mmpp_ratio=-1 $quick
+expect_knob mmpp_sojourn_s mmpp_sojourn_s=-1 $quick
+expect_knob request_slots request_slots=0 $quick
+expect_knob info_slots info_slots=0 $quick
+expect_knob pilot_slots pilot_slots=-1 $quick
+expect_knob target_ber target_ber=0.7 $quick
+expect_knob csi_noise_db csi_noise_db=-1 $quick
+expect_knob csi_validity_frames csi_validity_frames=0 $quick
+expect_knob x sweep=voice x=4,-2 $quick
+expect_knob warmup warmup=-1 voice_users=4 data_users=1 measure=0.1
+expect_knob measure measure=0 voice_users=4 data_users=1 warmup=0.1
+expect_knob voice_users voice_users=-3 data_users=1 warmup=0.1 measure=0.1
+expect_knob overload overload=1e9 $quick
+expect_knob interference cells=3 interference=-5 $quick
+expect_knob handoff_hysteresis_db cells=2 handoff_hysteresis_db=-50 $quick
+expect_knob cell_radius_m cells=2 cell_radius_m=-100 $quick
+expect_knob reuse cells=3 reuse=0 $quick
+expect_knob reuse cells=7 layout=hex reuse=2 $quick
 
 if [ "$failures" -ne 0 ]; then
   echo "cli_reject_check: $failures invocation(s) not rejected by name" >&2
