@@ -26,8 +26,7 @@ int main() try {
       params.channel.doppler_hz = 160.0;  // ~80 km/h class
       params.seed = experiment::replication_seed(4, 0, rep);
       core::CharismaOptions options;
-      options.csi_poll_budget = budget;
-      options.enable_csi_refresh = budget > 0;
+      options.csi_poll_budget = budget;  // 0: no refresh at all
       core::CharismaProtocol proto(params, options);
       const auto& m = proto.run(spec.warmup_s, spec.measure_s);
       loss.add(m.voice_loss_rate());

@@ -2,7 +2,8 @@
 // knobs so CI can shrink runs, and the standard six-protocol sweep setup.
 //
 // Knobs (all optional):
-//   CHARISMA_BENCH_MEASURE   seconds of measured simulation per run (def 12)
+//   CHARISMA_BENCH_MEASURE   seconds of measured simulation per run (> 0,
+//                            default 12)
 //   CHARISMA_BENCH_WARMUP    warmup seconds per run (default 4)
 //   CHARISMA_BENCH_REPS      replications per point (default per bench)
 //   CHARISMA_BENCH_THREADS   worker threads (default: hardware concurrency)
@@ -156,6 +157,19 @@ inline double env_seconds(const char* name, double fallback) {
   return d;
 }
 
+/// A measure window: a duration as env_seconds reads it, and > 0 (a zero
+/// window would measure nothing, and the engine and world reject it
+/// without naming the knob).
+inline double env_window_seconds(const char* name, double fallback) {
+  const double d = env_seconds(name, fallback);
+  if (d <= 0.0) {
+    throw std::invalid_argument(std::string(name) +
+                                ": not a measure window > 0: '" +
+                                std::getenv(name) + "'");
+  }
+  return d;
+}
+
 /// A comma-separated list: the non-empty tokens of `name`, or of
 /// `fallback` when it is unset.
 inline std::vector<std::string> env_list(const char* name,
@@ -223,7 +237,7 @@ inline long long current_rss_bytes() {
 inline experiment::RunSpec standard_spec(int default_reps = 2) {
   experiment::RunSpec spec;
   spec.warmup_s = env_seconds("CHARISMA_BENCH_WARMUP", 4.0);
-  spec.measure_s = env_seconds("CHARISMA_BENCH_MEASURE", 12.0);
+  spec.measure_s = env_window_seconds("CHARISMA_BENCH_MEASURE", 12.0);
   spec.replications = env_count_int("CHARISMA_BENCH_REPS", default_reps, 1);
   return spec;
 }

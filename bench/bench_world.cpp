@@ -169,7 +169,7 @@ int main() try {
   const int voice = bench::env_count_int("CHARISMA_BENCH_WORLD_VOICE", 96, 0);
   const int data = bench::env_count_int("CHARISMA_BENCH_WORLD_DATA", 24, 0);
   const double measure_s =
-      bench::env_seconds("CHARISMA_BENCH_WORLD_MEASURE", 8.0);
+      bench::env_window_seconds("CHARISMA_BENCH_WORLD_MEASURE", 8.0);
   const int reps = bench::env_count_int("CHARISMA_BENCH_WORLD_REPS", 3, 1);
   const double warmup_s = std::min(0.5, measure_s * 0.25);
   const unsigned hardware =

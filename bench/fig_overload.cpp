@@ -66,7 +66,7 @@ int main() try {
   const double warmup_s =
       bench::env_seconds("CHARISMA_BENCH_OVERLOAD_WARMUP", 2.0);
   const double measure_s =
-      bench::env_seconds("CHARISMA_BENCH_OVERLOAD_MEASURE", 4.0);
+      bench::env_window_seconds("CHARISMA_BENCH_OVERLOAD_MEASURE", 4.0);
   const auto factors = bench::env_count_list(
       "CHARISMA_BENCH_OVERLOAD_FACTORS", "1,2,5,10", /*min=*/1);
   const auto ids = bench::env_protocol_list(

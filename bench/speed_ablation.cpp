@@ -192,7 +192,7 @@ int main() try {
         params.seed = experiment::replication_seed(
             1, static_cast<std::uint64_t>(kmh), rep);
         core::CharismaOptions options;
-        options.enable_csi_refresh = (variant == 0);
+        if (variant == 1) options.csi_poll_budget = 0;  // refresh off
         core::CharismaProtocol proto(params, options);
         const auto& m = proto.run(spec_template.warmup_s,
                                   spec_template.measure_s);

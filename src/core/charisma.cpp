@@ -154,7 +154,7 @@ void CharismaProtocol::run_contention_phase() {
 }
 
 void CharismaProtocol::refresh_backlog_csi() {
-  if (!options_.enable_csi_refresh || poll_budget_ <= 0) return;
+  if (poll_budget_ <= 0) return;
   // Short-list the backlog requests whose CSI has expired, by priority
   // (§4.4), and poll the top N_b through the pilot-symbol subframe.
   const auto pool = pool_.entries();
@@ -219,7 +219,8 @@ void CharismaProtocol::allocate_and_transmit() {
     auto& request = pool[entry.position];
     if (!request.csi.valid()) continue;  // nothing to announce a mode from
     const auto mode = adaptive_phy_.select_mode(request.csi.snr_linear);
-    if (!mode || adaptive_phy_.packets_per_slot(*mode) < 1) {
+    const phy::SlotBurst burst = adaptive_phy_.burst(mode);
+    if (burst.packets < 1) {
       // Outage or sub-packet mode: allocating would waste the slot
       // (§5.3.1); defer until the CSI improves or the deadline purges it.
       continue;
@@ -232,14 +233,13 @@ void CharismaProtocol::allocate_and_transmit() {
         continue;
       }
       if (stale) ++metrics_.csi_stale_allocations;
-      transmit_voice_adaptive(u, *mode);
-      entry.granted = adaptive_phy_.normalized_throughput(*mode);
+      transmit_voice(u, burst);
+      entry.granted = adaptive_phy_.normalized_throughput(mode);
       --slots_left;
       completed_.push_back(request.user);
     } else {
-      const int per_slot = adaptive_phy_.packets_per_slot(*mode);
-      const int needed = static_cast<int>(
-          std::ceil(static_cast<double>(u.data().backlog()) / per_slot));
+      const int needed = static_cast<int>(std::ceil(
+          static_cast<double>(u.data().backlog()) / burst.packets));
       const int grant = std::min(slots_left, needed);
       if (grant <= 0) {
         completed_.push_back(request.user);
@@ -247,9 +247,9 @@ void CharismaProtocol::allocate_and_transmit() {
       }
       if (stale) ++metrics_.csi_stale_allocations;
       for (int s = 0; s < grant; ++s) {
-        transmit_data_adaptive(u, *mode, per_slot);
+        transmit_data(u, burst);
       }
-      entry.granted = adaptive_phy_.normalized_throughput(*mode);
+      entry.granted = adaptive_phy_.normalized_throughput(mode);
       slots_left -= grant;
       request.packets_requested = u.data().backlog();
       if (u.data().backlog() == 0) completed_.push_back(request.user);

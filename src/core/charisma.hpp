@@ -25,12 +25,10 @@ namespace charisma::core {
 struct CharismaOptions {
   PriorityWeights priority{};
 
-  /// Pilot/poll slots per frame; -1 = use geometry.num_pilot_slots.
+  /// Pilot/poll slots per frame; -1 = use geometry.num_pilot_slots. 0
+  /// turns the §4.4 CSI refresh off (bench_ablation_csi_refresh measures
+  /// its value that way).
   int csi_poll_budget = -1;
-
-  /// Disable to measure the value of the §4.4 refresh mechanism
-  /// (bench_ablation_csi_refresh).
-  bool enable_csi_refresh = true;
 
   /// Future-work extension (§6 / [22]).
   FairnessMode fairness = FairnessMode::kNone;

@@ -6,7 +6,6 @@
 #include <cmath>
 #include <stdexcept>
 
-#include "common/math.hpp"
 #include "mac/attachment.hpp"
 
 namespace charisma::mac {
@@ -16,13 +15,6 @@ namespace {
 constexpr std::uint64_t kMobilityStream = 0x8000'0000ULL;
 constexpr std::uint64_t kCellSeedStream = 0x9000'0000ULL;
 constexpr double kTimeEps = 1e-9;
-constexpr double kLn10 = 2.302585092994046;
-// The closed-form path loss's K and K/2 (see the constructor) and its
-// squared clamp distance.
-constexpr double kPathLossK = 10.0 * CellularWorld::kPathLossExponent / kLn10;
-constexpr double kPathLossHalfK = 0.5 * kPathLossK;
-constexpr double kMinDistanceSqM2 =
-    CellularWorld::kMinDistanceM * CellularWorld::kMinDistanceM;
 /// Pilot level of a dark cell: far below any real link budget, so neither
 /// the hysteresis rule nor the initial argmax ever selects it.
 constexpr double kDarkPilotDb = -1.0e9;
@@ -93,7 +85,7 @@ CellularWorld::CellularWorld(const CellularConfig& config,
   // with C = mean_db + K * ln(d0) and K = 10 n / ln 10. Squared distances
   // feed the ln directly, so the epoch plane pays neither sqrt nor log10.
   path_loss_c_db_ = config_.params.channel.mean_snr_db +
-                    kPathLossK * std::log(kReferenceDistanceM);
+                    2.0 * kPathLossHalfK * std::log(kReferenceDistanceM);
 
   unsigned threads = config_.num_threads == 0
                          ? std::thread::hardware_concurrency()
@@ -299,11 +291,10 @@ void CellularWorld::update_cell_snr_plane(int c) {
   // rows and metrics, reading the (quiescent) mobility positions, band
   // memberships and the coordinator-frozen load vector. Work is O(band),
   // never users × cells. With the interference plane on, each member's
-  // SINR penalty is computed directly here — each (user, interferer) term
-  // recomputed in place with the dense world's exact expressions in the
-  // same ascending order, so collapsing its stage-then-sum two-phase
-  // split changes no bits — and summed in band (== id) order into the
-  // epoch's penalty mean, the historical accumulation order.
+  // SINR penalty is interference_penalty_db over the cell's co-channel
+  // sites (ascending, the dense world's order and expressions), summed in
+  // band (== id) order into the epoch's penalty mean, the historical
+  // accumulation order.
   auto& cell = *cells_[static_cast<std::size_t>(c)];
   const auto& band = cell.band();
   auto& bank = cell.channel_bank();
@@ -322,16 +313,9 @@ void CellularWorld::update_cell_snr_plane(int c) {
         std::max(layout_.distance_sq(pos, c), kMinDistanceSqM2);
     row[m.slot] = path_loss_c_db_ - kPathLossHalfK * std::log(d_sq);
     if (interf) {
-      double inr = 0.0;
-      for (const int s : interferers) {
-        const double load = cell_load_[static_cast<std::size_t>(s)];
-        if (load <= 0.0) continue;
-        const double ds =
-            std::max(layout_.distance_sq(pos, s), kMinDistanceSqM2);
-        const double db = path_loss_c_db_ - kPathLossHalfK * std::log(ds);
-        inr += load * common::from_db(db);
-      }
-      irow[m.slot] = common::to_db(1.0 + inr);
+      irow[m.slot] = interference_penalty_db(
+          layout_, interferers, cell_load_, pos, path_loss_c_db_,
+          kPathLossHalfK, kMinDistanceSqM2);
       penalty_sum += irow[m.slot];
     }
   }

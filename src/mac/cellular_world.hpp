@@ -184,6 +184,12 @@ class CellularWorld {
   static constexpr double kReferenceDistanceM = 200.0;
   /// Distances clamp here so a user standing on a site keeps a finite SNR.
   static constexpr double kMinDistanceM = 10.0;
+  /// The closed form the SNR and interference planes evaluate:
+  ///   db(d) = path_loss_c_db() − kPathLossHalfK · ln(max(d², kMinDistanceSqM2))
+  /// with K = 10 n / ln 10.
+  static constexpr double kPathLossHalfK =
+      0.5 * (10.0 * kPathLossExponent / 2.302585092994046);
+  static constexpr double kMinDistanceSqM2 = kMinDistanceM * kMinDistanceM;
 
   /// Shadowing decorrelation *distance* (Gudmundson): when users move,
   /// each cell's shadow_tau is derived as distance / speed, so slow users
@@ -274,6 +280,9 @@ class CellularWorld {
   /// Mean SNR (dB) the path-loss model assigns at distance `d_m` — exposed
   /// for tests and the bench's sanity prints.
   double mean_snr_at_distance_db(double d_m) const;
+  /// C of the path-loss closed form: the mean SNR at the reference
+  /// distance with K · ln(d0) folded in.
+  double path_loss_c_db() const { return path_loss_c_db_; }
 
  private:
   /// One (user, cell) band residency: the cell, the user's engine/bank

@@ -447,19 +447,19 @@ channel::CsiEstimate ProtocolEngine::estimate_csi(MobileUser& u) {
                                  u.rng());
 }
 
-std::optional<int> ProtocolEngine::fresh_mode_estimate(MobileUser& u) {
-  return adaptive_phy_.select_mode(estimate_csi(u).snr_linear);
-}
-
-void ProtocolEngine::transmit_voice_fixed(MobileUser& u) {
+void ProtocolEngine::transmit_voice(MobileUser& u, phy::SlotBurst burst) {
   note_assigned_slot();
   auto& src = u.voice();
-  if (!src.has_packet()) {
+  if (!src.has_packet() || burst.packets < 1) {
+    // Nothing to send, or a mode too low to carry a whole packet: the
+    // allocation is wasted and any packet stays pending (it may still make
+    // a later frame before its deadline). The adaptive transmitter stays
+    // silent — its energy advantage over the blind fixed PHY.
     note_wasted_slot();
-    return;  // device stays silent: no energy spent
+    return;
   }
-  const bool ok =
-      fixed_phy_.transmit_packet(bank_.snr_linear(u.slot()), u.rng());
+  const bool ok = burst.mode->transmit_packet(bank_.snr_linear(u.slot()),
+                                              geom_.packet_bits, u.rng());
   src.consume_packet();
   const double energy = burst_energy(geom_.slot_symbols);
   metrics_.energy_info_j += energy;
@@ -472,72 +472,15 @@ void ProtocolEngine::transmit_voice_fixed(MobileUser& u) {
   }
 }
 
-void ProtocolEngine::transmit_voice_adaptive(MobileUser& u, int mode) {
-  note_assigned_slot();
-  auto& src = u.voice();
-  if (!src.has_packet()) {
-    note_wasted_slot();
-    return;
-  }
-  if (adaptive_phy_.packets_per_slot(mode) < 1) {
-    // Mode too low to carry a whole packet: the allocation is wasted and
-    // the packet stays pending (it may still make a later frame before its
-    // deadline). The adaptive transmitter stays silent — its energy
-    // advantage over the blind fixed PHY.
-    note_wasted_slot();
-    return;
-  }
-  const bool ok =
-      adaptive_phy_.transmit_packet(mode, bank_.snr_linear(u.slot()), u.rng());
-  src.consume_packet();
-  const double energy = burst_energy(geom_.slot_symbols);
-  metrics_.energy_info_j += energy;
-  if (ok) {
-    ++metrics_.voice_delivered;
-    note_user_delivery(u.id(), 1);
-  } else {
-    ++metrics_.voice_error_lost;
-    metrics_.energy_wasted_j += energy;
-  }
-}
-
-int ProtocolEngine::transmit_data_fixed(MobileUser& u) {
+void ProtocolEngine::transmit_data(MobileUser& u, phy::SlotBurst burst) {
   note_assigned_slot();
   auto& src = u.data();
-  if (src.empty()) {
+  if (burst.packets < 1 || src.empty()) {
     note_wasted_slot();
-    return 0;
-  }
-  const common::Time arrival = src.head_arrival();
-  src.pop_head();
-  ++metrics_.data_tx_attempts;
-  const double energy = burst_energy(geom_.slot_symbols);
-  metrics_.energy_info_j += energy;
-  if (fixed_phy_.transmit_packet(bank_.snr_linear(u.slot()), u.rng())) {
-    ++metrics_.data_delivered;
-    metrics_.data_delay_s.add(now_ - arrival);
-    metrics_.data_delay_hist.add(now_ - arrival);
-    note_user_delivery(u.id(), 1);
-    return 1;
-  }
-  ++metrics_.data_retransmissions;
-  metrics_.energy_wasted_j += energy;
-  src.push_front(std::span<const common::Time>(&arrival, 1));
-  return 0;
-}
-
-int ProtocolEngine::transmit_data_adaptive(MobileUser& u, int mode,
-                                           int max_packets) {
-  note_assigned_slot();
-  auto& src = u.data();
-  const int cap = std::min(adaptive_phy_.packets_per_slot(mode), max_packets);
-  if (cap < 1 || src.empty()) {
-    note_wasted_slot();
-    return 0;
+    return;
   }
   const double snr = bank_.snr_linear(u.slot());
-  const common::Time t = now_;
-  const int to_send = std::min(cap, src.backlog());
+  const int to_send = std::min(burst.packets, src.backlog());
   int delivered = 0;
   // Reused across frames: a steady-state retransmission burst must not
   // allocate (the frame_alloc pin covers this path).
@@ -547,10 +490,10 @@ int ProtocolEngine::transmit_data_adaptive(MobileUser& u, int mode,
     const common::Time arrival = src.head_arrival();
     src.pop_head();
     ++metrics_.data_tx_attempts;
-    if (adaptive_phy_.transmit_packet(mode, snr, u.rng())) {
+    if (burst.mode->transmit_packet(snr, geom_.packet_bits, u.rng())) {
       ++metrics_.data_delivered;
-      metrics_.data_delay_s.add(t - arrival);
-      metrics_.data_delay_hist.add(t - arrival);
+      metrics_.data_delay_s.add(now_ - arrival);
+      metrics_.data_delay_hist.add(now_ - arrival);
       ++delivered;
     } else {
       ++metrics_.data_retransmissions;
@@ -562,12 +505,11 @@ int ProtocolEngine::transmit_data_adaptive(MobileUser& u, int mode,
   // One slot burst regardless of fill; the corrupted fraction is waste.
   const double energy = burst_energy(geom_.slot_symbols);
   metrics_.energy_info_j += energy;
-  if (to_send > 0 && delivered < to_send) {
+  if (delivered < to_send) {
     metrics_.energy_wasted_j +=
         energy * static_cast<double>(to_send - delivered) /
         static_cast<double>(to_send);
   }
-  return delivered;
 }
 
 void ProtocolEngine::note_contention(const ContentionTally& tally) {

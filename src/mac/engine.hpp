@@ -400,37 +400,27 @@ class ProtocolEngine {
   /// Pilot-based CSI estimate of the user's current channel.
   channel::CsiEstimate estimate_csi(MobileUser& u);
 
-  /// The D-TDMA/VR path: per-transmission mode choice from a fresh CSI
-  /// estimate fed back by the receiver (no MAC interaction).
-  std::optional<int> fresh_mode_estimate(MobileUser& u);
-
   // ---- Transmissions (update metrics; caller owns slot assignment) ----
+  // One information slot assigned to `u`, carrying `burst`: the fixed PHY's
+  // one-packet burst (fixed_phy_.burst()) or the adaptive PHY's burst for
+  // the announced mode (adaptive_phy_.burst(mode)). A slot whose burst
+  // carries no packet, or whose user has nothing to send, is wasted and the
+  // device stays silent (no energy spent).
 
-  /// Voice packet over the fixed-throughput PHY. Consumes the packet;
-  /// counts delivery or channel-error loss.
-  void transmit_voice_fixed(MobileUser& u);
+  /// Sends the user's pending voice packet. Consumes the packet; counts
+  /// delivery or channel-error loss. With a zero-packet burst the packet
+  /// stays pending until its deadline.
+  void transmit_voice(MobileUser& u, phy::SlotBurst burst);
 
-  /// Voice packet over the adaptive PHY in the announced `mode`. A mode
-  /// carrying less than one packet per slot ships nothing (wasted slot;
-  /// packet stays pending until its deadline).
-  void transmit_voice_adaptive(MobileUser& u, int mode);
-
-  /// Data packets over the fixed PHY (one per slot). Returns delivered
-  /// count (0 or 1); failures stay queued for ARQ retransmission.
-  int transmit_data_fixed(MobileUser& u);
-
-  /// Data packets over the adaptive PHY: up to min(packets_per_slot(mode),
-  /// max_packets) head-of-line packets in one slot. Returns delivered
-  /// count.
-  int transmit_data_adaptive(MobileUser& u, int mode, int max_packets);
+  /// Sends up to burst.packets head-of-line data packets in one slot;
+  /// failures stay queued for ARQ retransmission.
+  void transmit_data(MobileUser& u, phy::SlotBurst burst);
 
   // ---- Accounting helpers ----
   void note_contention(const ContentionTally& tally);
   /// Credits delivered packets to the user's fairness ledger.
   void note_user_delivery(common::UserId id, int packets);
   void offer_info_slots(int n) { metrics_.info_slots_offered += n; }
-  void note_assigned_slot() { ++metrics_.info_slots_assigned; }
-  void note_wasted_slot() { ++metrics_.info_slots_wasted; }
 
   ScenarioParams params_;
   FrameGeometry geom_;
@@ -447,11 +437,10 @@ class ProtocolEngine {
   channel::CsiEstimator csi_estimator_;
   common::RngStream bs_rng_;
   common::FrameIndex frame_index_ = 0;
-  /// Failed-arrival scratch for transmit_data_adaptive, reused across
-  /// frames so steady-state ARQ retransmissions stay allocation-free.
-  std::vector<common::Time> retx_scratch_;
 
  private:
+  void note_assigned_slot() { ++metrics_.info_slots_assigned; }
+  void note_wasted_slot() { ++metrics_.info_slots_wasted; }
   /// One frame at now(): advance the world, run the protocol frame, and
   /// return the consumed duration (the offset of the next frame's start).
   common::Time frame_tick();
@@ -490,6 +479,9 @@ class ProtocolEngine {
   std::unordered_map<common::UserId, std::uint32_t> rebirths_;
   /// Slot scratch for materialize_touched, reused across frames.
   std::vector<std::uint32_t> touch_slots_;
+  /// Failed-arrival scratch for transmit_data, reused across frames so
+  /// steady-state ARQ retransmissions stay allocation-free.
+  std::vector<common::Time> retx_scratch_;
 
   // Closed-loop barring state (engaged only when params.barring.enabled;
   // the estimator/controller live inside this cell's engine, so the

@@ -1,17 +1,17 @@
 #include "mac/reservation.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 
 namespace charisma::mac {
 
-ReservationGrid::ReservationGrid(int phases, int slots_per_phase)
-    : slots_per_phase_(slots_per_phase) {
-  if (phases <= 0 || slots_per_phase <= 0) {
+ReservationGrid::ReservationGrid(int phases, int slots) : slots_(slots) {
+  if (phases <= 0 || slots <= 0) {
     throw std::invalid_argument("ReservationGrid: invalid dimensions");
   }
   grid_.assign(static_cast<std::size_t>(phases),
                std::vector<common::UserId>(
-                   static_cast<std::size_t>(slots_per_phase), common::kNoUser));
+                   static_cast<std::size_t>(slots), common::kNoUser));
 }
 
 std::optional<int> ReservationGrid::reserve(int phase, common::UserId user) {
@@ -20,7 +20,7 @@ std::optional<int> ReservationGrid::reserve(int phase, common::UserId user) {
   }
   if (by_user_.count(user) > 0) return std::nullopt;
   auto& row = grid_[static_cast<std::size_t>(phase)];
-  for (int s = 0; s < slots_per_phase_; ++s) {
+  for (int s = 0; s < slots_; ++s) {
     if (row[static_cast<std::size_t>(s)] == common::kNoUser) {
       row[static_cast<std::size_t>(s)] = user;
       by_user_[user] = Position{phase, s};
@@ -31,7 +31,7 @@ std::optional<int> ReservationGrid::reserve(int phase, common::UserId user) {
 }
 
 bool ReservationGrid::reserve_at(int phase, int slot, common::UserId user) {
-  if (phase < 0 || phase >= phases() || slot < 0 || slot >= slots_per_phase_) {
+  if (phase < 0 || phase >= phases() || slot < 0 || slot >= slots_) {
     throw std::out_of_range("ReservationGrid::reserve_at: bad position");
   }
   if (by_user_.count(user) > 0) return false;
@@ -61,30 +61,35 @@ std::optional<ReservationGrid::Position> ReservationGrid::position(
   return it->second;
 }
 
-std::vector<common::UserId> ReservationGrid::due_in_phase(int phase) const {
+void ReservationGrid::due_in_phase(int phase,
+                                   std::vector<common::UserId>& due) const {
   if (phase < 0 || phase >= phases()) {
     throw std::out_of_range("ReservationGrid::due_in_phase: bad phase");
   }
-  std::vector<common::UserId> due;
+  due.clear();
   for (common::UserId u : grid_[static_cast<std::size_t>(phase)]) {
     if (u != common::kNoUser) due.push_back(u);
   }
-  return due;
 }
 
 common::UserId ReservationGrid::user_at(int phase, int slot) const {
-  if (phase < 0 || phase >= phases() || slot < 0 || slot >= slots_per_phase_) {
+  if (phase < 0 || phase >= phases() || slot < 0 || slot >= slots_) {
     throw std::out_of_range("ReservationGrid::user_at: bad position");
   }
   return grid_[static_cast<std::size_t>(phase)][static_cast<std::size_t>(slot)];
 }
 
 int ReservationGrid::occupied_in_phase(int phase) const {
-  return static_cast<int>(due_in_phase(phase).size());
+  if (phase < 0 || phase >= phases()) {
+    throw std::out_of_range("ReservationGrid::occupied_in_phase: bad phase");
+  }
+  const auto& row = grid_[static_cast<std::size_t>(phase)];
+  return slots_ -
+         static_cast<int>(std::count(row.begin(), row.end(), common::kNoUser));
 }
 
 int ReservationGrid::free_in_phase(int phase) const {
-  return slots_per_phase_ - occupied_in_phase(phase);
+  return slots_ - occupied_in_phase(phase);
 }
 
 }  // namespace charisma::mac

@@ -18,7 +18,7 @@ namespace charisma::mac {
 
 class ReservationGrid {
  public:
-  ReservationGrid(int phases, int slots_per_phase);
+  ReservationGrid(int phases, int slots);
 
   /// Reserves the lowest free slot in `phase` for `user`; nullopt when the
   /// phase is fully booked or the user already holds a reservation.
@@ -41,8 +41,10 @@ class ReservationGrid {
   };
   std::optional<Position> position(common::UserId user) const;
 
-  /// Users whose reservation falls in the given phase, in slot order.
-  std::vector<common::UserId> due_in_phase(int phase) const;
+  /// Replaces `due`'s contents with the users whose reservation falls in
+  /// the given phase, in slot order. The caller owns the vector, so a
+  /// frame loop that keeps it reuses its storage.
+  void due_in_phase(int phase, std::vector<common::UserId>& due) const;
 
   /// Occupant of a specific position (kNoUser when free).
   common::UserId user_at(int phase, int slot) const;
@@ -52,10 +54,9 @@ class ReservationGrid {
   int occupied_total() const { return static_cast<int>(by_user_.size()); }
 
   int phases() const { return static_cast<int>(grid_.size()); }
-  int slots_per_phase() const { return slots_per_phase_; }
 
  private:
-  int slots_per_phase_;
+  int slots_;
   std::vector<std::vector<common::UserId>> grid_;  ///< [phase][slot] -> user
   std::unordered_map<common::UserId, Position> by_user_;
 };

@@ -122,6 +122,35 @@ bool SiteLayout::is_rhombic_number(int n) {
   return n >= 1 && rhombic_decomposition(n).first >= 0;
 }
 
+bool SiteLayout::supports_wrap(const SiteLayoutConfig& config,
+                               int num_cells) {
+  const int rings = rings_for_count(num_cells);
+  if (config.kind != SiteLayoutConfig::Kind::kHex || rings < 0 ||
+      !is_rhombic_number(config.reuse_factor)) {
+    return false;
+  }
+  // The full-ring cluster tiles the plane under the lattice generated by
+  // t = (rings + 1, rings) in axial coordinates (norm² = 3k² + 3k + 1 =
+  // num_cells; the constructor's wrap images). The wrap metric is only sound against the reuse partition
+  // when t maps co-channel sites onto co-channel images, i.e. t lies in
+  // the reuse sublattice (its coset is the origin's; trivially so at
+  // reuse 1). Otherwise a wrapped image would put an *adjacent-channel*
+  // cell at a co-channel distance and the interference plane would be
+  // physically wrong — unless the partition has no co-channel pair at all
+  // (every site on its own channel, e.g. a full-ring cluster at reuse ==
+  // num_cells), where wrapping only affects serving-link distances and
+  // stays valid.
+  const auto origin_vs_t =
+      hex_reuse_channels({Axial{0, 0}, Axial{rings + 1, rings}},
+                         config.reuse_factor);
+  if (origin_vs_t[0] == origin_vs_t[1]) return true;
+  auto channels = hex_reuse_channels(hex_spiral(num_cells),
+                                     config.reuse_factor);
+  std::sort(channels.begin(), channels.end());
+  return std::adjacent_find(channels.begin(), channels.end()) ==
+         channels.end();
+}
+
 std::pair<double, double> SiteLayout::hex_field_extent(int num_cells,
                                                        double site_spacing_m) {
   if (num_cells < 1 || site_spacing_m <= 0.0) {
@@ -146,14 +175,16 @@ SiteLayout::SiteLayout(const SiteLayoutConfig& config, int num_cells,
       field_height_m <= 0.0) {
     throw std::invalid_argument("SiteLayout: invalid configuration");
   }
+  if (config.wrap_around && !supports_wrap(config, num_cells)) {
+    throw std::invalid_argument(
+        "SiteLayout: wrap-around requires a full-ring hex layout (1, 7, "
+        "19, 37, ... sites) with reuse 1 or another wrap-consistent reuse "
+        "factor");
+  }
   sites_.reserve(static_cast<std::size_t>(num_cells));
   channel_.reserve(static_cast<std::size_t>(num_cells));
 
   if (config.kind == SiteLayoutConfig::Kind::kLine) {
-    if (config.wrap_around) {
-      throw std::invalid_argument(
-          "SiteLayout: wrap-around requires a full-ring hex layout");
-    }
     if (config.site_spacing_m == 0.0) {
       // Historical placement: evenly spaced along the field midline, the
       // step derived from the field width (bit-identical to the PR 3
@@ -198,48 +229,11 @@ SiteLayout::SiteLayout(const SiteLayoutConfig& config, int num_cells,
   channel_ = hex_reuse_channels(axial, config.reuse_factor);
 
   if (config.wrap_around) {
+    // Seven images: the identity plus the cluster translation t's six
+    // 60-degree rotations (supports_wrap checked t against the reuse
+    // partition).
     const int rings = rings_for_count(num_cells);
-    if (rings < 0) {
-      throw std::invalid_argument(
-          "SiteLayout: wrap-around requires a full-ring hex layout "
-          "(1, 7, 19, 37, ... sites)");
-    }
-    // The full-ring cluster tiles the plane under the lattice generated by
-    // t = (rings + 1, rings) in axial coordinates (norm² = 3k² + 3k + 1 =
-    // num_cells) — the seven images are the identity plus t's six
-    // 60-degree rotations.
     const Axial t{rings + 1, rings};
-    // The wrap metric is only sound against the reuse partition when the
-    // translation t maps co-channel sites onto co-channel images, i.e. t
-    // lies in the reuse sublattice (its coset is the origin's; trivially
-    // so at reuse 1). Otherwise a wrapped image would put an
-    // *adjacent-channel* cell at a co-channel distance and the
-    // interference plane would be physically wrong — unless the
-    // partition has no co-channel pair at all (every site on its own
-    // channel, e.g. a full-ring cluster at reuse == num_cells), where
-    // wrapping only affects serving-link distances and stays valid.
-    const auto origin_vs_t =
-        hex_reuse_channels({Axial{0, 0}, t}, config.reuse_factor);
-    const bool translation_consistent = origin_vs_t[0] == origin_vs_t[1];
-    if (!translation_consistent) {
-      bool any_co_channel_pair = false;
-      for (std::size_t a = 0; a < channel_.size() && !any_co_channel_pair;
-           ++a) {
-        for (std::size_t b = a + 1; b < channel_.size(); ++b) {
-          if (channel_[a] == channel_[b]) {
-            any_co_channel_pair = true;
-            break;
-          }
-        }
-      }
-      if (any_co_channel_pair) {
-        throw std::invalid_argument(
-            "SiteLayout: wrap-around with this reuse factor would fold "
-            "co-channel cells onto non-co-channel distances; use reuse=1, "
-            "a pattern that gives every cell its own channel, or disable "
-            "wrap");
-      }
-    }
     Axial image = t;
     for (int rot = 0; rot < 6; ++rot) {
       wrap_offsets_.push_back(axial_to_cart(image, config.site_spacing_m));
@@ -274,17 +268,6 @@ double interference_penalty_db(const SiteLayout& layout,
   // 10·log10(1 + I/N): exactly 0.0 when no interferer carries load, so an
   // idle neighbourhood leaves SINR == SNR bit for bit.
   return common::to_db(1.0 + inr);
-}
-
-double interference_penalty_db(const SiteLayout& layout, int serving,
-                               std::span<const double> cell_load,
-                               const Vec2& p, double path_loss_c_db,
-                               double path_loss_half_k,
-                               double min_distance_sq_m2) {
-  const auto interferers = layout.co_channel_interferers(serving);
-  return interference_penalty_db(layout, interferers, cell_load, p,
-                                 path_loss_c_db, path_loss_half_k,
-                                 min_distance_sq_m2);
 }
 
 }  // namespace charisma::mac

@@ -65,8 +65,8 @@ class SiteLayout {
 
   /// Builds the site map for `num_cells` sites over the given field.
   /// Throws std::invalid_argument for inconsistent configurations (hex
-  /// without a spacing, non-rhombic hex reuse, wrap-around outside a
-  /// full-ring hex cluster).
+  /// without a spacing, non-rhombic hex reuse, wrap-around that
+  /// supports_wrap rejects).
   SiteLayout(const SiteLayoutConfig& config, int num_cells,
              double field_width_m, double field_height_m);
 
@@ -115,6 +115,11 @@ class SiteLayout {
   /// Whether `n` is representable as i² + ij + j² (a valid hex reuse
   /// factor): 1, 3, 4, 7, 9, 12, 13, ...
   static bool is_rhombic_number(int n);
+  /// Whether `config`'s layout of `num_cells` sites can wrap around: a
+  /// full-ring hex cluster with a rhombic reuse factor that is
+  /// wrap-consistent (see SiteLayoutConfig::wrap_around). The constructor
+  /// rejects wrap_around exactly when this is false.
+  static bool supports_wrap(const SiteLayoutConfig& config, int num_cells);
   /// Field (width, height) that contains the hex grid with one spacing of
   /// margin on every side — what charisma_sim sizes the mobility field
   /// with for layout=hex.
@@ -134,17 +139,10 @@ class SiteLayout {
 /// s's aggregate load placed at the site under the world's path-loss model
 /// (db(d) = C − K/2 · ln(max(d², d_min²))). Exactly 0 when every
 /// interferer load is 0, and monotone non-decreasing in each load — the
-/// properties tests/mac/cellular_world_test.cpp pins.
+/// properties tests/mac/cellular_world_test.cpp pins. CellularWorld's SNR
+/// plane computes every member's penalty through this function.
 double interference_penalty_db(const SiteLayout& layout,
                                std::span<const int> interferers,
-                               std::span<const double> cell_load,
-                               const Vec2& p, double path_loss_c_db,
-                               double path_loss_half_k,
-                               double min_distance_sq_m2);
-
-/// Convenience overload for tests: interferers resolved from the layout's
-/// reuse partition (every co-channel site except `serving`).
-double interference_penalty_db(const SiteLayout& layout, int serving,
                                std::span<const double> cell_load,
                                const Vec2& p, double path_loss_c_db,
                                double path_loss_half_k,

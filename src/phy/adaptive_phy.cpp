@@ -30,6 +30,11 @@ int AdaptivePhy::packets_per_slot(int mode) const {
   return static_cast<int>(std::floor(bits / config_.packet_bits + 1e-9));
 }
 
+SlotBurst AdaptivePhy::burst(std::optional<int> mode) const {
+  if (!mode) return {};
+  return {&table_.mode(*mode), packets_per_slot(*mode)};
+}
+
 double AdaptivePhy::packet_error_rate(int mode,
                                       double true_snr_linear) const {
   return table_.mode(mode).per(true_snr_linear, config_.packet_bits);

@@ -37,6 +37,10 @@ class AdaptivePhy {
   /// a packet — this is the "wasted allocation" regime of §5.3.1.
   int packets_per_slot(int mode) const;
 
+  /// What a slot announced in `mode` carries: that mode with its
+  /// packets_per_slot. An outage (nullopt) carries 0 packets.
+  SlotBurst burst(std::optional<int> mode) const;
+
   /// Normalized throughput of a (possibly outage) selection.
   double normalized_throughput(std::optional<int> selection) const {
     return table_.normalized_throughput(selection);
@@ -51,7 +55,8 @@ class AdaptivePhy {
   /// TrafficRng).
   template <typename Rng>
   bool transmit_packet(int mode, double true_snr_linear, Rng& rng) const {
-    return !rng.bernoulli(packet_error_rate(mode, true_snr_linear));
+    return table_.mode(mode).transmit_packet(true_snr_linear,
+                                             config_.packet_bits, rng);
   }
 
   const ModeTable& table() const { return table_; }

@@ -3,7 +3,8 @@
 // always one packet per slot, with the packet-error rate following the same
 // coded-modulation BER curve evaluated at the instantaneous channel state.
 // No adaptation: transmissions during fades are simply corrupted (paper
-// §5.3.1).
+// §5.3.1). The scheme is a one-mode ModeTable, so a fixed-rate slot is a
+// one-mode, one-packet SlotBurst.
 #pragma once
 
 #include "phy/modes.hpp"
@@ -19,11 +20,14 @@ class FixedPhy {
   double ber(double true_snr_linear) const { return mode_.ber(true_snr_linear); }
   double packet_error_rate(double true_snr_linear) const;
 
+  /// What every slot carries: the one mode, one packet.
+  SlotBurst burst() const { return {&mode_, 1}; }
+
   /// Draws a packet success from the user's stream — any type with a
   /// bernoulli(double) draw (a BasicRngStream or a TrafficRng).
   template <typename Rng>
   bool transmit_packet(double true_snr_linear, Rng& rng) const {
-    return !rng.bernoulli(packet_error_rate(true_snr_linear));
+    return mode_.transmit_packet(true_snr_linear, packet_bits_, rng);
   }
 
  private:

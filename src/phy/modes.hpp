@@ -31,6 +31,24 @@ struct TransmissionMode {
 
   /// Packet-error rate for a packet of `bits` i.i.d. bit errors.
   double per(double snr_linear, int bits) const;
+
+  /// Draws the fate of one `bits`-bit packet sent in this mode at the true
+  /// SNR, from the user's stream — any type with a bernoulli(double) draw
+  /// (a BasicRngStream or a TrafficRng). True when it arrives intact. Every
+  /// packet transmission in the simulator draws through here.
+  template <typename Rng>
+  bool transmit_packet(double snr_linear, int bits, Rng& rng) const {
+    return !rng.bernoulli(per(snr_linear, bits));
+  }
+};
+
+/// What one information slot carries: the transmission mode and the whole
+/// packets it ships. A fixed-rate slot is its one mode carrying one packet;
+/// an adaptive slot carries its mode's packets_per_slot, and an outage (no
+/// mode) carries none.
+struct SlotBurst {
+  const TransmissionMode* mode = nullptr;
+  int packets = 0;
 };
 
 class ModeTable {

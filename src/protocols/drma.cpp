@@ -48,11 +48,7 @@ common::Time DrmaProtocol::process_frame() {
   // Touch set: reservation holders of this phase plus the queued users a
   // free slot may serve; conversion contenders are covered by
   // run_contention's own touch.
-  touched_.clear();
-  for (int slot = 0; slot < kInfoSlots; ++slot) {
-    const common::UserId owner = grid_.user_at(phase, slot);
-    if (owner != common::kNoUser) touched_.push_back(owner);
-  }
+  grid_.due_in_phase(phase, touched_);
   for (const auto& r : pending_) touched_.push_back(r.user);
   touch_channels(touched_);
 
@@ -60,7 +56,7 @@ common::Time DrmaProtocol::process_frame() {
     const common::UserId owner = grid_.user_at(phase, slot);
     if (owner != common::kNoUser) {
       // Reserved slot: its voice user transmits (or idles it away).
-      transmit_voice_fixed(user(owner));
+      transmit_voice(user(owner), fixed_phy_.burst());
       continue;
     }
 
@@ -90,7 +86,7 @@ common::Time DrmaProtocol::process_frame() {
       if (request.type == mac::RequestType::kVoice) {
         // The served slot position becomes the talkspurt's reservation.
         grid_.reserve_at(phase, slot, request.user);
-        transmit_voice_fixed(u);
+        transmit_voice(u, fixed_phy_.burst());
         erase_sorted(engaged_, request.user);
       } else {
         // One information slot per successful data request (§3.3): the
@@ -99,7 +95,7 @@ common::Time DrmaProtocol::process_frame() {
         // every otherwise-free slot, which starves the conversions new
         // voice talkspurts need — the queue stores only requests that got
         // *no* slot, per §4.5.)
-        transmit_data_fixed(u);
+        transmit_data(u, fixed_phy_.burst());
         erase_sorted(engaged_, request.user);
       }
       continue;

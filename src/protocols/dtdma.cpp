@@ -22,34 +22,13 @@ void DtdmaProtocol::on_user_attached([[maybe_unused]] common::UserId id) {
   assert(!queue_.contains(id));
 }
 
-void DtdmaProtocol::transmit_voice(mac::MobileUser& u) {
-  if (variant_ == PhyVariant::kFixedRate) {
-    transmit_voice_fixed(u);
-    return;
-  }
-  // VR: the transmitter adapts its mode from fresh receiver feedback; an
-  // outage (or the sub-packet mode 0) ships nothing and the slot is wasted.
-  const auto mode = fresh_mode_estimate(u);
-  if (!mode) {
-    note_assigned_slot();
-    note_wasted_slot();
-    return;
-  }
-  transmit_voice_adaptive(u, *mode);
-}
-
-int DtdmaProtocol::transmit_data_slot(mac::MobileUser& u) {
-  if (variant_ == PhyVariant::kFixedRate) {
-    return transmit_data_fixed(u);
-  }
-  const auto mode = fresh_mode_estimate(u);
-  if (!mode) {
-    note_assigned_slot();
-    note_wasted_slot();
-    return 0;
-  }
-  return transmit_data_adaptive(u, *mode,
-                                adaptive_phy_.packets_per_slot(*mode));
+phy::SlotBurst DtdmaProtocol::burst_for(mac::MobileUser& u) {
+  if (variant_ == PhyVariant::kFixedRate) return fixed_phy_.burst();
+  // VR: the transmitter adapts its mode from fresh receiver feedback (no
+  // MAC interaction); an outage (or the sub-packet mode 0) ships nothing
+  // and the slot is wasted.
+  return adaptive_phy_.burst(
+      adaptive_phy_.select_mode(estimate_csi(u).snr_linear));
 }
 
 bool DtdmaProtocol::serve_request(const mac::PendingRequest& request,
@@ -63,14 +42,14 @@ bool DtdmaProtocol::serve_request(const mac::PendingRequest& request,
       // so the request waits (queue) or dies (no queue).
       return false;
     }
-    transmit_voice(u);
+    transmit_voice(u, burst_for(u));
     --free_slots;
     return true;
   }
   // Data: leftover slots only, head-of-line burst, slot by slot.
   if (u.data().backlog() == 0) return true;
   while (free_slots > 0 && u.data().backlog() > 0) {
-    transmit_data_slot(u);
+    transmit_data(u, burst_for(u));
     --free_slots;
   }
   return u.data().backlog() == 0;
@@ -86,12 +65,13 @@ common::Time DtdmaProtocol::process_frame() {
   // 1. Reserved voice users transmit in their owned slots. They are this
   //    frame's dense read set, so declare them in one batch (lazy schedule)
   //    (queued to_serve users are sparse and materialize on read).
-  const auto due = grid_.due_in_phase(phase);
-  touch_channels(due);
-  for (common::UserId uid : due) {
-    transmit_voice(user(uid));
+  grid_.due_in_phase(phase, due_);
+  touch_channels(due_);
+  for (common::UserId uid : due_) {
+    auto& u = user(uid);
+    transmit_voice(u, burst_for(u));
   }
-  int free_slots = geom_.num_info_slots - static_cast<int>(due.size());
+  int free_slots = geom_.num_info_slots - static_cast<int>(due_.size());
 
   // 2. Request phase: N_r contention minislots; queued users wait.
   candidates_.clear();

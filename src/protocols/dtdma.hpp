@@ -47,12 +47,14 @@ class DtdmaProtocol : public mac::ProtocolEngine {
   /// not be re-queued.
   bool serve_request(const mac::PendingRequest& request, int phase,
                      int& free_slots);
-  void transmit_voice(mac::MobileUser& u);
-  int transmit_data_slot(mac::MobileUser& u);
+  /// What a slot granted to `u` carries: FR's one-packet burst, or VR's
+  /// burst for the mode a fresh CSI estimate supports.
+  phy::SlotBurst burst_for(mac::MobileUser& u);
 
   PhyVariant variant_;
   mac::ReservationGrid grid_;
   mac::RequestQueue queue_;
+  std::vector<common::UserId> due_;         ///< this phase's reservations
   std::vector<common::UserId> candidates_;  ///< this frame's contenders
   // Reused across frames so the steady-state serve path (queued requests +
   // this frame's winners, voice first) allocates nothing — the frame_alloc

@@ -23,18 +23,14 @@ common::Time PrmaProtocol::process_frame() {
 
   // Touch set: this phase's reservation holders transmit unconditionally;
   // direct-transmission winners are sparse and materialize on read.
-  owners_.clear();
-  for (int slot = 0; slot < kInfoSlots; ++slot) {
-    const common::UserId owner = grid_.user_at(phase, slot);
-    if (owner != common::kNoUser) owners_.push_back(owner);
-  }
+  grid_.due_in_phase(phase, owners_);
   touch_channels(owners_);
 
   mac::ContentionTally tally;
   for (int slot = 0; slot < kInfoSlots; ++slot) {
     const common::UserId owner = grid_.user_at(phase, slot);
     if (owner != common::kNoUser) {
-      transmit_voice_fixed(user(owner));
+      transmit_voice(user(owner), fixed_phy_.burst());
       continue;
     }
 
@@ -72,9 +68,9 @@ common::Time PrmaProtocol::process_frame() {
     if (winner.is_voice()) {
       // The slot position becomes the talkspurt's reservation.
       grid_.reserve_at(phase, slot, winner.id());
-      transmit_voice_fixed(winner);
+      transmit_voice(winner, fixed_phy_.burst());
     } else {
-      transmit_data_fixed(winner);
+      transmit_data(winner, fixed_phy_.burst());
     }
   }
   note_contention(tally);

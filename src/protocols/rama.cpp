@@ -27,7 +27,7 @@ bool RamaProtocol::serve_request(const mac::PendingRequest& request, int phase,
     if (!u.voice().has_packet()) return true;
     if (free_slots <= 0) return false;
     if (!grid_.reserve(phase, request.user)) return false;
-    transmit_voice_fixed(u);
+    transmit_voice(u, fixed_phy_.burst());
     --free_slots;
     return true;
   }
@@ -37,7 +37,7 @@ bool RamaProtocol::serve_request(const mac::PendingRequest& request, int phase,
   // for the rest of its burst.
   if (u.data().backlog() == 0) return true;
   if (free_slots <= 0) return false;
-  transmit_data_fixed(u);
+  transmit_data(u, fixed_phy_.burst());
   --free_slots;
   return u.data().backlog() == 0 || !params_.request_queue;
 }
@@ -52,12 +52,12 @@ common::Time RamaProtocol::process_frame() {
   // This frame's dense read set: reservation holders transmit below; the
   // auction itself never reads the channel (ID digits arbitrate), so
   // winners and served requests materialize on read.
-  const auto due = grid_.due_in_phase(phase);
-  touch_channels(due);
-  for (common::UserId uid : due) {
-    transmit_voice_fixed(user(uid));
+  grid_.due_in_phase(phase, due_);
+  touch_channels(due_);
+  for (common::UserId uid : due_) {
+    transmit_voice(user(uid), fixed_phy_.burst());
   }
-  int free_slots = geom_.num_info_slots - static_cast<int>(due.size());
+  int free_slots = geom_.num_info_slots - static_cast<int>(due_.size());
 
   // The auction: every active device without a queued request
   // participates (no permission probability — the bidding process is the

@@ -48,6 +48,7 @@ class RamaProtocol : public mac::ProtocolEngine {
   mac::ReservationGrid grid_;
   mac::RequestQueue queue_;
   // Per-frame scratch, reused so an active frame does not allocate it anew.
+  std::vector<common::UserId> due_;  ///< this phase's reservations
   std::vector<common::UserId> voice_contenders_;
   std::vector<common::UserId> data_contenders_;
   std::vector<mac::PendingRequest> winners_;   ///< this frame's auction wins

@@ -31,14 +31,14 @@ common::Time RmavProtocol::process_frame() {
     auto& u = user(uid);
     if (u.is_voice()) {
       if (u.voice().has_packet()) {
-        transmit_voice_fixed(u);
+        transmit_voice(u, fixed_phy_.burst());
         ++served_slots;
       }
       // A grant covers exactly one packet; the next packet contends anew.
     } else {
       const int slots = std::min(kPmax, u.data().backlog());
       for (int s = 0; s < slots; ++s) {
-        transmit_data_fixed(u);
+        transmit_data(u, fixed_phy_.burst());
       }
       served_slots += slots;
     }

@@ -62,7 +62,7 @@ TEST(Charisma, CsiPollingActiveWithQueue) {
 
 TEST(Charisma, CsiRefreshDisableIsHonored) {
   CharismaOptions options;
-  options.enable_csi_refresh = false;
+  options.csi_poll_budget = 0;  // the §4.4 refresh off
   CharismaProtocol proto(small_mixed(40, 0), options);
   const auto& m = proto.run(3.0, 8.0);
   EXPECT_EQ(m.csi_polls, 0);

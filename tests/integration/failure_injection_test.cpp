@@ -67,7 +67,7 @@ TEST(FailureInjection, CsiRefreshMattersAtHighDoppler) {
   params.channel.doppler_hz = 160.0;
   core::CharismaOptions with_refresh;
   core::CharismaOptions without;
-  without.enable_csi_refresh = false;
+  without.csi_poll_budget = 0;
   core::CharismaProtocol a(params, with_refresh);
   core::CharismaProtocol b(params, without);
   const double loss_with = a.run(3.0, 8.0).voice_loss_rate();

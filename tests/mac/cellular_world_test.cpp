@@ -248,7 +248,7 @@ TEST(CellularWorldInterference, PenaltyIsMonotoneInNeighborLoad) {
   for (const Vec2& p : positions) {
     std::vector<double> load(static_cast<std::size_t>(layout.num_sites()),
                              0.0);
-    EXPECT_EQ(interference_penalty_db(layout, serving, load, p, c_db,
+    EXPECT_EQ(interference_penalty_db(layout, interferers, load, p, c_db,
                                       half_k, min_d_sq),
               0.0);  // exactly: idle neighbourhood leaves SINR == SNR
     double previous = 0.0;
@@ -257,7 +257,7 @@ TEST(CellularWorldInterference, PenaltyIsMonotoneInNeighborLoad) {
         load[static_cast<std::size_t>(s)] = level;
       }
       const double penalty = interference_penalty_db(
-          layout, serving, load, p, c_db, half_k, min_d_sq);
+          layout, interferers, load, p, c_db, half_k, min_d_sq);
       EXPECT_GT(penalty, previous);
       previous = penalty;
     }
@@ -268,8 +268,8 @@ TEST(CellularWorldInterference, PenaltyIsMonotoneInNeighborLoad) {
       if (s != serving && layout.co_channel(s, serving)) continue;
       auto bumped = load;
       bumped[static_cast<std::size_t>(s)] = 1.0;
-      EXPECT_EQ(interference_penalty_db(layout, serving, bumped, p, c_db,
-                                        half_k, min_d_sq),
+      EXPECT_EQ(interference_penalty_db(layout, interferers, bumped, p,
+                                        c_db, half_k, min_d_sq),
                 baseline);
     }
   }
@@ -304,6 +304,41 @@ TEST(CellularWorldInterference, WorldPenaltyMatchesReferenceFormula) {
           << "user " << u << " cell " << c;
     }
   }
+}
+
+TEST(CellularWorldInterference, WorldPlaneIsThePenaltyFunction) {
+  // The penalty the live plane feeds each band member's bank row is
+  // interference_penalty_db itself, bit for bit, at the member's position
+  // with the world's loads and path-loss constants — so the function's
+  // pinned properties (zero at idle, monotone in load) are the world's.
+  // A partial band and reuse 3 give every cell its own member list and
+  // interferer set; static users and infinite hysteresis freeze the loads
+  // the last epoch used.
+  auto cfg = hex_world(/*activity=*/0.45, /*reuse=*/3);
+  cfg.pilot_band_radius_m = 900.0;
+  cfg.mobility.speed_mps = 0.0;
+  cfg.handoff_hysteresis_db = 200.0;
+  CellularWorld world(cfg, factory_for(protocols::ProtocolId::kDtdmaFr));
+  world.run(0.1, 0.4);
+  std::vector<double> load(static_cast<std::size_t>(world.num_cells()));
+  for (int c = 0; c < world.num_cells(); ++c) {
+    load[static_cast<std::size_t>(c)] = world.cell_load(c);
+  }
+  int nonzero = 0;
+  for (int c = 0; c < world.num_cells(); ++c) {
+    const auto interferers = world.layout().co_channel_interferers(c);
+    for (const BandMember& m : world.cell(c).band()) {
+      const double expected = interference_penalty_db(
+          world.layout(), interferers, load,
+          world.mobility().position(static_cast<int>(m.id)),
+          world.path_loss_c_db(), CellularWorld::kPathLossHalfK,
+          CellularWorld::kMinDistanceSqM2);
+      EXPECT_EQ(world.interference_db(m.id, c), expected)
+          << "user " << m.id << " cell " << c;
+      if (expected > 0.0) ++nonzero;
+    }
+  }
+  EXPECT_GT(nonzero, 0);  // the loads and interferer sets did bite
 }
 
 TEST(CellularWorldInterference, ValidationAndDefaults) {

@@ -183,9 +183,9 @@ TEST(FrameAlloc, SiteIndexRebuildReusesBucketStorage) {
 
 TEST(FrameAlloc, RetransmittingDataScenarioStaysAllocationFree) {
   // The ARQ path: a data backlog cycling through pop_head +
-  // DataSource::push_front every frame. FR pins the single-arrival span
-  // overload in transmit_data_fixed; VR pins the batch path through the
-  // engine's reused retx_scratch_. A deep fade (mean SNR -30 dB) makes
+  // DataSource::push_front every frame. FR pins transmit_data's one-packet
+  // burst and VR its multi-packet bursts, both refilling the engine's
+  // reused retx_scratch_. A deep fade (mean SNR -30 dB) makes
   // every attempt fail while a huge CSI error still talks the VR
   // transmitter into trying modes it cannot sustain, so the backlog never
   // drains: the deque's front cursor oscillates in place and the warm

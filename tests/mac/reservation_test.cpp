@@ -47,11 +47,13 @@ TEST(Reservation, DueInPhaseSlotOrder) {
   grid.reserve(2, 11);
   grid.reserve(2, 12);
   grid.release(11);
-  const auto due = grid.due_in_phase(2);
+  std::vector<common::UserId> due;
+  grid.due_in_phase(2, due);
   ASSERT_EQ(due.size(), 2u);
   EXPECT_EQ(due[0], 10);
   EXPECT_EQ(due[1], 12);
-  EXPECT_TRUE(grid.due_in_phase(0).empty());
+  grid.due_in_phase(0, due);  // replaces, never appends
+  EXPECT_TRUE(due.empty());
 }
 
 TEST(Reservation, PositionLookup) {
@@ -91,7 +93,9 @@ TEST(Reservation, BoundsChecking) {
   ReservationGrid grid(4, 3);
   EXPECT_THROW(grid.reserve(-1, 1), std::out_of_range);
   EXPECT_THROW(grid.reserve(4, 1), std::out_of_range);
-  EXPECT_THROW(grid.due_in_phase(9), std::out_of_range);
+  std::vector<common::UserId> due;
+  EXPECT_THROW(grid.due_in_phase(9, due), std::out_of_range);
+  EXPECT_THROW(grid.occupied_in_phase(4), std::out_of_range);
   EXPECT_THROW(grid.user_at(0, 3), std::out_of_range);
   EXPECT_THROW(grid.reserve_at(0, -1, 1), std::out_of_range);
 }

@@ -47,7 +47,7 @@ TEST(Factory, BuildsEveryProtocol) {
 
 TEST(Factory, CharismaOptionsForwarded) {
   core::CharismaOptions options;
-  options.enable_csi_refresh = false;
+  options.csi_poll_budget = 0;
   auto engine =
       make_protocol(ProtocolId::kCharisma, small_mixed(30, 0), options);
   const auto& m = engine->run(2.0, 4.0);

@@ -61,6 +61,14 @@ expect_reject CHARISMA_BENCH_REUSE_ACTIVITY "$reuse" \
 expect_reject CHARISMA_BENCH_CELLS "$handoff" \
   CHARISMA_BENCH_VOICE=2 CHARISMA_BENCH_WARMUP=0.1 \
   CHARISMA_BENCH_MEASURE=0.1 CHARISMA_BENCH_CELLS=3x
+# A measure window must be > 0 (warmups may be 0): every standard_spec
+# bench, the overload bench and the world bench.
+expect_reject CHARISMA_BENCH_MEASURE "$handoff" \
+  CHARISMA_BENCH_VOICE=2 CHARISMA_BENCH_WARMUP=0.1 CHARISMA_BENCH_CELLS=2 \
+  CHARISMA_BENCH_MEASURE=0
+# shellcheck disable=SC2086
+expect_reject CHARISMA_BENCH_OVERLOAD_MEASURE "$overload" $overload_quick \
+  CHARISMA_BENCH_OVERLOAD_WARMUP=0 CHARISMA_BENCH_OVERLOAD_MEASURE=0
 
 world_quick="CHARISMA_BENCH_WORLD_VOICE=4 CHARISMA_BENCH_WORLD_DATA=1
   CHARISMA_BENCH_WORLD_MEASURE=0.1 CHARISMA_BENCH_WORLD_REPS=1
@@ -72,6 +80,9 @@ expect_reject CHARISMA_BENCH_WORLD_BAND "$world" $world_quick \
 # shellcheck disable=SC2086
 expect_reject CHARISMA_BENCH_WORLD_THREADS "$world" $world_quick \
   CHARISMA_BENCH_WORLD_THREADS=1,-2
+# shellcheck disable=SC2086
+expect_reject CHARISMA_BENCH_WORLD_MEASURE "$world" $world_quick \
+  CHARISMA_BENCH_WORLD_THREADS=1 CHARISMA_BENCH_WORLD_MEASURE=0
 
 expect_reject CHARISMA_BENCH_MEASURE "$ablation" \
   CHARISMA_BENCH_BANK_USERS=10 CHARISMA_BENCH_BANK_FRAMES=2 \

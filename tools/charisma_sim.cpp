@@ -62,7 +62,8 @@ Radio / PHY:
                        sparse worlds collapses by ~two orders of
                        magnitude. Channel/base-station streams keep mt.
 
-Mobility / multi-cell (cells >= 2 enables the CellularWorld scenario):
+Mobility / multi-cell (cells >= 2 enables the CellularWorld scenario; a
+single-cell run rejects every knob below except cells= and kmh=):
   cells=N              base stations, one protocol engine each (default 1)
   threads=N            worker threads stepping cells in parallel; 0 =
                        hardware concurrency (default 1 = serial; results
@@ -87,7 +88,8 @@ Mobility / multi-cell (cells >= 2 enables the CellularWorld scenario):
                        interfere (hex needs 1, 3, 4, 7, 9, 12, ...;
                        default 1 = every cell on the same channel)
   wrap=0|1             wrap distances around a full-ring hex cluster
-                       (removes layout-edge effects; default 0)
+                       (removes layout-edge effects; needs reuse=1 or one
+                       channel per cell; default 0)
   band=F               pilot-band radius in metres: a user holds channel
                        and protocol state only in cells within this
                        distance (sparse presence, memory O(band) per
@@ -251,6 +253,13 @@ std::vector<double> parse_colon_list(const std::string& key,
   return fields;
 }
 
+// The keys only the multi-cell world reads: a run with cells < 2 rejects
+// them by name instead of silently ignoring them.
+const std::vector<std::string> kWorldOnlyKeys = {
+    "threads", "shards", "band", "interference", "layout", "reuse", "wrap",
+    "mobility", "handoff_hysteresis_db", "cell_radius_m", "verify",
+    "outage", "flash", "diurnal"};
+
 // Every key charisma_sim understands; anything else is rejected up front
 // so typos fail loudly instead of silently taking the default.
 const std::vector<std::string> kKnownKeys = {
@@ -367,18 +376,23 @@ core::CharismaOptions charisma_options_from(
   options.fairness = config.get_bool_or("fairness", false)
                          ? core::FairnessMode::kCapacityNormalized
                          : core::FairnessMode::kNone;
-  options.enable_csi_refresh = config.get_bool_or("csi_refresh", true);
-  options.csi_poll_budget = config.get_int_or("poll_budget", -1);
-  options.priority.alpha_voice =
-      config.get_double_or("alpha_voice", options.priority.alpha_voice);
-  options.priority.alpha_data =
-      config.get_double_or("alpha_data", options.priority.alpha_data);
-  options.priority.gamma_voice =
-      config.get_double_or("gamma_voice", options.priority.gamma_voice);
-  options.priority.gamma_data =
-      config.get_double_or("gamma_data", options.priority.gamma_data);
-  options.priority.voice_offset =
-      config.get_double_or("voice_offset", options.priority.voice_offset);
+  // Without poll_budget= the budget is the geometry's pilot slots;
+  // csi_refresh=0 turns the §4.4 refresh off, which is a budget of 0.
+  if (config.contains("poll_budget")) {
+    options.csi_poll_budget = read_int(config, "poll_budget", 0, kNonNegative);
+  }
+  if (!config.get_bool_or("csi_refresh", true)) options.csi_poll_budget = 0;
+  auto& weights = options.priority;
+  weights.alpha_voice =
+      read_double(config, "alpha_voice", weights.alpha_voice, kNonNegative);
+  weights.alpha_data =
+      read_double(config, "alpha_data", weights.alpha_data, kNonNegative);
+  weights.gamma_voice =
+      read_double(config, "gamma_voice", weights.gamma_voice, kNonNegative);
+  weights.gamma_data =
+      read_double(config, "gamma_data", weights.gamma_data, kNonNegative);
+  weights.voice_offset =
+      read_double(config, "voice_offset", weights.voice_offset, kNonNegative);
   return options;
 }
 
@@ -433,6 +447,13 @@ mac::CellularConfig cellular_from(const common::KeyValueConfig& config,
         "layout=hex");
   }
   world.layout.wrap_around = config.get_bool_or("wrap", false);
+  if (world.layout.wrap_around &&
+      !mac::SiteLayout::supports_wrap(world.layout, world.num_cells)) {
+    throw std::invalid_argument(
+        "wrap=1 needs layout=hex, a full-ring cells= (1, 7, 19, 37, ...) "
+        "and a wrap-consistent reuse= (1, or one channel per cell such as "
+        "reuse=7 at cells=7)");
+  }
   world.pilot_band_radius_m = read_double(config, "band", 0.0, kNonNegative);
   // Hex cells carry co-channel interference by default; the line world
   // keeps its historical interference-free behaviour unless asked.
@@ -618,10 +639,10 @@ int main(int argc, char** argv) {
     const int cells = read_int(config, "cells", 1, kAtLeastOne);
 
     if (cells < 2) {
-      for (const char* knob : {"outage", "flash", "diurnal"}) {
+      for (const auto& knob : kWorldOnlyKeys) {
         if (config.contains(knob)) {
           std::cerr << "error: " << knob
-                    << "= is a world-level scenario and needs cells >= 2\n";
+                    << "= is a world-level knob and needs cells >= 2\n";
           return 1;
         }
       }

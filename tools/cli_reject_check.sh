@@ -114,6 +114,26 @@ expect_knob handoff_hysteresis_db cells=2 handoff_hysteresis_db=-50 $quick
 expect_knob cell_radius_m cells=2 cell_radius_m=-100 $quick
 expect_knob reuse cells=3 reuse=0 $quick
 expect_knob reuse cells=7 layout=hex reuse=2 $quick
+# A single cell rejects every world-only knob by name, valid or not, instead
+# of ignoring it.
+expect_knob threads interference=-5 threads=-1 cell_radius_m=-3 $quick
+expect_knob interference interference=-5 $quick
+for knob in threads=2 shards=2 band=700 interference=0.4 layout=hex reuse=3 \
+    wrap=1 mobility=vector handoff_hysteresis_db=4 cell_radius_m=300 \
+    verify=1; do
+  expect_knob "${knob%%=*}" "$knob" $quick
+done
+# Wrap-around needs a full-ring hex cluster and a wrap-consistent reuse.
+expect_knob wrap cells=3 wrap=1 $quick
+expect_knob wrap cells=3 layout=hex wrap=1 $quick
+expect_knob wrap cells=7 layout=hex reuse=3 wrap=1 $quick
+# CHARISMA's poll budget and Eq. (2) weights are >= 0.
+expect_knob poll_budget poll_budget=-5 $quick
+expect_knob alpha_voice alpha_voice=-3 $quick
+expect_knob alpha_data alpha_data=-1 $quick
+expect_knob gamma_voice gamma_voice=-1 $quick
+expect_knob gamma_data gamma_data=-0.5 $quick
+expect_knob voice_offset voice_offset=-8 $quick
 
 if [ "$failures" -ne 0 ]; then
   echo "cli_reject_check: $failures invocation(s) not rejected by name" >&2
