@@ -84,7 +84,7 @@ int main() try {
         params.num_voice_users = voice * factor;
         params.num_data_users = data * factor;
         params.seed = 5;
-        params.barring.enabled = barring;
+        params.barring = barring;
         auto engine = protocols::make_protocol(id, params);
         engine->run(warmup_s, measure_s);
         const auto& m = engine->metrics();

@@ -1,71 +1,77 @@
-// Closed-loop access-class barring (overload survival). The controller
-// turns the LoadEstimator's congestion index into per-class admission
-// factors that every protocol's contention entry point multiplies into its
-// candidate admission: a user barred this frame simply does not contend.
-// The control law is multiplicative-increase / multiplicative-decrease on
-// the smoothed collision ratio — the same family as "Measurement-Adaptive
-// Cellular Random Access Protocols" (PAPERS.md) — with voice barred more
-// gently than data (the paper's voice-priority stance).
+// Closed-loop access-class barring (overload survival). One controller per
+// cell engine runs the whole loop: it counts a control window of frames
+// (attached user-frames, request minislots, collisions), folds each closed
+// window into an EWMA of the cell's load, and steps a multiplicative-
+// increase / multiplicative-decrease admission factor on the smoothed
+// congestion index — the same family as "Measurement-Adaptive Cellular
+// Random Access Protocols" (PAPERS.md). Every protocol's contention entry
+// multiplies the class factor into its candidate admission: a user barred
+// this frame simply does not contend. Voice is barred more gently than data
+// (the paper's voice-priority stance). The controller lives inside its
+// cell's engine (share-nothing), so the parallel world stays bit-identical
+// to serial.
 #pragma once
+
+#include <cstdint>
+
+#include "mac/contention.hpp"
 
 namespace charisma::mac {
 
-class LoadEstimator;
+class BarringController {
+ public:
+  /// Congestion band of overload_index(). Above kTargetHigh the controller
+  /// tightens; below kTargetLow it relaxes; inside the band it holds — the
+  /// hysteresis that stops limit-cycling.
+  static constexpr double kTargetHigh = 0.40;
+  static constexpr double kTargetLow = 0.12;
 
-struct BarringConfig {
-  /// Off by default: the disabled path draws no RNG and touches no metrics,
-  /// so every legacy result is preserved bit for bit.
-  bool enabled = false;
-
-  /// Congestion band (LoadEstimator::overload_index). Above `target_high`
-  /// the controller tightens; below `target_low` it relaxes; inside the
-  /// band it holds — the hysteresis that stops limit-cycling.
-  double target_high = 0.40;
-  double target_low = 0.12;
-
-  /// Multiplicative steps: tighten factor *= step_down, relax
-  /// factor *= step_up (clamped to [min_factor, 1]).
-  double step_down = 0.70;
-  double step_up = 1.18;
+  /// Multiplicative steps: tighten factor *= kStepDown, relax
+  /// factor *= kStepUp (clamped to [kMinFactor, 1]).
+  static constexpr double kStepDown = 0.70;
+  static constexpr double kStepUp = 1.18;
 
   /// Floor of the common admission factor (data may sit on it; voice has
   /// its own, higher floor so a starved cell can still admit talkspurts).
-  double min_factor = 1.0 / 128.0;
-  double voice_floor = 1.0 / 16.0;
+  static constexpr double kMinFactor = 1.0 / 128.0;
+  static constexpr double kVoiceFloor = 1.0 / 16.0;
 
-  /// Data is barred harder than voice: data factor = factor^exponent.
-  double data_exponent = 2.0;
+  /// Data is barred harder than voice: data factor = factor^kDataExponent.
+  static constexpr double kDataExponent = 2.0;
 
-  /// Control-window length in frames (one LoadEstimator observation and
-  /// one controller step per window).
-  int update_interval_frames = 8;
+  /// Control-window length in frames (one EWMA observation and one
+  /// controller step per window).
+  static constexpr int kWindowFrames = 8;
 
-  /// LoadEstimator smoothing weight for the newest window.
-  double ewma_alpha = 0.35;
+  /// EWMA weight of the newest window (1 would mean no memory).
+  static constexpr double kEwmaAlpha = 0.35;
 
-  bool valid() const {
-    return target_high > target_low && target_low >= 0.0 &&
-           target_high <= 1.0 && step_down > 0.0 && step_down < 1.0 &&
-           step_up > 1.0 && min_factor > 0.0 && min_factor <= 1.0 &&
-           voice_floor >= min_factor && voice_floor <= 1.0 &&
-           data_exponent >= 1.0 && update_interval_frames > 0 &&
-           ewma_alpha > 0.0 && ewma_alpha <= 1.0;
+  /// Counts one frame's attached population into the open window.
+  void note_attached(std::int64_t users) { win_user_frames_ += users; }
+
+  /// Counts one request phase into the open window.
+  void note_contention(const ContentionTally& tally) {
+    win_minislots_ += tally.minislots;
+    win_collisions_ += tally.collisions;
   }
-};
 
-class BarringController {
- public:
-  explicit BarringController(const BarringConfig& cfg);
+  /// Ends one frame. Every kWindowFrames-th call closes the window: its
+  /// mean attached population, its collision ratio and `queue_depth` (the
+  /// requests the base station holds now) fold into the EWMA, and the
+  /// factor takes one MIMD step. Returns true when a window closed.
+  bool end_frame(std::int64_t queue_depth);
 
-  /// One control step from the estimator's current congestion index.
-  void update(const LoadEstimator& estimator);
+  /// Scalar congestion index in [0, 1]: the smoothed collision ratio,
+  /// inflated when the request queue backs up beyond one pending request
+  /// per attached user. 0 until the first window closes.
+  double overload_index() const;
 
   /// Admission probability applied to voice contention entry, in
-  /// [voice_floor, 1]. 1 means voice is not barred (no RNG draw).
+  /// [kVoiceFloor, 1]. 1 means voice is not barred (no RNG draw).
   double voice_factor() const;
 
   /// Admission probability applied to data contention entry, in
-  /// [min_factor, 1]. Tracks factor^data_exponent, so data backs off
+  /// [kMinFactor, 1]. Tracks factor^kDataExponent, so data backs off
   /// first and deepest.
   double data_factor() const;
 
@@ -73,8 +79,26 @@ class BarringController {
   double raw_factor() const { return factor_; }
 
  private:
-  BarringConfig cfg_;
+  // The open control window.
+  std::int64_t win_minislots_ = 0;
+  std::int64_t win_collisions_ = 0;
+  std::int64_t win_user_frames_ = 0;
+  int win_frames_ = 0;
+
+  // The smoothed load; the first closed window seeds it directly, so a
+  // fresh controller does not drag a zero history through the warmup.
+  bool seeded_ = false;
+  double attached_users_ = 0.0;
+  double collision_ratio_ = 0.0;
+  double queue_depth_ = 0.0;
+
   double factor_ = 1.0;
+
+  // data_factor() reads its exponent here, not from kDataExponent: GCC
+  // compiles pow(x, 2.0) with a constant 2.0 as x*x, which rounds some
+  // reachable factors (0.7^3 * 1.18^4 among them) one ulp away from libm's
+  // pow, and barring-on runs must reproduce their data factors exactly.
+  double exponent_ = kDataExponent;
 };
 
 }  // namespace charisma::mac

@@ -41,10 +41,7 @@ ProtocolEngine::ProtocolEngine(const ScenarioParams& params)
   if (!params.valid()) {
     throw std::invalid_argument("ProtocolEngine: invalid scenario parameters");
   }
-  if (params.barring.enabled) {
-    load_estimator_.emplace(params.barring.ewma_alpha);
-    barring_.emplace(params.barring);
-  }
+  if (params.barring) barring_.emplace();
   // The channel grid step must match the frame cadence so per-frame draws
   // line up with the coherence model.
   params_.channel.sample_interval = geom_.frame_duration;
@@ -261,31 +258,11 @@ common::Time ProtocolEngine::frame_tick() {
     lazy_events_seen_ = stats.jump_events;
     lazy_frames_seen_ = stats.jump_frames;
   }
-  if (barring_ &&
-      ++barr_win_frames_ >= params_.barring.update_interval_frames) {
-    barring_control_step();
+  if (barring_ && barring_->end_frame(pending_request_count())) {
+    metrics_.barring_factor_voice.add(barring_->voice_factor());
+    metrics_.barring_factor_data.add(barring_->data_factor());
   }
   return duration;  // RMAV/DRMA: data-dependent; static protocols: constant
-}
-
-void ProtocolEngine::barring_control_step() {
-  LoadSignals raw;
-  raw.attached_users =
-      static_cast<double>(barr_win_user_frames_) / barr_win_frames_;
-  raw.collision_ratio =
-      barr_win_minislots_ > 0
-          ? static_cast<double>(barr_win_collisions_) / barr_win_minislots_
-          : 0.0;
-  raw.queue_depth = static_cast<double>(pending_request_count());
-  raw.interference_db = last_interference_db_;
-  load_estimator_->observe(raw);
-  barring_->update(*load_estimator_);
-  metrics_.barring_factor_voice.add(barring_->voice_factor());
-  metrics_.barring_factor_data.add(barring_->data_factor());
-  barr_win_minislots_ = 0;
-  barr_win_collisions_ = 0;
-  barr_win_user_frames_ = 0;
-  barr_win_frames_ = 0;
 }
 
 void ProtocolEngine::advance_world() {
@@ -335,7 +312,7 @@ void ProtocolEngine::advance_world() {
   }
   const auto attached = static_cast<std::int64_t>(roster_.size());
   metrics_.attached_user_frames += attached;
-  if (barring_) barr_win_user_frames_ += attached;
+  if (barring_) barring_->note_attached(attached);
 }
 
 void ProtocolEngine::release_finished_talkspurts(ReservationGrid& grid) {
@@ -517,10 +494,7 @@ void ProtocolEngine::note_contention(const ContentionTally& tally) {
   metrics_.request_successes += tally.successes;
   metrics_.request_collisions += tally.collisions;
   metrics_.request_idle += tally.idle;
-  if (barring_) {
-    barr_win_minislots_ += tally.minislots;
-    barr_win_collisions_ += tally.collisions;
-  }
+  if (barring_) barring_->note_contention(tally);
 }
 
 void ProtocolEngine::note_user_delivery(common::UserId id, int packets) {

@@ -31,7 +31,6 @@
 #include "common/units.hpp"
 #include "mac/barring.hpp"
 #include "mac/contention.hpp"
-#include "mac/load_estimator.hpp"
 #include "mac/metrics.hpp"
 #include "mac/mobile_user.hpp"
 #include "mac/request_queue.hpp"
@@ -203,7 +202,6 @@ class ProtocolEngine {
   /// record a sample.
   void note_interference_epoch(double mean_penalty_db) {
     metrics_.interference_db.add(mean_penalty_db);
-    last_interference_db_ = mean_penalty_db;
   }
 
   /// Current access-class admission factors (1.0 when barring is off or
@@ -254,7 +252,7 @@ class ProtocolEngine {
   virtual void on_user_attached(common::UserId /*id*/) {}
 
   /// Number of requests the protocol is holding at the base station
-  /// (admitted but unserved) — the LoadEstimator's queue-depth signal.
+  /// (admitted but unserved) — the barring controller's queue-depth signal.
   /// Default: no queue.
   virtual std::int64_t pending_request_count() const { return 0; }
 
@@ -459,9 +457,6 @@ class ProtocolEngine {
   /// Debug cross-check: the roster lists exactly the present band members,
   /// in ascending id, with their slots.
   bool roster_matches_band() const;
-  /// Closes one barring control window: freeze the raw load signals, fold
-  /// them into the estimator, step the controller, sample the factors.
-  void barring_control_step();
 
   /// The frame clock: the current simulation time and the start time of
   /// the next frame (the first frame starts at t = 0).
@@ -483,20 +478,14 @@ class ProtocolEngine {
   /// steady-state ARQ retransmissions stay allocation-free.
   std::vector<common::Time> retx_scratch_;
 
-  // Closed-loop barring state (engaged only when params.barring.enabled;
-  // the estimator/controller live inside this cell's engine, so the
-  // parallel world's share-nothing guarantee is untouched).
-  std::optional<LoadEstimator> load_estimator_;
+  // Closed-loop barring (engaged only when params.barring; the controller
+  // lives inside this cell's engine, so the parallel world's share-nothing
+  // guarantee is untouched).
   std::optional<BarringController> barring_;
-  double last_interference_db_ = 0.0;
   // Bank-counter snapshot already attributed to metrics_ (frame_tick
   // scrapes deltas; reset_metrics re-baselines).
   std::int64_t lazy_events_seen_ = 0;
   std::int64_t lazy_frames_seen_ = 0;
-  std::int64_t barr_win_minislots_ = 0;
-  std::int64_t barr_win_collisions_ = 0;
-  std::int64_t barr_win_user_frames_ = 0;
-  int barr_win_frames_ = 0;
 };
 
 }  // namespace charisma::mac

@@ -1,6 +1,5 @@
 #include "mac/reservation.hpp"
 
-#include <algorithm>
 #include <stdexcept>
 
 namespace charisma::mac {
@@ -77,19 +76,6 @@ common::UserId ReservationGrid::user_at(int phase, int slot) const {
     throw std::out_of_range("ReservationGrid::user_at: bad position");
   }
   return grid_[static_cast<std::size_t>(phase)][static_cast<std::size_t>(slot)];
-}
-
-int ReservationGrid::occupied_in_phase(int phase) const {
-  if (phase < 0 || phase >= phases()) {
-    throw std::out_of_range("ReservationGrid::occupied_in_phase: bad phase");
-  }
-  const auto& row = grid_[static_cast<std::size_t>(phase)];
-  return slots_ -
-         static_cast<int>(std::count(row.begin(), row.end(), common::kNoUser));
-}
-
-int ReservationGrid::free_in_phase(int phase) const {
-  return slots_ - occupied_in_phase(phase);
 }
 
 }  // namespace charisma::mac

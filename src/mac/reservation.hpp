@@ -49,8 +49,6 @@ class ReservationGrid {
   /// Occupant of a specific position (kNoUser when free).
   common::UserId user_at(int phase, int slot) const;
 
-  int occupied_in_phase(int phase) const;
-  int free_in_phase(int phase) const;
   int occupied_total() const { return static_cast<int>(by_user_.size()); }
 
   int phases() const { return static_cast<int>(grid_.size()); }

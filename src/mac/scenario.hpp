@@ -7,7 +7,6 @@
 
 #include "channel/channel_bank.hpp"
 #include "common/rng.hpp"
-#include "mac/barring.hpp"
 #include "mac/energy.hpp"
 #include "mac/geometry.hpp"
 #include "phy/adaptive_phy.hpp"
@@ -48,8 +47,9 @@ struct ScenarioParams {
   double data_mmpp_mean_sojourn_s = 0.0;
 
   /// Closed-loop access-class barring (overload survival; off by default —
-  /// the disabled path preserves every legacy result bit for bit).
-  BarringConfig barring{};
+  /// the disabled path preserves every legacy result bit for bit). The
+  /// loop's tuning is BarringController's constants.
+  bool barring = false;
 
   /// Demand-driven channel materialization (off by default — eager
   /// advancement preserves every legacy result bit for bit). When on, the
@@ -110,8 +110,7 @@ struct ScenarioParams {
            csi_error_sigma_db >= 0.0 && csi_validity_frames > 0 &&
            snr_spread_db >= 0.0 && energy.tx_power_w >= 0.0 &&
            ack_loss_prob >= 0.0 && ack_loss_prob < 1.0 &&
-           data_mmpp_rate_ratio >= 1.0 && data_mmpp_mean_sojourn_s >= 0.0 &&
-           barring.valid();
+           data_mmpp_rate_ratio >= 1.0 && data_mmpp_mean_sojourn_s >= 0.0;
   }
 };
 

@@ -67,7 +67,9 @@ common::Time RmavProtocol::process_frame() {
     grants_.push_back(outcome.winners.front());
   }
 
-  offer_info_slots(served_slots);
+  // Offered: the served slots plus the competitive slot, a full
+  // information slot (Fig. 2b) that never carries a packet.
+  offer_info_slots(served_slots + 1);
 
   // Frame duration follows the content: served slots plus the competitive
   // slot, which in RMAV is a full information slot (Fig. 2b — it is "the

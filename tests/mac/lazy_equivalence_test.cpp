@@ -216,7 +216,7 @@ TEST(LazyEquivalence, LazyWorldWithBarringSerialVsParallel) {
   // contention path; the guarantee must hold with it engaged too.
   auto make = [](unsigned threads) {
     auto cfg = lazy_world_config(threads, /*seed=*/17);
-    cfg.params.barring.enabled = true;
+    cfg.params.barring = true;
     return cfg;
   };
   CellularWorld serial(make(1), factory_for(protocols::ProtocolId::kRmav));

@@ -6,9 +6,11 @@
 // them bit for bit (hexfloat, not approximately).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+
 #include "mac/barring.hpp"
 #include "mac/cellular_world.hpp"
-#include "mac/load_estimator.hpp"
 #include "mac/scenario.hpp"
 #include "protocols/factory.hpp"
 
@@ -17,97 +19,126 @@ namespace {
 
 using protocols::ProtocolId;
 
-// ------------------------------------------------------------- estimator
-
-TEST(LoadEstimator, RejectsBadAlpha) {
-  EXPECT_THROW(LoadEstimator(0.0), std::invalid_argument);
-  EXPECT_THROW(LoadEstimator(-0.1), std::invalid_argument);
-  EXPECT_THROW(LoadEstimator(1.5), std::invalid_argument);
-  EXPECT_NO_THROW(LoadEstimator(1.0));
-}
-
-TEST(LoadEstimator, FirstObservationSeedsDirectly) {
-  LoadEstimator est(0.25);
-  EXPECT_EQ(est.windows_observed(), 0);
-  est.observe({40.0, 0.6, 10.0, 3.0});
-  // No zero history dragged through the warmup: the state IS the sample.
-  EXPECT_DOUBLE_EQ(est.level().attached_users, 40.0);
-  EXPECT_DOUBLE_EQ(est.level().collision_ratio, 0.6);
-  EXPECT_EQ(est.windows_observed(), 1);
-}
-
-TEST(LoadEstimator, EwmaConvergesTowardNewLevel) {
-  LoadEstimator est(0.5);
-  est.observe({0.0, 0.8, 0.0, 0.0});
-  est.observe({0.0, 0.0, 0.0, 0.0});
-  EXPECT_DOUBLE_EQ(est.level().collision_ratio, 0.4);
-  est.observe({0.0, 0.0, 0.0, 0.0});
-  EXPECT_DOUBLE_EQ(est.level().collision_ratio, 0.2);
-}
-
-TEST(LoadEstimator, OverloadIndexClampedAndQueueAware) {
-  LoadEstimator est(1.0);
-  est.observe({10.0, 0.2, 0.0, 0.0});
-  EXPECT_DOUBLE_EQ(est.overload_index(), 0.2);  // pure collision ratio
-  // A queue deeper than the population saturates the queue term at +0.5.
-  est.observe({10.0, 0.9, 100.0, 0.0});
-  EXPECT_DOUBLE_EQ(est.overload_index(), 1.0);  // clamped at 1
-  est.observe({0.0, 0.0, 0.0, 0.0});
-  EXPECT_DOUBLE_EQ(est.overload_index(), 0.0);
-}
-
 // ------------------------------------------------------------ controller
 
-TEST(BarringController, RejectsInvalidConfig) {
-  BarringConfig cfg;
-  cfg.target_low = 0.5;
-  cfg.target_high = 0.4;  // inverted band
-  EXPECT_THROW(BarringController{cfg}, std::invalid_argument);
-  cfg = BarringConfig{};
-  cfg.step_down = 1.2;  // "down" step that goes up
-  EXPECT_THROW(BarringController{cfg}, std::invalid_argument);
-  cfg = BarringConfig{};
-  cfg.voice_floor = cfg.min_factor / 2.0;  // voice below the common floor
-  EXPECT_THROW(BarringController{cfg}, std::invalid_argument);
+using Ctl = BarringController;
+
+/// Feeds `ctl` one whole control window of identical frames: `attached`
+/// users, one request phase of `minislots` with `collisions`, and a queue of
+/// `queue` requests at each frame's end. Only the last frame closes it.
+void feed_window(Ctl& ctl, std::int64_t attached, int minislots,
+                 int collisions, std::int64_t queue) {
+  for (int f = 1; f <= Ctl::kWindowFrames; ++f) {
+    ctl.note_attached(attached);
+    ContentionTally tally;
+    tally.minislots = minislots;
+    tally.collisions = collisions;
+    ctl.note_contention(tally);
+    EXPECT_EQ(ctl.end_frame(queue), f == Ctl::kWindowFrames);
+  }
+}
+
+TEST(BarringController, FirstWindowSeedsTheAverage) {
+  Ctl ctl;
+  EXPECT_DOUBLE_EQ(ctl.overload_index(), 0.0);
+  // No zero history dragged through the warmup: the first window's
+  // collision ratio IS the smoothed one.
+  feed_window(ctl, 40, 10, 3, 0);
+  EXPECT_DOUBLE_EQ(ctl.overload_index(), 0.3);
+  EXPECT_DOUBLE_EQ(ctl.raw_factor(), 1.0);  // inside the band: hold
+}
+
+TEST(BarringController, LaterWindowsTakeOneEwmaStep) {
+  Ctl ctl;
+  feed_window(ctl, 40, 10, 6, 0);
+  feed_window(ctl, 40, 10, 0, 0);
+  const double second = 0.6 + Ctl::kEwmaAlpha * (0.0 - 0.6);
+  EXPECT_DOUBLE_EQ(ctl.overload_index(), second);
+  // A window without request minislots reads a collision ratio of 0.
+  feed_window(ctl, 40, 0, 0, 0);
+  EXPECT_DOUBLE_EQ(ctl.overload_index(),
+                   second + Ctl::kEwmaAlpha * (0.0 - second));
+}
+
+TEST(BarringController, OverloadIndexClampedAndQueueAware) {
+  // The queue term is half the queue depth per attached user, capped at
+  // one request per user; the attached count is the window's mean.
+  Ctl half;
+  for (int f = 0; f < Ctl::kWindowFrames; ++f) {
+    half.note_attached(f % 2 == 0 ? 0 : 20);  // mean 10 over the window
+    half.end_frame(5);
+  }
+  EXPECT_DOUBLE_EQ(half.overload_index(), 0.25);  // no collisions at all
+  Ctl deep;
+  feed_window(deep, 10, 10, 2, 100);
+  EXPECT_DOUBLE_EQ(deep.overload_index(), 0.7);  // 0.2 + saturated 0.5
+  Ctl clamped;
+  feed_window(clamped, 10, 10, 9, 100);
+  EXPECT_DOUBLE_EQ(clamped.overload_index(), 1.0);  // 1.4, clamped at 1
+  Ctl empty;  // no attached users: the queue is read per one user
+  feed_window(empty, 0, 10, 0, 1);
+  EXPECT_DOUBLE_EQ(empty.overload_index(), 0.5);
 }
 
 TEST(BarringController, MimdStepsWithHysteresis) {
-  BarringConfig cfg;
-  BarringController ctl(cfg);
+  Ctl ctl;
   EXPECT_DOUBLE_EQ(ctl.raw_factor(), 1.0);
-
-  LoadEstimator hot(1.0);
-  hot.observe({50.0, 0.9, 0.0, 0.0});  // far above target_high
-  ctl.update(hot);
-  EXPECT_DOUBLE_EQ(ctl.raw_factor(), cfg.step_down);
-  ctl.update(hot);
-  EXPECT_DOUBLE_EQ(ctl.raw_factor(), cfg.step_down * cfg.step_down);
-
-  LoadEstimator mid(1.0);
-  mid.observe({50.0, 0.25, 0.0, 0.0});  // inside the band: hold
-  const double held = ctl.raw_factor();
-  ctl.update(mid);
-  EXPECT_DOUBLE_EQ(ctl.raw_factor(), held);
-
-  LoadEstimator cool(1.0);
-  cool.observe({50.0, 0.0, 0.0, 0.0});  // below target_low: relax
-  ctl.update(cool);
-  EXPECT_DOUBLE_EQ(ctl.raw_factor(), held * cfg.step_up);
-  for (int i = 0; i < 100; ++i) ctl.update(cool);
+  feed_window(ctl, 50, 10, 9, 0);  // index 0.9, far above kTargetHigh
+  EXPECT_DOUBLE_EQ(ctl.raw_factor(), Ctl::kStepDown);
+  EXPECT_DOUBLE_EQ(ctl.data_factor(),
+                   std::pow(Ctl::kStepDown, Ctl::kDataExponent));
+  feed_window(ctl, 50, 10, 9, 0);
+  EXPECT_DOUBLE_EQ(ctl.raw_factor(), Ctl::kStepDown * Ctl::kStepDown);
+  // Quiet windows pull the smoothed index down through the band: the
+  // factor keeps tightening above it, holds inside it, and relaxes below
+  // it until it is fully open again.
+  int tightened = 0;
+  int held = 0;
+  int relaxed = 0;
+  for (int w = 0; w < 40; ++w) {
+    const double before = ctl.raw_factor();
+    feed_window(ctl, 50, 10, 0, 0);
+    const double idx = ctl.overload_index();
+    if (idx > Ctl::kTargetHigh) {
+      EXPECT_DOUBLE_EQ(ctl.raw_factor(), before * Ctl::kStepDown);
+      ++tightened;
+    } else if (idx < Ctl::kTargetLow) {
+      EXPECT_DOUBLE_EQ(ctl.raw_factor(),
+                       std::min(1.0, before * Ctl::kStepUp));
+      ++relaxed;
+    } else {
+      EXPECT_EQ(ctl.raw_factor(), before);
+      ++held;
+    }
+  }
+  EXPECT_GT(tightened, 0);
+  EXPECT_GT(held, 0);
+  EXPECT_GT(relaxed, 0);
   EXPECT_DOUBLE_EQ(ctl.raw_factor(), 1.0);  // clamped at fully open
 }
 
+TEST(BarringController, DataFactorIsLibmPow) {
+  // Three tightenings from fully open, three holds, four relaxations: the
+  // raw factor 0.7^3 * 1.18^4, whose square glibc's pow rounds one ulp
+  // below the product factor * factor. The data factor is the pow, as it
+  // has been since the loop was written.
+  Ctl ctl;
+  for (int w = 0; w < 3; ++w) feed_window(ctl, 50, 20, 9, 0);  // index 0.45
+  for (int w = 0; w < 7; ++w) feed_window(ctl, 50, 20, 0, 0);
+  const double f = ctl.raw_factor();
+  ASSERT_EQ(f, 0x1.547afb2c5c586p-1);
+  EXPECT_EQ(ctl.data_factor(), 0x1.c4d6e6423202cp-2);
+  EXPECT_NE(ctl.data_factor(), f * f);
+}
+
 TEST(BarringController, ClassFloorsVoiceGentlerThanData) {
-  BarringConfig cfg;
-  BarringController ctl(cfg);
-  LoadEstimator hot(1.0);
-  hot.observe({50.0, 1.0, 50.0, 0.0});
-  for (int i = 0; i < 200; ++i) ctl.update(hot);
+  Ctl ctl;
+  for (int w = 0; w < 200; ++w) feed_window(ctl, 50, 10, 10, 50);
   // Fully tightened: the raw factor sits on the common floor, data tracks
   // factor^exponent (also floored), and voice keeps its higher floor.
-  EXPECT_DOUBLE_EQ(ctl.raw_factor(), cfg.min_factor);
-  EXPECT_DOUBLE_EQ(ctl.voice_factor(), cfg.voice_floor);
-  EXPECT_DOUBLE_EQ(ctl.data_factor(), cfg.min_factor);
+  EXPECT_DOUBLE_EQ(ctl.raw_factor(), Ctl::kMinFactor);
+  EXPECT_DOUBLE_EQ(ctl.voice_factor(), Ctl::kVoiceFloor);
+  EXPECT_DOUBLE_EQ(ctl.data_factor(), Ctl::kMinFactor);
   EXPECT_GT(ctl.voice_factor(), ctl.data_factor());
 }
 
@@ -124,7 +155,7 @@ TEST(OverloadSurvivalGolden, SingleCellCharismaBitForBit) {
   p.num_data_users = 5;
   p.request_queue = true;
   p.seed = 3;
-  ASSERT_FALSE(p.barring.enabled);  // the default IS the legacy path
+  ASSERT_FALSE(p.barring);  // the default IS the legacy path
   auto eng = protocols::make_protocol(ProtocolId::kCharisma, p);
   const auto& m = eng->run(1.0, 3.0);
   EXPECT_EQ(m.frames, 1200);
@@ -234,7 +265,7 @@ TEST(OverloadSurvival, BarringCutsVoiceLossAtFiveTimesLoad) {
       p.num_voice_users = 300;  // 5x the 60-user nominal operating point
       p.num_data_users = 50;
       p.seed = 5;
-      p.barring.enabled = barring;
+      p.barring = barring;
       auto eng = protocols::make_protocol(c.id, p);
       const auto& m = eng->run(2.0, 4.0);
       loss[barring] = m.voice_loss_rate();
@@ -259,7 +290,7 @@ TEST(OverloadSurvival, BarringCutsVoiceLossAtFiveTimesLoad) {
 // own stream, so a scan that asked the gate for one user more or fewer
 // would move every later draw of that user. One cell per protocol, 400
 // voice + 60 data users, exact integers. In one cell, CHARISMA's and
-// RAMA's load estimators see too few collisions to ever close the gate,
+// RAMA's controllers see too few collisions to ever close the gate,
 // so they pin the open-gate path (no checks at all).
 TEST(BarringOnGolden, RequestPathOfEveryProtocol) {
   struct Pin {
@@ -289,7 +320,7 @@ TEST(BarringOnGolden, RequestPathOfEveryProtocol) {
     p.num_voice_users = 400;
     p.num_data_users = 60;
     p.seed = 11;
-    p.barring.enabled = true;
+    p.barring = true;
     auto eng = protocols::make_protocol(pin.id, p);
     const auto& m = eng->run(0.5, 2.0);
     EXPECT_EQ(m.voice_generated, pin.voice_generated);

@@ -84,9 +84,16 @@ TEST(Reservation, OccupancyCounts) {
   grid.reserve(0, 1);
   grid.reserve(0, 2);
   grid.reserve(1, 3);
-  EXPECT_EQ(grid.occupied_in_phase(0), 2);
-  EXPECT_EQ(grid.free_in_phase(0), 1);
   EXPECT_EQ(grid.occupied_total(), 3);
+  std::vector<common::UserId> due;
+  grid.due_in_phase(0, due);
+  EXPECT_EQ(due.size(), 2u);
+  grid.due_in_phase(2, due);
+  EXPECT_TRUE(due.empty());
+  grid.release(2);
+  EXPECT_EQ(grid.occupied_total(), 2);
+  grid.due_in_phase(0, due);
+  EXPECT_EQ(due, std::vector<common::UserId>{1});
 }
 
 TEST(Reservation, BoundsChecking) {
@@ -95,7 +102,7 @@ TEST(Reservation, BoundsChecking) {
   EXPECT_THROW(grid.reserve(4, 1), std::out_of_range);
   std::vector<common::UserId> due;
   EXPECT_THROW(grid.due_in_phase(9, due), std::out_of_range);
-  EXPECT_THROW(grid.occupied_in_phase(4), std::out_of_range);
+  EXPECT_THROW(grid.due_in_phase(4, due), std::out_of_range);
   EXPECT_THROW(grid.user_at(0, 3), std::out_of_range);
   EXPECT_THROW(grid.reserve_at(0, -1, 1), std::out_of_range);
 }

@@ -58,7 +58,7 @@ CellularConfig pin_config(unsigned threads, double band_radius_m) {
   cfg.params.num_data_users = 5;
   cfg.params.seed = 29;
   cfg.params.channel.shadow_sigma_db = 6.0;
-  cfg.params.barring.enabled = true;
+  cfg.params.barring = true;
   cfg.layout.kind = SiteLayoutConfig::Kind::kHex;
   cfg.layout.site_spacing_m = 600.0;
   cfg.layout.reuse_factor = 3;

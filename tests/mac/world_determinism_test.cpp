@@ -245,7 +245,7 @@ TEST(WorldDeterminismExtra, BarringOutageAndFlashCrowdBitIdentical) {
   // thread-count-invariance guarantee must survive unchanged.
   auto make = [](unsigned threads) {
     auto cfg = world_config(/*cells=*/3, threads, /*seed=*/17);
-    cfg.params.barring.enabled = true;
+    cfg.params.barring = true;
     cfg.params.data_mmpp_rate_ratio = 4.0;
     cfg.params.data_mmpp_mean_sojourn_s = 0.5;
     cfg.outages.push_back({1, 0.8, 1.4});
@@ -289,15 +289,15 @@ TEST(WorldDeterminismExtra, ShardCountSweepBitIdentical) {
     cfg.num_shards = shards;
     cfg.pilot_band_radius_m = 700.0;
     // The load it takes to actually engage closed-loop barring (checks
-    // are only counted while a class factor sits below 1): a heavy
-    // population plus a touchy controller band.
-    cfg.params.num_voice_users = 30;
-    cfg.params.num_data_users = 8;
-    cfg.params.barring.enabled = true;
-    cfg.params.barring.target_high = 0.05;
-    cfg.params.barring.target_low = 0.02;
+    // are only counted while a class factor sits below 1). RMAV funnels
+    // every request through one competitive slot per frame, so its cells
+    // overload first; CHARISMA did not close the gate here under eager
+    // channels at up to 140 voice users.
+    cfg.params.num_voice_users = 120;
+    cfg.params.num_data_users = 37;
+    cfg.params.barring = true;
     cfg.outages.push_back({2, 0.5, 0.9});
-    CellularWorld world(cfg, factory_for(protocols::ProtocolId::kCharisma));
+    CellularWorld world(cfg, factory_for(protocols::ProtocolId::kRmav));
     world.run(0.3, 1.2);
     return world.aggregate_metrics();
   };

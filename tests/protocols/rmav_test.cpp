@@ -54,6 +54,17 @@ TEST(Rmav, VariableFrameDurations) {
   EXPECT_GT(m.frames, fixed_frames);
 }
 
+TEST(Rmav, CompetitiveSlotIsOfferedEveryFrame) {
+  // Every frame offers its served slots plus the competitive slot, a full
+  // information slot (Fig. 2b) that never carries a packet, so a busy
+  // cell's slot utilization stays below 1.
+  RmavProtocol proto(small_mixed(30, 5, true, 7));
+  const auto& m = proto.run(1.0, 3.0);
+  ASSERT_GT(m.info_slots_assigned, 0);
+  EXPECT_EQ(m.info_slots_offered, m.info_slots_assigned + m.frames);
+  EXPECT_LT(m.slot_utilization(), 1.0);
+}
+
 TEST(Rmav, DeterministicGivenSeed) {
   RmavProtocol a(small_mixed(10, 3, true, 13));
   RmavProtocol b(small_mixed(10, 3, true, 13));

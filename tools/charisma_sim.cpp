@@ -16,6 +16,7 @@
 // protocol engines.
 #include <algorithm>
 #include <cmath>
+#include <fstream>
 #include <iostream>
 #include <limits>
 #include <sstream>
@@ -120,9 +121,10 @@ Traffic:
 
 Overload survival (robustness scenarios):
   barring=0|1          closed-loop access-class barring in every engine:
-                       a per-cell load estimator tightens/relaxes the
-                       contention admission probability (default 0; the
-                       legacy results are bit-identical with barring=0)
+                       a per-cell controller tightens/relaxes the
+                       contention admission probability on its smoothed
+                       load (default 0; the legacy results are
+                       bit-identical with barring=0)
   outage=C:S:E[,...]   cell C is dark (no pilot, users evicted) from S to
                        E seconds, repeatable; needs cells >= 2
   flash=X:Y:R:M:S:E    flash crowd: users within R metres of (X, Y) offer
@@ -209,10 +211,13 @@ int read_count(const common::KeyValueConfig& config, const std::string& key,
   return static_cast<int>(v);
 }
 
-// Splits "a,b,c" into user counts; throws naming the knob on malformed or
-// negative input.
+// Splits "a,b,c" into user counts; throws naming the knob on empty,
+// malformed or negative input.
 std::vector<int> parse_int_list(const std::string& key,
                                 const std::string& value) {
+  if (value.empty()) {
+    throw std::invalid_argument(key + "= must list at least one value");
+  }
   std::vector<int> values;
   std::stringstream stream(value);
   std::string token;
@@ -353,7 +358,7 @@ mac::ScenarioParams scenario_from(const common::KeyValueConfig& config) {
   params.data_mmpp_mean_sojourn_s =
       read_double(config, "mmpp_sojourn_s", params.data_mmpp_mean_sojourn_s,
                   kNonNegative);
-  params.barring.enabled = config.get_bool_or("barring", false);
+  params.barring = config.get_bool_or("barring", false);
 
   const std::string chan = config.get_string_or("channel", "eager");
   if (chan != "eager" && chan != "lazy") {
@@ -534,12 +539,10 @@ mac::CellularConfig cellular_from(const common::KeyValueConfig& config,
   return world;
 }
 
-void run_cellular(const common::KeyValueConfig& config,
+void run_cellular(const mac::CellularConfig& world_cfg, bool verify,
                   const experiment::RunSpec& spec,
                   const std::vector<protocols::ProtocolId>& protocol_list,
                   common::TextTable& table) {
-  const auto world_cfg = cellular_from(config, spec.params);
-  const bool verify = config.get_bool_or("verify", false);
   for (auto id : protocol_list) {
     common::Accumulator loss, err, handoff_drop, tput, delay, handoff_hz,
         interference, stride;
@@ -596,7 +599,41 @@ std::vector<protocols::ProtocolId> protocols_from(
     const common::KeyValueConfig& config) {
   const std::string name = config.get_string_or("protocol", "charisma");
   if (name == "all") return protocols::all_protocols();
-  return {protocols::parse_protocol(name)};
+  try {
+    return {protocols::parse_protocol(name)};
+  } catch (const std::invalid_argument&) {
+    throw std::invalid_argument(
+        "protocol= must be charisma, dtdma_vr, dtdma_fr, drma, rama, rmav, "
+        "prma or all, got '" + name + "'");
+  }
+}
+
+// The csv= path ("" when absent), checked after every other knob and
+// before any simulation runs, so a path that cannot be written fails up
+// front rather than after the run. Append mode creates a missing file and
+// leaves an existing one for the table to overwrite.
+std::string csv_path_from(const common::KeyValueConfig& config) {
+  if (!config.contains("csv")) return "";
+  const std::string path = config.get_string_or("csv", "");
+  if (path.empty()) throw std::invalid_argument("csv= needs a file path");
+  if (!std::ofstream(path, std::ios::app)) {
+    throw std::invalid_argument("csv= cannot open '" + path +
+                                "' for writing");
+  }
+  return path;
+}
+
+// Prints the table and writes it to `csv` when a path was given; returns
+// the exit status.
+int emit(const common::TextTable& table, const std::string& csv) {
+  table.print(std::cout);
+  if (csv.empty()) return 0;
+  if (!table.write_csv(csv)) {
+    std::cerr << "could not write " << csv << '\n';
+    return 1;
+  }
+  std::cout << "\nwrote " << csv << '\n';
+  return 0;
 }
 
 void add_result_row(common::TextTable& table, const std::string& label,
@@ -622,12 +659,12 @@ int main(int argc, char** argv) {
     std::cerr << e.what() << "\nRun with help=1 for usage.\n";
     return 1;
   }
-  if (config.get_bool_or("help", false)) {
-    print_help();
-    return 0;
-  }
 
   try {
+    if (config.get_bool_or("help", false)) {
+      print_help();
+      return 0;
+    }
     config.reject_unknown(kKnownKeys);
     experiment::RunSpec spec;
     spec.params = scenario_from(config);
@@ -647,6 +684,10 @@ int main(int argc, char** argv) {
         }
       }
     }
+    if (config.contains("x") && !config.contains("sweep")) {
+      throw std::invalid_argument(
+          "x= is a sweep grid and needs sweep=voice or sweep=data");
+    }
 
     if (cells >= 2) {
       if (config.contains("sweep")) {
@@ -654,31 +695,20 @@ int main(int argc, char** argv) {
                      "run one operating point per invocation\n";
         return 1;
       }
+      const auto world_cfg = cellular_from(config, spec.params);
+      const bool verify = config.get_bool_or("verify", false);
+      const std::string csv = csv_path_from(config);
       common::TextTable table("charisma_sim multi-cell mobility results");
       table.set_header({"protocol", "voice loss", "voice err",
                         "handoff drop", "handoffs/s", "data tput/frame",
                         "data delay (s)", "interf (dB)", "chan stride"});
-      run_cellular(config, spec, protocol_list, table);
-      table.print(std::cout);
-      if (config.contains("csv")) {
-        const std::string path = config.get_string_or("csv", "out.csv");
-        if (table.write_csv(path)) {
-          std::cout << "\nwrote " << path << '\n';
-        } else {
-          std::cerr << "could not write " << path << '\n';
-          return 1;
-        }
-      }
-      return 0;
+      run_cellular(world_cfg, verify, spec, protocol_list, table);
+      return emit(table, csv);
     }
 
-    common::TextTable table("charisma_sim results");
-    table.set_header({"x", "protocol", "voice loss", "voice err",
-                      "data tput/frame", "data delay (s)", "slot util",
-                      "chan stride"});
-
-    if (config.contains("sweep")) {
-      experiment::SweepConfig sweep;
+    const bool sweeping = config.contains("sweep");
+    experiment::SweepConfig sweep;
+    if (sweeping) {
       sweep.spec = spec;
       const std::string axis = config.get_string_or("sweep", "voice");
       if (axis != "voice" && axis != "data") {
@@ -689,6 +719,14 @@ int main(int argc, char** argv) {
       sweep.x_values =
           parse_int_list("x", config.get_string_or("x", "20,60,100,140"));
       sweep.protocols_to_run = protocol_list;
+    }
+    const std::string csv = csv_path_from(config);
+
+    common::TextTable table("charisma_sim results");
+    table.set_header({"x", "protocol", "voice loss", "voice err",
+                      "data tput/frame", "data delay (s)", "slot util",
+                      "chan stride"});
+    if (sweeping) {
       experiment::WorkerPool pool;  // hardware threads
       for (const auto& cell : experiment::run_sweep(sweep, pool)) {
         add_result_row(table, std::to_string(cell.x), cell.result);
@@ -700,19 +738,9 @@ int main(int argc, char** argv) {
       }
     }
 
-    table.print(std::cout);
-    if (config.contains("csv")) {
-      const std::string path = config.get_string_or("csv", "out.csv");
-      if (table.write_csv(path)) {
-        std::cout << "\nwrote " << path << '\n';
-      } else {
-        std::cerr << "could not write " << path << '\n';
-        return 1;
-      }
-    }
+    return emit(table, csv);
   } catch (const std::exception& e) {
     std::cerr << "error: " << e.what() << '\n';
     return 1;
   }
-  return 0;
 }

@@ -134,6 +134,16 @@ expect_knob alpha_data alpha_data=-1 $quick
 expect_knob gamma_voice gamma_voice=-1 $quick
 expect_knob gamma_data gamma_data=-0.5 $quick
 expect_knob voice_offset voice_offset=-8 $quick
+# Knobs that used to abort, be ignored, or fail only after the run: help=
+# is a boolean, x= needs sweep= and at least one value, protocol= names a
+# protocol, and csv= is a path that can be opened for writing.
+expect_reject "value for 'help'" help=2
+expect_knob x x=5 $quick
+expect_knob x x=5 cells=2 $quick
+expect_knob x sweep=voice x= $quick
+expect_knob protocol protocol=foo $quick
+expect_knob csv csv= $quick
+expect_knob csv "csv=$sim/out.csv" $quick
 
 if [ "$failures" -ne 0 ]; then
   echo "cli_reject_check: $failures invocation(s) not rejected by name" >&2
