@@ -31,9 +31,10 @@
 //
 // Memory stage (sparse presence, PR 8): one large hexagonal world with a
 // finite pilot-band radius, measured for resident bytes per user against a
-// small dense (band=all-cells) calibration world of the same geometry.
-// Timing on a 1-CPU container says little; the bytes-per-user ratio is the
-// claim.
+// small dense (band=all-cells) calibration world of the same geometry. The
+// two sparse probes (mt and compact traffic streams) also report the wall
+// clock of their CellularWorld constructor (construct_s), which is where a
+// world's bank rows, bands and shells are built.
 //   CHARISMA_BENCH_WORLD_USERS    total users in the memory stage; accepts
 //                                 k/M suffixes ("250k", "1M"); 0 skips the
 //                                 stage (default 100k, 4:1 voice:data)
@@ -125,6 +126,7 @@ mac::CellularConfig memory_config(int cells, int voice, int data,
 
 struct MemoryProbe {
   long long rss_bytes = 0;   // construction + short-run footprint
+  double construct_s = 0.0;  // wall clock of the CellularWorld constructor
   double band_cells_mean = 0.0;
   int users = 0;
 };
@@ -136,11 +138,15 @@ struct MemoryProbe {
 MemoryProbe probe_memory(const mac::CellularConfig& cfg,
                          protocols::ProtocolId protocol) {
   const long long before = bench::current_rss_bytes();
+  const auto start = std::chrono::steady_clock::now();
   mac::CellularWorld world(cfg, [&](const mac::ScenarioParams& p) {
     return protocols::make_protocol(protocol, p);
   });
+  const std::chrono::duration<double> construct =
+      std::chrono::steady_clock::now() - start;
   world.run(0.0, 2.0 * mac::CellularWorld::kDecisionInterval);
   MemoryProbe probe;
+  probe.construct_s = construct.count();
   probe.rss_bytes = bench::current_rss_bytes() - before;
   probe.users = cfg.params.num_voice_users + cfg.params.num_data_users;
   std::size_t band_total = 0;
@@ -434,7 +440,12 @@ int main() try {
               << common::TextTable::num(ratio, 2) << "x\n  traffic_rng=compact: "
               << common::TextTable::num(compact_bpu / 1024.0, 2)
               << " KiB/user   mt/compact ratio "
-              << common::TextTable::num(compact_ratio, 2) << "x\n";
+              << common::TextTable::num(compact_ratio, 2)
+              << "x\n  world construction: mt "
+              << common::TextTable::num(sparse_probe.construct_s, 3)
+              << " s   compact "
+              << common::TextTable::num(compact_probe.construct_s, 3)
+              << " s\n";
     memory_fields << ",\n      \"peak_rss_bytes\": " << bench::peak_rss_bytes()
                   << ",\n      \"memory\": {\"users\": " << total
                   << ", \"cells\": " << mem_cells
@@ -444,7 +455,10 @@ int main() try {
                   << ", \"dense_model_bytes_per_user\": " << dense_bpu
                   << ", \"dense_over_sparse_ratio\": " << ratio
                   << ", \"compact_bytes_per_user\": " << compact_bpu
-                  << ", \"mt_over_compact_ratio\": " << compact_ratio << "}";
+                  << ", \"mt_over_compact_ratio\": " << compact_ratio
+                  << ", \"construct_s\": " << sparse_probe.construct_s
+                  << ", \"compact_construct_s\": "
+                  << compact_probe.construct_s << "}";
   }
 
   std::ostringstream fields;

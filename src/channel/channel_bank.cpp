@@ -77,7 +77,7 @@ void ChannelBank::admit_environment(const ChannelConfig& config) {
 }
 
 std::size_t ChannelBank::add_user(const ChannelConfig& config,
-                                  common::RngStream rng) {
+                                  std::uint64_t seed) {
   // Checked before touching anything, so a rejected config leaves the bank
   // as it was.
   admit_environment(config);
@@ -113,10 +113,9 @@ std::size_t ChannelBank::add_user(const ChannelConfig& config,
   // historical sequences are unchanged.
   step_[slot] = target_step_;
 
-  // The row's RngStream seeds its compact innovation engine. Stationary
-  // start, same draw order as the scalar classes: per branch an I then a
-  // Q component, then the shadowing value.
-  common::SplitMix64 fast(rng.engine()());
+  // Stationary start, same draw order as the scalar classes: per branch an
+  // I then a Q component, then the shadowing value.
+  common::SplitMix64 fast(seed);
   const auto& zig = common::detail::ziggurat_tables();
   double* const re = fade_re_.data() + slot * branches_;
   double* const im = fade_im_.data() + slot * branches_;

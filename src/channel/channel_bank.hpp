@@ -19,10 +19,12 @@
 // keeps one rho^k / sqrt(1-rho^2k) table per stride, so the common frame
 // strides cost a table lookup instead of two pow() calls.
 //
-// Each row keeps its own SplitMix64 innovation engine, seeded by one draw
-// of the RngStream add_user is given (itself derived from the scenario
-// seed and user id), so results are independent of population size and of
-// whether a user is advanced individually or in the batched pass.
+// Each row keeps its own SplitMix64 innovation engine, seeded by the 64-bit
+// value add_user is given. A world user's row seed is the first draw of
+// std::mt19937_64 seeded from (scenario seed, user id, visit), which
+// common::first_mt_draw computes without building the engine, so results
+// are independent of population size and of whether a user is advanced
+// individually or in the batched pass.
 //
 // One clock per bank: set_time(t) moves the frame boundary in O(1), and a
 // row materializes up to it through the same closed-form jump — in bulk
@@ -86,11 +88,17 @@ class ChannelBank {
   /// leaves the bank as it was. The slot is the last released one (LIFO,
   /// so serial and parallel worlds that release in the same coordinator
   /// order reuse the same slots), else a new row at the end. Either way
-  /// the row is seeded from `rng` with the same stationary-start draw
-  /// order and starts at the bank clock's current step, so what it
-  /// materializes depends only on its own stream and on when it was added
-  /// — not on the population around it, nor on which slot it got.
-  std::size_t add_user(const ChannelConfig& config, common::RngStream rng);
+  /// the row's innovation engine is SplitMix64(`seed`), it draws its
+  /// stationary start in the same order, and it starts at the bank clock's
+  /// current step, so what it materializes depends only on its seed and on
+  /// when it was added — not on the population around it, nor on which
+  /// slot it got.
+  std::size_t add_user(const ChannelConfig& config, std::uint64_t seed);
+
+  /// Seeds the row from `rng`'s next engine draw.
+  std::size_t add_user(const ChannelConfig& config, common::RngStream rng) {
+    return add_user(config, rng.engine()());
+  }
 
   /// Returns `slot` to the free-list. The row's state stays in place but
   /// is excluded from every whole-bank operation (materialize_all,

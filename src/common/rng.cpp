@@ -49,6 +49,31 @@ std::uint64_t derive_seed(std::uint64_t root, std::uint64_t stream) {
   return SplitMix64::mix(root + SplitMix64::kGamma * (stream + 1));
 }
 
+std::uint64_t first_mt_draw(std::uint64_t root, std::uint64_t stream) {
+  // MT19937-64 (Nishimura, "Tables of 64-bit Mersenne Twisters", ACM
+  // TOMACS 10(4), 2000; the standard's [rand.eng.mers]). Seeding fills
+  // x[i] = f * (x[i-1] ^ (x[i-1] >> 62)) + i; the first output is x[m]
+  // xor the twist of (the upper bits of x[0] | the lower bits of x[1]),
+  // tempered.
+  using Mt = std::mt19937_64;
+  constexpr std::uint64_t kUpper = ~std::uint64_t{0} << Mt::mask_bits;
+  const auto seed_step = [](std::uint64_t prev, std::uint64_t i) {
+    return Mt::initialization_multiplier *
+               (prev ^ (prev >> (Mt::word_size - 2))) +
+           i;
+  };
+  const std::uint64_t x0 = derive_seed(root, stream);
+  const std::uint64_t x1 = seed_step(x0, 1);
+  std::uint64_t xm = x1;
+  for (std::uint64_t i = 2; i <= Mt::shift_size; ++i) xm = seed_step(xm, i);
+  const std::uint64_t y = (x0 & kUpper) | (x1 & ~kUpper);
+  std::uint64_t z = xm ^ (y >> 1) ^ ((y & 1) != 0 ? Mt::xor_mask : 0);
+  z ^= (z >> Mt::tempering_u) & Mt::tempering_d;
+  z ^= (z << Mt::tempering_s) & Mt::tempering_b;
+  z ^= (z << Mt::tempering_t) & Mt::tempering_c;
+  return z ^ (z >> Mt::tempering_l);
+}
+
 template <typename Engine>
 double BasicRngStream<Engine>::uniform() {
   // 53-bit mantissa-exact uniform in [0, 1).

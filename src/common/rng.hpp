@@ -30,6 +30,14 @@ namespace charisma::common {
 /// the splitmix64 finalizer. Stateless; safe to call from any thread.
 std::uint64_t derive_seed(std::uint64_t root, std::uint64_t stream);
 
+/// The first output of std::mt19937_64 seeded with derive_seed(root,
+/// stream), i.e. the first raw draw of RngStream(root, stream), computed
+/// without building the 2.5 KB engine: that draw reads only words 0, 1 and
+/// 156 of the seeding recurrence, so it costs 156 seeding steps, one twist
+/// step and the tempering instead of 312 seeding steps and a 312-word
+/// twist. Bank rows seed their innovation engines from it.
+std::uint64_t first_mt_draw(std::uint64_t root, std::uint64_t stream);
+
 namespace detail {
 
 /// Marsaglia–Tsang ziggurat layer tables for the standard normal, built
@@ -214,8 +222,9 @@ class BasicRngStream {
   bool has_spare_normal_ = false;
 };
 
-/// The mt19937_64 stream: base-station, mobility and bank-row seeding, and
-/// the per-user traffic/MAC streams by default.
+/// The mt19937_64 stream: base-station and mobility seeding, and the
+/// per-user traffic/MAC streams by default. Bank rows take only its first
+/// draw, through first_mt_draw.
 using RngStream = BasicRngStream<std::mt19937_64>;
 /// The ~24-byte splitmix64 stream, for the per-attached-user traffic/MAC
 /// streams of very large sparse populations, where mt19937_64's ~2.5 KB

@@ -39,10 +39,11 @@ MobileUser::MobileUser(common::UserId id, ServiceType service,
                        const ScenarioParams& params,
                        channel::ChannelBank& bank, std::uint32_t visit)
     : id_(id), service_(service), seed_(visit_seed(params.seed, visit)) {
-  common::RngStream rng(seed_,
-                        kChannelStream + static_cast<std::uint64_t>(id));
-  slot_ = static_cast<std::uint32_t>(
-      bank.add_user(user_channel_config(id, params), std::move(rng)));
+  // The row seed is the first draw of the user's mt19937_64 channel stream.
+  slot_ = static_cast<std::uint32_t>(bank.add_user(
+      user_channel_config(id, params),
+      common::first_mt_draw(seed_,
+                            kChannelStream + static_cast<std::uint64_t>(id))));
 }
 
 void MobileUser::ensure_traffic(const ScenarioParams& params) {

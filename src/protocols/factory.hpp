@@ -1,6 +1,9 @@
-// Construction of any of the six protocols by identifier — the entry point
-// the experiment framework, benches and examples use to run the paper's
-// cross-protocol comparisons.
+// Construction of any of the seven protocols by identifier — the paper's
+// six and the PRMA extension baseline — the entry point the experiment
+// framework, benches and examples use to run the paper's cross-protocol
+// comparisons. all_protocols() lists the paper's six only, so
+// `charisma_sim protocol=all` and the figure sweeps never run PRMA; it runs
+// only when named (`protocol=prma`).
 #pragma once
 
 #include <memory>

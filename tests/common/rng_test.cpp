@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstdint>
 #include <iterator>
+#include <random>
 #include <tuple>
 #include <utility>
 
@@ -261,6 +262,52 @@ TEST(RngStream, InterleavedEngineDrawsAndNormalsStayReproducible) {
   }
   // After 5 rounds all three cursors agree.
   EXPECT_EQ(a.engine()(), raw.engine()());
+}
+
+// ---- first_mt_draw ----
+// Bank rows seed from mt19937_64's first draw without building the engine;
+// the shortcut must be that draw, bit for bit, for every (root, stream).
+
+TEST(FirstMtDraw, MatchesTheEnginesFirstDraw) {
+  const auto engine_first = [](std::uint64_t root, std::uint64_t stream) {
+    std::mt19937_64 engine(derive_seed(root, stream));
+    return engine();
+  };
+  // The channel and rebirth stream name spaces of mac::MobileUser.
+  constexpr std::uint64_t kChannelStream = 0x1000'0000ULL;
+  constexpr std::uint64_t kRebirthStream = 0xA000'0000ULL;
+  int mismatches = 0;
+  const auto check = [&](std::uint64_t root, std::uint64_t stream) {
+    if (first_mt_draw(root, stream) == engine_first(root, stream)) return;
+    if (mismatches++ == 0) {
+      ADD_FAILURE() << "first mismatch: root " << root << " stream " << stream;
+    }
+  };
+  for (const std::uint64_t root :
+       {std::uint64_t{0}, std::uint64_t{1}, std::uint64_t{1} << 63,
+        ~std::uint64_t{0}}) {
+    for (const std::uint64_t id : {0ULL, 1ULL, 4095ULL, 0x7FFF'FFFFULL}) {
+      check(root, kChannelStream + id);
+    }
+    for (const std::uint64_t visit : {1ULL, 2ULL, 7ULL, 0xFFFFULL}) {
+      check(root, kRebirthStream + visit);
+    }
+    check(root, 0);
+    check(root, ~std::uint64_t{0});
+  }
+  // 100,000 pseudo-random roots against full-range, channel and rebirth
+  // streams.
+  SplitMix64 pick(2000);
+  for (int i = 0; i < 100'000; ++i) {
+    const std::uint64_t root = pick.next();
+    const std::uint64_t draw = pick.next();
+    switch (i % 3) {
+      case 0: check(root, draw); break;
+      case 1: check(root, kChannelStream + (draw >> 33)); break;
+      default: check(root, kRebirthStream + (draw >> 32)); break;
+    }
+  }
+  EXPECT_EQ(mismatches, 0);
 }
 
 // ---- CompactRngStream ----

@@ -84,5 +84,35 @@ TEST(MobileUser, BackoffFloor) {
   EXPECT_DOUBLE_EQ(u.backoff_scale(), 1.0 / 64.0);
 }
 
+TEST(MobileUser, ChannelRowIsSeededByTheChannelStreamsFirstDraw) {
+  // A user's bank row is the row add_user(config, RngStream(visit seed,
+  // channel stream)) adds: the same I/Q, shadow and innovation cursor at
+  // any id and visit. Visit 0 draws from the plain scenario seed, visit
+  // v > 0 from derive_seed(seed, rebirth stream + v).
+  constexpr std::uint64_t kChannelStream = 0x1000'0000ULL;
+  constexpr std::uint64_t kRebirthStream = 0xA000'0000ULL;
+  const auto params = test_params();
+  for (const common::UserId id : {0, 1, 4095, 0x7FFF'FFFF}) {
+    for (const std::uint32_t visit : {0u, 1u, 7u}) {
+      SCOPED_TRACE(testing::Message() << "id " << id << " visit " << visit);
+      const std::uint64_t seed =
+          visit == 0 ? params.seed
+                     : common::derive_seed(params.seed, kRebirthStream + visit);
+      channel::ChannelBank bank, twin;
+      const MobileUser u(id, ServiceType::kVoice, params, bank, visit);
+      const std::size_t row = twin.add_user(
+          params.channel,
+          common::RngStream(seed,
+                            kChannelStream + static_cast<std::uint64_t>(id)));
+      for (int b = 0; b < params.channel.diversity_branches; ++b) {
+        EXPECT_EQ(bank.fade_re(u.slot(), b), twin.fade_re(row, b));
+        EXPECT_EQ(bank.fade_im(u.slot(), b), twin.fade_im(row, b));
+      }
+      EXPECT_EQ(bank.shadow_db(u.slot()), twin.shadow_db(row));
+      EXPECT_EQ(bank.rng_cursor(u.slot()), twin.rng_cursor(row));
+    }
+  }
+}
+
 }  // namespace
 }  // namespace charisma::mac

@@ -35,6 +35,8 @@ void print_help() {
 
 Core:
   protocol=charisma|dtdma_vr|dtdma_fr|drma|rama|rmav|prma|all
+                       all runs the paper's six protocols; prma, an
+                       extension baseline, runs only as protocol=prma
   voice_users=N data_users=N queue=0|1 seed=N
                        population counts accept magnitude suffixes:
                        voice_users=250k, data_users=1M (k = 1e3, M = 1e6)
