@@ -31,10 +31,13 @@
 //
 // Memory stage (sparse presence, PR 8): one large hexagonal world with a
 // finite pilot-band radius, measured for resident bytes per user against a
-// small dense (band=all-cells) calibration world of the same geometry. The
-// two sparse probes (mt and compact traffic streams) also report the wall
-// clock of their CellularWorld constructor (construct_s), which is where a
-// world's bank rows, bands and shells are built.
+// small dense (band=all-cells) calibration world of the same geometry. Each
+// probe reads the resident set twice: after construction plus two epochs,
+// and again after a further warmed window (steady_*) of a sixteenth of the
+// measured seconds (0.5 s at the default), once traffic has attached,
+// backlogs have queued and the cells' fairness ledgers have filled. The two sparse probes (mt and compact traffic streams) also
+// report the wall clock of their CellularWorld constructor (construct_s),
+// which is where a world's bank rows, bands and shells are built.
 //   CHARISMA_BENCH_WORLD_USERS    total users in the memory stage; accepts
 //                                 k/M suffixes ("250k", "1M"); 0 skips the
 //                                 stage (default 100k, 4:1 voice:data)
@@ -42,6 +45,8 @@
 //   CHARISMA_BENCH_WORLD_BAND     pilot-band radius in metres (default
 //                                 1200 = 1.2x the 1000 m site spacing, a
 //                                 7-cell band)
+#include <malloc.h>
+
 #include <algorithm>
 #include <chrono>
 #include <fstream>
@@ -125,18 +130,24 @@ mac::CellularConfig memory_config(int cells, int voice, int data,
 }
 
 struct MemoryProbe {
-  long long rss_bytes = 0;   // construction + short-run footprint
+  long long rss_bytes = 0;         // construction + two epochs
+  long long steady_rss_bytes = 0;  // ... + the warmed window
   double construct_s = 0.0;  // wall clock of the CellularWorld constructor
   double band_cells_mean = 0.0;
   int users = 0;
 };
 
 // Builds the world, runs a couple of epochs (mobility moves, bands churn,
-// traffic of attached users materializes), and returns the RSS delta while
-// the world is alive. The delta can be understated by allocator reuse of
-// earlier frees, so callers should probe smaller worlds first.
+// traffic of attached users materializes) and reads the RSS delta, then
+// runs the warmed window and reads it again, while the world is alive.
+// Free heap pages go back to the system first, so reusing an earlier
+// probe's frees counts as growth too; what the allocator keeps in
+// partly used pages can still understate a delta, so callers should
+// probe smaller worlds first.
 MemoryProbe probe_memory(const mac::CellularConfig& cfg,
-                         protocols::ProtocolId protocol) {
+                         protocols::ProtocolId protocol,
+                         common::Time steady_window_s) {
+  malloc_trim(0);
   const long long before = bench::current_rss_bytes();
   const auto start = std::chrono::steady_clock::now();
   mac::CellularWorld world(cfg, [&](const mac::ScenarioParams& p) {
@@ -148,6 +159,8 @@ MemoryProbe probe_memory(const mac::CellularConfig& cfg,
   MemoryProbe probe;
   probe.construct_s = construct.count();
   probe.rss_bytes = bench::current_rss_bytes() - before;
+  world.advance(steady_window_s);
+  probe.steady_rss_bytes = bench::current_rss_bytes() - before;
   probe.users = cfg.params.num_voice_users + cfg.params.num_data_users;
   std::size_t band_total = 0;
   for (int u = 0; u < probe.users; ++u) {
@@ -209,6 +222,7 @@ int main() try {
   if (band_radius_m < 0.0) {
     throw std::invalid_argument("CHARISMA_BENCH_WORLD_BAND: must be >= 0");
   }
+  const double steady_window_s = measure_s / 16.0;
 
   std::cout << "population: " << voice << " voice + " << data
             << " data users, measure " << measure_s
@@ -406,22 +420,29 @@ int main() try {
     const int cal_voice = cal_users - cal_users / 5;
     const auto dense_probe = probe_memory(
         memory_config(mem_cells, cal_voice, cal_users - cal_voice, 0.0),
-        protocol);
+        protocol, steady_window_s);
     // Compact before mt: probing the smaller world first bounds the
     // allocator-reuse understatement for both sparse probes.
     const auto compact_probe = probe_memory(
         memory_config(mem_cells, mem_voice, mem_data, band_radius_m,
                       common::RngKind::kCompact),
-        protocol);
+        protocol, steady_window_s);
     const auto sparse_probe = probe_memory(
         memory_config(mem_cells, mem_voice, mem_data, band_radius_m),
-        protocol);
-    const double dense_bpu =
-        static_cast<double>(dense_probe.rss_bytes) / dense_probe.users;
-    const double sparse_bpu =
-        static_cast<double>(sparse_probe.rss_bytes) / sparse_probe.users;
+        protocol, steady_window_s);
+    const auto per_user = [](long long bytes, const MemoryProbe& probe) {
+      return static_cast<double>(bytes) / probe.users;
+    };
+    const double dense_bpu = per_user(dense_probe.rss_bytes, dense_probe);
+    const double sparse_bpu = per_user(sparse_probe.rss_bytes, sparse_probe);
     const double compact_bpu =
-        static_cast<double>(compact_probe.rss_bytes) / compact_probe.users;
+        per_user(compact_probe.rss_bytes, compact_probe);
+    const double steady_dense_bpu =
+        per_user(dense_probe.steady_rss_bytes, dense_probe);
+    const double steady_sparse_bpu =
+        per_user(sparse_probe.steady_rss_bytes, sparse_probe);
+    const double steady_compact_bpu =
+        per_user(compact_probe.steady_rss_bytes, compact_probe);
     const double ratio = sparse_bpu > 0.0 ? dense_bpu / sparse_bpu : 0.0;
     const double compact_ratio =
         compact_bpu > 0.0 ? sparse_bpu / compact_bpu : 0.0;
@@ -429,7 +450,7 @@ int main() try {
               << mem_cells << " hex cells, band radius " << band_radius_m
               << " m (mean " << common::TextTable::num(
                      sparse_probe.band_cells_mean, 2)
-              << " cells/user)\n  sparse: "
+              << " cells/user)\n  construction + 2 epochs: sparse "
               << common::TextTable::num(sparse_bpu / 1024.0, 1)
               << " KiB/user   dense model (" << dense_probe.users
               << "-user calibration, " << common::TextTable::num(
@@ -441,7 +462,13 @@ int main() try {
               << common::TextTable::num(compact_bpu / 1024.0, 2)
               << " KiB/user   mt/compact ratio "
               << common::TextTable::num(compact_ratio, 2)
-              << "x\n  world construction: mt "
+              << "x\n  + " << steady_window_s << " s warmed window: sparse "
+              << common::TextTable::num(steady_sparse_bpu / 1024.0, 2)
+              << " KiB/user   compact "
+              << common::TextTable::num(steady_compact_bpu / 1024.0, 2)
+              << " KiB/user   dense model "
+              << common::TextTable::num(steady_dense_bpu / 1024.0, 1)
+              << " KiB/user\n  world construction: mt "
               << common::TextTable::num(sparse_probe.construct_s, 3)
               << " s   compact "
               << common::TextTable::num(compact_probe.construct_s, 3)
@@ -456,6 +483,12 @@ int main() try {
                   << ", \"dense_over_sparse_ratio\": " << ratio
                   << ", \"compact_bytes_per_user\": " << compact_bpu
                   << ", \"mt_over_compact_ratio\": " << compact_ratio
+                  << ", \"steady_window_s\": " << steady_window_s
+                  << ", \"steady_bytes_per_user\": " << steady_sparse_bpu
+                  << ", \"steady_compact_bytes_per_user\": "
+                  << steady_compact_bpu
+                  << ", \"steady_dense_model_bytes_per_user\": "
+                  << steady_dense_bpu
                   << ", \"construct_s\": " << sparse_probe.construct_s
                   << ", \"compact_construct_s\": "
                   << compact_probe.construct_s << "}";

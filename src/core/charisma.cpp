@@ -8,6 +8,12 @@ namespace charisma::core {
 
 namespace {
 constexpr double kTimeEps = 1e-9;
+// Reservation nodes (about 40 bytes) are pooled in chunks of at most 32;
+// the map's bucket arrays, larger than 64 bytes, bypass the pool. The
+// library defaults pool those too and grow chunks far past what a cell's
+// reservations need.
+constexpr std::pmr::pool_options kReservationPool{
+    .max_blocks_per_chunk = 32, .largest_required_pool_block = 64};
 }  // namespace
 
 CharismaProtocol::CharismaProtocol(const mac::ScenarioParams& params,
@@ -16,7 +22,9 @@ CharismaProtocol::CharismaProtocol(const mac::ScenarioParams& params,
       options_(options),
       poll_budget_(options.csi_poll_budget >= 0
                        ? options.csi_poll_budget
-                       : params.geometry.num_pilot_slots) {}
+                       : params.geometry.num_pilot_slots),
+      reservation_nodes_(kReservationPool),
+      reservations_(&reservation_nodes_) {}
 
 common::Time CharismaProtocol::process_frame() {
   // Uplink frame (Fig. 4a): request subframe -> information subframe ->
@@ -130,7 +138,7 @@ void CharismaProtocol::run_contention_phase() {
     }
   });
 
-  auto outcome = run_contention(candidates_, geom_.num_request_slots);
+  const auto& outcome = run_contention(candidates_, geom_.num_request_slots);
 
   for (common::UserId uid : outcome.winners) {
     auto& u = user(uid);

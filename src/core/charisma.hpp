@@ -10,6 +10,7 @@
 // per frame).
 #pragma once
 
+#include <memory_resource>
 #include <optional>
 #include <string>
 #include <unordered_map>
@@ -106,8 +107,12 @@ class CharismaProtocol : public mac::ProtocolEngine {
   /// between the quantized Eq. (2) priorities (integer T_d, six modes). So
   /// the container, its insert/erase sequence and its iteration order are
   /// part of the results: DeepBacklogGolden pins them, and visiting the
-  /// reservations in id order instead changes the digests.
-  std::unordered_map<common::UserId, Reservation> reservations_;
+  /// reservations in id order instead changes the digests. The nodes come
+  /// from reservation_nodes_, which keeps freed ones for reuse, so a warm
+  /// frame's talkspurt churn never reaches the global heap; the allocator
+  /// does not enter the iteration order.
+  std::pmr::unsynchronized_pool_resource reservation_nodes_;
+  std::pmr::unordered_map<common::UserId, Reservation> reservations_;
   /// Base station's CSI cache (last pilot observation), indexed by the
   /// user's storage slot; an entry that was never written, or was cleared
   /// when its user detached, is the invalid default estimate.

@@ -1,6 +1,7 @@
 // Report builders: renders sweep results as the rows/series the paper's
 // figures report, and extracts capacity numbers (users supported at a QoS
-// threshold) for the EXPERIMENTS.md comparisons.
+// threshold), which fig11_voice_loss and fig13_data_delay print next to
+// their panels.
 #pragma once
 
 #include <functional>

@@ -630,6 +630,9 @@ ProtocolMetrics CellularWorld::aggregate_metrics() const {
   ProtocolMetrics aggregate;
   for (const auto& cell : cells_) {
     aggregate.merge(cell->metrics());
+    // The cells keep their ledgers band-local; the dense by-id view is
+    // built here, as long as the longest per-cell vector used to be.
+    cell->add_deliveries_by_user(aggregate.per_user_delivered);
   }
   return aggregate;
 }

@@ -214,10 +214,13 @@ class CellularWorld {
 
   int num_cells() const { return static_cast<int>(cells_.size()); }
   ProtocolEngine& cell(int c) { return *cells_.at(static_cast<std::size_t>(c)); }
+  /// One cell's metrics. Its per_user_delivered is empty: a cell keeps
+  /// its fairness ledger band-local (ProtocolEngine::add_deliveries_by_user).
   const ProtocolMetrics& cell_metrics(int c) const {
     return cells_.at(static_cast<std::size_t>(c))->metrics();
   }
-  /// Sum/merge of every cell's metrics — the whole-world view.
+  /// Sum/merge of every cell's metrics — the whole-world view, with the
+  /// dense by-id per_user_delivered built from the cells' ledgers.
   ProtocolMetrics aggregate_metrics() const;
 
   /// Handoffs executed since the last metrics reset.

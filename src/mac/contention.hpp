@@ -6,6 +6,7 @@
 // same request phase.
 #pragma once
 
+#include <cstdint>
 #include <stdexcept>
 #include <vector>
 
@@ -32,44 +33,51 @@ struct ContentionOutcome {
   ContentionTally tally;
 };
 
-/// Runs `minislots` request slots over `candidates`. `permission(id)` gives
-/// each user's permission probability; `rng_of(id)` must return that user's
-/// private stream — any stream type with a bernoulli(double) draw
-/// (a BasicRngStream or the TrafficRng dispatcher) — which
-/// keeps runs reproducible regardless of candidate-set composition.
-/// Winners are removed from contention as they succeed.
+/// Runs `minislots` request slots over `candidates` into `outcome`.
+/// `permission(id)` gives each user's permission probability; `rng_of(id)`
+/// must return that user's private stream — any stream type with a
+/// bernoulli(double) draw (a BasicRngStream or the TrafficRng dispatcher) —
+/// which keeps runs reproducible regardless of candidate-set composition.
+/// Winners are removed from contention as they succeed. `outcome` and
+/// `flags` (per-candidate scratch) are overwritten; a caller that keeps
+/// both across calls reuses their storage, so a warm phase allocates
+/// nothing.
 template <typename Permission, typename RngOf>
-ContentionOutcome run_request_phase(
-    const std::vector<common::UserId>& candidates, int minislots,
-    Permission&& permission, RngOf&& rng_of) {
+void run_request_phase(const std::vector<common::UserId>& candidates,
+                       int minislots, Permission&& permission, RngOf&& rng_of,
+                       ContentionOutcome& outcome,
+                       std::vector<std::uint8_t>& flags) {
   if (minislots < 0) {
     throw std::invalid_argument("run_request_phase: negative minislots");
   }
-  ContentionOutcome outcome;
+  outcome.winners.clear();
+  outcome.transmitted.clear();
+  outcome.tally = ContentionTally{};
   outcome.tally.minislots = minislots;
 
-  // Track candidates by index: `won[i]` removes them from contention,
-  // `ever_transmitted[i]` feeds the backoff stabilization.
-  std::vector<bool> won(candidates.size(), false);
-  std::vector<bool> ever_transmitted(candidates.size(), false);
+  // Track candidates by index: kWon removes them from contention,
+  // kTransmitted feeds the backoff stabilization.
+  constexpr std::uint8_t kWon = 1;
+  constexpr std::uint8_t kTransmitted = 2;
+  flags.assign(candidates.size(), 0);
   std::size_t remaining = candidates.size();
 
   for (int slot = 0; slot < minislots && remaining > 0; ++slot) {
     std::size_t transmitter_index = candidates.size();
     int transmitted = 0;
     for (std::size_t i = 0; i < candidates.size(); ++i) {
-      if (won[i]) continue;
+      if (flags[i] & kWon) continue;
       if (rng_of(candidates[i]).bernoulli(permission(candidates[i]))) {
         ++transmitted;
         transmitter_index = i;
-        ever_transmitted[i] = true;
+        flags[i] |= kTransmitted;
       }
     }
     outcome.tally.transmissions += transmitted;
     if (transmitted == 1) {
       ++outcome.tally.successes;
       outcome.winners.push_back(candidates[transmitter_index]);
-      won[transmitter_index] = true;
+      flags[transmitter_index] |= kWon;
       --remaining;
     } else if (transmitted > 1) {
       ++outcome.tally.collisions;
@@ -83,8 +91,18 @@ ContentionOutcome run_request_phase(
       outcome.tally.idle;
 
   for (std::size_t i = 0; i < candidates.size(); ++i) {
-    if (ever_transmitted[i]) outcome.transmitted.push_back(candidates[i]);
+    if (flags[i] & kTransmitted) outcome.transmitted.push_back(candidates[i]);
   }
+}
+
+/// The same phase into a fresh outcome (and fresh scratch) per call.
+template <typename Permission, typename RngOf>
+ContentionOutcome run_request_phase(
+    const std::vector<common::UserId>& candidates, int minislots,
+    Permission&& permission, RngOf&& rng_of) {
+  ContentionOutcome outcome;
+  std::vector<std::uint8_t> flags;
+  run_request_phase(candidates, minislots, permission, rng_of, outcome, flags);
   return outcome;
 }
 

@@ -5,6 +5,7 @@
 #include <limits>
 #include <span>
 #include <stdexcept>
+#include <utility>
 
 namespace charisma::mac {
 
@@ -42,6 +43,10 @@ ProtocolEngine::ProtocolEngine(const ScenarioParams& params)
     throw std::invalid_argument("ProtocolEngine: invalid scenario parameters");
   }
   if (params.barring) barring_.emplace();
+  // A slot burst fails at most the top mode's packets, so the ARQ scratch
+  // never grows inside a frame.
+  retx_scratch_.reserve(static_cast<std::size_t>(
+      adaptive_phy_.packets_per_slot(adaptive_phy_.table().size() - 1)));
   // The channel grid step must match the frame cadence so per-frame draws
   // line up with the coherence model.
   params_.channel.sample_interval = geom_.frame_duration;
@@ -108,9 +113,9 @@ MobileUser& ProtocolEngine::band_admit(common::UserId id) {
                                   ? ServiceType::kVoice
                                   : ServiceType::kData;
   std::uint32_t visit = 0;
-  if (!rebirths_.empty()) {
-    const auto it = rebirths_.find(id);
-    if (it != rebirths_.end()) visit = it->second;
+  if (!band_history_.empty()) {
+    const auto it = band_history_.find(id);
+    if (it != band_history_.end()) visit = it->second.visits;
   }
   auto u = std::make_unique<MobileUser>(id, service, params_, bank_, visit);
   // The bank decides the slot (fresh row or a reused free-list one); the
@@ -165,7 +170,11 @@ void ProtocolEngine::band_release(common::UserId id) {
   if (users_[slot]->present()) {
     throw std::logic_error("ProtocolEngine::band_release: still attached");
   }
-  ++rebirths_[id];
+  BandHistory& history = band_history_[id];
+  ++history.visits;
+  if (slot < delivered_by_slot_.size()) {
+    history.delivered += std::exchange(delivered_by_slot_[slot], 0);
+  }
   users_[slot].reset();
   bank_.release_user(slot);
   band_.erase(it);
@@ -182,7 +191,7 @@ const ProtocolMetrics& ProtocolEngine::run(common::Time warmup,
   // a repeated call with warmup <= now() silently return a zero-frame
   // window whose rate helpers divide by zero.)
   advance_by(warmup);
-  metrics_.reset();
+  reset_window();
   advance_by(measure);
   return metrics_;
 }
@@ -357,21 +366,17 @@ PendingRequest ProtocolEngine::acked_request(const MobileUser& u) const {
   return request;
 }
 
-ContentionOutcome ProtocolEngine::run_contention(
+const ContentionOutcome& ProtocolEngine::run_contention(
     const std::vector<common::UserId>& candidates, int minislots) {
   // Contenders are this frame's dense read set (winners get CSI estimates,
   // CHARISMA ranks them by channel): one batched materialization beats the
   // scattered on-read jumps the lazy schedule would otherwise pay.
   touch_channels(candidates);
-  auto outcome = run_request_phase(
-      candidates, minislots,
-      [this](common::UserId id) {
-        const auto& u = user(id);
-        return permission_prob(u) * u.backoff_scale();
-      },
-      [this](common::UserId id) -> common::TrafficRng& {
-        return user(id).rng();
-      });
+  request_phase(candidates, minislots, [this](common::UserId id) {
+    const auto& u = user(id);
+    return permission_prob(u) * u.backoff_scale();
+  });
+  ContentionOutcome& outcome = contention_;
   note_contention(outcome.tally);
 
   // Downlink ACK loss: the base station acknowledged, but the device never
@@ -442,7 +447,7 @@ void ProtocolEngine::transmit_voice(MobileUser& u, phy::SlotBurst burst) {
   metrics_.energy_info_j += energy;
   if (ok) {
     ++metrics_.voice_delivered;
-    note_user_delivery(u.id(), 1);
+    note_user_delivery(u, 1);
   } else {
     ++metrics_.voice_error_lost;
     metrics_.energy_wasted_j += energy;  // the paper's motivation 2
@@ -478,7 +483,7 @@ void ProtocolEngine::transmit_data(MobileUser& u, phy::SlotBurst burst) {
     }
   }
   src.push_front(failed);
-  if (delivered > 0) note_user_delivery(u.id(), delivered);
+  if (delivered > 0) note_user_delivery(u, delivered);
   // One slot burst regardless of fill; the corrupted fraction is waste.
   const double energy = burst_energy(geom_.slot_symbols);
   metrics_.energy_info_j += energy;
@@ -497,16 +502,45 @@ void ProtocolEngine::note_contention(const ContentionTally& tally) {
   if (barring_) barring_->note_contention(tally);
 }
 
-void ProtocolEngine::note_user_delivery(common::UserId id, int packets) {
-  auto& ledger = metrics_.per_user_delivered;
+void ProtocolEngine::note_user_delivery(const MobileUser& u, int packets) {
   // users_ is slot-count, not population: a band-resident id can exceed
-  // it, so size to whichever is larger. The dense population still gets
-  // the historical users_.size()-sized ledger.
-  const std::size_t need =
-      std::max(users_.size(), static_cast<std::size_t>(id) + 1);
-  if (ledger.size() < need) ledger.resize(need, 0);
-  ledger[static_cast<std::size_t>(id)] += packets;
+  // it, so the ledger spans whichever is larger. The dense population
+  // still gets the historical users_.size()-sized ledger.
+  const auto id = static_cast<std::size_t>(u.id());
+  const std::size_t extent = std::max(users_.size(), id + 1);
+  if (params_.defer_population) {
+    if (u.slot() >= delivered_by_slot_.size()) {
+      delivered_by_slot_.resize(users_.size(), 0);
+    }
+    delivered_by_slot_[u.slot()] += packets;
+    ledger_extent_ = std::max(ledger_extent_, extent);
+    return;
+  }
+  auto& ledger = metrics_.per_user_delivered;
+  if (ledger.size() < extent) ledger.resize(extent, 0);
+  ledger[id] += packets;
 }
 
+void ProtocolEngine::reset_window() {
+  metrics_.reset();
+  std::fill(delivered_by_slot_.begin(), delivered_by_slot_.end(), 0);
+  for (auto& [id, history] : band_history_) history.delivered = 0;
+  ledger_extent_ = 0;
+}
+
+void ProtocolEngine::add_deliveries_by_user(
+    std::vector<std::int64_t>& per_user) const {
+  if (per_user.size() < ledger_extent_) per_user.resize(ledger_extent_, 0);
+  for (const BandMember& m : band_) {
+    if (m.slot < delivered_by_slot_.size() && delivered_by_slot_[m.slot] != 0) {
+      per_user[static_cast<std::size_t>(m.id)] += delivered_by_slot_[m.slot];
+    }
+  }
+  for (const auto& [id, history] : band_history_) {
+    if (history.delivered != 0) {
+      per_user[static_cast<std::size_t>(id)] += history.delivered;
+    }
+  }
+}
 
 }  // namespace charisma::mac

@@ -133,11 +133,26 @@ class ProtocolEngine {
   /// materializations never leak into the first measured frame's
   /// users_advanced/skipped accounting.
   void reset_metrics() {
-    metrics_.reset();
+    reset_window();
     const auto stats = bank_.lazy_stats();
     lazy_events_seen_ = stats.jump_events;
     lazy_frames_seen_ = stats.jump_frames;
   }
+
+  // ---- Fairness ledger of a band-local engine (defer_population) ----
+  // A world cell keeps no by-id ledger in its metrics(): it counts
+  // deliveries by storage slot, and band_release moves a departing user's
+  // count into the per-user history it already keeps. The world builds the
+  // dense by-id view once, in CellularWorld::aggregate_metrics, so the
+  // ledger costs each cell O(band + departed users), not O(population). A
+  // single-cell engine keeps the dense metrics().per_user_delivered and
+  // adds nothing here.
+
+  /// Adds the packets each user delivered here since the last
+  /// reset_metrics() into `per_user` (indexed by id), first growing it
+  /// with zeros to the size the dense by-id ledger has always had: the
+  /// largest max(slot count, id + 1) over this window's deliveries.
+  void add_deliveries_by_user(std::vector<std::int64_t>& per_user) const;
 
   // ---- Sparse presence: band membership (CellularWorld) ----
   // A cell's engine holds state only for the users inside its pilot band.
@@ -351,14 +366,31 @@ class ProtocolEngine {
   /// its whole backlog with no deadline.
   PendingRequest acked_request(const MobileUser& u) const;
 
+  /// run_request_phase over `candidates` with each user's own MAC stream,
+  /// into the outcome the engine reuses across phases (so a warm phase
+  /// allocates nothing). The returned outcome is valid until the next
+  /// phase starts.
+  template <typename Permission>
+  const ContentionOutcome& request_phase(
+      const std::vector<common::UserId>& candidates, int minislots,
+      Permission&& permission) {
+    run_request_phase(
+        candidates, minislots, std::forward<Permission>(permission),
+        [this](common::UserId id) -> common::TrafficRng& {
+          return user(id).rng();
+        },
+        contention_, contention_flags_);
+    return contention_;
+  }
+
   /// Runs a contention phase over `candidates` with the class permission
   /// probabilities scaled by each device's backoff state, records the
   /// tally, injects downlink-ACK loss, and settles the phase
   /// (settle_contention; a winner whose ACK was lost behaves like a
   /// collided loser and is dropped from the winners). Each request costs a
-  /// minislot's energy.
-  ContentionOutcome run_contention(const std::vector<common::UserId>& candidates,
-                                   int minislots);
+  /// minislot's energy. The outcome is request_phase's.
+  const ContentionOutcome& run_contention(
+      const std::vector<common::UserId>& candidates, int minislots);
 
   /// The tail of every request phase: updates backoff (winners reset,
   /// collided losers halve) and charges `symbols_per_request` of energy
@@ -417,7 +449,7 @@ class ProtocolEngine {
   // ---- Accounting helpers ----
   void note_contention(const ContentionTally& tally);
   /// Credits delivered packets to the user's fairness ledger.
-  void note_user_delivery(common::UserId id, int packets);
+  void note_user_delivery(const MobileUser& u, int packets);
   void offer_info_slots(int n) { metrics_.info_slots_offered += n; }
 
   ScenarioParams params_;
@@ -439,6 +471,9 @@ class ProtocolEngine {
  private:
   void note_assigned_slot() { ++metrics_.info_slots_assigned; }
   void note_wasted_slot() { ++metrics_.info_slots_wasted; }
+  /// Starts a fresh measurement window: clears the metrics and a band-local
+  /// engine's ledger (the slot counts and the departed users' counts).
+  void reset_window();
   /// One frame at now(): advance the world, run the protocol frame, and
   /// return the consumed duration (the offset of the next frame's start).
   common::Time frame_tick();
@@ -468,14 +503,34 @@ class ProtocolEngine {
   /// search. Cleared (permanently) by the first out-of-order admit or any
   /// release.
   bool identity_ = true;
-  /// Per-user count of completed band visits *here*: how many times the
-  /// user has been released from this cell's band. Seeds the rebirth
-  /// stream on re-admission. Empty for the dense population.
-  std::unordered_map<common::UserId, std::uint32_t> rebirths_;
+  /// What a user's released shells left behind in this cell.
+  struct BandHistory {
+    /// Completed band visits *here*: how many times the user has been
+    /// released from this cell's band. Seeds the rebirth stream on
+    /// re-admission.
+    std::uint32_t visits = 0;
+    /// Packets those shells delivered here since the last reset_metrics()
+    /// (the ledger's share of users no longer band-resident).
+    std::int64_t delivered = 0;
+  };
+  /// Per released user; empty for the dense population. A re-entering
+  /// user's stays share one entry.
+  std::unordered_map<common::UserId, BandHistory> band_history_;
+  /// A band-local engine's ledger of its band members: packets delivered
+  /// since the last reset_metrics(), by storage slot (grown to the slot
+  /// count when a slot past its end first delivers; empty for the dense
+  /// population, whose ledger is metrics_.per_user_delivered).
+  std::vector<std::int64_t> delivered_by_slot_;
+  /// The dense ledger's size for this window (add_deliveries_by_user's
+  /// rule); 0 before any delivery.
+  std::size_t ledger_extent_ = 0;
   /// Slot scratch for materialize_touched, reused across frames.
   std::vector<std::uint32_t> touch_slots_;
-  /// Failed-arrival scratch for transmit_data, reused across frames so
-  /// steady-state ARQ retransmissions stay allocation-free.
+  /// request_phase's outcome and per-candidate flags, reused across phases.
+  ContentionOutcome contention_;
+  std::vector<std::uint8_t> contention_flags_;
+  /// Failed-arrival scratch for transmit_data, sized at construction for
+  /// the largest burst, so ARQ retransmissions never allocate.
   std::vector<common::Time> retx_scratch_;
 
   // Closed-loop barring (engaged only when params.barring; the controller

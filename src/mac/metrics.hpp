@@ -116,7 +116,12 @@ struct ProtocolMetrics {
   double energy_wasted_j = 0.0;   ///< joules that delivered no packet
 
   /// Packets delivered per user id (voice + data) — the fairness view
-  /// needed by the §6 capacity-fair extension. Sized by the engine.
+  /// needed by the §6 capacity-fair extension. A single-cell engine fills
+  /// it, one entry per user from the first delivery on. A world cell's own
+  /// metrics leave it empty: the cell keeps its ledger band-local, and
+  /// CellularWorld::aggregate_metrics builds this vector for the world
+  /// (ProtocolEngine::add_deliveries_by_user), as long as the longest
+  /// per-cell vector used to be.
   std::vector<std::int64_t> per_user_delivered;
 
   void reset() { *this = ProtocolMetrics{}; }

@@ -1,5 +1,6 @@
 #include "mac/reservation.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 
 namespace charisma::mac {
@@ -11,18 +12,31 @@ ReservationGrid::ReservationGrid(int phases, int slots) : slots_(slots) {
   grid_.assign(static_cast<std::size_t>(phases),
                std::vector<common::UserId>(
                    static_cast<std::size_t>(slots), common::kNoUser));
+  by_user_.reserve(static_cast<std::size_t>(phases) *
+                   static_cast<std::size_t>(slots));
+}
+
+std::vector<ReservationGrid::Holder>::const_iterator
+ReservationGrid::lower_bound(common::UserId user) const {
+  return std::lower_bound(
+      by_user_.begin(), by_user_.end(), user,
+      [](const Holder& h, common::UserId id) { return h.user < id; });
+}
+
+void ReservationGrid::book(common::UserId user, Position position) {
+  by_user_.insert(lower_bound(user), Holder{user, position});
 }
 
 std::optional<int> ReservationGrid::reserve(int phase, common::UserId user) {
   if (phase < 0 || phase >= phases()) {
     throw std::out_of_range("ReservationGrid::reserve: bad phase");
   }
-  if (by_user_.count(user) > 0) return std::nullopt;
+  if (has_reservation(user)) return std::nullopt;
   auto& row = grid_[static_cast<std::size_t>(phase)];
   for (int s = 0; s < slots_; ++s) {
     if (row[static_cast<std::size_t>(s)] == common::kNoUser) {
       row[static_cast<std::size_t>(s)] = user;
-      by_user_[user] = Position{phase, s};
+      book(user, Position{phase, s});
       return s;
     }
   }
@@ -33,31 +47,32 @@ bool ReservationGrid::reserve_at(int phase, int slot, common::UserId user) {
   if (phase < 0 || phase >= phases() || slot < 0 || slot >= slots_) {
     throw std::out_of_range("ReservationGrid::reserve_at: bad position");
   }
-  if (by_user_.count(user) > 0) return false;
+  if (has_reservation(user)) return false;
   auto& cell = grid_[static_cast<std::size_t>(phase)][static_cast<std::size_t>(slot)];
   if (cell != common::kNoUser) return false;
   cell = user;
-  by_user_[user] = Position{phase, slot};
+  book(user, Position{phase, slot});
   return true;
 }
 
 void ReservationGrid::release(common::UserId user) {
-  auto it = by_user_.find(user);
-  if (it == by_user_.end()) return;
-  grid_[static_cast<std::size_t>(it->second.phase)]
-       [static_cast<std::size_t>(it->second.slot)] = common::kNoUser;
+  const auto it = lower_bound(user);
+  if (it == by_user_.end() || it->user != user) return;
+  grid_[static_cast<std::size_t>(it->position.phase)]
+       [static_cast<std::size_t>(it->position.slot)] = common::kNoUser;
   by_user_.erase(it);
 }
 
 bool ReservationGrid::has_reservation(common::UserId user) const {
-  return by_user_.count(user) > 0;
+  const auto it = lower_bound(user);
+  return it != by_user_.end() && it->user == user;
 }
 
 std::optional<ReservationGrid::Position> ReservationGrid::position(
     common::UserId user) const {
-  auto it = by_user_.find(user);
-  if (it == by_user_.end()) return std::nullopt;
-  return it->second;
+  const auto it = lower_bound(user);
+  if (it == by_user_.end() || it->user != user) return std::nullopt;
+  return it->position;
 }
 
 void ReservationGrid::due_in_phase(int phase,

@@ -9,7 +9,6 @@
 #pragma once
 
 #include <optional>
-#include <unordered_map>
 #include <vector>
 
 #include "common/units.hpp"
@@ -54,9 +53,20 @@ class ReservationGrid {
   int phases() const { return static_cast<int>(grid_.size()); }
 
  private:
+  struct Holder {
+    common::UserId user;
+    Position position;
+  };
+  /// by_user_'s entry for `user`, or where it would go.
+  std::vector<Holder>::const_iterator lower_bound(common::UserId user) const;
+  /// Books a free (phase, slot) for a user holding nothing yet.
+  void book(common::UserId user, Position position);
+
   int slots_;
   std::vector<std::vector<common::UserId>> grid_;  ///< [phase][slot] -> user
-  std::unordered_map<common::UserId, Position> by_user_;
+  /// The holders, ascending by user id. Its capacity is the grid's size,
+  /// reserved at construction, so reserving and releasing never allocate.
+  std::vector<Holder> by_user_;
 };
 
 }  // namespace charisma::mac

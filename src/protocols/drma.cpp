@@ -109,7 +109,7 @@ common::Time DrmaProtocol::process_frame() {
     });
     if (candidates_.empty()) continue;  // slot stays idle
 
-    auto outcome = run_contention(candidates_, kMinislotsPerConversion);
+    const auto& outcome = run_contention(candidates_, kMinislotsPerConversion);
     for (common::UserId uid : outcome.winners) {
       pending_.push_back(acked_request(user(uid)));
       insert_sorted(engaged_, uid);

@@ -78,7 +78,7 @@ common::Time DtdmaProtocol::process_frame() {
   for_each_attached(queue_.members(), [this](mac::MobileUser& u) {
     if (contends_for_reservation(u, grid_)) candidates_.push_back(u.id());
   });
-  auto outcome = run_contention(candidates_, geom_.num_request_slots);
+  const auto& outcome = run_contention(candidates_, geom_.num_request_slots);
 
   // 3. FCFS service: queued requests first (oldest), then this frame's
   //    winners in minislot order. Unserved requests stay queued only in

@@ -21,8 +21,8 @@ common::Time RmavProtocol::process_frame() {
   int served_slots = 0;
 
   // Touch set: last frame's grant holders are the only users this frame
-  // reads (RMAV's competitive slot goes through run_request_phase
-  // directly, not run_contention, and contenders' channels are never read
+  // reads (RMAV's competitive slot goes through request_phase directly,
+  // not run_contention, and contenders' channels are never read
   // during the request itself).
   touch_channels(grants_);
 
@@ -52,13 +52,9 @@ common::Time RmavProtocol::process_frame() {
         u.is_voice() ? u.voice().has_packet() : u.data().backlog() > 0;
     if (pending && !barring_blocks(u)) candidates_.push_back(u.id());
   });
-  auto outcome = mac::run_request_phase(
-      candidates_, 1,
-      [this](common::UserId id) {
+  const auto& outcome =
+      request_phase(candidates_, 1, [this](common::UserId id) {
         return kPermissionProb * user(id).backoff_scale();
-      },
-      [this](common::UserId id) -> common::TrafficRng& {
-        return user(id).rng();
       });
   note_contention(outcome.tally);
   // The competitive slot is a full information slot (Fig. 2b).

@@ -3,11 +3,48 @@
 #include <algorithm>
 #include <cmath>
 #include <stdexcept>
+#include <utility>
 
 namespace charisma::traffic {
 
 namespace {
 constexpr double kTimeEps = 1e-9;
+}
+
+void ArrivalRing::grow() {
+  std::vector<Run> grown(std::max<std::size_t>(4, 2 * runs_.size()));
+  for (std::size_t k = 0; k < used_; ++k) grown[k] = runs_[slot(k)];
+  runs_ = std::move(grown);
+  head_ = 0;
+}
+
+void ArrivalRing::push_back(common::Time t, std::size_t count) {
+  packets_ += count;
+  if (used_ > 0) {
+    Run& tail = runs_[slot(used_ - 1)];
+    if (tail.time == t) {
+      tail.count += count;
+      return;
+    }
+  }
+  if (used_ == runs_.size()) grow();
+  runs_[slot(used_)] = Run{t, count};
+  ++used_;
+}
+
+void ArrivalRing::push_front(std::span<const common::Time> arrivals) {
+  // The last arrival lands next to the old head, so walk them backwards.
+  for (auto it = arrivals.rbegin(); it != arrivals.rend(); ++it) {
+    ++packets_;
+    if (used_ > 0 && runs_[head_].time == *it) {
+      ++runs_[head_].count;
+      continue;
+    }
+    if (used_ == runs_.size()) grow();
+    head_ = head_ == 0 ? runs_.size() - 1 : head_ - 1;
+    runs_[head_] = Run{*it, 1};
+    ++used_;
+  }
 }
 
 DataSource::DataSource(const DataSourceConfig& config, common::TrafficRng rng)
@@ -46,7 +83,7 @@ DataSource::FrameUpdate DataSource::on_frame(common::Time now) {
   while (next_burst_at_ <= now + kTimeEps) {
     const auto burst = std::max<int>(
         1, static_cast<int>(std::ceil(rng_.exponential(config_.mean_burst_packets))));
-    for (int i = 0; i < burst; ++i) queue_.push_back(now);
+    queue_.push_back(now, static_cast<std::size_t>(burst));
     packets_generated_ += burst;
     ++update.bursts_arrived;
     update.packets_arrived += burst;
@@ -63,11 +100,7 @@ void DataSource::pop_head() {
 }
 
 void DataSource::push_front(std::span<const common::Time> arrivals) {
-  // Re-insert in original order: the last element pushed lands at the very
-  // front, so iterate in reverse.
-  for (auto it = arrivals.rbegin(); it != arrivals.rend(); ++it) {
-    queue_.push_front(*it);
-  }
+  queue_.push_front(arrivals);
 }
 
 }  // namespace charisma::traffic

@@ -7,9 +7,10 @@
 // of the *successful* transmission) can be reported.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <span>
+#include <vector>
 
 #include "common/rng.hpp"
 #include "common/units.hpp"
@@ -32,6 +33,51 @@ struct DataSourceConfig {
   bool mmpp_enabled() const {
     return mmpp_rate_ratio > 1.0 && mmpp_mean_sojourn_s > 0.0;
   }
+};
+
+/// A FIFO of packet arrival times, run-length encoded: each entry is one
+/// arrival time and the number of queued packets that share it, so a
+/// burst queues as a single run. The runs sit in a ring over one
+/// std::vector that grows only when every slot holds a run, so a backlog
+/// that moves without needing more runs (arrivals, deliveries, ARQ returns
+/// to the head) never touches the heap.
+class ArrivalRing {
+ public:
+  /// Queued packets (not runs).
+  std::size_t size() const { return packets_; }
+  bool empty() const { return packets_ == 0; }
+  /// The oldest packet's arrival time. Requires !empty().
+  common::Time front() const { return runs_[head_].time; }
+  /// Removes the oldest packet. Requires !empty().
+  void pop_front() {
+    if (--runs_[head_].count == 0) {
+      head_ = head_ + 1 == runs_.size() ? 0 : head_ + 1;
+      --used_;
+    }
+    --packets_;
+  }
+  /// Appends `count` packets that arrived at `t`.
+  void push_back(common::Time t, std::size_t count);
+  /// Puts `arrivals` ahead of the oldest packet, in their given order.
+  void push_front(std::span<const common::Time> arrivals);
+
+ private:
+  struct Run {
+    common::Time time;
+    std::size_t count;
+  };
+  /// Slot of the k-th live run (k < used_).
+  std::size_t slot(std::size_t k) const {
+    const std::size_t i = head_ + k;
+    return i >= runs_.size() ? i - runs_.size() : i;
+  }
+  /// Doubles the ring (to at least 4 runs), oldest run first.
+  void grow();
+
+  std::vector<Run> runs_;  ///< capacity == runs_.size()
+  std::size_t head_ = 0;
+  std::size_t used_ = 0;     ///< live runs
+  std::size_t packets_ = 0;  ///< packets over the live runs
 };
 
 class DataSource {
@@ -90,7 +136,7 @@ class DataSource {
   double rate_scale_ = 1.0;
   bool mmpp_high_ = false;
   common::Time mmpp_toggle_at_ = 0.0;
-  std::deque<common::Time> queue_;  ///< per-packet arrival time
+  ArrivalRing queue_;  ///< per-packet arrival time
   common::Time next_burst_at_;
   std::int64_t packets_generated_ = 0;
 };

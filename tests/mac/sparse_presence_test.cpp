@@ -73,6 +73,23 @@ CellularConfig pin_config(unsigned threads, double band_radius_m) {
   return cfg;
 }
 
+/// One exact number for the whole by-id fairness ledger: Σ (id + 1) ·
+/// packets, so a count credited to the wrong user moves it.
+std::int64_t ledger_checksum(const ProtocolMetrics& m) {
+  std::int64_t sum = 0;
+  for (std::size_t i = 0; i < m.per_user_delivered.size(); ++i) {
+    sum += static_cast<std::int64_t>(i + 1) * m.per_user_delivered[i];
+  }
+  return sum;
+}
+
+/// Every delivered packet is on the ledger, under exactly one user.
+void expect_ledger_conserved(const ProtocolMetrics& m) {
+  std::int64_t total = 0;
+  for (const std::int64_t packets : m.per_user_delivered) total += packets;
+  EXPECT_EQ(total, m.voice_delivered + m.data_delivered);
+}
+
 // ---------------------------------------------------------------- pins
 
 struct GoldenPins {
@@ -87,10 +104,16 @@ struct GoldenPins {
   double data_delay_mean_s;
   double energy_info_j;
   double barring_factor_voice_mean;
+  /// The world's by-id ledger (aggregate per_user_delivered): its length
+  /// and ledger_checksum.
+  std::size_t ledger_size;
+  std::int64_t ledger_checksum;
 };
 
 // Captured from the dense (users×cells) world at commit c28b9eb, i.e. the
-// implementation this PR replaced, at pin_config / run(0.3, 1.2).
+// implementation this PR replaced, at pin_config / run(0.3, 1.2). The two
+// ledger pins were captured later, at 3c895f3, the last commit whose cells
+// each kept a dense by-id ledger.
 const GoldenPins kDenseGolden[] = {
     {protocols::ProtocolId::kCharisma,
      /*voice_generated=*/194, /*voice_delivered=*/128,
@@ -102,7 +125,8 @@ const GoldenPins kDenseGolden[] = {
      /*interference_db_mean=*/0x1.fc4d466a243ep+1,
      /*data_delay_mean_s=*/0x1.06a039d36d007p-8,
      /*energy_info_j=*/0x1.54bead054beb2p-6,
-     /*barring_factor_voice_mean=*/0x1.bc35076d9a002p-1},
+     /*barring_factor_voice_mean=*/0x1.bc35076d9a002p-1,
+     /*ledger_size=*/23, /*ledger_checksum=*/3916},
     {protocols::ProtocolId::kRmav,
      /*voice_generated=*/193, /*voice_delivered=*/99,
      /*data_generated=*/136, /*data_delivered=*/134,
@@ -113,7 +137,8 @@ const GoldenPins kDenseGolden[] = {
      /*interference_db_mean=*/0x1.fbe18f9835c2cp+1,
      /*data_delay_mean_s=*/0x1.4cf8a5e7ea607p-7,
      /*energy_info_j=*/0x1.116f3a43170fbp-1,
-     /*barring_factor_voice_mean=*/0x1p+0},
+     /*barring_factor_voice_mean=*/0x1p+0,
+     /*ledger_size=*/23, /*ledger_checksum=*/3633},
     {protocols::ProtocolId::kPrma,
      /*voice_generated=*/194, /*voice_delivered=*/93,
      /*data_generated=*/136, /*data_delivered=*/106,
@@ -124,7 +149,8 @@ const GoldenPins kDenseGolden[] = {
      /*interference_db_mean=*/0x1.fc4d466a243ep+1,
      /*data_delay_mean_s=*/0x1.72c3e9968234ap-5,
      /*energy_info_j=*/0x1.3611a7b96114bp-3,
-     /*barring_factor_voice_mean=*/0x1p+0},
+     /*barring_factor_voice_mean=*/0x1p+0,
+     /*ledger_size=*/23, /*ledger_checksum=*/2930},
 };
 
 class SparsePresenceGolden : public ::testing::TestWithParam<GoldenPins> {};
@@ -162,6 +188,9 @@ TEST_P(SparsePresenceGolden, AllCoveringBandReproducesDenseBitForBit) {
     EXPECT_EQ(m.data_delay_s.mean(), pins.data_delay_mean_s);
     EXPECT_EQ(m.energy_info_j, pins.energy_info_j);
     EXPECT_EQ(m.barring_factor_voice.mean(), pins.barring_factor_voice_mean);
+    EXPECT_EQ(m.per_user_delivered.size(), pins.ledger_size);
+    EXPECT_EQ(ledger_checksum(m), pins.ledger_checksum);
+    expect_ledger_conserved(m);
   }
 }
 
@@ -226,6 +255,9 @@ TEST(SparsePresencePartialBand, EpochInvariantsAndHandoffConservation) {
       // Conservation: every arrival is a departure from somewhere — a
       // voluntary handoff or an outage eviction.
       EXPECT_EQ(m.handoffs_in, m.handoffs_out + m.outage_evictions);
+      // Each window's ledger holds exactly that window's deliveries, those
+      // of shells released during it included.
+      expect_ledger_conserved(m);
       handoffs_in += m.handoffs_in;
       handoffs_out += m.handoffs_out;
       evictions += m.outage_evictions;
@@ -286,15 +318,26 @@ TEST(SparsePresencePartialBand, MobilityReentersBandsUnderFreshSeeds) {
 TEST(SparsePresencePartialBand, SerialAndParallelBitIdentical) {
   // The share-nothing guarantee with band churn live: admits/releases are
   // coordinator-ordered, so thread count must not change a single bit.
-  for (const auto id :
-       {protocols::ProtocolId::kCharisma, protocols::ProtocolId::kRmav,
-        protocols::ProtocolId::kPrma}) {
+  // The by-id ledger is pinned too (captured at 3c895f3, whose cells kept
+  // dense ledgers): with a partial band it is 22 long, the largest slot
+  // count or delivering id + 1 in any cell, not the population of 23.
+  struct LedgerPin {
+    protocols::ProtocolId id;
+    std::int64_t checksum;
+  };
+  for (const LedgerPin pin : {LedgerPin{protocols::ProtocolId::kCharisma, 3967},
+                              LedgerPin{protocols::ProtocolId::kRmav, 3691},
+                              LedgerPin{protocols::ProtocolId::kPrma, 2965}}) {
+    const auto id = pin.id;
     SCOPED_TRACE(std::string("protocol ") + protocols::protocol_name(id));
     CellularWorld serial(pin_config(/*threads=*/1, /*band_radius_m=*/700.0),
                          factory_for(id));
     serial.run(0.3, 1.2);
     const auto reference = serial.aggregate_metrics();
     ASSERT_GT(reference.voice_generated, 0);
+    EXPECT_EQ(reference.per_user_delivered.size(), 22u);
+    EXPECT_EQ(ledger_checksum(reference), pin.checksum);
+    expect_ledger_conserved(reference);
     for (unsigned threads : {2u, 4u, 0u}) {
       SCOPED_TRACE("threads " + std::to_string(threads));
       auto cfg = pin_config(threads, /*band_radius_m=*/700.0);
@@ -311,6 +354,38 @@ TEST(SparsePresencePartialBand, SerialAndParallelBitIdentical) {
                   serial.attached_cell(static_cast<common::UserId>(u)));
       }
     }
+  }
+}
+
+TEST(SparsePresencePartialBand, LedgerKeepsTheDeliveriesOfReleasedUsers) {
+  // At 2,000 km/h users leave the bands of cells they delivered in during
+  // a window, so about a third of the world's deliveries end up in the
+  // counts of released users (band_release folds them into the cell's
+  // per-user history). The world's ledger must hold every delivery under
+  // the right id, at the length the dense per-cell vectors had, and a
+  // second window must start from zero. The checksums were captured at
+  // 3c895f3.
+  struct LedgerPin {
+    protocols::ProtocolId id;
+    std::int64_t first_window, second_window;
+  };
+  const auto expect_ledger = [](const ProtocolMetrics& m,
+                                 std::int64_t checksum) {
+    EXPECT_EQ(m.per_user_delivered.size(), 23u);
+    EXPECT_EQ(ledger_checksum(m), checksum);
+    expect_ledger_conserved(m);
+  };
+  for (const LedgerPin pin :
+       {LedgerPin{protocols::ProtocolId::kDtdmaFr, 20246, 7099},
+        LedgerPin{protocols::ProtocolId::kCharisma, 20701, 7539}}) {
+    SCOPED_TRACE(std::string("protocol ") + protocols::protocol_name(pin.id));
+    auto cfg = pin_config(/*threads=*/1, /*band_radius_m=*/650.0);
+    cfg.mobility.speed_mps = common::km_per_hour(2000.0);
+    CellularWorld world(cfg, factory_for(pin.id));
+    world.run(0.2, 2.0);
+    expect_ledger(world.aggregate_metrics(), pin.first_window);
+    world.run(0.0, 1.0);
+    expect_ledger(world.aggregate_metrics(), pin.second_window);
   }
 }
 
@@ -367,6 +442,7 @@ TEST(SparsePresenceFaultInjection, OutageEvictsAcrossBandsWithoutLeaks) {
     expect_band_invariants(world);
     const auto m = world.aggregate_metrics();
     EXPECT_EQ(m.handoffs_in, m.handoffs_out + m.outage_evictions);
+    expect_ledger_conserved(m);
     evictions += m.outage_evictions;
     handoffs_in += m.handoffs_in;
     handoffs_out += m.handoffs_out;

@@ -4,6 +4,7 @@
 
 #include <cmath>
 #include <cstdint>
+#include <deque>
 #include <random>
 #include <string>
 #include <vector>
@@ -215,6 +216,57 @@ TEST(DataSource, OutsideMutationsNeverMoveTheNextBurstEarlier) {
       ASSERT_GE(src.next_event_time(), before);
     }
   }
+}
+
+TEST(ArrivalRing, MatchesAPlainQueueThroughWrapsGrowthAndCopies) {
+  // The run-length ring against a std::deque of every packet: random
+  // bursts (same-frame ones merge into the tail run), deliveries and ARQ
+  // returns to the head, so the runs wrap, split, merge and regrow. A copy
+  // taken anywhere must replay the same queue.
+  std::mt19937_64 gen(17);
+  ArrivalRing ring;
+  std::deque<common::Time> model;
+  common::Time now = 0.0;
+  std::vector<common::Time> failed;
+  const auto expect_same = [](ArrivalRing r, std::deque<common::Time> m) {
+    ASSERT_EQ(r.size(), m.size());
+    for (; !m.empty(); m.pop_front(), r.pop_front()) {
+      ASSERT_EQ(r.front(), m.front());
+    }
+    EXPECT_TRUE(r.empty());
+  };
+  for (int step = 0; step < 20000; ++step) {
+    switch (gen() % 4) {
+      case 0: {  // a burst, sometimes in the same frame as the last one
+        if (gen() % 3 != 0) now += kFrame;
+        const std::size_t count = 1 + gen() % 40;
+        ring.push_back(now, count);
+        model.insert(model.end(), count, now);
+        break;
+      }
+      case 1:
+      case 2: {  // a slot: deliver some head packets, return the rest
+        failed.clear();
+        for (std::size_t n = gen() % 6; n > 0 && !model.empty(); --n) {
+          ASSERT_EQ(ring.front(), model.front());
+          if (gen() % 2 == 0) failed.push_back(model.front());
+          ring.pop_front();
+          model.pop_front();
+        }
+        ring.push_front(failed);
+        model.insert(model.begin(), failed.begin(), failed.end());
+        break;
+      }
+      default:
+        if (step % 1000 == 3) expect_same(ring, model);  // copies
+    }
+    ASSERT_EQ(ring.size(), model.size());
+    ASSERT_EQ(ring.empty(), model.empty());
+    if (!model.empty()) {
+      ASSERT_EQ(ring.front(), model.front());
+    }
+  }
+  expect_same(std::move(ring), model);
 }
 
 }  // namespace
