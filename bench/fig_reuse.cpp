@@ -14,12 +14,56 @@
 //   CHARISMA_BENCH_REUSE_FACTORS comma list of reuse factors (default 1,3,7)
 //   CHARISMA_BENCH_REUSE_VOICE   voice users in the world (default 40)
 //   CHARISMA_BENCH_REUSE_ACTIVITY per-user activity factor (default 0.4)
+//
+// Exit code: 1 when the mean SINR penalty does not fall with the reuse
+// factor (the first printed shape check; see penalty_falls_with_reuse).
+// The voice-loss check stays printed prose.
+#include <algorithm>
 #include <iostream>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bench_support.hpp"
+
+namespace {
+
+/// One row of the sweep, as the penalty check reads it.
+struct ReusePoint {
+  int reuse = 1;
+  double mean_interf_db = 0.0;
+  bool own_channels = false;  ///< no two of the cells share a channel
+};
+
+/// The printed penalty claim for one cell count, which is deterministic:
+/// in reuse order, each row's mean penalty is strictly below the previous
+/// row's unless both are exactly 0, and a layout that gives every cell its
+/// own channel reads exactly 0. Prints the rows and the verdict.
+bool penalty_falls_with_reuse(int cells, std::vector<ReusePoint> points) {
+  std::sort(points.begin(), points.end(),
+            [](const ReusePoint& a, const ReusePoint& b) {
+              return a.reuse < b.reuse;
+            });
+  bool ok = true;
+  std::cout << "  " << cells << " cells:";
+  for (std::size_t i = 0; i < points.size(); ++i) {
+    const ReusePoint& p = points[i];
+    if (p.own_channels && p.mean_interf_db != 0.0) ok = false;
+    if (i > 0 && p.reuse != points[i - 1].reuse) {
+      const double prev = points[i - 1].mean_interf_db;
+      const bool both_zero = prev == 0.0 && p.mean_interf_db == 0.0;
+      if (!(p.mean_interf_db < prev) && !both_zero) ok = false;
+    }
+    std::cout << (i == 0 ? " " : ", ") << "reuse " << p.reuse << ' '
+              << charisma::common::TextTable::num(p.mean_interf_db, 2)
+              << " dB";
+  }
+  std::cout << (ok ? " -- holds\n" : " -- BROKEN\n");
+  return ok;
+}
+
+}  // namespace
 
 int main() try {
   using namespace charisma;
@@ -58,7 +102,10 @@ int main() try {
   loss_table.set_header(header);
   tput_table.set_header(header);
 
+  std::vector<std::pair<int, std::vector<ReusePoint>>> penalty_rows;
   for (const int cells : cells_list) {
+    penalty_rows.push_back({cells, {}});
+    std::vector<ReusePoint>& points = penalty_rows.back().second;
     for (const int reuse : reuse_list) {
       if (!mac::SiteLayout::is_rhombic_number(reuse)) {
         std::cerr << "skipping reuse=" << reuse
@@ -87,6 +134,13 @@ int main() try {
           channel::ChannelConfig::doppler_for_speed(base.mobility.speed_mps,
                                                     2.0e9);
 
+      const mac::SiteLayout layout(base.layout, cells, width, height);
+      bool own_channels = true;
+      for (int c = 0; c < cells; ++c) {
+        own_channels =
+            own_channels && layout.co_channel_interferers(c).empty();
+      }
+
       double mean_interf = 0.0;
       std::vector<std::string> loss_row{std::to_string(cells),
                                         std::to_string(reuse), ""};
@@ -103,6 +157,7 @@ int main() try {
         mean_interf += m.mean_interference_db();
       }
       mean_interf /= static_cast<double>(protocols::all_protocols().size());
+      points.push_back({reuse, mean_interf, own_channels});
       loss_row[2] = common::TextTable::num(mean_interf, 2);
       tput_row[2] = loss_row[2];
       loss_table.add_row(std::move(loss_row));
@@ -120,12 +175,17 @@ int main() try {
       << "  * The mean SINR penalty falls monotonically as the reuse\n"
       << "    factor grows — fewer co-channel neighbours, less uplink\n"
       << "    interference (exactly zero once every cell has its own\n"
-      << "    channel).\n"
+      << "    channel). Checked below; a broken row fails the exit code.\n"
       << "  * Voice loss improves with reuse for every protocol; the\n"
       << "    channel-adaptive ones (CHARISMA, D-TDMA/VR) recover most of\n"
       << "    the gap at reuse 1 because their PHY adapts to the degraded\n"
-      << "    SINR instead of shipping packets into it.\n";
-  return 0;
+      << "    SINR instead of shipping packets into it.\n"
+      << "\nPenalty check:\n";
+  bool penalty_ok = true;
+  for (const auto& [cells, points] : penalty_rows) {
+    penalty_ok = penalty_falls_with_reuse(cells, points) && penalty_ok;
+  }
+  return penalty_ok ? 0 : 1;
 } catch (const std::exception& e) {
   std::cerr << "error: " << e.what() << '\n';
   return 1;

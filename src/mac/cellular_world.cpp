@@ -6,6 +6,7 @@
 #include <cmath>
 #include <stdexcept>
 
+#include "common/math.hpp"
 #include "mac/attachment.hpp"
 
 namespace charisma::mac {
@@ -83,9 +84,16 @@ CellularWorld::CellularWorld(const CellularConfig& config,
   // Hoist the path-loss log10 into the per-site closed form
   //   db(d) = C - (K/2) * ln(max(d, d_min)²)
   // with C = mean_db + K * ln(d0) and K = 10 n / ln 10. Squared distances
-  // feed the ln directly, so the epoch plane pays neither sqrt nor log10.
+  // feed the ln directly, so the mean plane pays one ln per member and no
+  // sqrt. The interference plane sums linear INRs, so it takes the same
+  // model as G · (d²)^(-n/4) with G = 10^(C/10): co_channel_inr's two
+  // square roots and a division instead of a ln and a pow per site.
   path_loss_c_db_ = config_.params.channel.mean_snr_db +
                     2.0 * kPathLossHalfK * std::log(kReferenceDistanceM);
+  static_assert(kPathLossExponent == 3.5,
+                "co_channel_inr evaluates d^-3.5 as 1 / (d² · d · √d); "
+                "another exponent needs another closed form");
+  path_gain_ = common::from_db(path_loss_c_db_);
 
   unsigned threads = config_.num_threads == 0
                          ? std::thread::hardware_concurrency()
@@ -292,9 +300,9 @@ void CellularWorld::update_cell_snr_plane(int c) {
   // memberships and the coordinator-frozen load vector. Work is O(band),
   // never users × cells. With the interference plane on, each member's
   // SINR penalty is interference_penalty_db over the cell's co-channel
-  // sites (ascending, the dense world's order and expressions), summed in
-  // band (== id) order into the epoch's penalty mean, the historical
-  // accumulation order.
+  // sites (ascending, the dense world's order), summed in band (== id)
+  // order into the epoch's penalty mean, the historical accumulation
+  // order.
   auto& cell = *cells_[static_cast<std::size_t>(c)];
   const auto& band = cell.band();
   auto& bank = cell.channel_bank();
@@ -314,8 +322,8 @@ void CellularWorld::update_cell_snr_plane(int c) {
     row[m.slot] = path_loss_c_db_ - kPathLossHalfK * std::log(d_sq);
     if (interf) {
       irow[m.slot] = interference_penalty_db(
-          layout_, interferers, cell_load_, pos, path_loss_c_db_,
-          kPathLossHalfK, kMinDistanceSqM2);
+          layout_, interferers, cell_load_, pos, path_gain_,
+          kMinDistanceSqM2);
       penalty_sum += irow[m.slot];
     }
   }

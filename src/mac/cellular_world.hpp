@@ -184,9 +184,12 @@ class CellularWorld {
   static constexpr double kReferenceDistanceM = 200.0;
   /// Distances clamp here so a user standing on a site keeps a finite SNR.
   static constexpr double kMinDistanceM = 10.0;
-  /// The closed form the SNR and interference planes evaluate:
-  ///   db(d) = path_loss_c_db() − kPathLossHalfK · ln(max(d², kMinDistanceSqM2))
-  /// with K = 10 n / ln 10.
+  /// The closed form the SNR plane evaluates:
+  ///   db(d) = C − kPathLossHalfK · ln(max(d², kMinDistanceSqM2))
+  /// with K = 10 n / ln 10 and C the mean SNR at the reference distance
+  /// with K · ln(d0) folded in. The interference plane evaluates the same
+  /// model linearly, as path_gain() · max(d², kMinDistanceSqM2)^(−n/4)
+  /// (co_channel_inr).
   static constexpr double kPathLossHalfK =
       0.5 * (10.0 * kPathLossExponent / 2.302585092994046);
   static constexpr double kMinDistanceSqM2 = kMinDistanceM * kMinDistanceM;
@@ -283,9 +286,9 @@ class CellularWorld {
   /// Mean SNR (dB) the path-loss model assigns at distance `d_m` — exposed
   /// for tests and the bench's sanity prints.
   double mean_snr_at_distance_db(double d_m) const;
-  /// C of the path-loss closed form: the mean SNR at the reference
-  /// distance with K · ln(d0) folded in.
-  double path_loss_c_db() const { return path_loss_c_db_; }
+  /// G = 10^(C/10), the path-loss model's linear gain: a unit load at
+  /// distance d adds an INR of G · d^−n (co_channel_inr).
+  double path_gain() const { return path_gain_; }
 
  private:
   /// One (user, cell) band residency: the cell, the user's engine/bank
@@ -440,9 +443,11 @@ class CellularWorld {
   std::vector<char> prev_dark_;
   double pilot_alpha_ = 1.0;
   // Path loss in per-site precomputed form: db = C - K/2 * ln(d²) with the
-  // reference-distance log10 folded into C, so the per-(user, cell) epoch
-  // cost is one ln of the squared distance — no sqrt, no division-by-d0.
+  // reference-distance log10 folded into C, so a member's mean SNR costs
+  // one ln of the squared distance — no sqrt, no division-by-d0. The
+  // interference plane reads the linear G = 10^(C/10) instead.
   double path_loss_c_db_ = 0.0;
+  double path_gain_ = 0.0;
   unsigned num_shards_ = 1;
   EpochTimings timings_;
   std::int64_t handoffs_ = 0;

@@ -250,20 +250,25 @@ std::vector<int> SiteLayout::co_channel_interferers(int site) const {
   return interferers;
 }
 
+double co_channel_inr(double load, double path_gain, double d_sq,
+                      double min_distance_sq_m2) {
+  // d^−3.5 = 1 / (d² · d · √d), with d = √d².
+  const double clamped = std::max(d_sq, min_distance_sq_m2);
+  const double d = std::sqrt(clamped);
+  return load * path_gain / (clamped * d * std::sqrt(d));
+}
+
 double interference_penalty_db(const SiteLayout& layout,
                                std::span<const int> interferers,
                                std::span<const double> cell_load,
-                               const Vec2& p, double path_loss_c_db,
-                               double path_loss_half_k,
+                               const Vec2& p, double path_gain,
                                double min_distance_sq_m2) {
   double inr = 0.0;
   for (const int s : interferers) {
     const double load = cell_load[static_cast<std::size_t>(s)];
     if (load <= 0.0) continue;
-    const double d_sq =
-        std::max(layout.distance_sq(p, s), min_distance_sq_m2);
-    inr += load * common::from_db(path_loss_c_db -
-                                  path_loss_half_k * std::log(d_sq));
+    inr += co_channel_inr(load, path_gain, layout.distance_sq(p, s),
+                          min_distance_sq_m2);
   }
   // 10·log10(1 + I/N): exactly 0.0 when no interferer carries load, so an
   // idle neighbourhood leaves SINR == SNR bit for bit.

@@ -133,19 +133,27 @@ class SiteLayout {
   std::vector<Vec2> wrap_offsets_{Vec2{0.0, 0.0}};
 };
 
+/// Interference-to-noise ratio of one co-channel site carrying `load`, at
+/// squared distance `d_sq` from the user: load · G · max(d², d_min²)^(−7/4).
+/// This is the world's path-loss model db(d) = C − K/2 · ln d² in linear
+/// form, G = 10^(C/10), for the exponent 3.5 alone (CellularWorld
+/// static_asserts it). It costs two square roots and a division, where the
+/// dB form costs a log and a pow, and it is the closer of the two to the
+/// exact power law.
+double co_channel_inr(double load, double path_gain, double d_sq,
+                      double min_distance_sq_m2);
+
 /// Per-(user, serving-cell) SINR penalty of the uplink interference plane:
-/// 10·log10(1 + Σ_s load[s] · INR_s(p)) over the serving site's co-channel
-/// `interferers`, where INR_s is the interference-to-noise ratio of site
-/// s's aggregate load placed at the site under the world's path-loss model
-/// (db(d) = C − K/2 · ln(max(d², d_min²))). Exactly 0 when every
-/// interferer load is 0, and monotone non-decreasing in each load — the
-/// properties tests/mac/cellular_world_test.cpp pins. CellularWorld's SNR
-/// plane computes every member's penalty through this function.
+/// 10·log10(1 + Σ_s co_channel_inr(load[s], G, |p − s|², d_min²)), summed
+/// in the order of the serving site's co-channel `interferers` and
+/// skipping the sites that carry no load. Exactly 0 when every interferer
+/// load is 0, and monotone non-decreasing in each load — the properties
+/// tests/mac/cellular_world_test.cpp pins. CellularWorld's SNR plane
+/// computes every member's penalty through this function.
 double interference_penalty_db(const SiteLayout& layout,
                                std::span<const int> interferers,
                                std::span<const double> cell_load,
-                               const Vec2& p, double path_loss_c_db,
-                               double path_loss_half_k,
+                               const Vec2& p, double path_gain,
                                double min_distance_sq_m2);
 
 }  // namespace charisma::mac

@@ -134,6 +134,24 @@ TEST(CellularWorld, PathLossFallsWithDistance) {
             world.mean_snr_at_distance_db(5.0));
 }
 
+TEST(CellularWorld, CoChannelInrIsThePathLossCurve) {
+  // The interference plane's linear form G · d^-3.5 and the mean plane's
+  // dB form C - K/2 · ln d² are one model: a unit load's INR is
+  // from_db(C - K/2 · ln d²) to 1e-13 relative, from 1 m (inside the 10 m
+  // clamp) to 20 km. The two forms differ by at most about 1e-14.
+  CellularWorld world(small_world(),
+                      factory_for(protocols::ProtocolId::kDtdmaFr));
+  for (int k = 0; k <= 1000; ++k) {
+    const double d = std::pow(20e3, k / 1000.0);
+    const double reference =
+        common::from_db(world.mean_snr_at_distance_db(d));
+    EXPECT_NEAR(co_channel_inr(1.0, world.path_gain(), d * d,
+                               CellularWorld::kMinDistanceSqM2),
+                reference, 1e-13 * reference)
+        << "d = " << d << " m";
+  }
+}
+
 /// A 7-cell hexagonal world with the interference plane on (activity and
 /// reuse configurable).
 CellularConfig hex_world(double activity, int reuse,
@@ -235,10 +253,9 @@ TEST(CellularWorldInterference, PenaltyIsMonotoneInNeighborLoad) {
       // in ring 2 (sqrt(3) spacings away), so its interferer set is
       // non-empty — in a 7-site cluster it would be.
       19, 4000.0, 4000.0);
-  // Any positive path-loss constants work for the property; these are
-  // roughly the world's defaults (26 dB at 200 m, exponent 3.5).
-  const double c_db = 106.5;
-  const double half_k = 7.6;
+  // Any positive path gain works for the property; this is roughly the
+  // world's default (26 dB at 200 m, exponent 3.5).
+  const double gain = common::from_db(106.5);
   const double min_d_sq = 100.0;
   const int serving = 0;
   const auto interferers = layout.co_channel_interferers(serving);
@@ -248,8 +265,8 @@ TEST(CellularWorldInterference, PenaltyIsMonotoneInNeighborLoad) {
   for (const Vec2& p : positions) {
     std::vector<double> load(static_cast<std::size_t>(layout.num_sites()),
                              0.0);
-    EXPECT_EQ(interference_penalty_db(layout, interferers, load, p, c_db,
-                                      half_k, min_d_sq),
+    EXPECT_EQ(interference_penalty_db(layout, interferers, load, p, gain,
+                                      min_d_sq),
               0.0);  // exactly: idle neighbourhood leaves SINR == SNR
     double previous = 0.0;
     for (double level : {0.1, 0.4, 0.8, 1.0}) {
@@ -257,7 +274,7 @@ TEST(CellularWorldInterference, PenaltyIsMonotoneInNeighborLoad) {
         load[static_cast<std::size_t>(s)] = level;
       }
       const double penalty = interference_penalty_db(
-          layout, interferers, load, p, c_db, half_k, min_d_sq);
+          layout, interferers, load, p, gain, min_d_sq);
       EXPECT_GT(penalty, previous);
       previous = penalty;
     }
@@ -268,18 +285,18 @@ TEST(CellularWorldInterference, PenaltyIsMonotoneInNeighborLoad) {
       if (s != serving && layout.co_channel(s, serving)) continue;
       auto bumped = load;
       bumped[static_cast<std::size_t>(s)] = 1.0;
-      EXPECT_EQ(interference_penalty_db(layout, interferers, bumped, p,
-                                        c_db, half_k, min_d_sq),
+      EXPECT_EQ(interference_penalty_db(layout, interferers, bumped, p, gain,
+                                        min_d_sq),
                 baseline);
     }
   }
 }
 
 TEST(CellularWorldInterference, WorldPenaltyMatchesReferenceFormula) {
-  // The world stages per-cell contribution rows and sums them in a second
-  // barrier phase; this pins that optimisation to the reference
-  // semantics: penalty(u, c) = 10·log10(1 + Σ load(s)·INR_s(u)) over c's
-  // co-channel sites, with INR from the world's own path-loss curve.
+  // The plane sums each site's INR in linear closed form
+  // (co_channel_inr); this pins it to the reference semantics:
+  // penalty(u, c) = 10·log10(1 + Σ load(s)·INR_s(u)) over c's co-channel
+  // sites, with INR from the world's own dB path-loss curve, to 1e-12 dB.
   // Static users + infinite hysteresis freeze attachments, so the loads
   // the last epoch used are exactly the ones the accessors report.
   auto cfg = hex_world(/*activity=*/0.45, /*reuse=*/1);
@@ -300,7 +317,7 @@ TEST(CellularWorldInterference, WorldPenaltyMatchesReferenceFormula) {
                common::from_db(world.mean_snr_at_distance_db(d));
       }
       EXPECT_NEAR(world.interference_db(static_cast<common::UserId>(u), c),
-                  common::to_db(1.0 + inr), 1e-9)
+                  common::to_db(1.0 + inr), 1e-12)
           << "user " << u << " cell " << c;
     }
   }
@@ -331,8 +348,7 @@ TEST(CellularWorldInterference, WorldPlaneIsThePenaltyFunction) {
       const double expected = interference_penalty_db(
           world.layout(), interferers, load,
           world.mobility().position(static_cast<int>(m.id)),
-          world.path_loss_c_db(), CellularWorld::kPathLossHalfK,
-          CellularWorld::kMinDistanceSqM2);
+          world.path_gain(), CellularWorld::kMinDistanceSqM2);
       EXPECT_EQ(world.interference_db(m.id, c), expected)
           << "user " << m.id << " cell " << c;
       if (expected > 0.0) ++nonzero;

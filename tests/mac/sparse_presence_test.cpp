@@ -113,7 +113,10 @@ struct GoldenPins {
 // Captured from the dense (users×cells) world at commit c28b9eb, i.e. the
 // implementation this PR replaced, at pin_config / run(0.3, 1.2). The two
 // ledger pins were captured later, at 3c895f3, the last commit whose cells
-// each kept a dense by-id ledger.
+// each kept a dense by-id ledger. The interference_db_mean pins were
+// regenerated when the co-channel INR moved from from_db(C − K/2 · ln d²)
+// to its linear closed form (co_channel_inr): each moved by 12 ULP, and
+// every other pin held.
 const GoldenPins kDenseGolden[] = {
     {protocols::ProtocolId::kCharisma,
      /*voice_generated=*/194, /*voice_delivered=*/128,
@@ -122,7 +125,7 @@ const GoldenPins kDenseGolden[] = {
      /*voice_dropped_outage=*/0, /*barring_checks=*/3,
      /*request_collisions=*/0, /*attached_user_frames=*/11063,
      /*world_handoffs=*/13,
-     /*interference_db_mean=*/0x1.fc4d466a243ep+1,
+     /*interference_db_mean=*/0x1.fc4d466a243d4p+1,
      /*data_delay_mean_s=*/0x1.06a039d36d007p-8,
      /*energy_info_j=*/0x1.54bead054beb2p-6,
      /*barring_factor_voice_mean=*/0x1.bc35076d9a002p-1,
@@ -134,7 +137,7 @@ const GoldenPins kDenseGolden[] = {
      /*voice_dropped_outage=*/0, /*barring_checks=*/0,
      /*request_collisions=*/14, /*attached_user_frames=*/14287,
      /*world_handoffs=*/15,
-     /*interference_db_mean=*/0x1.fbe18f9835c2cp+1,
+     /*interference_db_mean=*/0x1.fbe18f9835c2p+1,
      /*data_delay_mean_s=*/0x1.4cf8a5e7ea607p-7,
      /*energy_info_j=*/0x1.116f3a43170fbp-1,
      /*barring_factor_voice_mean=*/0x1p+0,
@@ -146,7 +149,7 @@ const GoldenPins kDenseGolden[] = {
      /*voice_dropped_outage=*/0, /*barring_checks=*/0,
      /*request_collisions=*/0, /*attached_user_frames=*/11063,
      /*world_handoffs=*/13,
-     /*interference_db_mean=*/0x1.fc4d466a243ep+1,
+     /*interference_db_mean=*/0x1.fc4d466a243d4p+1,
      /*data_delay_mean_s=*/0x1.72c3e9968234ap-5,
      /*energy_info_j=*/0x1.3611a7b96114bp-3,
      /*barring_factor_voice_mean=*/0x1p+0,
