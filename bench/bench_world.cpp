@@ -27,7 +27,8 @@
 // proposals merge in user order — bit-identity is re-verified across the
 // shard list on every run (non-zero exit on violation), and the epoch
 // wall clock is split into serial-plane (coordinator merge/apply) vs
-// sharded world-plane vs per-cell plane/frame buckets.
+// sharded world-plane vs per-cell plane/frame buckets, with the per-cell
+// SNR/SINR-plane round (part of the cell bucket) also printed alone.
 //
 // Memory stage (sparse presence, PR 8): one large hexagonal world with a
 // finite pilot-band radius, measured for resident bytes per user against a
@@ -324,10 +325,11 @@ int main() try {
   const int shard_cells = cells_list.empty() ? 4 : cells_list.front();
   common::TextTable shard_table(
       "Coordinator shard overhead (threads=1, " +
-      std::to_string(shard_cells) + " cells); epoch split serial/shard/cell");
+      std::to_string(shard_cells) +
+      " cells); epoch split serial/shard/cell, SNR plane within cell");
   shard_table.set_header({"shards", "wall (s)", "wall ovh", "plane ovh",
                           "serial ms/ep", "shard ms/ep", "cell ms/ep",
-                          "bit-identical"});
+                          "snr ms/ep", "bit-identical"});
   std::vector<ShardPoint> shard_points;
   double shard_ref_wall = 0.0;
   double shard_ref_plane = 0.0;
@@ -382,6 +384,7 @@ int main() try {
          common::TextTable::num(timings.serial_plane_s * 1e3 / epochs, 3),
          common::TextTable::num(timings.shard_plane_s * 1e3 / epochs, 3),
          common::TextTable::num(timings.cell_plane_s * 1e3 / epochs, 3),
+         common::TextTable::num(timings.snr_plane_s * 1e3 / epochs, 3),
          point.deterministic ? "yes" : "NO"});
   }
   std::cout << '\n';
@@ -524,6 +527,8 @@ int main() try {
            << p.timings.shard_plane_s * 1e3 / epochs
            << ", \"cell_plane_ms_per_epoch\": "
            << p.timings.cell_plane_s * 1e3 / epochs
+           << ", \"snr_plane_ms_per_epoch\": "
+           << p.timings.snr_plane_s * 1e3 / epochs
            << ", \"bit_identical\": " << (p.deterministic ? "true" : "false")
            << "}" << (i + 1 < shard_points.size() ? "," : "") << "\n";
   }

@@ -4,6 +4,7 @@
 #include <cassert>
 #include <chrono>
 #include <cmath>
+#include <experimental/simd>
 #include <stdexcept>
 
 #include "common/math.hpp"
@@ -19,6 +20,71 @@ constexpr double kTimeEps = 1e-9;
 /// Pilot level of a dark cell: far below any real link budget, so neither
 /// the hysteresis rule nor the initial argmax ever selects it.
 constexpr double kDarkPilotDb = -1.0e9;
+
+namespace stdx = std::experimental;
+/// The widest double vector of the build's baseline ISA (two lanes under
+/// x86-64's SSE2).
+using Lanes = stdx::native_simd<double>;
+
+/// The SINR plane's scratch: one cell's band member positions in
+/// structure-of-arrays form and their INR accumulators, padded to whole
+/// Lanes.
+struct PlaneScratch {
+  std::vector<double> x;
+  std::vector<double> y;
+  std::vector<double> inr;
+
+  /// Sizes the vectors for `members` (the padding lanes sit at the
+  /// origin) and zeroes every accumulator.
+  void reset(std::size_t members) {
+    const std::size_t padded =
+        (members + Lanes::size() - 1) / Lanes::size() * Lanes::size();
+    x.resize(padded);
+    y.resize(padded);
+    std::fill(x.begin() + static_cast<std::ptrdiff_t>(members), x.end(), 0.0);
+    std::fill(y.begin() + static_cast<std::ptrdiff_t>(members), y.end(), 0.0);
+    inr.assign(padded, 0.0);
+  }
+};
+
+/// interference_penalty_db's INR sum at every packed member position at
+/// once, site-outer: each loaded co-channel site, ascending, adds
+/// co_channel_inr's exact expression to every member's accumulator,
+/// Lanes::size() members per instruction. A member thus adds the
+/// reference's terms in its order, from 0.0, and the padding lanes compute
+/// on positions nobody reads.
+void add_co_channel_inr(const SiteLayout& layout,
+                        std::span<const int> interferers,
+                        std::span<const double> cell_load, double path_gain,
+                        PlaneScratch& scratch) {
+  const auto& offsets = layout.wrap_offsets();
+  const Lanes min_sq(CellularWorld::kMinDistanceSqM2);
+  for (const int s : interferers) {
+    const double load = cell_load[static_cast<std::size_t>(s)];
+    if (load <= 0.0) continue;
+    const double gain = load * path_gain;
+    const Vec2 site = layout.position(s);
+    for (std::size_t i = 0; i < scratch.inr.size(); i += Lanes::size()) {
+      const Lanes x(&scratch.x[i], stdx::element_aligned);
+      const Lanes y(&scratch.y[i], stdx::element_aligned);
+      // SiteLayout::distance_sq: the minimum over the wrap images, taken
+      // in its order.
+      Lanes dx = x - site.x;
+      Lanes dy = y - site.y;
+      Lanes d_sq = dx * dx + dy * dy;
+      for (std::size_t k = 1; k < offsets.size(); ++k) {
+        dx = x - (site.x + offsets[k].x);
+        dy = y - (site.y + offsets[k].y);
+        d_sq = stdx::min(d_sq, dx * dx + dy * dy);
+      }
+      const Lanes clamped = stdx::max(d_sq, min_sq);
+      const Lanes d = stdx::sqrt(clamped);
+      Lanes inr(&scratch.inr[i], stdx::element_aligned);
+      inr += gain / (clamped * d * stdx::sqrt(d));
+      inr.copy_to(&scratch.inr[i], stdx::element_aligned);
+    }
+  }
+}
 
 /// Scoped accumulator for the epoch-loop wall-clock split.
 class PhaseTimer {
@@ -185,13 +251,14 @@ void CellularWorld::propose_bands(bool include_attached) {
                                                  std::size_t begin,
                                                  std::size_t end) {
     auto& arena = shard_arenas_[s];
+    arena.band_users.clear();
     arena.band_cells.clear();
     arena.band_offsets.clear();
     arena.band_offsets.push_back(0);
     for (std::size_t u = begin; u < end; ++u) {
       const std::size_t tail = arena.band_cells.size();
       site_index_.cells_near(mobility_.position(static_cast<int>(u)),
-                             arena.band_cells, arena.mark_scratch);
+                             arena.band_cells);
       if (include_attached) {
         // The attached cell is pinned into the band whatever the geometry
         // says: presence must never be released out from under the user.
@@ -203,6 +270,17 @@ void CellularWorld::propose_bands(bool include_attached) {
           arena.band_cells.insert(it, a);
         }
       }
+      // Only a changed band reaches the coordinator.
+      const auto proposed =
+          arena.band_cells.begin() + static_cast<std::ptrdiff_t>(tail);
+      const auto& band = band_[u];
+      if (std::equal(proposed, arena.band_cells.end(), band.begin(),
+                     band.end(),
+                     [](int c, const BandPilot& e) { return c == e.cell; })) {
+        arena.band_cells.resize(tail);
+        continue;
+      }
+      arena.band_users.push_back(static_cast<int>(u));
       arena.band_offsets.push_back(
           static_cast<std::uint32_t>(arena.band_cells.size()));
     }
@@ -210,21 +288,19 @@ void CellularWorld::propose_bands(bool include_attached) {
 }
 
 void CellularWorld::apply_band_proposals() {
-  // Coordinator merge, ascending user id throughout: every engine sees
-  // admits and releases in the same deterministic sequence regardless of
-  // shard or thread count, so the banks' free lists — and with them every
-  // later draw — are bit-identical between serial and parallel runs.
-  const std::size_t users = attached_.size();
-  const std::size_t shards = std::min<std::size_t>(num_shards_, users);
+  // Coordinator merge of the changed bands, ascending user id throughout
+  // (shards cover ascending contiguous ranges): every engine sees admits
+  // and releases in the same deterministic sequence regardless of shard
+  // or thread count, so the banks' free lists — and with them every later
+  // draw — are bit-identical between serial and parallel runs.
+  const std::size_t shards =
+      std::min<std::size_t>(num_shards_, attached_.size());
   for (std::size_t s = 0; s < shards; ++s) {
     const auto& arena = shard_arenas_[s];
-    const std::size_t begin = s * users / shards;
-    const std::size_t end = (s + 1) * users / shards;
-    for (std::size_t u = begin; u < end; ++u) {
-      const std::size_t k = u - begin;
+    for (std::size_t k = 0; k < arena.band_users.size(); ++k) {
       const std::uint32_t lo = arena.band_offsets[k];
       const std::uint32_t hi = arena.band_offsets[k + 1];
-      update_user_band(static_cast<int>(u),
+      update_user_band(arena.band_users[k],
                        {arena.band_cells.data() + lo, hi - lo});
     }
   }
@@ -298,33 +374,27 @@ void CellularWorld::update_cell_snr_plane(int c) {
   // Share-nothing per-cell task: touches only this cell's bank, plane
   // rows and metrics, reading the (quiescent) mobility positions, band
   // memberships and the coordinator-frozen load vector. Work is O(band),
-  // never users × cells. With the interference plane on, each member's
-  // SINR penalty is interference_penalty_db over the cell's co-channel
-  // sites (ascending, the dense world's order), summed in band (== id)
-  // order into the epoch's penalty mean, the historical accumulation
-  // order.
+  // never users × cells.
   auto& cell = *cells_[static_cast<std::size_t>(c)];
   const auto& band = cell.band();
   auto& bank = cell.channel_bank();
   const std::size_t rows = bank.size();
   const bool interf = interference_enabled();
   double* row = plane_rows_[static_cast<std::size_t>(c)].data();
-  double* irow =
-      interf ? interference_rows_[static_cast<std::size_t>(c)].data()
-             : nullptr;
-  const std::vector<int>& interferers =
-      cochannel_[static_cast<std::size_t>(c)];
-  double penalty_sum = 0.0;
-  for (const BandMember& m : band) {
+  // One scratch per worker thread, so its memory scales with the worker
+  // count and not with cells × band: a worker's vectors grow to the
+  // largest band it has planed and are reused after.
+  thread_local PlaneScratch scratch;
+  if (interf) scratch.reset(band.size());
+  for (std::size_t i = 0; i < band.size(); ++i) {
+    const BandMember& m = band[i];
     const Vec2 pos = mobility_.position(static_cast<int>(m.id));
     const double d_sq =
         std::max(layout_.distance_sq(pos, c), kMinDistanceSqM2);
     row[m.slot] = path_loss_c_db_ - kPathLossHalfK * std::log(d_sq);
     if (interf) {
-      irow[m.slot] = interference_penalty_db(
-          layout_, interferers, cell_load_, pos, path_gain_,
-          kMinDistanceSqM2);
-      penalty_sum += irow[m.slot];
+      scratch.x[i] = pos.x;
+      scratch.y[i] = pos.y;
     }
   }
   // Same per-cell bank-op order as the dense world: mean plane,
@@ -337,6 +407,17 @@ void CellularWorld::update_cell_snr_plane(int c) {
   // ever reading the snapshot.
   bank.set_mean_snr_db_all({row, rows});
   if (interf) {
+    add_co_channel_inr(layout_, cochannel_[static_cast<std::size_t>(c)],
+                       cell_load_, path_gain_, scratch);
+    // The penalty mean sums in band (== id) order, the historical
+    // accumulation order.
+    double* irow = interference_rows_[static_cast<std::size_t>(c)].data();
+    double penalty_sum = 0.0;
+    for (std::size_t i = 0; i < band.size(); ++i) {
+      const std::uint32_t slot = band[i].slot;
+      irow[slot] = common::to_db(1.0 + scratch.inr[i]);
+      penalty_sum += irow[slot];
+    }
     bank.set_interference_db_all({irow, rows});
     cell.note_interference_epoch(
         band.empty() ? 0.0
@@ -584,6 +665,7 @@ void CellularWorld::run_window(common::Time duration) {
     }
     {
       PhaseTimer timer(timings_.cell_plane_s);
+      PhaseTimer snr_timer(timings_.snr_plane_s);
       update_snr_planes();
     }
     {

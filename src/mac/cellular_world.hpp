@@ -265,6 +265,8 @@ class CellularWorld {
     double serial_plane_s = 0.0;  ///< coordinator merge/apply/aggregate
     double shard_plane_s = 0.0;   ///< sharded world-plane phases
     double cell_plane_s = 0.0;    ///< per-cell SNR plane + MAC frames
+    /// The per-cell SNR/SINR-plane round alone (also in cell_plane_s).
+    double snr_plane_s = 0.0;
     std::uint64_t epochs = 0;
   };
   const EpochTimings& epoch_timings() const { return timings_; }
@@ -316,17 +318,17 @@ class CellularWorld {
   /// which the epoch path allocates nothing.
   struct ShardArena {
     std::vector<MobilityModel::Suspended> suspended;
-    /// Concatenated per-user new band rosters (ascending cells per user)
-    /// with offsets[k] .. offsets[k+1] delimiting the k-th user of the
-    /// shard's range.
+    /// The users of the shard's range whose band changes this epoch,
+    /// ascending, and their new rosters (ascending cells per user)
+    /// concatenated, offsets[k] .. offsets[k+1] delimiting the k-th
+    /// changed user's.
+    std::vector<int> band_users;
     std::vector<int> band_cells;
     std::vector<std::uint32_t> band_offsets;
     std::vector<AttachMove> moves;
     /// Attachment-rule gather scratch (one user's pilots + cell ids).
     std::vector<double> pilot_scratch;
     std::vector<int> cell_of_scratch;
-    /// SiteIndex query dedup scratch (the thread-safe overload).
-    std::vector<char> mark_scratch;
   };
 
   /// Sharded mobility step to absolute time `t`: phase A advances every
@@ -338,14 +340,17 @@ class CellularWorld {
 
   /// Sharded band-roster proposals: each shard queries SiteIndex for its
   /// users' new cell sets (plus the pinned attached cell when
-  /// `include_attached`) into its arena. Pure computation — no engine is
-  /// touched.
+  /// `include_attached`), diffs each against the user's current band and
+  /// keeps only the changed ones in its arena. Pure computation — no
+  /// engine is touched, and nothing writes band_ during the round.
   void propose_bands(bool include_attached);
-  /// Coordinator merge of the band proposals in ascending user-id order:
+  /// Coordinator merge of the changed bands in ascending user-id order:
   /// admits entrants into / releases leavers from the cell engines and
-  /// rebuilds band_[u]. The deterministic admit/release order is what
-  /// keeps the banks' free lists, and therefore the whole world,
-  /// bit-identical at any shard/thread count.
+  /// rebuilds band_[u]. An unchanged user would neither admit nor
+  /// release, so skipping it changes nothing; the deterministic
+  /// admit/release order of the rest is what keeps the banks' free lists,
+  /// and therefore the whole world, bit-identical at any shard/thread
+  /// count.
   void apply_band_proposals();
   /// The two-pointer diff of one user's old band against its proposed
   /// cell set (both ascending), issuing band_release/band_admit.
@@ -358,12 +363,13 @@ class CellularWorld {
   void initialize_attachments();
   /// Per-cell epoch task (runs on the pool): over the cell's band — never
   /// users × cells — re-anchor the mean-SNR plane from the members'
-  /// positions, compute each member's co-channel SINR penalty directly
-  /// from the coordinator-frozen load vector (one pass; the dense world's
-  /// stage-contributions-then-sum split collapses because each (user,
-  /// interferer) term is recomputed in place, same expressions in the
-  /// same order), feed the bank and the cell's penalty-mean metric, and
-  /// take the pilot snapshot into this cell's slot-indexed plane row.
+  /// positions, compute each member's co-channel SINR penalty from the
+  /// coordinator-frozen load vector, feed the bank and the cell's
+  /// penalty-mean metric, and take the pilot snapshot into this cell's
+  /// slot-indexed plane row. The penalty sum runs site-outer over the
+  /// members' packed positions, several members per instruction; each
+  /// member adds interference_penalty_db's terms in its order, so the
+  /// plane equals that function bit for bit.
   void update_cell_snr_plane(int c);
   /// The per-epoch plane update: one share-nothing barrier of cell tasks,
   /// interference included.

@@ -8,6 +8,7 @@
 
 #include <cstdint>
 #include <stdexcept>
+#include <type_traits>
 #include <vector>
 
 #include "common/units.hpp"
@@ -33,20 +34,32 @@ struct ContentionOutcome {
   ContentionTally tally;
 };
 
+/// One candidate of a request phase, resolved once per phase: its stream,
+/// its permission probability, and its won/transmitted flags.
+template <typename Stream>
+struct Contender {
+  Stream* rng = nullptr;
+  double permission = 0.0;
+  std::uint8_t flags = 0;
+};
+
 /// Runs `minislots` request slots over `candidates` into `outcome`.
 /// `permission(id)` gives each user's permission probability; `rng_of(id)`
-/// must return that user's private stream — any stream type with a
-/// bernoulli(double) draw (a BasicRngStream or the TrafficRng dispatcher) —
-/// which keeps runs reproducible regardless of candidate-set composition.
+/// must return a reference to that user's private stream — any stream
+/// type with a bernoulli(double) draw (a BasicRngStream or the TrafficRng
+/// dispatcher) — which keeps runs reproducible regardless of
+/// candidate-set composition. Both are called once per candidate, before
+/// the first minislot: nothing a phase does changes a permission, and
+/// each minislot then draws from the resolved streams in candidate order.
 /// Winners are removed from contention as they succeed. `outcome` and
-/// `flags` (per-candidate scratch) are overwritten; a caller that keeps
-/// both across calls reuses their storage, so a warm phase allocates
-/// nothing.
-template <typename Permission, typename RngOf>
+/// `contenders` (per-candidate scratch) are overwritten; a caller that
+/// keeps both across calls reuses their storage, so a warm phase
+/// allocates nothing.
+template <typename Permission, typename RngOf, typename Stream>
 void run_request_phase(const std::vector<common::UserId>& candidates,
                        int minislots, Permission&& permission, RngOf&& rng_of,
                        ContentionOutcome& outcome,
-                       std::vector<std::uint8_t>& flags) {
+                       std::vector<Contender<Stream>>& contenders) {
   if (minislots < 0) {
     throw std::invalid_argument("run_request_phase: negative minislots");
   }
@@ -59,25 +72,29 @@ void run_request_phase(const std::vector<common::UserId>& candidates,
   // kTransmitted feeds the backoff stabilization.
   constexpr std::uint8_t kWon = 1;
   constexpr std::uint8_t kTransmitted = 2;
-  flags.assign(candidates.size(), 0);
+  contenders.clear();
+  for (const common::UserId id : candidates) {
+    contenders.push_back(Contender<Stream>{&rng_of(id), permission(id), 0});
+  }
   std::size_t remaining = candidates.size();
 
   for (int slot = 0; slot < minislots && remaining > 0; ++slot) {
     std::size_t transmitter_index = candidates.size();
     int transmitted = 0;
-    for (std::size_t i = 0; i < candidates.size(); ++i) {
-      if (flags[i] & kWon) continue;
-      if (rng_of(candidates[i]).bernoulli(permission(candidates[i]))) {
+    for (std::size_t i = 0; i < contenders.size(); ++i) {
+      Contender<Stream>& c = contenders[i];
+      if (c.flags & kWon) continue;
+      if (c.rng->bernoulli(c.permission)) {
         ++transmitted;
         transmitter_index = i;
-        flags[i] |= kTransmitted;
+        c.flags |= kTransmitted;
       }
     }
     outcome.tally.transmissions += transmitted;
     if (transmitted == 1) {
       ++outcome.tally.successes;
       outcome.winners.push_back(candidates[transmitter_index]);
-      flags[transmitter_index] |= kWon;
+      contenders[transmitter_index].flags |= kWon;
       --remaining;
     } else if (transmitted > 1) {
       ++outcome.tally.collisions;
@@ -91,7 +108,9 @@ void run_request_phase(const std::vector<common::UserId>& candidates,
       outcome.tally.idle;
 
   for (std::size_t i = 0; i < candidates.size(); ++i) {
-    if (flags[i] & kTransmitted) outcome.transmitted.push_back(candidates[i]);
+    if (contenders[i].flags & kTransmitted) {
+      outcome.transmitted.push_back(candidates[i]);
+    }
   }
 }
 
@@ -101,8 +120,11 @@ ContentionOutcome run_request_phase(
     const std::vector<common::UserId>& candidates, int minislots,
     Permission&& permission, RngOf&& rng_of) {
   ContentionOutcome outcome;
-  std::vector<std::uint8_t> flags;
-  run_request_phase(candidates, minislots, permission, rng_of, outcome, flags);
+  std::vector<Contender<std::remove_reference_t<
+      std::invoke_result_t<RngOf&, common::UserId>>>>
+      contenders;
+  run_request_phase(candidates, minislots, permission, rng_of, outcome,
+                    contenders);
   return outcome;
 }
 

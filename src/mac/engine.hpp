@@ -379,7 +379,7 @@ class ProtocolEngine {
         [this](common::UserId id) -> common::TrafficRng& {
           return user(id).rng();
         },
-        contention_, contention_flags_);
+        contention_, contenders_);
     return contention_;
   }
 
@@ -526,9 +526,10 @@ class ProtocolEngine {
   std::size_t ledger_extent_ = 0;
   /// Slot scratch for materialize_touched, reused across frames.
   std::vector<std::uint32_t> touch_slots_;
-  /// request_phase's outcome and per-candidate flags, reused across phases.
+  /// request_phase's outcome and resolved candidates, reused across
+  /// phases.
   ContentionOutcome contention_;
-  std::vector<std::uint8_t> contention_flags_;
+  std::vector<Contender<common::TrafficRng>> contenders_;
   /// Failed-arrival scratch for transmit_data, sized at construction for
   /// the largest burst, so ARQ retransmissions never allocate.
   std::vector<common::Time> retx_scratch_;

@@ -68,12 +68,6 @@ void SiteIndex::rebuild(const SiteLayout& layout, double radius_m) {
       buckets_[bucket_of(img.x, img.y)].push_back(Entry{s, img});
     }
   }
-  const auto sites = static_cast<std::size_t>(layout.num_sites());
-  if (mark_.size() < sites) {
-    mark_.assign(sites, 0);
-  } else {
-    std::fill(mark_.begin(), mark_.end(), 0);
-  }
 }
 
 std::size_t SiteIndex::bucket_of(double x, double y) const {
@@ -86,18 +80,10 @@ std::size_t SiteIndex::bucket_of(double x, double y) const {
 }
 
 void SiteIndex::cells_near(const Vec2& p, std::vector<int>& out) const {
-  cells_near(p, out, mark_);
-}
-
-void SiteIndex::cells_near(const Vec2& p, std::vector<int>& out,
-                           std::vector<char>& scratch) const {
   const int sites = layout_->num_sites();
   if (radius_m_ <= 0.0) {
     for (int s = 0; s < sites; ++s) out.push_back(s);
     return;
-  }
-  if (scratch.size() < static_cast<std::size_t>(sites)) {
-    scratch.assign(static_cast<std::size_t>(sites), 0);
   }
   // Clamping the centre bucket keeps out-of-box queries correct: an image
   // within the radius of an outside point is at most one bucket past the
@@ -108,7 +94,7 @@ void SiteIndex::cells_near(const Vec2& p, std::vector<int>& out,
   const int cy = static_cast<int>(
       std::clamp(std::floor((p.y - origin_y_) * inv_bucket_),
                  0.0, static_cast<double>(ny_ - 1)));
-  bool found = false;
+  const std::size_t tail = out.size();
   for (int by = std::max(0, cy - 1); by <= std::min(ny_ - 1, cy + 1); ++by) {
     for (int bx = std::max(0, cx - 1); bx <= std::min(nx_ - 1, cx + 1); ++bx) {
       const auto& bucket =
@@ -118,15 +104,11 @@ void SiteIndex::cells_near(const Vec2& p, std::vector<int>& out,
       for (const Entry& e : bucket) {
         const double dx = p.x - e.pos.x;
         const double dy = p.y - e.pos.y;
-        if (dx * dx + dy * dy > radius_sq_m2_) continue;
-        if (!scratch[static_cast<std::size_t>(e.site)]) {
-          scratch[static_cast<std::size_t>(e.site)] = 1;
-          found = true;
-        }
+        if (dx * dx + dy * dy <= radius_sq_m2_) out.push_back(e.site);
       }
     }
   }
-  if (!found) {
+  if (out.size() == tail) {
     // No band covers the position: the user still needs a serving
     // candidate, so fall back to the nearest site under the wrap metric.
     int best = 0;
@@ -141,12 +123,11 @@ void SiteIndex::cells_near(const Vec2& p, std::vector<int>& out,
     out.push_back(best);
     return;
   }
-  for (int s = 0; s < sites; ++s) {
-    if (scratch[static_cast<std::size_t>(s)]) {
-      out.push_back(s);
-      scratch[static_cast<std::size_t>(s)] = 0;
-    }
-  }
+  // The hits arrive in bucket order, and a wrapped site can hit through
+  // more than one of its images: sort and dedupe the appended run.
+  const auto first = out.begin() + static_cast<std::ptrdiff_t>(tail);
+  std::sort(first, out.end());
+  out.erase(std::unique(first, out.end()), out.end());
 }
 
 }  // namespace charisma::mac

@@ -40,17 +40,9 @@ class SiteIndex {
   /// All sites covering the band: every site whose (wrap-metric) distance
   /// to `p` is at most the radius, appended to `out` in ascending site
   /// order; the nearest site alone when none is in range; every site when
-  /// the radius is <= 0. `out` is not cleared. Uses mutable mark scratch —
-  /// coordinator-only, not safe to call concurrently.
+  /// the radius is <= 0. `out` is not cleared. The index is only read, so
+  /// queries into distinct `out` vectors may run concurrently.
   void cells_near(const Vec2& p, std::vector<int>& out) const;
-
-  /// Concurrency-safe variant for sharded callers: identical results, but
-  /// the per-site dedup scratch is caller-owned (one per shard), so
-  /// queries on distinct scratches may run in parallel. `scratch` is
-  /// resized on first use and must not be shared between concurrent
-  /// callers; its entries must be (and are left) all-zero.
-  void cells_near(const Vec2& p, std::vector<int>& out,
-                  std::vector<char>& scratch) const;
 
  private:
   struct Entry {
@@ -69,7 +61,6 @@ class SiteIndex {
   int nx_ = 0;
   int ny_ = 0;
   std::vector<std::vector<Entry>> buckets_;
-  mutable std::vector<char> mark_;  ///< per-site dedup scratch
 };
 
 }  // namespace charisma::mac

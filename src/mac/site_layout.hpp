@@ -148,8 +148,11 @@ double co_channel_inr(double load, double path_gain, double d_sq,
 /// in the order of the serving site's co-channel `interferers` and
 /// skipping the sites that carry no load. Exactly 0 when every interferer
 /// load is 0, and monotone non-decreasing in each load — the properties
-/// tests/mac/cellular_world_test.cpp pins. CellularWorld's SNR plane
-/// computes every member's penalty through this function.
+/// tests/mac/cellular_world_test.cpp pins. It is the reference
+/// CellularWorld's SNR plane is pinned to: the plane adds the same terms
+/// in the same order, site-outer over its band's packed member positions,
+/// and CellularWorldInterference.WorldPlaneIsThePenaltyFunction requires
+/// every member's penalty to equal this function's bit for bit.
 double interference_penalty_db(const SiteLayout& layout,
                                std::span<const int> interferers,
                                std::span<const double> cell_load,

@@ -329,32 +329,46 @@ TEST(CellularWorldInterference, WorldPlaneIsThePenaltyFunction) {
   // with the world's loads and path-loss constants — so the function's
   // pinned properties (zero at idle, monotone in load) are the world's.
   // A partial band and reuse 3 give every cell its own member list and
-  // interferer set; static users and infinite hysteresis freeze the loads
-  // the last epoch used.
-  auto cfg = hex_world(/*activity=*/0.45, /*reuse=*/3);
-  cfg.pilot_band_radius_m = 900.0;
-  cfg.mobility.speed_mps = 0.0;
-  cfg.handoff_hysteresis_db = 200.0;
-  CellularWorld world(cfg, factory_for(protocols::ProtocolId::kDtdmaFr));
-  world.run(0.1, 0.4);
-  std::vector<double> load(static_cast<std::size_t>(world.num_cells()));
-  for (int c = 0; c < world.num_cells(); ++c) {
-    load[static_cast<std::size_t>(c)] = world.cell_load(c);
-  }
-  int nonzero = 0;
-  for (int c = 0; c < world.num_cells(); ++c) {
-    const auto interferers = world.layout().co_channel_interferers(c);
-    for (const BandMember& m : world.cell(c).band()) {
-      const double expected = interference_penalty_db(
-          world.layout(), interferers, load,
-          world.mobility().position(static_cast<int>(m.id)),
-          world.path_gain(), CellularWorld::kMinDistanceSqM2);
-      EXPECT_EQ(world.interference_db(m.id, c), expected)
-          << "user " << m.id << " cell " << c;
-      if (expected > 0.0) ++nonzero;
+  // interferer set. A wrap-around reuse-1 cluster takes every co-channel
+  // distance as the minimum over the cluster's images, and its 13 users
+  // fill every all-cells band with an odd member count, which leaves the
+  // plane's packed loop a tail. Static users and infinite hysteresis
+  // freeze the loads the last epoch used.
+  auto partial = hex_world(/*activity=*/0.45, /*reuse=*/3);
+  partial.pilot_band_radius_m = 900.0;
+  auto wrapped = hex_world(/*activity=*/0.45, /*reuse=*/1);
+  wrapped.layout.wrap_around = true;
+  wrapped.params.num_voice_users = 11;
+  for (auto cfg : {partial, wrapped}) {
+    cfg.mobility.speed_mps = 0.0;
+    cfg.handoff_hysteresis_db = 200.0;
+    CellularWorld world(cfg, factory_for(protocols::ProtocolId::kDtdmaFr));
+    ASSERT_EQ(world.layout().wraps(), cfg.layout.wrap_around);
+    world.run(0.1, 0.4);
+    std::vector<double> load(static_cast<std::size_t>(world.num_cells()));
+    for (int c = 0; c < world.num_cells(); ++c) {
+      load[static_cast<std::size_t>(c)] = world.cell_load(c);
     }
+    int nonzero = 0;
+    int odd_bands = 0;
+    for (int c = 0; c < world.num_cells(); ++c) {
+      const auto interferers = world.layout().co_channel_interferers(c);
+      const auto& band = world.cell(c).band();
+      odd_bands += band.size() % 2 == 1 ? 1 : 0;
+      for (const BandMember& m : band) {
+        const double expected = interference_penalty_db(
+            world.layout(), interferers, load,
+            world.mobility().position(static_cast<int>(m.id)),
+            world.path_gain(), CellularWorld::kMinDistanceSqM2);
+        EXPECT_EQ(world.interference_db(m.id, c), expected)
+            << "wrap " << cfg.layout.wrap_around << " user " << m.id
+            << " cell " << c;
+        if (expected > 0.0) ++nonzero;
+      }
+    }
+    EXPECT_GT(nonzero, 0);  // the loads and interferer sets did bite
+    EXPECT_GT(odd_bands, 0) << "wrap " << cfg.layout.wrap_around;
   }
-  EXPECT_GT(nonzero, 0);  // the loads and interferer sets did bite
 }
 
 TEST(CellularWorldInterference, ValidationAndDefaults) {

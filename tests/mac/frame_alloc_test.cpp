@@ -188,6 +188,48 @@ TEST(FrameAlloc, SteadyStateWorldEpochsAreAllocationFree) {
   EXPECT_GT(world.aggregate_metrics().attached_user_frames, 0);
 }
 
+TEST(FrameAlloc, SteadyStateInterferenceWorldEpochsAreAllocationFree) {
+  // The steady state above on a hex reuse-3 world with a partial band and
+  // the SINR plane on: the plane's packed positions and INR accumulators
+  // and the shards' band diff must settle at their high water too. Static
+  // users again keep every band, and so every scratch size, fixed.
+  mac::CellularConfig cfg;
+  cfg.num_cells = 7;
+  // The plane's scratch is per worker thread, and which worker plans
+  // which cell varies between epochs, so only a serial world reaches its
+  // high water in a fixed warm-up.
+  cfg.num_threads = 1;
+  cfg.num_shards = 3;
+  cfg.params.num_voice_users = 13;
+  cfg.params.num_data_users = 0;
+  cfg.params.seed = 7;
+  cfg.params.mean_silence_s = 1e9;  // silent after the initial talkspurts
+  cfg.layout.kind = mac::SiteLayoutConfig::Kind::kHex;
+  cfg.layout.site_spacing_m = 600.0;
+  cfg.layout.reuse_factor = 3;
+  cfg.interference_activity = 0.45;
+  cfg.pilot_band_radius_m = 900.0;
+  const auto [width, height] = mac::SiteLayout::hex_field_extent(7, 600.0);
+  cfg.mobility.field_width_m = width;
+  cfg.mobility.field_height_m = height;
+  cfg.mobility.speed_mps = 0.0;
+  cfg.handoff_hysteresis_db = 2.0;
+  mac::CellularWorld world(
+      cfg, [](const mac::ScenarioParams& params) {
+        return protocols::make_protocol(protocols::ProtocolId::kCharisma,
+                                        params);
+      });
+  ASSERT_TRUE(world.interference_enabled());
+  world.run(0.5, 0.5);
+  world.advance(4.0);  // drain the initial talkspurts, as above
+  const std::uint64_t before =
+      g_allocations.load(std::memory_order_relaxed);
+  world.advance(1.0);
+  EXPECT_EQ(g_allocations.load(std::memory_order_relaxed) - before, 0u);
+  // The plane ran with load to sum: some member's penalty was positive.
+  EXPECT_GT(world.aggregate_metrics().interference_db.max(), 0.0);
+}
+
 TEST(FrameAlloc, SiteIndexRebuildReusesBucketStorage) {
   // Band maintenance keeps its bucket vectors alive across rebuild():
   // clearing in place and growing only. Re-binning the same geometry —
@@ -200,8 +242,6 @@ TEST(FrameAlloc, SiteIndexRebuildReusesBucketStorage) {
                         height);
   mac::SiteIndex index(big, 600.0);
   std::vector<int> out;
-  std::vector<char> scratch;
-  index.cells_near({0.5 * width, 0.5 * height}, out, scratch);  // size scratch
   out.reserve(static_cast<std::size_t>(big.num_sites()));
   // One warm cycle through the three grid shapes: re-binning redistributes
   // entries, so some bucket first reaches its high-water capacity here.
@@ -216,7 +256,7 @@ TEST(FrameAlloc, SiteIndexRebuildReusesBucketStorage) {
     index.rebuild(big, 900.0);    // wider radius: fewer, larger buckets
   }
   out.clear();
-  index.cells_near({0.25 * width, 0.75 * height}, out, scratch);
+  index.cells_near({0.25 * width, 0.75 * height}, out);
   EXPECT_EQ(g_allocations.load(std::memory_order_relaxed) - before, 0u);
   EXPECT_FALSE(out.empty());
 }

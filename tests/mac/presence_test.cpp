@@ -91,7 +91,6 @@ void expect_matches_brute_force(const SiteLayout& layout, double radius_m,
                                 double width_m, double height_m) {
   SiteIndex index(layout, radius_m);
   std::vector<int> got;
-  std::vector<char> scratch;
   for (const Vec2& p : probe_points(layout, radius_m, width_m, height_m)) {
     const auto want = brute_force(layout, p, radius_m);
     got.clear();
@@ -99,13 +98,6 @@ void expect_matches_brute_force(const SiteLayout& layout, double radius_m,
     EXPECT_EQ(got, want) << "radius " << radius_m << " at (" << p.x << ", "
                          << p.y << ")";
     EXPECT_TRUE(std::is_sorted(got.begin(), got.end()));
-    // The concurrency-safe overload (per-shard scratch) must agree and
-    // leave the scratch all-zero for the next query.
-    got.clear();
-    index.cells_near(p, got, scratch);
-    EXPECT_EQ(got, want);
-    EXPECT_TRUE(std::all_of(scratch.begin(), scratch.end(),
-                            [](char c) { return c == 0; }));
   }
 }
 
@@ -157,6 +149,29 @@ TEST(SiteIndexProperty, NearestSiteFallbackPrefersLowestIdOnTies) {
   std::vector<int> got;
   index.cells_near(mid, got);
   EXPECT_EQ(got, std::vector<int>{0});
+}
+
+TEST(SiteIndexProperty, AppendsAfterTheCallersEntries) {
+  // The sharded band proposals query into one vector per shard: a query
+  // appends its ascending, duplicate-free run and leaves the entries
+  // already there untouched. At 3 km on a wrapped 19-cell cluster a probe
+  // can reach one site through two of its images, which the run dedupes.
+  SiteLayoutConfig cfg;
+  cfg.kind = SiteLayoutConfig::Kind::kHex;
+  cfg.site_spacing_m = 1000.0;
+  cfg.wrap_around = true;
+  const auto [width, height] = SiteLayout::hex_field_extent(19, 1000.0);
+  SiteLayout layout(cfg, /*num_cells=*/19, width, height);
+  SiteIndex index(layout, 3000.0);
+  const std::vector<int> prefix{42, 7, -1};
+  for (const Vec2& p : probe_points(layout, 3000.0, width, height)) {
+    std::vector<int> got = prefix;
+    index.cells_near(p, got);
+    std::vector<int> want = prefix;
+    const auto run = brute_force(layout, p, 3000.0);
+    want.insert(want.end(), run.begin(), run.end());
+    EXPECT_EQ(got, want) << "at (" << p.x << ", " << p.y << ")";
+  }
 }
 
 TEST(SiteIndexProperty, RebuildReusesStorageAndStaysCorrect) {
