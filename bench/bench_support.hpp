@@ -11,6 +11,7 @@
 
 #include <sys/resource.h>
 
+#include <charconv>
 #include <cmath>
 #include <complex>
 #include <cstdio>
@@ -245,6 +246,21 @@ inline experiment::RunSpec standard_spec(int default_reps = 2) {
 /// Sweep worker threads (CHARISMA_BENCH_THREADS; 0 = hardware threads).
 inline unsigned standard_threads() {
   return static_cast<unsigned>(env_count_int("CHARISMA_BENCH_THREADS", 0, 0));
+}
+
+/// "key=value" with `value` printed so that it reads back as the same
+/// double.
+inline std::string knob(const std::string& key, double value) {
+  char text[32];
+  const auto end = std::to_chars(text, text + sizeof text, value).ptr;
+  return key + "=" + std::string(text, end);
+}
+
+/// The multi-cell world charisma_sim runs for the "key=value" `knobs`
+/// (experiment::parse_scenario), which must set cells= to at least 2.
+inline mac::CellularConfig world_from(const std::vector<std::string>& knobs) {
+  return experiment::parse_scenario(common::KeyValueConfig::from_args(knobs))
+      .world.value();
 }
 
 inline void print_banner(const std::string& what, const std::string& paper) {

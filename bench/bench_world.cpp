@@ -11,7 +11,8 @@
 //   CHARISMA_BENCH_WORLD_DATA     data users in the world (default 24)
 //   CHARISMA_BENCH_WORLD_MEASURE  measured seconds per run (default 8)
 //   CHARISMA_BENCH_WORLD_REPS     timing repetitions, min taken (default 3)
-//   CHARISMA_BENCH_WORLD_CELLS    comma list of cell counts (default 2,4,8)
+//   CHARISMA_BENCH_WORLD_CELLS    comma list of cell counts, each >= 2
+//                                 (default 2,4,8)
 //   CHARISMA_BENCH_WORLD_THREADS  comma list of thread counts
 //                                 (default 1,2,4,<hardware>)
 //   CHARISMA_BENCH_WORLD_SHARDS   comma list of coordinator shard counts
@@ -42,7 +43,8 @@
 //   CHARISMA_BENCH_WORLD_USERS    total users in the memory stage; accepts
 //                                 k/M suffixes ("250k", "1M"); 0 skips the
 //                                 stage (default 100k, 4:1 voice:data)
-//   CHARISMA_BENCH_WORLD_MEMORY_CELLS  hex cells (default 91, a full ring)
+//   CHARISMA_BENCH_WORLD_MEMORY_CELLS  hex cells, >= 2 (default 91, a full
+//                                 ring)
 //   CHARISMA_BENCH_WORLD_BAND     pilot-band radius in metres (default
 //                                 1200 = 1.2x the 1000 m site spacing, a
 //                                 7-cell band)
@@ -77,21 +79,15 @@ std::vector<unsigned> concurrency_list(const std::vector<int>& given,
   return out;
 }
 
+// charisma_sim's line world (cell_radius_m=500) at 90 km/h, with the
+// channel's default 100 Hz Doppler spread.
 mac::CellularConfig world_config(int cells, unsigned threads, int voice,
                                  int data) {
-  mac::CellularConfig cfg;
-  cfg.num_cells = cells;
-  cfg.num_threads = threads;
-  cfg.params.num_voice_users = voice;
-  cfg.params.num_data_users = data;
-  cfg.params.seed = 2024;
-  cfg.params.channel.mean_snr_db = 26.0;  // link budget at the reference
-  cfg.params.channel.shadow_sigma_db = 6.0;
-  cfg.mobility.field_width_m = 1000.0 * cells;
-  cfg.mobility.field_height_m = 1000.0;
-  cfg.mobility.speed_mps = common::km_per_hour(90.0);
-  cfg.handoff_hysteresis_db = 4.0;
-  return cfg;
+  return bench::world_from(
+      {"cells=" + std::to_string(cells), "threads=" + std::to_string(threads),
+       "voice_users=" + std::to_string(voice),
+       "data_users=" + std::to_string(data), "seed=2024",
+       "shadow_sigma_db=6", "kmh=90", "doppler_hz=100"});
 }
 
 struct Point {
@@ -102,32 +98,19 @@ struct Point {
   bool deterministic;    // full aggregate metrics match the serial run
 };
 
-// A hexagonal world for the memory stage: interference on, users spread
-// over the whole cluster, band radius as given (0 = dense).
+// A hexagonal world for the memory stage: charisma_sim's layout=hex
+// reuse=3 world (interference 0.4) at the world_config speed and Doppler,
+// band radius as given (0 = dense).
 mac::CellularConfig memory_config(int cells, int voice, int data,
                                   double band_radius_m,
-                                  common::RngKind rng = common::RngKind::kMt) {
-  mac::CellularConfig cfg;
-  cfg.num_cells = cells;
-  cfg.num_threads = 1;
-  cfg.params.num_voice_users = voice;
-  cfg.params.num_data_users = data;
-  cfg.params.seed = 2024;
-  cfg.params.traffic_rng = rng;
-  cfg.params.channel.mean_snr_db = 26.0;
-  cfg.params.channel.shadow_sigma_db = 6.0;
-  cfg.layout.kind = mac::SiteLayoutConfig::Kind::kHex;
-  cfg.layout.site_spacing_m = 1000.0;
-  cfg.layout.reuse_factor = 3;
-  cfg.interference_activity = 0.4;
-  cfg.pilot_band_radius_m = band_radius_m;
-  const auto [width, height] =
-      mac::SiteLayout::hex_field_extent(cells, cfg.layout.site_spacing_m);
-  cfg.mobility.field_width_m = width;
-  cfg.mobility.field_height_m = height;
-  cfg.mobility.speed_mps = common::km_per_hour(90.0);
-  cfg.handoff_hysteresis_db = 4.0;
-  return cfg;
+                                  const std::string& rng = "mt") {
+  return bench::world_from(
+      {"cells=" + std::to_string(cells), "layout=hex", "reuse=3",
+       bench::knob("band", band_radius_m),
+       "voice_users=" + std::to_string(voice),
+       "data_users=" + std::to_string(data), "seed=2024",
+       "traffic_rng=" + rng, "shadow_sigma_db=6", "kmh=90",
+       "doppler_hz=100"});
 }
 
 struct MemoryProbe {
@@ -202,7 +185,7 @@ int main() try {
   }
   const auto protocol = protocol_list.front();
   const auto cells_list =
-      bench::env_count_list("CHARISMA_BENCH_WORLD_CELLS", "2,4,8", 1);
+      bench::env_count_list("CHARISMA_BENCH_WORLD_CELLS", "2,4,8", 2);
   // The serial run is the determinism/speedup reference; it is measured
   // first even when the list omits it (0 = hardware concurrency).
   const std::string hardware_default = "1,2,4," + std::to_string(hardware);
@@ -217,7 +200,7 @@ int main() try {
   const int mem_users =
       bench::env_count_int("CHARISMA_BENCH_WORLD_USERS", 100'000, 0);
   const int mem_cells =
-      bench::env_count_int("CHARISMA_BENCH_WORLD_MEMORY_CELLS", 91, 1);
+      bench::env_count_int("CHARISMA_BENCH_WORLD_MEMORY_CELLS", 91, 2);
   const double band_radius_m =
       bench::env_real("CHARISMA_BENCH_WORLD_BAND", 1200.0);
   if (band_radius_m < 0.0) {
@@ -428,7 +411,7 @@ int main() try {
     // allocator-reuse understatement for both sparse probes.
     const auto compact_probe = probe_memory(
         memory_config(mem_cells, mem_voice, mem_data, band_radius_m,
-                      common::RngKind::kCompact),
+                      "compact"),
         protocol, steady_window_s);
     const auto sparse_probe = probe_memory(
         memory_config(mem_cells, mem_voice, mem_data, band_radius_m),

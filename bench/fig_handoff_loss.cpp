@@ -23,17 +23,14 @@ int main() try {
   const auto spec = bench::standard_spec(/*default_reps=*/1);
   const double speeds_kmh[] = {3.0, 30.0, 60.0, 120.0};
 
-  mac::CellularConfig base;
-  base.num_cells = cells;
-  base.params.num_voice_users = voice_users;
-  base.params.num_data_users = 5;
-  base.params.channel.shadow_sigma_db = 6.0;
-  // Link budget at the 200 m path-loss reference; a mid-cell user (~400 m)
-  // then sees roughly the single-cell figures' 16 dB operating point.
-  base.params.channel.mean_snr_db = 26.0;
-  base.handoff_hysteresis_db = 4.0;
-  base.mobility.field_width_m = 1000.0 * cells;
-  base.mobility.field_height_m = 1000.0;
+  // charisma_sim's line world (cell_radius_m=500) at one speed.
+  const auto world_at = [&](double kmh) {
+    return bench::world_from({"cells=" + std::to_string(cells),
+                              "voice_users=" + std::to_string(voice_users),
+                              "data_users=5", "shadow_sigma_db=6",
+                              bench::knob("kmh", kmh)});
+  };
+  const mac::CellularConfig base = world_at(speeds_kmh[0]);
 
   std::cout << cells << " cells, " << voice_users << " voice + "
             << base.params.num_data_users << " data users, hysteresis "
@@ -53,11 +50,8 @@ int main() try {
   for (const double kmh : speeds_kmh) {
     std::vector<std::string> loss_row{common::TextTable::num(kmh, 0)};
     std::vector<std::string> rate_row{common::TextTable::num(kmh, 0)};
+    const mac::CellularConfig cfg = world_at(kmh);
     for (auto id : protocols::all_protocols()) {
-      auto cfg = base;
-      cfg.mobility.speed_mps = common::km_per_hour(kmh);
-      cfg.params.channel.doppler_hz = channel::ChannelConfig::doppler_for_speed(
-          cfg.mobility.speed_mps, 2.0e9);
       mac::CellularWorld world(cfg, [id](const mac::ScenarioParams& p) {
         return protocols::make_protocol(id, p);
       });

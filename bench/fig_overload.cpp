@@ -139,6 +139,7 @@ int main() try {
   std::vector<OutagePoint> outage_points;
   bool accounting_ok = true;
   for (bool with_outage : {false, true}) {
+    // Built by hand: no cell_radius_m gives this 1500 x 300 m line field.
     mac::CellularConfig cfg;
     cfg.num_cells = 3;
     cfg.num_threads = 1;

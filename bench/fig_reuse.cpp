@@ -10,7 +10,8 @@
 // sensitivity to the classic capacity-versus-isolation trade.
 //
 // Knobs (besides the bench_support ones):
-//   CHARISMA_BENCH_REUSE_CELLS   comma list of cell counts (default 7)
+//   CHARISMA_BENCH_REUSE_CELLS   comma list of cell counts, each >= 2
+//                                (default 7)
 //   CHARISMA_BENCH_REUSE_FACTORS comma list of reuse factors (default 1,3,7)
 //   CHARISMA_BENCH_REUSE_VOICE   voice users in the world (default 40)
 //   CHARISMA_BENCH_REUSE_ACTIVITY per-user activity factor (default 0.4)
@@ -73,18 +74,18 @@ int main() try {
       "CHARISMA extension (no paper figure); inter-cell interference "
       "plane");
 
-  const auto cells_list =
-      bench::env_count_list("CHARISMA_BENCH_REUSE_CELLS", "7", /*min=*/1);
-  const auto reuse_list =
-      bench::env_count_list("CHARISMA_BENCH_REUSE_FACTORS", "1,3,7", 1);
-  const int voice_users =
-      bench::env_count_int("CHARISMA_BENCH_REUSE_VOICE", 40, 0);
   const double activity =
       bench::env_real("CHARISMA_BENCH_REUSE_ACTIVITY", 0.4);
   if (activity < 0.0 || activity > 1.0) {
     throw std::invalid_argument(
         "CHARISMA_BENCH_REUSE_ACTIVITY: must be in [0, 1]");
   }
+  const auto cells_list =
+      bench::env_count_list("CHARISMA_BENCH_REUSE_CELLS", "7", /*min=*/2);
+  const auto reuse_list =
+      bench::env_count_list("CHARISMA_BENCH_REUSE_FACTORS", "1,3,7", 1);
+  const int voice_users =
+      bench::env_count_int("CHARISMA_BENCH_REUSE_VOICE", 40, 0);
   const auto spec = bench::standard_spec(/*default_reps=*/1);
 
   std::cout << voice_users << " voice + 5 data users, activity factor "
@@ -112,34 +113,14 @@ int main() try {
                   << " (not a rhombic number)\n";
         continue;
       }
-      mac::CellularConfig base;
-      base.num_cells = cells;
-      base.params.num_voice_users = voice_users;
-      base.params.num_data_users = 5;
-      base.params.channel.shadow_sigma_db = 6.0;
-      // Link budget at the 200 m path-loss reference (see
-      // fig_handoff_loss.cpp for the calibration note).
-      base.params.channel.mean_snr_db = 26.0;
-      base.handoff_hysteresis_db = 4.0;
-      base.layout.kind = mac::SiteLayoutConfig::Kind::kHex;
-      base.layout.site_spacing_m = 1000.0;
-      base.layout.reuse_factor = reuse;
-      base.interference_activity = activity;
-      const auto [width, height] =
-          mac::SiteLayout::hex_field_extent(cells, 1000.0);
-      base.mobility.field_width_m = width;
-      base.mobility.field_height_m = height;
-      base.mobility.speed_mps = common::km_per_hour(50.0);
-      base.params.channel.doppler_hz =
-          channel::ChannelConfig::doppler_for_speed(base.mobility.speed_mps,
-                                                    2.0e9);
-
-      const mac::SiteLayout layout(base.layout, cells, width, height);
+      // charisma_sim's hex world (cell_radius_m=500, 50 km/h).
+      const mac::CellularConfig base = bench::world_from(
+          {"cells=" + std::to_string(cells), "layout=hex",
+           "reuse=" + std::to_string(reuse),
+           bench::knob("interference", activity),
+           "voice_users=" + std::to_string(voice_users), "data_users=5",
+           "shadow_sigma_db=6"});
       bool own_channels = true;
-      for (int c = 0; c < cells; ++c) {
-        own_channels =
-            own_channels && layout.co_channel_interferers(c).empty();
-      }
 
       double mean_interf = 0.0;
       std::vector<std::string> loss_row{std::to_string(cells),
@@ -149,6 +130,10 @@ int main() try {
         mac::CellularWorld world(base, [id](const mac::ScenarioParams& p) {
           return protocols::make_protocol(id, p);
         });
+        for (int c = 0; c < cells; ++c) {
+          own_channels =
+              own_channels && world.layout().co_channel_interferers(c).empty();
+        }
         world.run(spec.warmup_s, spec.measure_s);
         const auto m = world.aggregate_metrics();
         loss_row.push_back(common::TextTable::sci(m.voice_loss_rate(), 2));

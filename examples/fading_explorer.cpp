@@ -2,34 +2,35 @@
 // an ASCII strip-chart of the combined SNR, the ABICM mode occupancy, and
 // the outage statistics that drive every protocol result in the paper.
 //
-//   ./fading_explorer [kmh=50] [seconds=2] [mean_snr_db=16]
+//   ./fading_explorer [kmh=50] [measure=2] [mean_snr_db=16] [seed=7]
+//                     [doppler_hz=F]
+//
+// The knobs are charisma_sim's (experiment::parse_scenario); measure= is
+// the length of the trace in seconds.
 #include <algorithm>
 #include <cmath>
 #include <iostream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "charisma.hpp"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace charisma;
 
-  common::KeyValueConfig config;
-  try {
-    config = common::KeyValueConfig::from_args(
-        std::vector<std::string>(argv + 1, argv + argc));
-  } catch (const std::exception& e) {
-    std::cerr << e.what() << "\nusage: fading_explorer [key=value ...]\n";
-    return 1;
+  std::vector<std::string> args(argv + 1, argv + argc);
+  common::KeyValueConfig::from_args(args).reject_unknown(
+      {"kmh", "doppler_hz", "measure", "mean_snr_db", "seed"});
+  args.insert(args.begin(), {"kmh=50", "measure=2", "seed=7"});
+  const auto config = common::KeyValueConfig::from_args(args);
+  const auto scenario = experiment::parse_scenario(config);
+  const channel::ChannelConfig& cfg = scenario.spec.params.channel;
+  const double kmh = *config.get_double("kmh");
+  const auto steps = static_cast<long>(scenario.spec.measure_s / 2.5e-3);
+  if (steps < 1) {
+    throw std::invalid_argument("measure= must cover one 2.5 ms frame");
   }
-
-  const double kmh = config.get_double_or("kmh", 50.0);
-  const double seconds = config.get_double_or("seconds", 2.0);
-
-  channel::ChannelConfig cfg;
-  cfg.mean_snr_db = config.get_double_or("mean_snr_db", 16.0);
-  cfg.doppler_hz = channel::ChannelConfig::doppler_for_speed(
-      common::km_per_hour(kmh), 2.0e9);
 
   std::cout << "Device at " << kmh << " km/h -> Doppler "
             << common::TextTable::num(cfg.doppler_hz, 1)
@@ -37,8 +38,7 @@ int main(int argc, char** argv) {
             << common::TextTable::num(1000.0 / cfg.doppler_hz, 1) << " ms\n\n";
 
   channel::ChannelBank ch;
-  ch.add_user(cfg, common::RngStream(static_cast<std::uint64_t>(
-                       config.get_int_or("seed", 7))));
+  ch.add_user(cfg, common::RngStream(scenario.spec.params.seed));
   const auto phy = phy::AdaptivePhy::abicm6();
 
   // Strip chart: one row per 25 ms, column = SNR in dB (offset by 5).
@@ -55,7 +55,6 @@ int main(int argc, char** argv) {
   std::cout << " dB):\n";
   std::cout << "  -5dB      5        15        25       35\n";
   std::vector<std::int64_t> mode_histogram(7, 0);  // [0]=outage, 1..6=modes
-  const auto steps = static_cast<long>(seconds / 2.5e-3);
   for (long i = 1; i <= steps; ++i) {
     ch.advance_user_to(0, static_cast<double>(i) * 2.5e-3);
     const double db = ch.snr_db(0);
@@ -98,4 +97,7 @@ int main(int argc, char** argv) {
             << " bit/symbol (fixed PHY: 1.0) — the \"~2x\" of the paper's\n"
                "D-TDMA/VR versus D-TDMA/FR comparison.\n";
   return 0;
+} catch (const std::exception& e) {
+  std::cerr << "error: " << e.what() << '\n';
+  return 1;
 }

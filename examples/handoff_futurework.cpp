@@ -11,60 +11,58 @@
 // unreachable hysteresis margin.
 //
 //   ./handoff_futurework [protocol=charisma] [cells=2] [kmh=60]
-//                        [hysteresis_db=4] [voice_users=40] [seconds=20]
+//                        [handoff_hysteresis_db=4] [voice_users=40]
+//                        [data_users=5] [warmup=2] [measure=20]
+//
+// The knobs, and so the world, are charisma_sim's
+// (experiment::parse_scenario); protocol= names one protocol.
 #include <iostream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "charisma.hpp"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace charisma;
 
-  common::KeyValueConfig config;
-  try {
-    config = common::KeyValueConfig::from_args(
-        std::vector<std::string>(argv + 1, argv + argc));
-  } catch (const std::exception& e) {
-    std::cerr << e.what() << "\nusage: handoff_futurework [key=value ...]\n";
-    return 1;
+  std::vector<std::string> args(argv + 1, argv + argc);
+  common::KeyValueConfig::from_args(args).reject_unknown(
+      {"protocol", "cells", "kmh", "handoff_hysteresis_db", "voice_users",
+       "data_users", "seed", "shadow_sigma_db", "mean_snr_db", "warmup",
+       "measure"});
+  args.insert(args.begin(),
+              {"cells=2", "kmh=60", "voice_users=40", "data_users=5",
+               "shadow_sigma_db=6", "warmup=2", "measure=20"});
+  const auto config = common::KeyValueConfig::from_args(args);
+  const auto scenario = experiment::parse_scenario(config);
+  if (!scenario.world) {
+    throw std::invalid_argument(
+        "cells= must be >= 2: the handoff study moves users between cells");
   }
-
-  const auto protocol =
-      protocols::parse_protocol(config.get_string_or("protocol", "charisma"));
-  mac::CellularConfig cfg;
-  cfg.num_cells = config.get_int_or("cells", 2);
-  cfg.params.num_voice_users = config.get_int_or("voice_users", 40);
-  cfg.params.num_data_users = config.get_int_or("data_users", 5);
-  cfg.params.seed = static_cast<std::uint64_t>(config.get_int_or("seed", 1));
-  cfg.params.channel.shadow_sigma_db =
-      config.get_double_or("shadow_sigma_db", 6.0);
-  // Link budget at the 200 m path-loss reference distance.
-  cfg.params.channel.mean_snr_db = config.get_double_or("mean_snr_db", 26.0);
-  const double kmh = config.get_double_or("kmh", 60.0);
-  cfg.mobility.speed_mps = common::km_per_hour(kmh);
-  cfg.params.channel.doppler_hz =
-      channel::ChannelConfig::doppler_for_speed(cfg.mobility.speed_mps, 2.0e9);
-  cfg.mobility.field_width_m = 1000.0 * cfg.num_cells;
-  cfg.mobility.field_height_m = 1000.0;
-  cfg.handoff_hysteresis_db = config.get_double_or("hysteresis_db", 4.0);
-  const double seconds = config.get_double_or("seconds", 20.0);
+  if (scenario.protocols.size() != 1) {
+    throw std::invalid_argument("protocol= must name one protocol");
+  }
+  const auto protocol = scenario.protocols.front();
+  const mac::CellularConfig& cfg = *scenario.world;
+  const auto& spec = scenario.spec;
 
   std::cout << "Handoff future-work demo: " << cfg.num_cells << " cells, "
             << protocols::protocol_name(protocol) << ", "
             << cfg.params.num_voice_users << " voice + "
-            << cfg.params.num_data_users << " data users at " << kmh
-            << " km/h, hysteresis " << cfg.handoff_hysteresis_db << " dB, "
-            << seconds << " s\n\n";
+            << cfg.params.num_data_users << " data users at "
+            << *config.get_double("kmh") << " km/h, hysteresis "
+            << cfg.handoff_hysteresis_db << " dB, " << spec.measure_s
+            << " s\n\n";
 
-  const auto factory = [protocol](const mac::ScenarioParams& p) {
-    return protocols::make_protocol(protocol, p);
+  const auto factory = [&](const mac::ScenarioParams& p) {
+    return protocols::make_protocol(protocol, p, spec.charisma);
   };
   const auto run_world = [&](double hysteresis_db) {
     auto world_cfg = cfg;
     world_cfg.handoff_hysteresis_db = hysteresis_db;
     mac::CellularWorld world(world_cfg, factory);
-    world.run(/*warmup=*/2.0, seconds);
+    world.run(spec.warmup_s, spec.measure_s);
     return std::pair{world.handoffs(), world.aggregate_metrics()};
   };
 
@@ -98,4 +96,7 @@ int main(int argc, char** argv) {
          "trades a small in-transit drop cost for a fresh link — and the\n"
          "protocol carries reservations/backlog state across the move.\n";
   return 0;
+} catch (const std::exception& e) {
+  std::cerr << "error: " << e.what() << '\n';
+  return 1;
 }

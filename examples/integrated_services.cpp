@@ -5,6 +5,9 @@
 // changes for cell-edge users.
 //
 //   ./integrated_services [voice_users=90] [queue=1] [fairness=0]
+//                         [seed=1] [warmup=4] [measure=10]
+//
+// The knobs are charisma_sim's (experiment::parse_scenario).
 #include <algorithm>
 #include <iostream>
 #include <string>
@@ -12,43 +15,33 @@
 
 #include "charisma.hpp"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace charisma;
 
-  common::KeyValueConfig config;
-  try {
-    config = common::KeyValueConfig::from_args(
-        std::vector<std::string>(argv + 1, argv + argc));
-  } catch (const std::exception& e) {
-    std::cerr << e.what() << "\nusage: integrated_services [key=value ...]\n";
-    return 1;
-  }
+  std::vector<std::string> args(argv + 1, argv + argc);
+  common::KeyValueConfig::from_args(args).reject_unknown(
+      {"voice_users", "queue", "fairness", "seed", "warmup", "measure"});
+  args.insert(args.begin(), {"voice_users=90", "measure=10"});
+  const auto spec =
+      experiment::parse_scenario(common::KeyValueConfig::from_args(args))
+          .spec;
+  const bool fairness =
+      spec.charisma.fairness != core::FairnessMode::kNone;
 
-  const int voice_users = config.get_int_or("voice_users", 90);
-  const bool queue = config.get_bool_or("queue", true);
-  const bool fairness = config.get_bool_or("fairness", false);
-
-  core::CharismaOptions options;
-  options.fairness = fairness ? core::FairnessMode::kCapacityNormalized
-                              : core::FairnessMode::kNone;
-
-  std::cout << "CHARISMA cell: " << voice_users
+  std::cout << "CHARISMA cell: " << spec.params.num_voice_users
             << " voice users, growing file-transfer load, request queue "
-            << (queue ? "on" : "off") << ", capacity-fair scheduling "
-            << (fairness ? "on" : "off") << "\n\n";
+            << (spec.params.request_queue ? "on" : "off")
+            << ", capacity-fair scheduling " << (fairness ? "on" : "off")
+            << "\n\n";
 
   common::TextTable table("Service quality as data load grows");
   table.set_header({"data users", "voice loss", "data tput/frame",
                     "data delay (s)", "slot util", "csi polls/frame"});
   for (int data_users : {0, 10, 20, 40, 60}) {
-    mac::ScenarioParams params;
-    params.num_voice_users = voice_users;
+    mac::ScenarioParams params = spec.params;
     params.num_data_users = data_users;
-    params.request_queue = queue;
-    params.seed = static_cast<std::uint64_t>(config.get_int_or("seed", 1));
-    core::CharismaProtocol proto(params, options);
-    const auto& m = proto.run(config.get_double_or("warmup", 4.0),
-                              config.get_double_or("measure", 10.0));
+    core::CharismaProtocol proto(params, spec.charisma);
+    const auto& m = proto.run(spec.warmup_s, spec.measure_s);
     table.add_row({std::to_string(data_users),
                    common::TextTable::sci(m.voice_loss_rate(), 2),
                    common::TextTable::num(m.data_throughput_per_frame(), 2),
@@ -66,4 +59,7 @@ int main(int argc, char** argv) {
                "priority offset V plus deadline urgency), while data rides\n"
                "the leftover capacity at CSI-selected high modes.\n";
   return 0;
+} catch (const std::exception& e) {
+  std::cerr << "error: " << e.what() << '\n';
+  return 1;
 }

@@ -4,50 +4,45 @@
 // the paper's Fig. 11 read-offs.
 //
 //   ./voice_capacity_planning [protocol=charisma] [threshold=0.01]
-//                             [data_users=0] [queue=1] [measure=10]
+//                             [data_users=0] [queue=1] [warmup=4]
+//                             [measure=10] [replications=2]
+//
+// threshold= is the loss QoS, in (0, 1); the other knobs are
+// charisma_sim's (experiment::parse_scenario), with protocol= naming one
+// protocol.
 #include <iostream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "charisma.hpp"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace charisma;
 
-  common::KeyValueConfig config;
-  try {
-    config = common::KeyValueConfig::from_args(
-        std::vector<std::string>(argv + 1, argv + argc));
-  } catch (const std::exception& e) {
-    std::cerr << e.what() << "\nusage: voice_capacity_planning [key=value ...]\n";
-    return 1;
+  std::vector<std::string> args(argv + 1, argv + argc);
+  const auto given = common::KeyValueConfig::from_args(args);
+  given.reject_unknown({"protocol", "threshold", "data_users", "queue",
+                        "warmup", "measure", "replications"});
+  const double threshold = experiment::read_double(
+      given, "threshold", 0.01, experiment::Domain{0.0, 1.0, true, true});
+  std::erase_if(args, [](const std::string& arg) {
+    return arg.starts_with("threshold=");
+  });
+  args.insert(args.begin(), {"measure=10", "replications=2", "sweep=voice",
+                              "x=20,50,80,100,120,140,160,180"});
+  const auto scenario =
+      experiment::parse_scenario(common::KeyValueConfig::from_args(args));
+  if (scenario.protocols.size() != 1) {
+    throw std::invalid_argument("protocol= must name one protocol");
   }
-
-  protocols::ProtocolId protocol;
-  try {
-    protocol = protocols::parse_protocol(
-        config.get_string_or("protocol", "charisma"));
-  } catch (const std::exception& e) {
-    std::cerr << e.what() << '\n';
-    return 1;
-  }
-  const double threshold = config.get_double_or("threshold", 0.01);
-
-  experiment::SweepConfig sweep;
-  sweep.spec.params.num_data_users = config.get_int_or("data_users", 0);
-  sweep.spec.params.request_queue = config.get_bool_or("queue", true);
-  sweep.spec.warmup_s = config.get_double_or("warmup", 4.0);
-  sweep.spec.measure_s = config.get_double_or("measure", 10.0);
-  sweep.spec.replications = config.get_int_or("replications", 2);
-  sweep.axis = experiment::SweepAxis::kVoiceUsers;
-  sweep.x_values = {20, 50, 80, 100, 120, 140, 160, 180};
-  sweep.protocols_to_run = {protocol};
+  const auto protocol = scenario.protocols.front();
 
   std::cout << "Sweeping voice load for " << protocols::protocol_name(protocol)
             << " (loss threshold " << threshold << ")...\n\n";
 
   experiment::WorkerPool pool;  // hardware threads
-  const auto cells = experiment::run_sweep(sweep, pool);
+  const auto cells = experiment::run_sweep(*scenario.sweep, pool);
 
   const auto metric = [](const experiment::ReplicatedResult& r) {
     return r.voice_loss.mean();
@@ -75,4 +70,7 @@ int main(int argc, char** argv) {
     std::cout << "below the smallest swept population\n";
   }
   return 0;
+} catch (const std::exception& e) {
+  std::cerr << "error: " << e.what() << '\n';
+  return 1;
 }

@@ -8,7 +8,9 @@
 //       charisma::protocols::ProtocolId::kCharisma, params);
 //   const auto& metrics = engine->run(/*warmup=*/3.0, /*measure=*/15.0);
 //
-// See examples/quickstart.cpp for a tour.
+// The scenario recipe behind charisma_sim, the examples and the world
+// benches is charisma::experiment::parse_scenario (experiment/scenario.hpp);
+// examples/ holds short tours built on it.
 #pragma once
 
 #include "analysis/fading_statistics.hpp"
@@ -28,6 +30,7 @@
 #include "core/priority.hpp"
 #include "experiment/report.hpp"
 #include "experiment/runner.hpp"
+#include "experiment/scenario.hpp"
 #include "experiment/sweep.hpp"
 #include "experiment/worker_pool.hpp"
 #include "mac/attachment.hpp"

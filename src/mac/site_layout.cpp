@@ -185,24 +185,17 @@ SiteLayout::SiteLayout(const SiteLayoutConfig& config, int num_cells,
   channel_.reserve(static_cast<std::size_t>(num_cells));
 
   if (config.kind == SiteLayoutConfig::Kind::kLine) {
-    if (config.site_spacing_m == 0.0) {
-      // Historical placement: evenly spaced along the field midline, the
-      // step derived from the field width (bit-identical to the PR 3
-      // CellularWorld::place_sites()).
-      const double step = field_width_m / static_cast<double>(num_cells);
-      for (int c = 0; c < num_cells; ++c) {
-        sites_.push_back({(static_cast<double>(c) + 0.5) * step,
-                          field_height_m * 0.5});
-      }
-    } else {
-      // Explicit spacing: the row is centred on the field midline.
-      const double mid = 0.5 * static_cast<double>(num_cells - 1);
-      for (int c = 0; c < num_cells; ++c) {
-        sites_.push_back({0.5 * field_width_m +
-                              (static_cast<double>(c) - mid) *
-                                  config.site_spacing_m,
-                          field_height_m * 0.5});
-      }
+    if (config.site_spacing_m != 0.0) {
+      throw std::invalid_argument(
+          "SiteLayout: line layouts derive their spacing from the field; "
+          "site_spacing_m must be 0");
+    }
+    // Evenly spaced along the field midline, the step derived from the
+    // field width: the historical CellularWorld placement, bit for bit.
+    const double step = field_width_m / static_cast<double>(num_cells);
+    for (int c = 0; c < num_cells; ++c) {
+      sites_.push_back({(static_cast<double>(c) + 0.5) * step,
+                        field_height_m * 0.5});
     }
     for (int c = 0; c < num_cells; ++c) {
       channel_.push_back(c % config.reuse_factor);

@@ -3,8 +3,8 @@
 // at the layout's edge.
 //
 //   * kLine — sites evenly spaced along the field's horizontal midline,
-//     the historical CellularWorld placement (spacing 0 derives
-//     field_width / num_cells, reproducing the PR 3 positions exactly).
+//     the historical CellularWorld placement: the spacing is
+//     field_width / num_cells.
 //   * kHex — the classic hexagonal ring layout: site 0 at the field
 //     centre, ring k adding 6k sites at spacing `site_spacing_m`, filled
 //     in spiral order. Full rings hold 1 / 7 / 19 / 37 ... sites.
@@ -35,9 +35,8 @@ struct SiteLayoutConfig {
 
   Kind kind = Kind::kLine;
 
-  /// Distance between adjacent sites, metres. Line layouts accept 0 and
-  /// derive field_width / num_cells (the historical placement); hex
-  /// layouts require an explicit spacing.
+  /// Distance between adjacent hex sites, metres (required > 0). Line
+  /// layouts derive theirs, field_width / num_cells, and require 0.
   double site_spacing_m = 0.0;
 
   /// Frequency-reuse factor: sites are partitioned into this many channel
@@ -65,8 +64,8 @@ class SiteLayout {
 
   /// Builds the site map for `num_cells` sites over the given field.
   /// Throws std::invalid_argument for inconsistent configurations (hex
-  /// without a spacing, non-rhombic hex reuse, wrap-around that
-  /// supports_wrap rejects).
+  /// without a spacing, a line with one, non-rhombic hex reuse,
+  /// wrap-around that supports_wrap rejects).
   SiteLayout(const SiteLayoutConfig& config, int num_cells,
              double field_width_m, double field_height_m);
 
@@ -121,8 +120,8 @@ class SiteLayout {
   /// rejects wrap_around exactly when this is false.
   static bool supports_wrap(const SiteLayoutConfig& config, int num_cells);
   /// Field (width, height) that contains the hex grid with one spacing of
-  /// margin on every side — what charisma_sim sizes the mobility field
-  /// with for layout=hex.
+  /// margin on every side — the mobility field of experiment::
+  /// parse_scenario's layout=hex worlds.
   static std::pair<double, double> hex_field_extent(int num_cells,
                                                     double site_spacing_m);
 

@@ -167,18 +167,6 @@ TEST(SiteLayout, LineReuseIsRoundRobin) {
   EXPECT_EQ(layout.co_channel_interferers(0), (std::vector<int>{3, 6}));
 }
 
-TEST(SiteLayout, ExplicitLineSpacingIsCentred) {
-  SiteLayoutConfig cfg;
-  cfg.site_spacing_m = 400.0;
-  SiteLayout layout(cfg, 3, 3000.0, 1000.0);
-  EXPECT_DOUBLE_EQ(layout.position(0).x, 1100.0);
-  EXPECT_DOUBLE_EQ(layout.position(1).x, 1500.0);
-  EXPECT_DOUBLE_EQ(layout.position(2).x, 1900.0);
-  for (int c = 0; c < 3; ++c) {
-    EXPECT_DOUBLE_EQ(layout.position(c).y, 500.0);
-  }
-}
-
 TEST(SiteLayout, WrapAroundImages) {
   SiteLayout flat(hex_config(500.0, 1, false), 7, 10000.0, 10000.0);
   SiteLayout wrapped(hex_config(500.0, 1, true), 7, 10000.0, 10000.0);
@@ -255,6 +243,11 @@ TEST(SiteLayout, Validation) {
   SiteLayoutConfig line;
   line.wrap_around = true;
   EXPECT_THROW(SiteLayout(line, 3, 1000.0, 1000.0), std::invalid_argument);
+  // A line derives its spacing from the field, so it takes none.
+  SiteLayoutConfig spaced_line;
+  spaced_line.site_spacing_m = 400.0;
+  EXPECT_THROW(SiteLayout(spaced_line, 3, 3000.0, 1000.0),
+               std::invalid_argument);
   // Degenerate inputs.
   EXPECT_THROW(SiteLayout(SiteLayoutConfig{}, 0, 1000.0, 1000.0),
                std::invalid_argument);

@@ -1,15 +1,25 @@
 #!/bin/sh
-# Fails unless charisma_sim rejects each malformed invocation below at parse
-# time: exit status exactly 1 and an "error: <knob>=" line on stderr naming
-# the offending knob. Every case stops before a simulation starts, so the
-# whole check takes milliseconds, under the sanitizers too.
+# Fails unless charisma_sim, and each example after it, rejects each
+# malformed invocation below at parse time: exit status exactly 1 and an
+# "error: <knob>=" line on stderr naming the offending knob. Every case
+# stops before a simulation starts, so the whole check takes milliseconds,
+# under the sanitizers too.
 #
-#   tools/cli_reject_check.sh build/charisma_sim
+#   tools/cli_reject_check.sh build/charisma_sim build/fading_explorer \
+#       build/integrated_services build/voice_capacity_planning \
+#       build/handoff_futurework
 #
 # ctest runs it as the cli_reject_check test in every configuration.
 set -u
 
-sim=${1:?usage: cli_reject_check.sh <charisma_sim>}
+usage="usage: cli_reject_check.sh <charisma_sim> <fading_explorer>"
+usage="$usage <integrated_services> <voice_capacity_planning>"
+usage="$usage <handoff_futurework>"
+sim=${1:?$usage}
+fading_explorer=${2:?$usage}
+integrated_services=${3:?$usage}
+voice_capacity_planning=${4:?$usage}
+handoff_futurework=${5:?$usage}
 failures=0
 # Small run knobs, so an invocation that is wrongly accepted ends quickly.
 quick="voice_users=4 data_users=1 warmup=0.1 measure=0.1"
@@ -22,7 +32,7 @@ expect_reject() {
   err=$("$sim" "$@" 2>&1 >/dev/null)
   status=$?
   if [ "$status" -ne 1 ] || ! printf '%s\n' "$err" | grep -q "$pattern"; then
-    echo "cli_reject_check: FAIL: charisma_sim $*" >&2
+    echo "cli_reject_check: FAIL: $sim $*" >&2
     echo "  exit $status, expected 1 and a line matching '$pattern'" >&2
     printf '%s\n' "$err" | sed 's/^/  stderr: /' >&2
     failures=$((failures + 1))
@@ -144,6 +154,19 @@ expect_knob x sweep=voice x= $quick
 expect_knob protocol protocol=foo $quick
 expect_knob csv csv= $quick
 expect_knob csv "csv=$sim/out.csv" $quick
+
+# The examples read charisma_sim's knobs through the same parser, and each
+# rejects by name any key it does not use.
+sim=$voice_capacity_planning
+expect_knob threshold threshold=2
+sim=$integrated_services
+expect_knob voice_users voice_users=-5
+expect_reject "unknown key 'voice_user'" voice_user=80
+sim=$fading_explorer
+expect_knob kmh kmh=-3
+expect_knob measure measure=0.001
+sim=$handoff_futurework
+expect_knob cells cells=1
 
 if [ "$failures" -ne 0 ]; then
   echo "cli_reject_check: $failures invocation(s) not rejected by name" >&2
