@@ -11,7 +11,11 @@ int main() try {
   bench::print_banner("Ablation: CHARISMA priority metric (Eq. 2)",
                       "Kwok & Lau, Sec. 4.3 (design knobs)");
 
-  const auto spec = bench::standard_spec(/*default_reps=*/2);
+  auto spec = bench::standard_spec(/*default_reps=*/2);
+  spec.params.num_voice_users = 110;
+  spec.params.num_data_users = 20;
+  spec.params.request_queue = true;
+  spec.params.seed = 3;
 
   struct Variant {
     const char* name;
@@ -49,27 +53,17 @@ int main() try {
       "Priority-term ablation, N_v = 110, N_d = 20, with queue");
   table.set_header({"variant", "voice loss", "voice err", "data tput/frame",
                     "data delay (s)"});
+  using M = mac::ProtocolMetrics;
   for (const auto& variant : variants) {
-    common::Accumulator loss, err, tput, delay;
-    for (int rep = 0; rep < spec.replications; ++rep) {
-      mac::ScenarioParams params = spec.params;
-      params.num_voice_users = 110;
-      params.num_data_users = 20;
-      params.request_queue = true;
-      params.seed = experiment::replication_seed(3, 0, rep);
-      core::CharismaOptions options;
-      options.priority = variant.weights;
-      core::CharismaProtocol proto(params, options);
-      const auto& m = proto.run(spec.warmup_s, spec.measure_s);
-      loss.add(m.voice_loss_rate());
-      err.add(m.voice_error_rate());
-      tput.add(m.data_throughput_per_frame());
-      delay.add(m.mean_data_delay_s());
-    }
-    table.add_row({variant.name, common::TextTable::sci(loss.mean(), 2),
-                   common::TextTable::sci(err.mean(), 2),
-                   common::TextTable::num(tput.mean(), 2),
-                   common::TextTable::num(delay.mean(), 3)});
+    spec.charisma.priority = variant.weights;
+    const auto result =
+        experiment::run_replications(protocols::ProtocolId::kCharisma, spec);
+    table.add_row(
+        {variant.name,
+         common::TextTable::sci(result.mean(&M::voice_loss_rate), 2),
+         common::TextTable::sci(result.mean(&M::voice_error_rate), 2),
+         common::TextTable::num(result.mean(&M::data_throughput_per_frame), 2),
+         common::TextTable::num(result.mean(&M::mean_data_delay_s), 3)});
   }
   table.print(std::cout);
   std::cout

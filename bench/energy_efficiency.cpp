@@ -14,34 +14,31 @@ int main() try {
   bench::print_banner("Energy efficiency (the paper's motivation 2)",
                       "Kwok & Lau, Sec. 1 observations 1-2");
 
-  const auto spec = bench::standard_spec(/*default_reps=*/2);
+  auto spec = bench::standard_spec(/*default_reps=*/2);
+  spec.params.num_voice_users = 100;
+  spec.params.num_data_users = 10;
+  spec.params.request_queue = true;
+  spec.params.seed = 9;
 
   common::TextTable table(
       "Transmit energy per delivered packet, N_v = 100, N_d = 10, queue on");
   table.set_header({"protocol", "mJ/packet", "waste fraction",
                     "request J/s", "info J/s", "pilot J/s"});
+  using M = mac::ProtocolMetrics;
   for (auto id : protocols::all_protocols()) {
-    common::Accumulator per_packet, waste, req_rate, info_rate, pilot_rate;
-    for (int rep = 0; rep < spec.replications; ++rep) {
-      mac::ScenarioParams params = spec.params;
-      params.num_voice_users = 100;
-      params.num_data_users = 10;
-      params.request_queue = true;
-      params.seed = experiment::replication_seed(9, 0, rep);
-      auto engine = protocols::make_protocol(id, params);
-      const auto& m = engine->run(spec.warmup_s, spec.measure_s);
-      per_packet.add(m.energy_per_delivered_packet_mj());
-      waste.add(m.energy_waste_ratio());
-      req_rate.add(m.energy_request_j / m.measured_time);
-      info_rate.add(m.energy_info_j / m.measured_time);
-      pilot_rate.add(m.energy_pilot_j / m.measured_time);
-    }
-    table.add_row({protocols::protocol_name(id),
-                   common::TextTable::num(per_packet.mean(), 4),
-                   common::TextTable::num(waste.mean(), 4),
-                   common::TextTable::num(req_rate.mean(), 3),
-                   common::TextTable::num(info_rate.mean(), 3),
-                   common::TextTable::num(pilot_rate.mean(), 3)});
+    const auto result = experiment::run_replications(id, spec);
+    const auto per_second = [&](double M::*joules) {
+      return result.mean(
+          [joules](const M& m) { return m.*joules / m.measured_time; });
+    };
+    table.add_row(
+        {result.protocol,
+         common::TextTable::num(
+             result.mean(&M::energy_per_delivered_packet_mj), 4),
+         common::TextTable::num(result.mean(&M::energy_waste_ratio), 4),
+         common::TextTable::num(per_second(&M::energy_request_j), 3),
+         common::TextTable::num(per_second(&M::energy_info_j), 3),
+         common::TextTable::num(per_second(&M::energy_pilot_j), 3)});
   }
   table.print(std::cout);
   std::cout

@@ -14,7 +14,7 @@ int main() try {
 
   experiment::WorkerPool pool(bench::standard_threads());
   const auto metric = [](const experiment::ReplicatedResult& r) {
-    return r.voice_loss.mean();
+    return r.mean(&mac::ProtocolMetrics::voice_loss_rate);
   };
 
   struct Panel {

@@ -49,7 +49,6 @@ int main() {
   // The average operating point under the calibrated channel: this is the
   // quantity behind "D-TDMA/VR has twice the average offered throughput of
   // D-TDMA/FR" (paper Sec. 3.5).
-  common::RngStream rng(7);
   channel::ChannelBank ch;
   ch.add_user(channel::ChannelConfig{}, common::RngStream(7));
   common::Accumulator tput;

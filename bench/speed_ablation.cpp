@@ -163,68 +163,41 @@ int main() try {
   const int users =
       bench::env_count_int("CHARISMA_BENCH_BANK_USERS", 10000, 1);
   const int frames = bench::env_count_int("CHARISMA_BENCH_BANK_FRAMES", 400, 1);
-  const auto spec_template = bench::standard_spec(/*default_reps=*/2);
+  auto spec = bench::standard_spec(/*default_reps=*/2);
+  spec.params.num_voice_users = 100;
+  spec.params.request_queue = true;
+  spec.params.seed = 1;
 
   run_hot_path_ablation(users, frames);
-
-  const double carrier_hz = 2.0e9;
-
-  struct Row {
-    double kmh;
-    double loss_with_refresh;
-    double loss_without_refresh;
-    double stale_fraction;
-  };
-  std::vector<Row> rows;
-
-  for (double kmh : {10.0, 30.0, 50.0, 65.0, 80.0}) {
-    const double doppler = channel::ChannelConfig::doppler_for_speed(
-        common::km_per_hour(kmh), carrier_hz);
-    double losses[2];
-    double stale_fraction = 0.0;
-    for (int variant = 0; variant < 2; ++variant) {
-      common::Accumulator loss;
-      for (int rep = 0; rep < spec_template.replications; ++rep) {
-        mac::ScenarioParams params = spec_template.params;
-        params.num_voice_users = 100;
-        params.request_queue = true;
-        params.channel.doppler_hz = doppler;
-        params.seed = experiment::replication_seed(
-            1, static_cast<std::uint64_t>(kmh), rep);
-        core::CharismaOptions options;
-        if (variant == 1) options.csi_poll_budget = 0;  // refresh off
-        core::CharismaProtocol proto(params, options);
-        const auto& m = proto.run(spec_template.warmup_s,
-                                  spec_template.measure_s);
-        loss.add(m.voice_loss_rate());
-        if (variant == 0 && m.info_slots_assigned > 0) {
-          stale_fraction = static_cast<double>(m.csi_stale_allocations) /
-                           static_cast<double>(m.info_slots_assigned);
-        }
-      }
-      losses[variant] = loss.mean();
-    }
-    rows.push_back(Row{kmh, losses[0], losses[1], stale_fraction});
-  }
 
   common::TextTable table(
       "CHARISMA voice loss versus mobile speed (N_v = 100, with queue)");
   table.set_header({"speed (km/h)", "Doppler (Hz)", "loss (refresh on)",
                     "loss (refresh off)", "stale-CSI allocations"});
-  for (const auto& row : rows) {
-    table.add_row(
-        {common::TextTable::num(row.kmh, 0),
-         common::TextTable::num(channel::ChannelConfig::doppler_for_speed(
-                                    common::km_per_hour(row.kmh), carrier_hz),
-                                0),
-         common::TextTable::sci(row.loss_with_refresh, 2),
-         common::TextTable::sci(row.loss_without_refresh, 2),
-         common::TextTable::num(row.stale_fraction, 4)});
+  using M = mac::ProtocolMetrics;
+  std::vector<double> losses_with_refresh;
+  for (double kmh : {10.0, 30.0, 50.0, 65.0, 80.0}) {
+    const double doppler = channel::ChannelConfig::doppler_for_speed(
+        common::km_per_hour(kmh), /*carrier_hz=*/2.0e9);
+    spec.params.channel.doppler_hz = doppler;
+    auto no_refresh = spec;
+    no_refresh.charisma.csi_poll_budget = 0;
+    const auto point = static_cast<std::uint64_t>(kmh);
+    const auto on = experiment::run_replications(
+        protocols::ProtocolId::kCharisma, spec, point);
+    const auto off = experiment::run_replications(
+        protocols::ProtocolId::kCharisma, no_refresh, point);
+    losses_with_refresh.push_back(on.mean(&M::voice_loss_rate));
+    table.add_row({common::TextTable::num(kmh, 0),
+                   common::TextTable::num(doppler, 0),
+                   common::TextTable::sci(losses_with_refresh.back(), 2),
+                   common::TextTable::sci(off.mean(&M::voice_loss_rate), 2),
+                   common::TextTable::num(on.mean(&M::csi_stale_ratio), 4)});
   }
   table.print(std::cout);
 
-  const double base = rows.front().loss_with_refresh;
-  const double fast = rows.back().loss_with_refresh;
+  const double base = losses_with_refresh.front();
+  const double fast = losses_with_refresh.back();
   std::cout << "\nDegradation 10 -> 80 km/h with refresh: "
             << common::TextTable::num(
                    base > 0 ? (fast - base) / base * 100.0 : 0.0, 1)

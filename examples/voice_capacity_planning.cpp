@@ -44,20 +44,21 @@ int main(int argc, char** argv) try {
   experiment::WorkerPool pool;  // hardware threads
   const auto cells = experiment::run_sweep(*scenario.sweep, pool);
 
+  using M = mac::ProtocolMetrics;
   const auto metric = [](const experiment::ReplicatedResult& r) {
-    return r.voice_loss.mean();
+    return r.mean(&M::voice_loss_rate);
   };
   common::TextTable table("Voice loss versus population");
   table.set_header({"N_v", "loss", "drop", "error", "95% ci"});
   for (const auto& cell : cells) {
+    const auto& result = cell.result;
     table.add_row({std::to_string(cell.x),
-                   common::TextTable::sci(cell.result.voice_loss.mean(), 2),
-                   common::TextTable::sci(cell.result.voice_drop.mean(), 2),
-                   common::TextTable::sci(cell.result.voice_error.mean(), 2),
-                   common::TextTable::sci(
-                       common::proportion_half_width(
-                           cell.result.voice_loss_pooled),
-                       1)});
+                   common::TextTable::sci(result.mean(&M::voice_loss_rate), 2),
+                   common::TextTable::sci(result.mean(&M::voice_drop_rate), 2),
+                   common::TextTable::sci(result.mean(&M::voice_error_rate), 2),
+                   common::TextTable::sci(common::proportion_half_width(
+                                              result.voice_loss_pooled()),
+                                          1)});
   }
   table.print(std::cout);
 

@@ -1,7 +1,7 @@
 // Report builders: renders sweep results as the rows/series the paper's
 // figures report, and extracts capacity numbers (users supported at a QoS
-// threshold), which fig11_voice_loss and fig13_data_delay print next to
-// their panels.
+// threshold), which fig11_voice_loss and fig12_13_data print next to
+// their Fig. 11 and Fig. 13 panels.
 #pragma once
 
 #include <functional>

@@ -6,22 +6,20 @@
 
 namespace charisma::experiment {
 
-void ReplicatedResult::add(const mac::ProtocolMetrics& metrics) {
-  ++replications;
-  voice_loss.add(metrics.voice_loss_rate());
-  voice_drop.add(metrics.voice_drop_rate());
-  voice_error.add(metrics.voice_error_rate());
-  data_throughput.add(metrics.data_throughput_per_frame());
-  data_delay_s.add(metrics.mean_data_delay_s());
-  slot_utilization.add(metrics.slot_utilization());
-  slot_waste.add(metrics.slot_waste_ratio());
-  request_success.add(metrics.request_success_ratio());
-  materialization_stride.add(metrics.mean_materialization_stride());
-  voice_loss_pooled.add_many(
-      metrics.voice_dropped_deadline + metrics.voice_error_lost +
-          metrics.voice_dropped_handoff,
-      metrics.voice_generated);
-  data_delay_pooled.merge(metrics.data_delay_hist);
+common::RatioCounter ReplicatedResult::voice_loss_pooled() const {
+  common::RatioCounter pooled;
+  for (const auto& run : runs) {
+    pooled.add_many(run.voice_lost(), run.voice_generated);
+  }
+  return pooled;
+}
+
+common::Histogram ReplicatedResult::data_delay_pooled() const {
+  common::Histogram pooled{mac::ProtocolMetrics::kDelayHistLo,
+                           mac::ProtocolMetrics::kDelayHistHi,
+                           mac::ProtocolMetrics::kDelayHistBins};
+  for (const auto& run : runs) pooled.merge(run.data_delay_hist);
+  return pooled;
 }
 
 std::uint64_t replication_seed(std::uint64_t base_seed,
@@ -34,9 +32,45 @@ std::uint64_t replication_seed(std::uint64_t base_seed,
                              static_cast<std::uint64_t>(rep));
 }
 
-ReplicatedResult run_replications(protocols::ProtocolId protocol,
-                                  const RunSpec& spec,
-                                  std::uint64_t point_key) {
+namespace {
+
+// One replication of `world` at `seed`; with `verify`, also the serial
+// re-run that must match it bit for bit.
+mac::ProtocolMetrics run_world(protocols::ProtocolId protocol,
+                               const RunSpec& spec, mac::CellularConfig world,
+                               std::uint64_t seed, bool verify) {
+  world.params.seed = seed;
+  const auto factory = [&](const mac::ScenarioParams& p) {
+    return protocols::make_protocol(protocol, p, spec.charisma);
+  };
+  mac::CellularWorld parallel(world, factory);
+  parallel.run(spec.warmup_s, spec.measure_s);
+  auto metrics = parallel.aggregate_metrics();
+  if (!verify) return metrics;
+  // The smoke-test teeth: a non-empty window, and the same
+  // bit-identical-to-serial guarantee the determinism test pins.
+  if (metrics.voice_generated <= 0 && metrics.data_generated <= 0) {
+    throw std::runtime_error("verify=1: empty measurement window");
+  }
+  world.num_threads = 1;
+  world.num_shards = 1;
+  mac::CellularWorld serial(world, factory);
+  serial.run(spec.warmup_s, spec.measure_s);
+  if (!(serial.aggregate_metrics() == metrics) ||
+      serial.handoffs() != parallel.handoffs()) {
+    throw std::runtime_error(
+        "verify=1: parallel world metrics diverged from the serial run (" +
+        protocols::protocol_name(protocol) + ")");
+  }
+  return metrics;
+}
+
+}  // namespace
+
+ReplicatedResult run_replications(
+    protocols::ProtocolId protocol, const RunSpec& spec,
+    std::uint64_t point_key, const std::optional<mac::CellularConfig>& world,
+    bool verify) {
   if (spec.replications < 1) {
     // Zero replications would return an all-zero result that reads like
     // a measured operating point.
@@ -44,16 +78,18 @@ ReplicatedResult run_replications(protocols::ProtocolId protocol,
   }
   ReplicatedResult result;
   result.protocol = protocols::protocol_name(protocol);
-  result.num_voice_users = spec.params.num_voice_users;
-  result.num_data_users = spec.params.num_data_users;
-  result.request_queue = spec.params.request_queue;
-
+  result.runs.reserve(static_cast<std::size_t>(spec.replications));
   for (int rep = 0; rep < spec.replications; ++rep) {
+    const auto seed = replication_seed(spec.params.seed, point_key, rep);
+    if (world) {
+      result.runs.push_back(
+          run_world(protocol, spec, *world, seed, verify && rep == 0));
+      continue;
+    }
     mac::ScenarioParams params = spec.params;
-    params.seed = replication_seed(spec.params.seed, point_key, rep);
+    params.seed = seed;
     auto engine = protocols::make_protocol(protocol, params, spec.charisma);
-    const auto& metrics = engine->run(spec.warmup_s, spec.measure_s);
-    result.add(metrics);
+    result.runs.push_back(engine->run(spec.warmup_s, spec.measure_s));
   }
   return result;
 }

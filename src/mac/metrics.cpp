@@ -58,10 +58,8 @@ void ProtocolMetrics::merge(const ProtocolMetrics& other) {
 }
 
 double ProtocolMetrics::voice_loss_rate() const {
-  return safe_div(
-      static_cast<double>(voice_dropped_deadline + voice_error_lost +
-                          voice_dropped_handoff + voice_dropped_outage),
-      static_cast<double>(voice_generated));
+  return safe_div(static_cast<double>(voice_lost()),
+                  static_cast<double>(voice_generated));
 }
 
 double ProtocolMetrics::voice_drop_rate() const {

@@ -23,8 +23,8 @@ struct ProtocolMetrics {
   std::int64_t frames = 0;
   common::Time measured_time = 0.0;
 
-  // Voice accounting. loss = dropped (deadline) + error (channel) +
-  // dropped (handoff).
+  // Voice accounting. lost = dropped (deadline) + error (channel) +
+  // dropped (handoff) + dropped (outage); see voice_lost().
   std::int64_t voice_generated = 0;
   std::int64_t voice_delivered = 0;
   std::int64_t voice_dropped_deadline = 0;
@@ -141,8 +141,13 @@ struct ProtocolMetrics {
 
   // ---- Derived quantities (guard against empty windows) ----
 
-  /// Paper Eq. (3): fraction of voice packets not received intact
-  /// (deadline drops + channel errors + handoff drops + outage drops).
+  /// Voice packets not received intact: deadline drops + channel errors +
+  /// handoff drops + outage drops.
+  std::int64_t voice_lost() const {
+    return voice_dropped_deadline + voice_error_lost + voice_dropped_handoff +
+           voice_dropped_outage;
+  }
+  /// Paper Eq. (3): voice_lost() / voice_generated.
   double voice_loss_rate() const;
   /// Deadline-drop component only.
   double voice_drop_rate() const;
@@ -165,6 +170,13 @@ struct ProtocolMetrics {
   double request_success_ratio() const;
   double slot_utilization() const;
   double slot_waste_ratio() const;
+  /// Fraction of assigned information slots granted on stale CSI.
+  double csi_stale_ratio() const {
+    return info_slots_assigned > 0
+               ? static_cast<double>(csi_stale_allocations) /
+                     static_cast<double>(info_slots_assigned)
+               : 0.0;
+  }
 
   /// Mean number of attached users per frame (per-cell load).
   double mean_attached_users() const;

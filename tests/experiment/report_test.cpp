@@ -5,6 +5,10 @@
 namespace charisma::experiment {
 namespace {
 
+double voice_loss(const ReplicatedResult& r) {
+  return r.mean(&mac::ProtocolMetrics::voice_loss_rate);
+}
+
 TEST(Report, HistogramClipWarningFiresAboveThreshold) {
   common::Histogram h(0.0, 1.0, 10);
   for (int i = 0; i < 97; ++i) h.add(0.5);
@@ -91,14 +95,14 @@ TEST(Report, FigureTableLaysOutProtocols) {
       m.frames = 100;
       m.voice_generated = 100;
       m.voice_dropped_deadline = x;  // loss = x/100
-      cell.result.add(m);
+      cell.result.runs.push_back(m);
       cells.push_back(cell);
     }
   }
   const auto table = figure_table(
       "Fig. test", "N_v", cells,
       {protocols::ProtocolId::kCharisma, protocols::ProtocolId::kRama},
-      [](const ReplicatedResult& r) { return r.voice_loss.mean(); },
+      voice_loss,
       [](double v) { return common::TextTable::num(v, 2); });
   const std::string s = table.to_string();
   EXPECT_NE(s.find("CHARISMA"), std::string::npos);
@@ -116,12 +120,12 @@ TEST(Report, CapacityTableBuilds) {
     mac::ProtocolMetrics m;
     m.voice_generated = 1000;
     m.voice_dropped_deadline = x;  // 1%, 2%, 3%
-    cell.result.add(m);
+    cell.result.runs.push_back(m);
     cells.push_back(cell);
   }
   const auto table = capacity_table(
       "capacity", cells, {protocols::ProtocolId::kCharisma},
-      [](const ReplicatedResult& r) { return r.voice_loss.mean(); }, 0.02,
+      voice_loss, 0.02,
       "2% loss");
   const std::string s = table.to_string();
   EXPECT_NE(s.find("CHARISMA"), std::string::npos);

@@ -27,8 +27,9 @@ TEST(Sweep, ProducesFullGrid) {
   const auto cells = run_sweep(small_sweep(), pool);
   EXPECT_EQ(cells.size(), 4u);
   for (const auto& cell : cells) {
-    EXPECT_EQ(cell.result.num_voice_users, cell.x);
-    EXPECT_EQ(cell.result.replications, 1);
+    ASSERT_EQ(cell.result.runs.size(), 1u);
+    // A single cell simulates its whole population every frame.
+    EXPECT_EQ(cell.result.runs[0].mean_attached_users(), cell.x);
   }
 }
 
@@ -39,8 +40,11 @@ TEST(Sweep, AxisSelectsUserClass) {
   WorkerPool pool(1);
   const auto cells = run_sweep(config, pool);
   for (const auto& cell : cells) {
-    EXPECT_EQ(cell.result.num_data_users, 3);
-    EXPECT_EQ(cell.result.num_voice_users, 0);
+    ASSERT_EQ(cell.result.runs.size(), 1u);
+    const auto& run = cell.result.runs[0];
+    EXPECT_EQ(run.mean_attached_users(), 3.0);  // the 3 data users alone
+    EXPECT_EQ(run.voice_generated, 0);
+    EXPECT_GT(run.data_generated, 0);
   }
 }
 
@@ -59,7 +63,9 @@ TEST(Sweep, SeriesExtraction) {
   const auto cells = run_sweep(small_sweep(), pool);
   const auto series =
       series_of(cells, protocols::ProtocolId::kCharisma,
-                [](const ReplicatedResult& r) { return r.voice_loss.mean(); });
+                [](const ReplicatedResult& r) {
+                  return r.mean(&mac::ProtocolMetrics::voice_loss_rate);
+                });
   ASSERT_EQ(series.size(), 2u);
   EXPECT_EQ(series[0].first, 5);
   EXPECT_EQ(series[1].first, 10);
@@ -78,15 +84,9 @@ TEST(Sweep, DeterministicAcrossRuns) {
     SCOPED_TRACE("cell " + std::to_string(i));
     EXPECT_EQ(a[i].x, b[i].x);
     EXPECT_EQ(a[i].protocol, b[i].protocol);
-    const auto& ra = a[i].result;
-    const auto& rb = b[i].result;
-    EXPECT_EQ(ra.replications, rb.replications);
-    EXPECT_EQ(ra.voice_loss.mean(), rb.voice_loss.mean());
-    EXPECT_EQ(ra.voice_loss_pooled.successes(),
-              rb.voice_loss_pooled.successes());
-    EXPECT_EQ(ra.voice_loss_pooled.trials(), rb.voice_loss_pooled.trials());
-    EXPECT_EQ(ra.data_throughput.mean(), rb.data_throughput.mean());
-    EXPECT_EQ(ra.data_delay_s.mean(), rb.data_delay_s.mean());
+    EXPECT_EQ(a[i].result.protocol, b[i].result.protocol);
+    // Every field of every replication's metrics, bit for bit.
+    EXPECT_EQ(a[i].result.runs, b[i].result.runs);
   }
 }
 

@@ -7,18 +7,26 @@
 #
 #   tools/bench_env_reject_check.sh build/bench_fig_overload \
 #       build/bench_fig_reuse build/bench_fig_handoff_loss \
-#       build/bench_world build/speed_ablation
+#       build/bench_world build/speed_ablation build/energy_efficiency \
+#       build/ablation_csi_refresh build/ablation_priority \
+#       build/fig12_13_data
 #
 # ctest runs it as the bench_env_reject_check test in every configuration.
 set -u
 
 usage="usage: bench_env_reject_check.sh <bench_fig_overload> <bench_fig_reuse>"
 usage="$usage <bench_fig_handoff_loss> <bench_world> <speed_ablation>"
+usage="$usage <energy_efficiency> <ablation_csi_refresh> <ablation_priority>"
+usage="$usage <fig12_13_data>"
 overload=${1:?$usage}
 reuse=${2:?$usage}
 handoff=${3:?$usage}
 world=${4:?$usage}
 ablation=${5:?$usage}
+energy=${6:?$usage}
+csi_refresh=${7:?$usage}
+priority=${8:?$usage}
+fig12_13=${9:?$usage}
 failures=0
 json_dir=$(mktemp -d)
 trap 'rm -rf "$json_dir"' EXIT
@@ -87,6 +95,13 @@ expect_reject CHARISMA_BENCH_WORLD_MEASURE "$world" $world_quick \
 expect_reject CHARISMA_BENCH_MEASURE "$ablation" \
   CHARISMA_BENCH_BANK_USERS=10 CHARISMA_BENCH_BANK_FRAMES=2 \
   CHARISMA_BENCH_WARMUP=0.1 CHARISMA_BENCH_REPS=1 CHARISMA_BENCH_MEASURE=10x
+# The benches whose replications run through experiment::run_replications
+# reject a zero window by name too.
+for binary in "$ablation" "$energy" "$csi_refresh" "$priority" "$fig12_13"; do
+  expect_reject CHARISMA_BENCH_MEASURE "$binary" \
+    CHARISMA_BENCH_BANK_USERS=10 CHARISMA_BENCH_BANK_FRAMES=2 \
+    CHARISMA_BENCH_WARMUP=0.1 CHARISMA_BENCH_REPS=1 CHARISMA_BENCH_MEASURE=0
+done
 
 if [ "$failures" -ne 0 ]; then
   echo "bench_env_reject_check: $failures bench run(s) not rejected by name" >&2

@@ -27,62 +27,6 @@ namespace {
 
 using namespace charisma;
 
-void run_cellular(const mac::CellularConfig& world_cfg, bool verify,
-                  const experiment::RunSpec& spec,
-                  const std::vector<protocols::ProtocolId>& protocol_list,
-                  common::TextTable& table) {
-  for (auto id : protocol_list) {
-    common::Accumulator loss, err, handoff_drop, tput, delay, handoff_hz,
-        interference, stride;
-    for (int rep = 0; rep < spec.replications; ++rep) {
-      auto cfg = world_cfg;
-      cfg.params.seed =
-          experiment::replication_seed(spec.params.seed, /*point=*/0, rep);
-      const auto factory = [&](const mac::ScenarioParams& p) {
-        return protocols::make_protocol(id, p, spec.charisma);
-      };
-      mac::CellularWorld world(cfg, factory);
-      world.run(spec.warmup_s, spec.measure_s);
-      const auto m = world.aggregate_metrics();
-      if (verify && rep == 0) {
-        // The smoke-test teeth: a non-empty window, and the same
-        // bit-identical-to-serial guarantee the determinism test pins.
-        if (m.voice_generated <= 0 && m.data_generated <= 0) {
-          throw std::runtime_error("verify=1: empty measurement window");
-        }
-        auto serial_cfg = cfg;
-        serial_cfg.num_threads = 1;
-        serial_cfg.num_shards = 1;
-        mac::CellularWorld serial(serial_cfg, factory);
-        serial.run(spec.warmup_s, spec.measure_s);
-        if (!(serial.aggregate_metrics() == m) ||
-            serial.handoffs() != world.handoffs()) {
-          throw std::runtime_error(
-              "verify=1: parallel world metrics diverged from the serial "
-              "run (" + std::string(protocols::protocol_name(id)) + ")");
-        }
-      }
-      loss.add(m.voice_loss_rate());
-      err.add(m.voice_error_rate());
-      handoff_drop.add(m.voice_handoff_drop_rate());
-      tput.add(m.data_throughput_per_frame());
-      delay.add(m.mean_data_delay_s());
-      handoff_hz.add(m.handoff_rate_hz());
-      interference.add(m.mean_interference_db());
-      stride.add(m.mean_materialization_stride());
-    }
-    table.add_row({protocols::protocol_name(id),
-                   common::TextTable::sci(loss.mean(), 3),
-                   common::TextTable::sci(err.mean(), 3),
-                   common::TextTable::sci(handoff_drop.mean(), 3),
-                   common::TextTable::num(handoff_hz.mean(), 2),
-                   common::TextTable::num(tput.mean(), 2),
-                   common::TextTable::num(delay.mean(), 3),
-                   common::TextTable::num(interference.mean(), 2),
-                   common::TextTable::num(stride.mean(), 2)});
-  }
-}
-
 // The csv= path ("" when absent), checked after every other knob and
 // before any simulation runs, so a path that cannot be written fails up
 // front rather than after the run. Append mode creates a missing file and
@@ -111,16 +55,36 @@ int emit(const common::TextTable& table, const std::string& csv) {
   return 0;
 }
 
-void add_result_row(common::TextTable& table, const std::string& label,
-                    const experiment::ReplicatedResult& result) {
+void add_cell_row(common::TextTable& table, const std::string& label,
+                  const experiment::ReplicatedResult& result) {
+  using M = mac::ProtocolMetrics;
   table.add_row({label, result.protocol,
-                 common::TextTable::sci(result.voice_loss.mean(), 3),
-                 common::TextTable::sci(result.voice_error.mean(), 3),
-                 common::TextTable::num(result.data_throughput.mean(), 2),
-                 common::TextTable::num(result.data_delay_s.mean(), 3),
-                 common::TextTable::num(result.slot_utilization.mean(), 3),
-                 common::TextTable::num(result.materialization_stride.mean(),
-                                        2)});
+                 common::TextTable::sci(result.mean(&M::voice_loss_rate), 3),
+                 common::TextTable::sci(result.mean(&M::voice_error_rate), 3),
+                 common::TextTable::num(
+                     result.mean(&M::data_throughput_per_frame), 2),
+                 common::TextTable::num(result.mean(&M::mean_data_delay_s), 3),
+                 common::TextTable::num(result.mean(&M::slot_utilization), 3),
+                 common::TextTable::num(
+                     result.mean(&M::mean_materialization_stride), 2)});
+}
+
+void add_world_row(common::TextTable& table,
+                   const experiment::ReplicatedResult& result) {
+  using M = mac::ProtocolMetrics;
+  table.add_row({result.protocol,
+                 common::TextTable::sci(result.mean(&M::voice_loss_rate), 3),
+                 common::TextTable::sci(result.mean(&M::voice_error_rate), 3),
+                 common::TextTable::sci(
+                     result.mean(&M::voice_handoff_drop_rate), 3),
+                 common::TextTable::num(result.mean(&M::handoff_rate_hz), 2),
+                 common::TextTable::num(
+                     result.mean(&M::data_throughput_per_frame), 2),
+                 common::TextTable::num(result.mean(&M::mean_data_delay_s), 3),
+                 common::TextTable::num(
+                     result.mean(&M::mean_interference_db), 2),
+                 common::TextTable::num(
+                     result.mean(&M::mean_materialization_stride), 2)});
 }
 
 }  // namespace
@@ -149,8 +113,11 @@ int main(int argc, char** argv) {
       table.set_header({"protocol", "voice loss", "voice err",
                         "handoff drop", "handoffs/s", "data tput/frame",
                         "data delay (s)", "interf (dB)", "chan stride"});
-      run_cellular(*scenario.world, scenario.verify, scenario.spec,
-                   scenario.protocols, table);
+      for (auto id : scenario.protocols) {
+        add_world_row(table, experiment::run_replications(
+                                 id, scenario.spec, /*point_key=*/0,
+                                 scenario.world, scenario.verify));
+      }
       return emit(table, csv);
     }
 
@@ -161,12 +128,12 @@ int main(int argc, char** argv) {
     if (scenario.sweep) {
       experiment::WorkerPool pool;  // hardware threads
       for (const auto& cell : experiment::run_sweep(*scenario.sweep, pool)) {
-        add_result_row(table, std::to_string(cell.x), cell.result);
+        add_cell_row(table, std::to_string(cell.x), cell.result);
       }
     } else {
       for (auto id : scenario.protocols) {
-        const auto result = experiment::run_replications(id, scenario.spec);
-        add_result_row(table, "-", result);
+        add_cell_row(table, "-",
+                     experiment::run_replications(id, scenario.spec));
       }
     }
 
