@@ -2,16 +2,20 @@
 // high Doppler (where estimates stale fastest) on a loaded cell. Quantifies
 // how many pilot slots per frame the refresh needs to buy back the error
 // losses of allocations made on stale CSI.
+//
+//   ./ablation_csi_refresh [warmup=4] [measure=12] [replications=2]
 #include <iostream>
 
 #include "bench_support.hpp"
 
-int main() try {
+int main(int argc, char** argv) try {
   using namespace charisma;
+  const auto args =
+      bench::knobs(argc, argv, {"warmup", "measure", "replications"});
+  auto spec = bench::standard_spec(args, /*default_reps=*/2);
   bench::print_banner("Ablation: CSI refresh poll budget N_b",
                       "Kwok & Lau, Sec. 4.4 (polling mechanism)");
 
-  auto spec = bench::standard_spec(/*default_reps=*/2);
   spec.params.num_voice_users = 130;
   spec.params.request_queue = true;
   spec.params.channel.doppler_hz = 160.0;  // ~80 km/h class

@@ -2,16 +2,20 @@
 // gamma / V knobs "reflect the relative importance of urgency, channel
 // condition, and traffic type" but reports no sweep; this bench fills that
 // gap: each term is zeroed in turn on a mixed voice+data scenario.
+//
+//   ./ablation_priority [warmup=4] [measure=12] [replications=2]
 #include <iostream>
 
 #include "bench_support.hpp"
 
-int main() try {
+int main(int argc, char** argv) try {
   using namespace charisma;
+  const auto args =
+      bench::knobs(argc, argv, {"warmup", "measure", "replications"});
+  auto spec = bench::standard_spec(args, /*default_reps=*/2);
   bench::print_banner("Ablation: CHARISMA priority metric (Eq. 2)",
                       "Kwok & Lau, Sec. 4.3 (design knobs)");
 
-  auto spec = bench::standard_spec(/*default_reps=*/2);
   spec.params.num_voice_users = 110;
   spec.params.num_data_users = 20;
   spec.params.request_queue = true;

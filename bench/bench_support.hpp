@@ -1,15 +1,19 @@
-// Shared plumbing for the figure-reproduction benches: environment-variable
-// knobs so CI can shrink runs, and the standard six-protocol sweep setup.
+// Shared plumbing for the figure-reproduction benches: their key=value
+// knobs, read like charisma_sim's, and the standard six-protocol sweep
+// setup.
 //
-// Knobs (all optional):
-//   CHARISMA_BENCH_MEASURE   seconds of measured simulation per run (> 0,
-//                            default 12)
-//   CHARISMA_BENCH_WARMUP    warmup seconds per run (default 4)
-//   CHARISMA_BENCH_REPS      replications per point (default per bench)
-//   CHARISMA_BENCH_THREADS   worker threads (default: hardware concurrency)
+// Knobs shared by the sweep benches (each bench's header lists its own):
+//   warmup=SECONDS        warmup per run (>= 0, default 4)
+//   measure=SECONDS       measured simulation per run (> 0, default 12)
+//   replications=N        replications per point (>= 1, default per bench)
+//   threads=N             sweep worker threads (0 = hardware concurrency,
+//                         the default)
+// The environment carries only the output directories,
+// CHARISMA_BENCH_JSON_DIR and CHARISMA_BENCH_CSV_DIR.
 #pragma once
 
 #include <sys/resource.h>
+#include <unistd.h>
 
 #include <charconv>
 #include <cmath>
@@ -19,7 +23,6 @@
 #include <ctime>
 #include <fstream>
 #include <iostream>
-#include <limits>
 #include <memory>
 #include <random>
 #include <sstream>
@@ -99,117 +102,6 @@ class LegacyChannelWalk {
   std::vector<std::unique_ptr<User>> users_;
 };
 
-// Environment knobs. Each reader takes variable `name`, returns `fallback`
-// when it is unset, and throws std::invalid_argument naming the variable
-// for a value it cannot use whole (no atoi-style truncation: CELLS=3x is
-// an error, not 3). Bench mains read every knob before their first
-// simulation and report the error on stderr with exit status 1.
-
-/// A finite real number ("0.4", "1e3").
-inline double env_real(const char* name, double fallback) {
-  const char* v = std::getenv(name);
-  if (v == nullptr) return fallback;
-  char* end = nullptr;
-  const double d = std::strtod(v, &end);
-  if (end == v || *end != '\0' || !std::isfinite(d)) {
-    throw std::invalid_argument(std::string(name) +
-                                ": not a finite number: '" + v + "'");
-  }
-  return d;
-}
-
-/// A count token of knob `name` through KeyValueConfig::parse_count, so
-/// population knobs accept magnitude suffixes (250k, 1M), narrowed to int
-/// and at least `min`.
-inline int count_at_least(const char* name, const std::string& token,
-                          int min) {
-  const long long n = common::KeyValueConfig::parse_count(name, token);
-  if (n < min || n > std::numeric_limits<int>::max()) {
-    throw std::invalid_argument(std::string(name) + ": '" + token +
-                                "' is not an integer >= " +
-                                std::to_string(min));
-  }
-  return static_cast<int>(n);
-}
-
-/// A count knob, at least `min` (CELLS=1k works).
-inline int env_count_int(const char* name, int fallback, int min) {
-  const char* v = std::getenv(name);
-  return v != nullptr ? count_at_least(name, v, min) : fallback;
-}
-
-/// Duration knobs: a plain decimal ("0.3") passes through unchanged;
-/// anything with a trailing suffix goes through parse_count, which accepts
-/// k/M magnitudes and rejects unknown suffixes naming the knob (so
-/// MEASURE=10x fails loudly instead of atof-truncating to 10). Negative,
-/// NaN and infinite durations are rejected too.
-inline double env_seconds(const char* name, double fallback) {
-  const char* v = std::getenv(name);
-  if (v == nullptr) return fallback;
-  char* end = nullptr;
-  double d = std::strtod(v, &end);
-  if (end == v || *end != '\0') {
-    d = static_cast<double>(common::KeyValueConfig::parse_count(name, v));
-  }
-  if (!(d >= 0.0) || !std::isfinite(d)) {
-    throw std::invalid_argument(std::string(name) +
-                                ": not a duration >= 0: '" + v + "'");
-  }
-  return d;
-}
-
-/// A measure window: a duration as env_seconds reads it, and > 0 (a zero
-/// window would measure nothing, and the engine and world reject it
-/// without naming the knob).
-inline double env_window_seconds(const char* name, double fallback) {
-  const double d = env_seconds(name, fallback);
-  if (d <= 0.0) {
-    throw std::invalid_argument(std::string(name) +
-                                ": not a measure window > 0: '" +
-                                std::getenv(name) + "'");
-  }
-  return d;
-}
-
-/// A comma-separated list: the non-empty tokens of `name`, or of
-/// `fallback` when it is unset.
-inline std::vector<std::string> env_list(const char* name,
-                                         const std::string& fallback) {
-  const char* v = std::getenv(name);
-  std::stringstream stream(v != nullptr ? std::string(v) : fallback);
-  std::vector<std::string> tokens;
-  std::string token;
-  while (std::getline(stream, token, ',')) {
-    if (!token.empty()) tokens.push_back(token);
-  }
-  return tokens;
-}
-
-/// A list of counts, each at least `min` (k/M suffixes as env_count_int).
-inline std::vector<int> env_count_list(const char* name,
-                                       const std::string& fallback,
-                                       int min) {
-  std::vector<int> values;
-  for (const auto& token : env_list(name, fallback)) {
-    values.push_back(count_at_least(name, token, min));
-  }
-  return values;
-}
-
-/// A list of protocol names, spelled as charisma_sim's protocol=.
-inline std::vector<protocols::ProtocolId> env_protocol_list(
-    const char* name, const std::string& fallback) {
-  std::vector<protocols::ProtocolId> ids;
-  for (const auto& token : env_list(name, fallback)) {
-    try {
-      ids.push_back(protocols::parse_protocol(token));
-    } catch (const std::exception& e) {
-      throw std::invalid_argument(std::string(name) + ": " + e.what());
-    }
-  }
-  return ids;
-}
-
 /// Peak resident set of this process so far, in bytes (Linux reports
 /// ru_maxrss in kilobytes). Monotone — use current_rss_bytes for deltas.
 inline long long peak_rss_bytes() {
@@ -235,17 +127,49 @@ inline long long current_rss_bytes() {
   return 0;
 }
 
-inline experiment::RunSpec standard_spec(int default_reps = 2) {
+/// The key=value arguments of a bench run as `argv`, which may set only
+/// `keys` (none for a bench without knobs). A CHARISMA_BENCH_* environment
+/// variable other than the two output directories, a knob of older
+/// revisions, fails by name instead of being ignored.
+inline common::KeyValueConfig knobs(int argc, char** argv,
+                                    const std::vector<std::string>& keys) {
+  for (char** var = environ; *var != nullptr; ++var) {
+    const std::string entry(*var);
+    const std::string name = entry.substr(0, entry.find('='));
+    if (name.starts_with("CHARISMA_BENCH_") &&
+        name != "CHARISMA_BENCH_JSON_DIR" && name != "CHARISMA_BENCH_CSV_DIR") {
+      throw std::invalid_argument(
+          name + " is set, but bench knobs are key=value arguments: unset "
+          "it and pass the knob on the command line");
+    }
+  }
+  const auto config =
+      common::KeyValueConfig::from_args({argv + 1, argv + argc});
+  config.reject_unknown(keys);
+  return config;
+}
+
+/// A cell count of a bench world, which needs two cells.
+inline constexpr experiment::Domain kWorldCells{2.0, experiment::kInf, false,
+                                                false};
+
+/// warmup=, measure= and replications= (default `default_reps`).
+inline experiment::RunSpec standard_spec(const common::KeyValueConfig& config,
+                                         int default_reps = 1) {
   experiment::RunSpec spec;
-  spec.warmup_s = env_seconds("CHARISMA_BENCH_WARMUP", 4.0);
-  spec.measure_s = env_window_seconds("CHARISMA_BENCH_MEASURE", 12.0);
-  spec.replications = env_count_int("CHARISMA_BENCH_REPS", default_reps, 1);
+  spec.warmup_s =
+      experiment::read_double(config, "warmup", 4.0, experiment::kNonNegative);
+  spec.measure_s =
+      experiment::read_double(config, "measure", 12.0, experiment::kPositive);
+  spec.replications = experiment::read_int(
+      config, "replications", default_reps, experiment::kAtLeastOne);
   return spec;
 }
 
-/// Sweep worker threads (CHARISMA_BENCH_THREADS; 0 = hardware threads).
-inline unsigned standard_threads() {
-  return static_cast<unsigned>(env_count_int("CHARISMA_BENCH_THREADS", 0, 0));
+/// Sweep worker threads (threads=; 0, the default, = hardware threads).
+inline unsigned standard_threads(const common::KeyValueConfig& config) {
+  return static_cast<unsigned>(
+      experiment::read_int(config, "threads", 0, experiment::kNonNegative));
 }
 
 /// "key=value" with `value` printed so that it reads back as the same

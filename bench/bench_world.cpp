@@ -6,22 +6,19 @@
 // design makes that a hard guarantee, and this bench re-verifies it on
 // every run), and records the trajectory point as BENCH_world.json.
 //
-// Knobs (all optional):
-//   CHARISMA_BENCH_WORLD_VOICE     voice users in the world (default 96)
-//   CHARISMA_BENCH_WORLD_DATA     data users in the world (default 24)
-//   CHARISMA_BENCH_WORLD_MEASURE  measured seconds per run (default 8)
-//   CHARISMA_BENCH_WORLD_REPS     timing repetitions, min taken (default 3)
-//   CHARISMA_BENCH_WORLD_CELLS    comma list of cell counts, each >= 2
-//                                 (default 2,4,8)
-//   CHARISMA_BENCH_WORLD_THREADS  comma list of thread counts
-//                                 (default 1,2,4,<hardware>)
-//   CHARISMA_BENCH_WORLD_SHARDS   comma list of coordinator shard counts
-//                                 for the shard-overhead stage (0 resolves
-//                                 to hardware; default 1,2,4,<hardware>)
-//   CHARISMA_BENCH_WORLD_PROTOCOL protocol id (default dtdma_fr)
-//   CHARISMA_BENCH_JSON_DIR       where BENCH_world.json lands (default .)
-// Integer knobs take k/M magnitude suffixes (CELLS=1k); a malformed value
-// or an unknown suffix exits 1 naming the knob before any world runs.
+//   ./bench_world [voice_users=96] [data_users=24] [measure=8] [repeats=3]
+//                 [cells=2,4,8] [threads=1,2,4,<hardware>]
+//                 [shards=1,2,4,<hardware>] [protocol=dtdma_fr]
+//                 [memory_users=100k] [memory_cells=91] [band=1200]
+//
+// voice_users=, data_users=, measure= and protocol= (one protocol) are
+// charisma_sim's. repeats= times each world that many times at the same
+// seed and keeps the least wall clock. cells= (each >= 2), threads= and
+// shards= take comma lists of charisma_sim's values: the cell counts of
+// the sweep, the thread counts swept at each, and the coordinator shard
+// counts of the shard-overhead stage (0 = hardware concurrency). The
+// memory stage's knobs are described below. CHARISMA_BENCH_JSON_DIR says
+// where BENCH_world.json lands (default: the working directory).
 //
 // Shard-overhead stage (PR 9): the world plane (mobility, band rosters,
 // pilot filtering, attachment) is computed over coordinator shards whose
@@ -40,14 +37,11 @@
 // backlogs have queued and the cells' fairness ledgers have filled. The two sparse probes (mt and compact traffic streams) also
 // report the wall clock of their CellularWorld constructor (construct_s),
 // which is where a world's bank rows, bands and shells are built.
-//   CHARISMA_BENCH_WORLD_USERS    total users in the memory stage; accepts
-//                                 k/M suffixes ("250k", "1M"); 0 skips the
-//                                 stage (default 100k, 4:1 voice:data)
-//   CHARISMA_BENCH_WORLD_MEMORY_CELLS  hex cells, >= 2 (default 91, a full
-//                                 ring)
-//   CHARISMA_BENCH_WORLD_BAND     pilot-band radius in metres (default
-//                                 1200 = 1.2x the 1000 m site spacing, a
-//                                 7-cell band)
+//   memory_users=N   total users, 4:1 voice:data; accepts k/M suffixes
+//                    ("250k", "1M"); 0 skips the stage (default 100k)
+//   memory_cells=N   hex cells, >= 2 (default 91, a full ring)
+//   band=F           charisma_sim's pilot-band radius in metres (default
+//                    1200 = 1.2x the 1000 m site spacing, a 7-cell band)
 #include <malloc.h>
 
 #include <algorithm>
@@ -162,51 +156,51 @@ MemoryProbe probe_memory(const mac::CellularConfig& cfg,
 
 }  // namespace
 
-int main() try {
+int main(int argc, char** argv) try {
+  // Every knob is read here, before the first world runs.
+  const auto args = bench::knobs(
+      argc, argv,
+      {"voice_users", "data_users", "measure", "repeats", "cells", "threads",
+       "shards", "protocol", "memory_users", "memory_cells", "band"});
+  const int voice = experiment::read_count(args, "voice_users", 96);
+  const int data = experiment::read_count(args, "data_users", 24);
+  const double measure_s =
+      experiment::read_double(args, "measure", 8.0, experiment::kPositive);
+  const int reps =
+      experiment::read_int(args, "repeats", 3, experiment::kAtLeastOne);
+  const double warmup_s = std::min(0.5, measure_s * 0.25);
+  const unsigned hardware =
+      std::max(1u, std::thread::hardware_concurrency());
+  const auto protocol_list = experiment::read_protocol_list(
+      args, "protocol", {protocols::ProtocolId::kDtdmaFr});
+  if (protocol_list.size() != 1) {
+    throw std::invalid_argument("protocol= must name one protocol");
+  }
+  const auto protocol = protocol_list.front();
+  const auto cells_list =
+      experiment::read_int_list(args, "cells", {2, 4, 8}, bench::kWorldCells);
+  // The serial run is the determinism/speedup reference; it is measured
+  // first even when the list omits it (0 = hardware concurrency).
+  const std::vector<int> hardware_default{1, 2, 4,
+                                          static_cast<int>(hardware)};
+  const auto threads_list = concurrency_list(
+      experiment::read_int_list(args, "threads", hardware_default,
+                                experiment::kNonNegative),
+      hardware);
+  const auto shards_list = concurrency_list(
+      experiment::read_int_list(args, "shards", hardware_default,
+                                experiment::kNonNegative),
+      hardware);
+  const int mem_users = experiment::read_count(args, "memory_users", 100'000);
+  const int mem_cells =
+      experiment::read_int(args, "memory_cells", 91, bench::kWorldCells);
+  const double band_radius_m =
+      experiment::read_double(args, "band", 1200.0, experiment::kNonNegative);
+  const double steady_window_s = measure_s / 16.0;
   bench::print_banner(
       "World-loop scaling: parallel cells, allocation-free frames, "
       "batched pilots",
       "CHARISMA extension (no paper figure); PR 4 trajectory point");
-
-  // Every knob is read here, before the first world runs.
-  const int voice = bench::env_count_int("CHARISMA_BENCH_WORLD_VOICE", 96, 0);
-  const int data = bench::env_count_int("CHARISMA_BENCH_WORLD_DATA", 24, 0);
-  const double measure_s =
-      bench::env_window_seconds("CHARISMA_BENCH_WORLD_MEASURE", 8.0);
-  const int reps = bench::env_count_int("CHARISMA_BENCH_WORLD_REPS", 3, 1);
-  const double warmup_s = std::min(0.5, measure_s * 0.25);
-  const unsigned hardware =
-      std::max(1u, std::thread::hardware_concurrency());
-  const auto protocol_list =
-      bench::env_protocol_list("CHARISMA_BENCH_WORLD_PROTOCOL", "dtdma_fr");
-  if (protocol_list.size() != 1) {
-    throw std::invalid_argument(
-        "CHARISMA_BENCH_WORLD_PROTOCOL: expected one protocol");
-  }
-  const auto protocol = protocol_list.front();
-  const auto cells_list =
-      bench::env_count_list("CHARISMA_BENCH_WORLD_CELLS", "2,4,8", 2);
-  // The serial run is the determinism/speedup reference; it is measured
-  // first even when the list omits it (0 = hardware concurrency).
-  const std::string hardware_default = "1,2,4," + std::to_string(hardware);
-  const auto threads_list = concurrency_list(
-      bench::env_count_list("CHARISMA_BENCH_WORLD_THREADS", hardware_default,
-                            0),
-      hardware);
-  const auto shards_list = concurrency_list(
-      bench::env_count_list("CHARISMA_BENCH_WORLD_SHARDS", hardware_default,
-                            0),
-      hardware);
-  const int mem_users =
-      bench::env_count_int("CHARISMA_BENCH_WORLD_USERS", 100'000, 0);
-  const int mem_cells =
-      bench::env_count_int("CHARISMA_BENCH_WORLD_MEMORY_CELLS", 91, 2);
-  const double band_radius_m =
-      bench::env_real("CHARISMA_BENCH_WORLD_BAND", 1200.0);
-  if (band_radius_m < 0.0) {
-    throw std::invalid_argument("CHARISMA_BENCH_WORLD_BAND: must be >= 0");
-  }
-  const double steady_window_s = measure_s / 16.0;
 
   std::cout << "population: " << voice << " voice + " << data
             << " data users, measure " << measure_s

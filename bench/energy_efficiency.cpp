@@ -5,16 +5,20 @@
 // a loaded mixed cell. CHARISMA's CSI-aware packing should both avoid
 // corrupted transmissions (no blind sends into fades) and skip outage
 // users entirely (devices stay silent).
+//
+//   ./energy_efficiency [warmup=4] [measure=12] [replications=2]
 #include <iostream>
 
 #include "bench_support.hpp"
 
-int main() try {
+int main(int argc, char** argv) try {
   using namespace charisma;
+  const auto args =
+      bench::knobs(argc, argv, {"warmup", "measure", "replications"});
+  auto spec = bench::standard_spec(args, /*default_reps=*/2);
   bench::print_banner("Energy efficiency (the paper's motivation 2)",
                       "Kwok & Lau, Sec. 1 observations 1-2");
 
-  auto spec = bench::standard_spec(/*default_reps=*/2);
   spec.params.num_voice_users = 100;
   spec.params.num_data_users = 10;
   spec.params.request_queue = true;

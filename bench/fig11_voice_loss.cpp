@@ -2,17 +2,23 @@
 // users, six panels ({without, with} request queue x N_d in {0, 10, 20}),
 // all six protocols, plus the capacity-at-1%-loss summary the paper reads
 // off each panel.
+//
+//   ./fig11_voice_loss [warmup=4] [measure=12] [replications=2] [threads=0]
 #include <iostream>
 
 #include "bench_support.hpp"
 
-int main() try {
+int main(int argc, char** argv) try {
   using namespace charisma;
+  const auto args = bench::knobs(
+      argc, argv, {"warmup", "measure", "replications", "threads"});
+  const auto spec = bench::standard_spec(args, /*default_reps=*/2);
+  const unsigned threads = bench::standard_threads(args);
   bench::print_banner(
       "Fig. 11: voice packet loss rate versus traffic load",
       "Kwok & Lau, Fig. 11a-f (six panels, six protocols)");
 
-  experiment::WorkerPool pool(bench::standard_threads());
+  experiment::WorkerPool pool(threads);
   const auto metric = [](const experiment::ReplicatedResult& r) {
     return r.mean(&mac::ProtocolMetrics::voice_loss_rate);
   };
@@ -29,7 +35,7 @@ int main() try {
 
   for (const auto& panel : panels) {
     experiment::SweepConfig config;
-    config.spec = bench::standard_spec(/*default_reps=*/2);
+    config.spec = spec;
     config.spec.params.num_data_users = panel.data_users;
     config.spec.params.request_queue = panel.queue;
     config.axis = experiment::SweepAxis::kVoiceUsers;

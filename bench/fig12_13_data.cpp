@@ -4,17 +4,23 @@
 // protocols, plus Fig. 13's QoS capacity read-off at the paper's (1 s,
 // 0.25/user/frame) operating point. Both figures read the same data-axis
 // sweep, so each panel's sweep runs once.
+//
+//   ./fig12_13_data [warmup=4] [measure=12] [replications=1] [threads=0]
 #include <iostream>
 
 #include "bench_support.hpp"
 
-int main() try {
+int main(int argc, char** argv) try {
   using namespace charisma;
+  const auto args = bench::knobs(
+      argc, argv, {"warmup", "measure", "replications", "threads"});
+  const auto spec = bench::standard_spec(args, /*default_reps=*/1);
+  const unsigned threads = bench::standard_threads(args);
   bench::print_banner(
       "Figs. 12-13: data throughput and delay against traffic load",
       "Kwok & Lau, Figs. 12a-f and 13a-f (six panels each, six protocols)");
 
-  experiment::WorkerPool pool(bench::standard_threads());
+  experiment::WorkerPool pool(threads);
   using M = mac::ProtocolMetrics;
   const auto throughput_metric = [](const experiment::ReplicatedResult& r) {
     return r.mean(&M::data_throughput_per_frame);
@@ -39,7 +45,7 @@ int main() try {
   const auto& protocols_order = protocols::all_protocols();
   for (auto& panel : panels) {
     experiment::SweepConfig config;
-    config.spec = bench::standard_spec(/*default_reps=*/1);
+    config.spec = spec;
     config.spec.params.num_voice_users = panel.voice_users;
     config.spec.params.request_queue = panel.queue;
     config.axis = experiment::SweepAxis::kDataUsers;

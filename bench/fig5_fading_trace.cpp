@@ -5,12 +5,15 @@
 // sampled every 2 ms, and prints a decimated series plus summary
 // statistics matching the figure's qualitative features (~10 ms fast
 // fluctuations over a ~1 s local mean).
+//
+// Takes no knobs: any argument fails by name.
 #include <iostream>
 
 #include "bench_support.hpp"
 
-int main() {
+int main(int argc, char** argv) try {
   using namespace charisma;
+  bench::knobs(argc, argv, {});
   bench::print_banner("Fig. 5: sample of channel fading", "Kwok & Lau, Fig. 5");
 
   common::RngStream rng(2026);
@@ -74,4 +77,7 @@ int main() {
                "riding on a shadowing level that drifts over ~1 s — the\n"
                "structure Fig. 5 shows.\n";
   return 0;
+} catch (const std::exception& e) {
+  std::cerr << "error: " << e.what() << '\n';
+  return 1;
 }

@@ -4,12 +4,15 @@
 //       target cannot be maintained.
 //   (b) instantaneous normalized throughput versus CSI: the staircase of
 //       the 6-mode ladder.
+//
+// Takes no knobs: any argument fails by name.
 #include <iostream>
 
 #include "bench_support.hpp"
 
-int main() {
+int main(int argc, char** argv) try {
   using namespace charisma;
+  bench::knobs(argc, argv, {});
   bench::print_banner("Fig. 7: BER and throughput of the ABICM scheme",
                       "Kwok & Lau, Fig. 7a/7b");
 
@@ -65,4 +68,7 @@ int main() {
               common::TextTable::num(tput.mean(), 2)});
   op.print(std::cout);
   return 0;
+} catch (const std::exception& e) {
+  std::cerr << "error: " << e.what() << '\n';
+  return 1;
 }

@@ -5,22 +5,25 @@
 // the sweep separates two penalties the single-cell figures conflate:
 // faster fading *and* more frequent cell-boundary crossings.
 //
-// Knobs (besides the bench_support ones):
-//   CHARISMA_BENCH_CELLS   number of cells (>= 2, default 2)
-//   CHARISMA_BENCH_VOICE   voice users (default 60)
+//   ./bench_fig_handoff_loss [cells=2] [voice_users=60] [warmup=4]
+//                            [measure=12]
+//
+// cells= takes at least 2; the knobs are charisma_sim's.
 #include <iostream>
 
 #include "bench_support.hpp"
 
-int main() try {
+int main(int argc, char** argv) try {
   using namespace charisma;
+  const auto args = bench::knobs(
+      argc, argv, {"cells", "voice_users", "warmup", "measure"});
+  const int cells = experiment::read_int(args, "cells", 2, bench::kWorldCells);
+  const int voice_users = experiment::read_count(args, "voice_users", 60);
+  const auto spec = bench::standard_spec(args);
   bench::print_banner(
       "Handoff: voice packet loss versus user speed (multi-cell mobility)",
       "Kwok & Lau, Sec. 6 future work (no paper figure; CHARISMA extension)");
 
-  const int cells = bench::env_count_int("CHARISMA_BENCH_CELLS", 2, 2);
-  const int voice_users = bench::env_count_int("CHARISMA_BENCH_VOICE", 60, 0);
-  const auto spec = bench::standard_spec(/*default_reps=*/1);
   const double speeds_kmh[] = {3.0, 30.0, 60.0, 120.0};
 
   // charisma_sim's line world (cell_radius_m=500) at one speed.

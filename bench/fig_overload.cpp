@@ -14,17 +14,16 @@
 // re-attach (accounting invariant: handoffs_in == handoffs_out +
 // outage_evictions) and the post-recovery world must keep serving traffic.
 //
-// Knobs (all optional):
-//   CHARISMA_BENCH_OVERLOAD_VOICE     nominal voice users (default 60)
-//   CHARISMA_BENCH_OVERLOAD_DATA     nominal data users (default 10)
-//   CHARISMA_BENCH_OVERLOAD_WARMUP   warmup seconds per point (default 2)
-//   CHARISMA_BENCH_OVERLOAD_MEASURE  measured seconds per point (default 4)
-//   CHARISMA_BENCH_OVERLOAD_FACTORS  comma list of load factors
-//                                    (default 1,2,5,10)
-//   CHARISMA_BENCH_OVERLOAD_PROTOCOLS comma list (default prma,rmav)
-//   CHARISMA_BENCH_JSON_DIR          where BENCH_overload.json lands
-#include <fstream>
+//   ./bench_fig_overload [voice_users=60] [data_users=10] [warmup=2]
+//                        [measure=4] [overload=1,2,5,10]
+//                        [protocol=prma,rmav]
+//
+// The knobs are charisma_sim's: the nominal population, the run window of
+// every point, and comma lists of whole load factors (each >= 1) and of
+// protocols. Each run appends a trajectory point to BENCH_overload.json
+// (in CHARISMA_BENCH_JSON_DIR, default the working directory).
 #include <iostream>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -54,23 +53,26 @@ struct OutagePoint {
 
 }  // namespace
 
-int main() try {
+int main(int argc, char** argv) try {
+  const auto args = bench::knobs(
+      argc, argv,
+      {"voice_users", "data_users", "warmup", "measure", "overload",
+       "protocol"});
+  const int voice = experiment::read_count(args, "voice_users", 60);
+  const int data = experiment::read_count(args, "data_users", 10);
+  const double warmup_s =
+      experiment::read_double(args, "warmup", 2.0, experiment::kNonNegative);
+  const double measure_s =
+      experiment::read_double(args, "measure", 4.0, experiment::kPositive);
+  const auto factors = experiment::read_int_list(
+      args, "overload", {1, 2, 5, 10}, experiment::kAtLeastOne);
+  const auto ids = experiment::read_protocol_list(
+      args, "protocol",
+      {protocols::ProtocolId::kPrma, protocols::ProtocolId::kRmav});
   bench::print_banner(
       "Overload survival: loss/delay vs offered load, barring off/on, "
       "plus cell-outage recovery",
       "CHARISMA extension (no paper figure); PR 6 trajectory point");
-
-  const int voice =
-      bench::env_count_int("CHARISMA_BENCH_OVERLOAD_VOICE", 60, 0);
-  const int data = bench::env_count_int("CHARISMA_BENCH_OVERLOAD_DATA", 10, 0);
-  const double warmup_s =
-      bench::env_seconds("CHARISMA_BENCH_OVERLOAD_WARMUP", 2.0);
-  const double measure_s =
-      bench::env_window_seconds("CHARISMA_BENCH_OVERLOAD_MEASURE", 4.0);
-  const auto factors = bench::env_count_list(
-      "CHARISMA_BENCH_OVERLOAD_FACTORS", "1,2,5,10", /*min=*/1);
-  const auto ids = bench::env_protocol_list(
-      "CHARISMA_BENCH_OVERLOAD_PROTOCOLS", "prma,rmav");
 
   common::TextTable table("Voice loss and data delay vs offered load");
   table.set_header({"protocol", "load", "barring", "voice loss",
@@ -177,47 +179,39 @@ int main() try {
               << (p.accounting_ok ? "ok" : "BROKEN") << '\n';
   }
 
-  const char* dir = std::getenv("CHARISMA_BENCH_JSON_DIR");
-  const std::string path =
-      (dir != nullptr ? std::string(dir) + "/" : std::string()) +
-      "BENCH_overload.json";
-  std::ofstream out(path);
-  if (!out) {
-    std::cerr << "could not write " << path << '\n';
-    return degradation_ok && accounting_ok ? 0 : 1;
-  }
-  out << "{\n"
-      << "  \"benchmark\": \"overload_survival\",\n"
-      << "  \"schema_version\": 1,\n"
-      << "  \"nominal_voice_users\": " << voice << ",\n"
-      << "  \"nominal_data_users\": " << data << ",\n"
-      << "  \"measure_s\": " << measure_s << ",\n"
-      << "  \"barring_strictly_lowers_loss_at_5x_plus\": "
-      << (degradation_ok ? "true" : "false") << ",\n"
-      << "  \"outage_accounting_ok\": " << (accounting_ok ? "true" : "false")
-      << ",\n"
-      << "  \"overload_points\": [\n";
+  std::ostringstream fields;
+  fields << "\"nominal_voice_users\": " << voice
+         << ",\n      \"nominal_data_users\": " << data
+         << ",\n      \"measure_s\": " << measure_s
+         << ",\n      \"barring_strictly_lowers_loss_at_5x_plus\": "
+         << (degradation_ok ? "true" : "false")
+         << ",\n      \"outage_accounting_ok\": "
+         << (accounting_ok ? "true" : "false")
+         << ",\n      \"overload_points\": [\n";
   for (std::size_t i = 0; i < points.size(); ++i) {
     const auto& p = points[i];
-    out << "    {\"protocol\": \"" << p.protocol << "\", \"load_factor\": "
-        << p.factor << ", \"barring\": " << (p.barring ? "true" : "false")
-        << ", \"voice_loss\": " << p.voice_loss << ", \"data_delay_s\": "
-        << p.data_delay_s << ", \"effective_barring\": "
-        << p.effective_barring << ", \"collision_ratio\": "
-        << p.collision_ratio << "}" << (i + 1 < points.size() ? "," : "")
-        << "\n";
+    fields << "        {\"protocol\": \"" << p.protocol
+           << "\", \"load_factor\": " << p.factor
+           << ", \"barring\": " << (p.barring ? "true" : "false")
+           << ", \"voice_loss\": " << p.voice_loss
+           << ", \"data_delay_s\": " << p.data_delay_s
+           << ", \"effective_barring\": " << p.effective_barring
+           << ", \"collision_ratio\": " << p.collision_ratio << "}"
+           << (i + 1 < points.size() ? "," : "") << "\n";
   }
-  out << "  ],\n  \"outage_points\": [\n";
+  fields << "      ],\n      \"outage_points\": [\n";
   for (std::size_t i = 0; i < outage_points.size(); ++i) {
     const auto& p = outage_points[i];
-    out << "    {\"scenario\": \"" << p.label << "\", \"voice_loss\": "
-        << p.voice_loss << ", \"outage_evictions\": " << p.evictions
-        << ", \"voice_dropped_outage\": " << p.voice_dropped_outage
-        << ", \"accounting_ok\": " << (p.accounting_ok ? "true" : "false")
-        << "}" << (i + 1 < outage_points.size() ? "," : "") << "\n";
+    fields << "        {\"scenario\": \"" << p.label
+           << "\", \"voice_loss\": " << p.voice_loss
+           << ", \"outage_evictions\": " << p.evictions
+           << ", \"voice_dropped_outage\": " << p.voice_dropped_outage
+           << ", \"accounting_ok\": " << (p.accounting_ok ? "true" : "false")
+           << "}" << (i + 1 < outage_points.size() ? "," : "") << "\n";
   }
-  out << "  ]\n}\n";
-  std::cout << "(wrote " << path << ")\n";
+  fields << "      ]";
+  bench::append_trajectory_point("overload_survival", "BENCH_overload",
+                                 fields.str());
   return degradation_ok && accounting_ok ? 0 : 1;
 } catch (const std::exception& e) {
   std::cerr << "error: " << e.what() << '\n';

@@ -9,19 +9,18 @@
 // to the interference-free SNR plane, so the sweep shows each protocol's
 // sensitivity to the classic capacity-versus-isolation trade.
 //
-// Knobs (besides the bench_support ones):
-//   CHARISMA_BENCH_REUSE_CELLS   comma list of cell counts, each >= 2
-//                                (default 7)
-//   CHARISMA_BENCH_REUSE_FACTORS comma list of reuse factors (default 1,3,7)
-//   CHARISMA_BENCH_REUSE_VOICE   voice users in the world (default 40)
-//   CHARISMA_BENCH_REUSE_ACTIVITY per-user activity factor (default 0.4)
+//   ./bench_fig_reuse [cells=7] [reuse=1,3,7] [voice_users=40]
+//                     [interference=0.4] [warmup=4] [measure=12]
+//
+// The knobs are charisma_sim's; cells= and reuse= take comma lists, each
+// cell count at least 2 and each reuse factor one a hex layout takes
+// (1, 3, 4, 7, ...), checked before any world runs.
 //
 // Exit code: 1 when the mean SINR penalty does not fall with the reuse
 // factor (the first printed shape check; see penalty_falls_with_reuse).
 // The voice-loss check stays printed prose.
 #include <algorithm>
 #include <iostream>
-#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
@@ -66,27 +65,39 @@ bool penalty_falls_with_reuse(int cells, std::vector<ReusePoint> points) {
 
 }  // namespace
 
-int main() try {
+int main(int argc, char** argv) try {
   using namespace charisma;
+  const auto args = bench::knobs(argc, argv,
+                                 {"cells", "reuse", "voice_users",
+                                  "interference", "warmup", "measure"});
+  const auto cells_list =
+      experiment::read_int_list(args, "cells", {7}, bench::kWorldCells);
+  const auto reuse_list = experiment::read_int_list(
+      args, "reuse", {1, 3, 7}, experiment::kAtLeastOne);
+  const int voice_users = experiment::read_count(args, "voice_users", 40);
+  const double activity = experiment::read_double(
+      args, "interference", 0.4, experiment::kFraction);
+  const auto spec = bench::standard_spec(args);
+  // charisma_sim's hex world (cell_radius_m=500, 50 km/h).
+  const auto world_at = [&](int cells, int reuse) {
+    return bench::world_from(
+        {"cells=" + std::to_string(cells), "layout=hex",
+         "reuse=" + std::to_string(reuse),
+         bench::knob("interference", activity),
+         "voice_users=" + std::to_string(voice_users), "data_users=5",
+         "shadow_sigma_db=6"});
+  };
+  // Every world's config is built before the first world runs, so a reuse
+  // factor the hex layout cannot take fails by name, as charisma_sim
+  // layout=hex reuse=2 does, instead of being skipped.
+  for (const int cells : cells_list) {
+    for (const int reuse : reuse_list) world_at(cells, reuse);
+  }
   bench::print_banner(
       "Frequency reuse: voice loss / data throughput vs reuse factor "
       "(hex SINR world)",
       "CHARISMA extension (no paper figure); inter-cell interference "
       "plane");
-
-  const double activity =
-      bench::env_real("CHARISMA_BENCH_REUSE_ACTIVITY", 0.4);
-  if (activity < 0.0 || activity > 1.0) {
-    throw std::invalid_argument(
-        "CHARISMA_BENCH_REUSE_ACTIVITY: must be in [0, 1]");
-  }
-  const auto cells_list =
-      bench::env_count_list("CHARISMA_BENCH_REUSE_CELLS", "7", /*min=*/2);
-  const auto reuse_list =
-      bench::env_count_list("CHARISMA_BENCH_REUSE_FACTORS", "1,3,7", 1);
-  const int voice_users =
-      bench::env_count_int("CHARISMA_BENCH_REUSE_VOICE", 40, 0);
-  const auto spec = bench::standard_spec(/*default_reps=*/1);
 
   std::cout << voice_users << " voice + 5 data users, activity factor "
             << activity << ", " << spec.measure_s
@@ -108,18 +119,7 @@ int main() try {
     penalty_rows.push_back({cells, {}});
     std::vector<ReusePoint>& points = penalty_rows.back().second;
     for (const int reuse : reuse_list) {
-      if (!mac::SiteLayout::is_rhombic_number(reuse)) {
-        std::cerr << "skipping reuse=" << reuse
-                  << " (not a rhombic number)\n";
-        continue;
-      }
-      // charisma_sim's hex world (cell_radius_m=500, 50 km/h).
-      const mac::CellularConfig base = bench::world_from(
-          {"cells=" + std::to_string(cells), "layout=hex",
-           "reuse=" + std::to_string(reuse),
-           bench::knob("interference", activity),
-           "voice_users=" + std::to_string(voice_users), "data_users=5",
-           "shadow_sigma_db=6"});
+      const mac::CellularConfig base = world_at(cells, reuse);
       bool own_channels = true;
 
       double mean_interf = 0.0;

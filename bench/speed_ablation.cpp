@@ -9,6 +9,13 @@
 // (eager), the lazy touch-set bank at ~10% active users per frame, and
 // jump strides k=1 vs k=64 — and appends the result as a trajectory point
 // to BENCH_channel_bank.json (set CHARISMA_BENCH_JSON_DIR to redirect).
+//
+//   ./speed_ablation [bank_users=10000] [bank_frames=400] [warmup=4]
+//                    [measure=12] [replications=2]
+//
+// bank_users= and bank_frames= size the hot-path ablation (at least 1
+// each; k/M suffixes as charisma_sim's voice_users=); the others are
+// charisma_sim's and drive the paper sweep.
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
@@ -155,15 +162,19 @@ void run_hot_path_ablation(int users, int frames) {
 
 }  // namespace
 
-int main() try {
+int main(int argc, char** argv) try {
   using namespace charisma;
+  const auto args = bench::knobs(argc, argv,
+                                 {"bank_users", "bank_frames", "warmup",
+                                  "measure", "replications"});
+  const int users = experiment::read_count(args, "bank_users", 10000,
+                                           experiment::kAtLeastOne);
+  const int frames = experiment::read_count(args, "bank_frames", 400,
+                                            experiment::kAtLeastOne);
+  auto spec = bench::standard_spec(args, /*default_reps=*/2);
   bench::print_banner("Sec. 5.3.3: mobile speed and CSI usage",
                       "Kwok & Lau, Sec. 5.3.3 (speed sensitivity)");
 
-  const int users =
-      bench::env_count_int("CHARISMA_BENCH_BANK_USERS", 10000, 1);
-  const int frames = bench::env_count_int("CHARISMA_BENCH_BANK_FRAMES", 400, 1);
-  auto spec = bench::standard_spec(/*default_reps=*/2);
   spec.params.num_voice_users = 100;
   spec.params.request_queue = true;
   spec.params.seed = 1;

@@ -3,12 +3,15 @@
 // calibrated permission probabilities and fixed-PHY design point, and the
 // ABICM ladder of phy::ModeTable::abicm6 — with the derived quantities
 // (symbol rate, activity factor, packets per slot).
+//
+// Takes no knobs: any argument fails by name.
 #include <iostream>
 
 #include "bench_support.hpp"
 
-int main() {
+int main(int argc, char** argv) try {
   using namespace charisma;
+  bench::knobs(argc, argv, {});
   bench::print_banner("Table 1: simulation parameters",
                       "Kwok & Lau, Table 1 / Sections 2, 4, 5");
 
@@ -90,4 +93,7 @@ int main() {
   }
   modes.print(std::cout);
   return 0;
+} catch (const std::exception& e) {
+  std::cerr << "error: " << e.what() << '\n';
+  return 1;
 }

@@ -144,16 +144,6 @@ Output:
   csv=FILE (also prints the table)  help=1
 )";
 
-constexpr double kInf = std::numeric_limits<double>::infinity();
-constexpr Domain kPositive{0.0, kInf, true, false};
-constexpr Domain kNonNegative{0.0, kInf, false, false};
-constexpr Domain kAtLeastOne{1.0, kInf, false, false};
-constexpr Domain kProbability{0.0, 1.0, true, false};      // (0, 1]
-constexpr Domain kLossProbability{0.0, 1.0, false, true};  // [0, 1)
-constexpr Domain kFraction{0.0, 1.0, false, false};        // [0, 1]
-constexpr Domain kPopulation{0.0, std::numeric_limits<int>::max(), false,
-                             false};
-
 // The one range check behind every numeric knob: throws naming `key` when
 // `value` (the knob's text is `text`) lies outside `domain`.
 void require(const std::string& key, double value, const std::string& text,
@@ -164,42 +154,26 @@ void require(const std::string& key, double value, const std::string& text,
   }
 }
 
-int read_int(const common::KeyValueConfig& config, const std::string& key,
-             int fallback, const Domain& domain) {
-  const int v = config.get_int_or(key, fallback);
-  require(key, v, config.get_string_or(key, ""), domain);
-  return v;
-}
-
-// A population count, which accepts magnitude suffixes (250k, 1M).
-int read_count(const common::KeyValueConfig& config, const std::string& key,
-               int fallback) {
-  const long long v = config.get_count_or(key, fallback);
-  require(key, static_cast<double>(v), config.get_string_or(key, ""),
-          kPopulation);
-  return static_cast<int>(v);
-}
-
-// Splits "a,b,c" into user counts; throws naming the knob on empty,
-// malformed or negative input.
-std::vector<int> parse_int_list(const std::string& key,
-                                const std::string& value) {
+// The entries of the list knob `key` given as `value` ("a,b,c"), each
+// converted by `parse` and then passed to `check` with its text; throws
+// naming the knob on an empty list or an entry `parse` rejects.
+template <class Parse, class Check>
+auto parse_list(const std::string& key, const std::string& value,
+                Parse parse, Check check) {
   if (value.empty()) {
     throw std::invalid_argument(key + "= must list at least one value");
   }
-  std::vector<int> values;
+  std::vector<decltype(parse(value))> values;
   std::stringstream stream(value);
   std::string token;
   while (std::getline(stream, token, ',')) {
     try {
-      std::size_t pos = 0;
-      values.push_back(std::stoi(token, &pos));
-      if (pos != token.size()) throw std::invalid_argument("trailing");
+      values.push_back(parse(token));
     } catch (const std::exception&) {
       throw std::invalid_argument(key + "=: bad value '" + token + "' in '" +
                                   value + "'");
     }
-    require(key, values.back(), token, kNonNegative);
+    check(values.back(), token);
   }
   return values;
 }
@@ -521,6 +495,50 @@ double read_double(const common::KeyValueConfig& config,
   return v;
 }
 
+int read_int(const common::KeyValueConfig& config, const std::string& key,
+             int fallback, const Domain& domain) {
+  const int v = config.get_int_or(key, fallback);
+  require(key, v, config.get_string_or(key, ""), domain);
+  return v;
+}
+
+int read_count(const common::KeyValueConfig& config, const std::string& key,
+               int fallback, const Domain& domain) {
+  const long long v = config.get_count_or(key, fallback);
+  const std::string text = config.get_string_or(key, "");
+  require(key, static_cast<double>(v), text, kPopulation);
+  require(key, static_cast<double>(v), text, domain);
+  return static_cast<int>(v);
+}
+
+std::vector<int> read_int_list(const common::KeyValueConfig& config,
+                               const std::string& key,
+                               const std::vector<int>& fallback,
+                               const Domain& domain) {
+  const auto value = config.get_string(key);
+  if (!value) return fallback;
+  return parse_list(
+      key, *value,
+      [](const std::string& token) {
+        std::size_t pos = 0;
+        const int v = std::stoi(token, &pos);
+        if (pos != token.size()) throw std::invalid_argument("trailing");
+        return v;
+      },
+      [&](int v, const std::string& token) {
+        require(key, v, token, domain);
+      });
+}
+
+std::vector<protocols::ProtocolId> read_protocol_list(
+    const common::KeyValueConfig& config, const std::string& key,
+    const std::vector<protocols::ProtocolId>& fallback) {
+  const auto value = config.get_string(key);
+  if (!value) return fallback;
+  return parse_list(key, *value, protocols::parse_protocol,
+                    [](protocols::ProtocolId, const std::string&) {});
+}
+
 std::string_view scenario_help() { return kHelp; }
 
 Scenario parse_scenario(const common::KeyValueConfig& config) {
@@ -566,7 +584,7 @@ Scenario parse_scenario(const common::KeyValueConfig& config) {
     scenario.sweep = SweepConfig{
         spec,
         *axis == "data" ? SweepAxis::kDataUsers : SweepAxis::kVoiceUsers,
-        parse_int_list("x", config.get_string_or("x", "20,60,100,140")),
+        read_int_list(config, "x", {20, 60, 100, 140}, kNonNegative),
         scenario.protocols};
   }
   return scenario;

@@ -2,13 +2,15 @@
 // library's configs, shared by charisma_sim, the examples and the world
 // benches. Every numeric knob goes through one range-checked reader, so an
 // out-of-domain value fails by name before any library constructor sees
-// it. A world (cells >= 2) takes 26 dB at the 200 m path-loss reference
-// unless mean_snr_db= is given, the Doppler spread of kmh= at 2 GHz, sites
+// it; the benches read their own knobs through the same readers. A world
+// (cells >= 2) takes 26 dB at the 200 m path-loss reference unless
+// mean_snr_db= is given, the Doppler spread of kmh= at 2 GHz, sites
 // 2 · cell_radius_m apart, co-channel interference 0.4 on hex layouts (0 on
 // the line) unless interference= is given, and a mobility field sized to
 // the sites.
 #pragma once
 
+#include <limits>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -33,11 +35,45 @@ struct Domain {
   std::string describe() const;
 };
 
-/// A numeric knob's value, or `fallback` when it is absent; throws
-/// std::invalid_argument naming `key` when the value lies outside `domain`.
+inline constexpr double kInf = std::numeric_limits<double>::infinity();
+inline constexpr Domain kPositive{0.0, kInf, true, false};
+inline constexpr Domain kNonNegative{0.0, kInf, false, false};
+inline constexpr Domain kAtLeastOne{1.0, kInf, false, false};
+inline constexpr Domain kProbability{0.0, 1.0, true, false};      // (0, 1]
+inline constexpr Domain kLossProbability{0.0, 1.0, false, true};  // [0, 1)
+inline constexpr Domain kFraction{0.0, 1.0, false, false};        // [0, 1]
+inline constexpr Domain kPopulation{0.0, std::numeric_limits<int>::max(),
+                                    false, false};
+
+// The readers behind every knob. Each returns `fallback` when `key` is
+// absent and throws std::invalid_argument naming `key` for a value it
+// cannot read whole or one outside `domain`.
+
+/// A real number.
 double read_double(const common::KeyValueConfig& config,
                    const std::string& key, double fallback,
                    const Domain& domain);
+
+/// A whole number.
+int read_int(const common::KeyValueConfig& config, const std::string& key,
+             int fallback, const Domain& domain);
+
+/// A count, which accepts magnitude suffixes (250k, 1M), in kPopulation
+/// and in `domain`.
+int read_count(const common::KeyValueConfig& config, const std::string& key,
+               int fallback, const Domain& domain = kPopulation);
+
+/// A comma-separated list of whole numbers (x=20,60,100), at least one.
+std::vector<int> read_int_list(const common::KeyValueConfig& config,
+                               const std::string& key,
+                               const std::vector<int>& fallback,
+                               const Domain& domain);
+
+/// A comma-separated list of protocol names (prma,rmav), at least one,
+/// each spelled as protocols::parse_protocol reads it.
+std::vector<protocols::ProtocolId> read_protocol_list(
+    const common::KeyValueConfig& config, const std::string& key,
+    const std::vector<protocols::ProtocolId>& fallback);
 
 /// Every key parse_scenario accepts; a typo fails loudly instead of
 /// silently taking the default. It accepts and ignores charisma_sim's own

@@ -95,6 +95,59 @@ TEST(ScenarioRecipe, RejectsByName) {
   EXPECT_THROW(parse({"voice_user=80"}), std::invalid_argument);
 }
 
+// The message of the std::invalid_argument that `read` throws, or "" when
+// it returns.
+template <class Read>
+std::string rejection(Read read) {
+  try {
+    read();
+  } catch (const std::invalid_argument& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(ScenarioRecipe, ListReadersNameTheirKnob) {
+  const auto cells = [](const std::vector<std::string>& args) {
+    return read_int_list(common::KeyValueConfig::from_args(args), "cells",
+                         {7}, kAtLeastOne);
+  };
+  EXPECT_EQ(cells({}), std::vector<int>{7});
+  EXPECT_EQ(cells({"cells=3,1,3"}), (std::vector<int>{3, 1, 3}));
+  // A malformed entry, one outside the domain and an empty list.
+  EXPECT_EQ(rejection([&] { cells({"cells=1,2x"}); }),
+            "cells=: bad value '2x' in '1,2x'");
+  EXPECT_EQ(rejection([&] { cells({"cells=3,0"}); }),
+            "cells= must be >= 1, got '0'");
+  EXPECT_EQ(rejection([&] { cells({"cells="}); }),
+            "cells= must list at least one value");
+
+  using protocols::ProtocolId;
+  const auto ids = [](const std::vector<std::string>& args) {
+    return read_protocol_list(common::KeyValueConfig::from_args(args),
+                              "protocol", {ProtocolId::kCharisma});
+  };
+  EXPECT_EQ(ids({}), std::vector<ProtocolId>{ProtocolId::kCharisma});
+  EXPECT_EQ(ids({"protocol=prma,D-TDMA/FR"}),
+            (std::vector<ProtocolId>{ProtocolId::kPrma, ProtocolId::kDtdmaFr}));
+  EXPECT_EQ(rejection([&] { ids({"protocol=prma,foo"}); }),
+            "protocol=: bad value 'foo' in 'prma,foo'");
+  EXPECT_EQ(rejection([&] { ids({"protocol="}); }),
+            "protocol= must list at least one value");
+
+  // x= reads through the same list reader, exactly as it did before.
+  EXPECT_EQ(parse({"sweep=voice"}).sweep->x_values,
+            (std::vector<int>{20, 60, 100, 140}));
+  EXPECT_EQ(parse({"sweep=data", "x=0,5,5,3"}).sweep->x_values,
+            (std::vector<int>{0, 5, 5, 3}));
+  EXPECT_EQ(rejection([] { parse({"sweep=data", "x=1,2,3x"}); }),
+            "x=: bad value '3x' in '1,2,3x'");
+  EXPECT_EQ(rejection([] { parse({"sweep=voice", "x=4,-2"}); }),
+            "x= must be >= 0, got '-2'");
+  EXPECT_EQ(rejection([] { parse({"sweep=voice", "x="}); }),
+            "x= must list at least one value");
+}
+
 TEST(ScenarioRecipe, HelpNamesEveryKey) {
   const std::string help(scenario_help());
   for (const auto& key : kScenarioKeys) {

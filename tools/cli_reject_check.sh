@@ -1,40 +1,41 @@
 #!/bin/sh
-# Fails unless charisma_sim, and each example after it, rejects each
-# malformed invocation below at parse time: exit status exactly 1 and an
-# "error: <knob>=" line on stderr naming the offending knob. Every case
-# stops before a simulation starts, so the whole check takes milliseconds,
-# under the sanitizers too.
+# Fails unless charisma_sim, each example and each bench rejects each
+# malformed invocation below before any simulation starts: exit status
+# exactly 1, a stderr line naming the offending knob, and nothing on
+# stdout (a bench reads its knobs before it prints its banner). No case
+# runs a simulation, so the whole check takes well under a second, under
+# the sanitizers too.
 #
-#   tools/cli_reject_check.sh build/charisma_sim build/fading_explorer \
-#       build/integrated_services build/voice_capacity_planning \
-#       build/handoff_futurework
+#   tools/cli_reject_check.sh build
 #
-# ctest runs it as the cli_reject_check test in every configuration.
+# The argument is the directory that holds the binaries. ctest runs it as
+# the cli_reject_check test in every configuration.
 set -u
 
-usage="usage: cli_reject_check.sh <charisma_sim> <fading_explorer>"
-usage="$usage <integrated_services> <voice_capacity_planning>"
-usage="$usage <handoff_futurework>"
-sim=${1:?$usage}
-fading_explorer=${2:?$usage}
-integrated_services=${3:?$usage}
-voice_capacity_planning=${4:?$usage}
-handoff_futurework=${5:?$usage}
+dir=${1:?usage: cli_reject_check.sh <directory of the built binaries>}
 failures=0
+tmp=$(mktemp -d)
+trap 'rm -rf "$tmp"' EXIT
+# A bench that wrongly accepts a case writes its JSON here.
+export CHARISMA_BENCH_JSON_DIR="$tmp"
 # Small run knobs, so an invocation that is wrongly accepted ends quickly.
 quick="voice_users=4 data_users=1 warmup=0.1 measure=0.1"
 
-# expect_reject PATTERN ARGS...: charisma_sim ARGS must exit 1 with a
-# stderr line matching the grep pattern PATTERN.
+# expect_reject PATTERN ARGS...: the binary $bin run with ARGS must exit 1,
+# print nothing on stdout and a stderr line matching the grep pattern
+# PATTERN.
 expect_reject() {
   pattern=$1
   shift
-  err=$("$sim" "$@" 2>&1 >/dev/null)
+  "$bin" "$@" >"$tmp/stdout" 2>"$tmp/stderr"
   status=$?
-  if [ "$status" -ne 1 ] || ! printf '%s\n' "$err" | grep -q "$pattern"; then
-    echo "cli_reject_check: FAIL: $sim $*" >&2
-    echo "  exit $status, expected 1 and a line matching '$pattern'" >&2
-    printf '%s\n' "$err" | sed 's/^/  stderr: /' >&2
+  if [ "$status" -ne 1 ] || [ -s "$tmp/stdout" ] ||
+     ! grep -q "$pattern" "$tmp/stderr"; then
+    echo "cli_reject_check: FAIL: $bin $*" >&2
+    echo "  exit $status, expected 1, no stdout and a stderr line" \
+         "matching '$pattern'" >&2
+    sed 's/^/  stdout: /' "$tmp/stdout" >&2
+    sed 's/^/  stderr: /' "$tmp/stderr" >&2
     failures=$((failures + 1))
   fi
 }
@@ -46,6 +47,7 @@ expect_knob() {
   expect_reject "^error: $knob=" "$@"
 }
 
+bin=$dir/charisma_sim
 # Zero or negative replications: no world would run, so nothing would be
 # measured or verified.
 expect_knob replications cells=2 verify=1 replications=0 voice_users=6 \
@@ -153,20 +155,86 @@ expect_knob x x=5 cells=2 $quick
 expect_knob x sweep=voice x= $quick
 expect_knob protocol protocol=foo $quick
 expect_knob csv csv= $quick
-expect_knob csv "csv=$sim/out.csv" $quick
+expect_knob csv "csv=$bin/out.csv" $quick
 
 # The examples read charisma_sim's knobs through the same parser, and each
 # rejects by name any key it does not use.
-sim=$voice_capacity_planning
+bin=$dir/voice_capacity_planning
 expect_knob threshold threshold=2
-sim=$integrated_services
+bin=$dir/integrated_services
 expect_knob voice_users voice_users=-5
 expect_reject "unknown key 'voice_user'" voice_user=80
-sim=$fading_explorer
+bin=$dir/fading_explorer
 expect_knob kmh kmh=-3
 expect_knob measure measure=0.001
-sim=$handoff_futurework
+bin=$dir/handoff_futurework
 expect_knob cells cells=1
+
+# The benches read their knobs through the same readers, and each rejects
+# by name any key it does not take: a misspelled one (mesure=) in each
+# bench with knobs, any key in the three without.
+for name in fig11_voice_loss fig12_13_data energy_efficiency \
+    ablation_csi_refresh ablation_priority; do
+  bin=$dir/$name
+  # A measure window must be > 0 (a warmup may be 0).
+  expect_knob measure warmup=0.1 replications=1 measure=0
+  expect_reject "unknown key 'mesure'" warmup=0.1 measure=0.1 \
+    replications=1 mesure=0.2
+done
+for name in fig5_fading_trace fig7_abicm table1_parameters; do
+  bin=$dir/$name
+  expect_reject "unknown key 'measure'" measure=0.2
+done
+
+bin=$dir/speed_ablation
+ablation_quick="bank_users=10 bank_frames=2 warmup=0.1 replications=1"
+expect_reject "value for 'measure'" $ablation_quick measure=10x
+expect_knob measure $ablation_quick measure=0
+expect_reject "unknown key 'mesure'" $ablation_quick measure=0.1 mesure=0.2
+
+bin=$dir/bench_fig_handoff_loss
+expect_reject "value for 'cells'" voice_users=2 warmup=0.1 measure=0.1 \
+  cells=3x
+expect_knob measure voice_users=2 warmup=0.1 cells=2 measure=0
+expect_reject "unknown key 'mesure'" voice_users=2 warmup=0.1 measure=0.1 \
+  mesure=0.2
+
+bin=$dir/bench_fig_reuse
+reuse_quick="voice_users=2 warmup=0.1 measure=0.1"
+expect_reject "value for 'interference'" $reuse_quick cells=2 reuse=1 \
+  interference=0.4x
+# A grid a hex world cannot run fails before any world runs: a reuse
+# factor that is not rhombic (charisma_sim's layout=hex reuse=2 check), an
+# empty list, a single cell.
+expect_knob reuse $reuse_quick cells=7 reuse=1,2
+expect_knob reuse $reuse_quick cells=7 reuse=
+expect_knob cells $reuse_quick cells=1 reuse=1
+expect_reject "unknown key 'mesure'" $reuse_quick cells=2 reuse=1 mesure=0.2
+
+bin=$dir/bench_fig_overload
+overload_quick="voice_users=4 data_users=1 measure=0.1 overload=1
+  protocol=prma"
+expect_reject "value for 'warmup'" $overload_quick warmup=abc
+expect_knob overload $overload_quick warmup=0.1 overload=1,2x
+expect_knob measure $overload_quick warmup=0 measure=0
+expect_reject "unknown key 'mesure'" $overload_quick warmup=0.1 mesure=0.2
+
+bin=$dir/bench_world
+world_quick="voice_users=4 data_users=1 measure=0.1 repeats=1 cells=2
+  shards=1 memory_users=0"
+expect_reject "value for 'band'" $world_quick threads=1 band=1.2km
+expect_knob threads $world_quick threads=1,-2
+expect_knob measure $world_quick threads=1 measure=0
+expect_reject "unknown key 'mesure'" $world_quick threads=1 mesure=0.2
+
+# A bench knob of older revisions, left in the environment, fails by name
+# instead of being ignored.
+export CHARISMA_BENCH_MEASURE=0.2
+bin=$dir/energy_efficiency
+expect_reject CHARISMA_BENCH_MEASURE warmup=0.1 measure=0.1 replications=1
+bin=$dir/fig7_abicm
+expect_reject CHARISMA_BENCH_MEASURE
+unset CHARISMA_BENCH_MEASURE
 
 if [ "$failures" -ne 0 ]; then
   echo "cli_reject_check: $failures invocation(s) not rejected by name" >&2
