@@ -16,15 +16,11 @@
 #include <unistd.h>
 
 #include <charconv>
-#include <cmath>
-#include <complex>
 #include <cstdio>
 #include <cstdlib>
 #include <ctime>
 #include <fstream>
 #include <iostream>
-#include <memory>
-#include <random>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -33,74 +29,6 @@
 #include "charisma.hpp"
 
 namespace charisma::bench {
-
-/// Faithful replica of the pre-ChannelBank channel hot path, kept as the
-/// before/after benchmark baseline: one heap-allocated state object per
-/// user, std::complex branch walks stepped sample-by-sample, and a fresh
-/// std::normal_distribution per Gaussian draw (what RngStream::normal()
-/// did before the in-house Box-Muller core).
-class LegacyChannelWalk {
- public:
-  explicit LegacyChannelWalk(int users,
-                             const channel::ChannelConfig& cfg = {}) {
-    rho_ = channel::ar_rho_for(cfg.doppler_hz, cfg.sample_interval);
-    innovation_ = std::sqrt(1.0 - rho_ * rho_);
-    shadow_rho_ = std::exp(-cfg.sample_interval / cfg.shadow_tau);
-    shadow_sigma_ = cfg.shadow_sigma_db;
-    shadow_innovation_ =
-        shadow_sigma_ * std::sqrt(1.0 - shadow_rho_ * shadow_rho_);
-    users_.reserve(static_cast<std::size_t>(users));
-    for (int i = 0; i < users; ++i) {
-      auto u = std::make_unique<User>();
-      u->rng = common::RngStream(static_cast<std::uint64_t>(i) + 1);
-      u->branches.reserve(
-          static_cast<std::size_t>(cfg.diversity_branches));
-      for (int b = 0; b < cfg.diversity_branches; ++b) {
-        u->branches.push_back({kHalfPower * legacy_normal(u->rng),
-                               kHalfPower * legacy_normal(u->rng)});
-      }
-      u->shadow_db = shadow_sigma_ * legacy_normal(u->rng);
-      users_.push_back(std::move(u));
-    }
-  }
-
-  /// One frame: every user advances one grid step.
-  void step_all() {
-    for (auto& u : users_) {
-      for (auto& h : u->branches) {
-        const std::complex<double> w{kHalfPower * legacy_normal(u->rng),
-                                     kHalfPower * legacy_normal(u->rng)};
-        h = rho_ * h + innovation_ * w;
-      }
-      u->shadow_db = shadow_rho_ * u->shadow_db +
-                     shadow_innovation_ * legacy_normal(u->rng);
-    }
-  }
-
-  double power_gain(int user) const {
-    const auto& u = *users_[static_cast<std::size_t>(user)];
-    double sum = 0.0;
-    for (const auto& h : u.branches) sum += std::norm(h);
-    return sum / static_cast<double>(u.branches.size());
-  }
-
- private:
-  static constexpr double kHalfPower = 0.7071067811865476;
-
-  static double legacy_normal(common::RngStream& rng) {
-    std::normal_distribution<double> dist(0.0, 1.0);
-    return dist(rng.engine());
-  }
-
-  struct User {
-    common::RngStream rng{0};
-    std::vector<std::complex<double>> branches;
-    double shadow_db = 0.0;
-  };
-
-  double rho_, innovation_, shadow_rho_, shadow_sigma_, shadow_innovation_;
-  std::vector<std::unique_ptr<User>> users_;
-};
 
 /// Peak resident set of this process so far, in bytes (Linux reports
 /// ru_maxrss in kilobytes). Monotone — use current_rss_bytes for deltas.

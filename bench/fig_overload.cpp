@@ -19,9 +19,11 @@
 //                        [protocol=prma,rmav]
 //
 // The knobs are charisma_sim's: the nominal population, the run window of
-// every point, and comma lists of whole load factors (each >= 1) and of
-// protocols. Each run appends a trajectory point to BENCH_overload.json
-// (in CHARISMA_BENCH_JSON_DIR, default the working directory).
+// every point, and comma lists of whole load factors (each >= 1, at least
+// one >= 5) and of protocols. Each run appends a trajectory point to
+// BENCH_overload.json (in CHARISMA_BENCH_JSON_DIR, default the working
+// directory).
+#include <algorithm>
 #include <iostream>
 #include <sstream>
 #include <string>
@@ -69,6 +71,13 @@ int main(int argc, char** argv) try {
   const auto ids = experiment::read_protocol_list(
       args, "protocol",
       {protocols::ProtocolId::kPrma, protocols::ProtocolId::kRmav});
+  // The exit code asserts the barring win at >= 5x load, so a grid without
+  // such a factor would pass having tested nothing.
+  if (std::ranges::none_of(factors, [](int factor) { return factor >= 5; })) {
+    throw std::invalid_argument(
+        "overload= needs a factor >= 5: the bench checks barring at >= 5x "
+        "load");
+  }
   bench::print_banner(
       "Overload survival: loss/delay vs offered load, barring off/on, "
       "plus cell-outage recovery",

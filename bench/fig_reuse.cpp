@@ -14,7 +14,8 @@
 //
 // The knobs are charisma_sim's; cells= and reuse= take comma lists, each
 // cell count at least 2 and each reuse factor one a hex layout takes
-// (1, 3, 4, 7, ...), checked before any world runs.
+// (1, 3, 4, 7, ...), with at least two distinct factors, checked before
+// any world runs.
 //
 // Exit code: 1 when the mean SINR penalty does not fall with the reuse
 // factor (the first printed shape check; see penalty_falls_with_reuse).
@@ -92,6 +93,15 @@ int main(int argc, char** argv) try {
   // layout=hex reuse=2 does, instead of being skipped.
   for (const int cells : cells_list) {
     for (const int reuse : reuse_list) world_at(cells, reuse);
+  }
+  // The penalty check compares reuse factors, so one factor would pass it
+  // having compared nothing.
+  if (std::ranges::all_of(reuse_list, [&](int reuse) {
+        return reuse == reuse_list.front();
+      })) {
+    throw std::invalid_argument(
+        "reuse= needs at least two distinct factors: the bench checks that "
+        "the penalty falls as the factor grows");
   }
   bench::print_banner(
       "Frequency reuse: voice loss / data throughput vs reuse factor "

@@ -5,10 +5,10 @@
 // and off, and report the loss inflation relative to the 10 km/h point.
 //
 // Before the paper sweep, a hot-path ablation times the channel-evolution
-// inner loop — legacy per-user scalar walk vs the batched SoA ChannelBank
-// (eager), the lazy touch-set bank at ~10% active users per frame, and
-// jump strides k=1 vs k=64 — and appends the result as a trajectory point
-// to BENCH_channel_bank.json (set CHARISMA_BENCH_JSON_DIR to redirect).
+// inner loop — the batched SoA ChannelBank (eager), the lazy touch-set
+// bank at ~10% active users per frame, and jump strides k=1 vs k=64 — and
+// appends the result as a trajectory point to BENCH_channel_bank.json (set
+// CHARISMA_BENCH_JSON_DIR to redirect).
 //
 //   ./speed_ablation [bank_users=10000] [bank_frames=400] [warmup=4]
 //                    [measure=12] [replications=2]
@@ -20,7 +20,6 @@
 #include <chrono>
 #include <cstdint>
 #include <iostream>
-#include <memory>
 #include <sstream>
 #include <vector>
 
@@ -29,20 +28,6 @@
 namespace {
 
 using namespace charisma;
-
-double benchmark_legacy_walk(int users, int frames) {
-  bench::LegacyChannelWalk walk(users);
-  double sink = 0.0;
-  const auto start = std::chrono::steady_clock::now();
-  for (int f = 0; f < frames; ++f) {
-    walk.step_all();
-    sink += walk.power_gain(0);
-  }
-  const std::chrono::duration<double> wall =
-      std::chrono::steady_clock::now() - start;
-  if (sink < 0.0) std::cout << "";  // keep the work observable
-  return wall.count();
-}
 
 double benchmark_bank(int users, int frames, int stride) {
   channel::ChannelBank bank;
@@ -104,14 +89,12 @@ double benchmark_bank_lazy(int users, int frames, double touch_ratio) {
 void run_hot_path_ablation(int users, int frames) {
   const double touch_ratio = 0.10;
 
-  const double legacy_s = benchmark_legacy_walk(users, frames);
-  // One stride-1 measurement serves as the common baseline for the legacy
-  // speedup, the k=64 cost ratio, and the lazy ablation.
+  // One stride-1 measurement serves as the common baseline for the k=64
+  // cost ratio and the lazy ablation.
   const double eager_s = benchmark_bank(users, frames, 1);
   const double jump1_s = eager_s;
   const double jump64_s = benchmark_bank(users, frames, 64);
   const double lazy_s = benchmark_bank_lazy(users, frames, touch_ratio);
-  const double speedup = legacy_s / eager_s;
   const double jump_ratio = jump64_s / jump1_s;
   const double lazy_speedup = eager_s / lazy_s;
 
@@ -122,9 +105,6 @@ void run_hot_path_ablation(int users, int frames) {
     return common::TextTable::sci(
         static_cast<double>(users) * frames / s, 2);
   };
-  table.add_row({"legacy per-user walk", common::TextTable::num(users, 0),
-                 common::TextTable::num(frames, 0),
-                 common::TextTable::num(legacy_s, 4), rate(legacy_s)});
   table.add_row({"eager bank", common::TextTable::num(users, 0),
                  common::TextTable::num(frames, 0),
                  common::TextTable::num(eager_s, 4), rate(eager_s)});
@@ -135,9 +115,7 @@ void run_hot_path_ablation(int users, int frames) {
                  common::TextTable::num(frames, 0),
                  common::TextTable::num(lazy_s, 4), rate(lazy_s)});
   table.print(std::cout);
-  std::cout << "speedup (eager bank vs legacy): "
-            << common::TextTable::num(speedup, 2)
-            << "x; k=64 vs k=1 cost ratio: "
+  std::cout << "k=64 vs k=1 cost ratio: "
             << common::TextTable::num(jump_ratio, 2)
             << " (O(1) target: ~1)\n"
             << "lazy vs eager (10% active/frame): "
@@ -147,10 +125,8 @@ void run_hot_path_ablation(int users, int frames) {
   std::ostringstream fields;
   fields << "\"users\": " << users << ",\n      \"frames\": " << frames
          << ",\n      \"touch_ratio\": " << touch_ratio
-         << ",\n      \"legacy_per_user_wall_s\": " << legacy_s
          << ",\n      \"eager_scalar_wall_s\": " << eager_s
          << ",\n      \"lazy_scalar_wall_s\": " << lazy_s
-         << ",\n      \"speedup_eager_vs_legacy\": " << speedup
          << ",\n      \"speedup_lazy_vs_eager\": " << lazy_speedup
          << ",\n      \"jump_k1_wall_s\": " << jump1_s
          << ",\n      \"jump_k64_wall_s\": " << jump64_s

@@ -64,8 +64,11 @@ std::optional<int> KeyValueConfig::get_int(const std::string& key) const {
   }
 }
 
-long long KeyValueConfig::parse_count(const std::string& key,
-                                      const std::string& value) {
+namespace {
+
+// The suffix parser behind get_count; `key` only labels the exception
+// message.
+long long parse_count(const std::string& key, const std::string& value) {
   const auto fail = [&](const char* what) {
     throw std::invalid_argument("KeyValueConfig: value for '" + key +
                                 "' is not a count (" + what + "): '" + value +
@@ -94,6 +97,8 @@ long long KeyValueConfig::parse_count(const std::string& key,
   if (scaled != static_cast<double>(rounded)) fail("not an integer");
   return rounded;
 }
+
+}  // namespace
 
 std::optional<long long> KeyValueConfig::get_count(
     const std::string& key) const {

@@ -1,6 +1,6 @@
 // A tiny typed key-value store used to override scenario parameters from
-// examples and benches ("key=value" strings or environment variables)
-// without pulling in a configuration-file dependency.
+// the command line ("key=value" strings) without pulling in a
+// configuration-file dependency.
 #pragma once
 
 #include <map>
@@ -40,11 +40,6 @@ class KeyValueConfig {
   long long get_count_or(const std::string& key, long long fallback) const;
   std::string get_string_or(const std::string& key,
                             const std::string& fallback) const;
-
-  /// The suffix parser behind get_count, usable on raw strings (bench env
-  /// knobs). `key` only labels the exception message.
-  static long long parse_count(const std::string& key,
-                               const std::string& value);
 
   /// Throws std::invalid_argument naming the first key (in sorted order)
   /// that is not in `known`. Front-ends call this after parsing argv so a

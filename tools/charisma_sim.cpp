@@ -10,7 +10,9 @@
 //   charisma_sim protocol=all cells=3 kmh=90 handoff_hysteresis_db=4
 //
 // Every scenario knob is a key=value argument, parsed by
-// experiment::parse_scenario; run with `help=1` for the full list.
+// experiment::parse_scenario; run with `help=1` for the full list. A
+// voice sweep ends with each protocol's capacity at the paper's 1% voice
+// loss (Fig. 11's read-off); csv= holds the table alone.
 // `cells=2` (or more) switches to the mobility-driven multi-cell world:
 // users move, path loss tracks their position, and the
 // strongest-pilot-with-hysteresis policy hands them off between per-cell
@@ -125,9 +127,11 @@ int main(int argc, char** argv) {
     table.set_header({"x", "protocol", "voice loss", "voice err",
                       "data tput/frame", "data delay (s)", "slot util",
                       "chan stride"});
+    std::vector<experiment::SweepCell> cells;
     if (scenario.sweep) {
       experiment::WorkerPool pool;  // hardware threads
-      for (const auto& cell : experiment::run_sweep(*scenario.sweep, pool)) {
+      cells = experiment::run_sweep(*scenario.sweep, pool);
+      for (const auto& cell : cells) {
         add_cell_row(table, std::to_string(cell.x), cell.result);
       }
     } else {
@@ -137,7 +141,20 @@ int main(int argc, char** argv) {
       }
     }
 
-    return emit(table, csv);
+    const int status = emit(table, csv);
+    if (scenario.sweep &&
+        scenario.sweep->axis == experiment::SweepAxis::kVoiceUsers) {
+      std::cout << '\n';
+      experiment::capacity_table(
+          "Voice capacity read-off (paper's 1% loss threshold)", cells,
+          scenario.protocols,
+          [](const experiment::ReplicatedResult& r) {
+            return r.mean(&mac::ProtocolMetrics::voice_loss_rate);
+          },
+          0.01, "1% voice loss")
+          .print(std::cout);
+    }
+    return status;
   } catch (const std::exception& e) {
     std::cerr << "error: " << e.what() << '\n';
     return 1;

@@ -159,16 +159,12 @@ expect_knob csv "csv=$bin/out.csv" $quick
 
 # The examples read charisma_sim's knobs through the same parser, and each
 # rejects by name any key it does not use.
-bin=$dir/voice_capacity_planning
-expect_knob threshold threshold=2
 bin=$dir/integrated_services
 expect_knob voice_users voice_users=-5
 expect_reject "unknown key 'voice_user'" voice_user=80
 bin=$dir/fading_explorer
 expect_knob kmh kmh=-3
 expect_knob measure measure=0.001
-bin=$dir/handoff_futurework
-expect_knob cells cells=1
 
 # The benches read their knobs through the same readers, and each rejects
 # by name any key it does not take: a misspelled one (mesure=) in each
@@ -205,10 +201,12 @@ expect_reject "value for 'interference'" $reuse_quick cells=2 reuse=1 \
   interference=0.4x
 # A grid a hex world cannot run fails before any world runs: a reuse
 # factor that is not rhombic (charisma_sim's layout=hex reuse=2 check), an
-# empty list, a single cell.
+# empty list, a single cell. So does a grid the penalty check cannot
+# compare: one reuse factor.
 expect_knob reuse $reuse_quick cells=7 reuse=1,2
 expect_knob reuse $reuse_quick cells=7 reuse=
 expect_knob cells $reuse_quick cells=1 reuse=1
+expect_knob reuse $reuse_quick cells=7 reuse=3
 expect_reject "unknown key 'mesure'" $reuse_quick cells=2 reuse=1 mesure=0.2
 
 bin=$dir/bench_fig_overload
@@ -218,6 +216,9 @@ expect_reject "value for 'warmup'" $overload_quick warmup=abc
 expect_knob overload $overload_quick warmup=0.1 overload=1,2x
 expect_knob measure $overload_quick warmup=0 measure=0
 expect_reject "unknown key 'mesure'" $overload_quick warmup=0.1 mesure=0.2
+# The exit code asserts the barring win at >= 5x load, so a grid without
+# such a factor is rejected instead of passing having tested nothing.
+expect_knob overload $overload_quick warmup=0.1 overload=1,2
 
 bin=$dir/bench_world
 world_quick="voice_users=4 data_users=1 measure=0.1 repeats=1 cells=2
